@@ -73,7 +73,7 @@ def _cmd_prune(args) -> int:
     sequence = pruning.weakest_link_sequence(grown, data)
     payload = {"sequence": sequence.to_dict()}
     if args.lam is not None:
-        selected = pruning.select_subtree(grown, data, args.lam)
+        selected = sequence.select(grown, args.lam)
         payload["lambda"] = args.lam
         payload["selected"] = tree.to_dict(selected)
     else:
@@ -94,7 +94,7 @@ def _cmd_prune(args) -> int:
         payload["lambda_grid"] = grid
         payload["holdout_errors"] = errors
         payload["lambda"] = lam_star
-        payload["selected"] = tree.to_dict(pruning.select_subtree(grown, data, lam_star))
+        payload["selected"] = tree.to_dict(sequence.select(grown, lam_star))
     _write_json(payload, args.out)
     return 0
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, root_index_set, subset
-from .pruning import holdout_lambda, select_subtree
+from .dataset import Dataset, root_index_set
+from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
     eval_ridge_batch,
@@ -343,7 +343,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.model, config.n, config.noise_std, config.domain_box, config.seed
     )
     k_lo, k_hi = config.depth_range
-    lam_star, hold_errors = holdout_lambda(
+    lam_star, hold_errors, full, sequence = _holdout_fit(
         dataset,
         config.strategy,
         k_hi,
@@ -352,18 +352,10 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.seed + 1,
         config.min_node_size,
     )
-    # Rebuild the same train/holdout split to evaluate subtree IMSEs.
-    rng = np.random.default_rng(config.seed + 1)
-    perm = rng.permutation(dataset.n)
-    n_hold = int(round(config.holdout_fraction * dataset.n))
-    n_hold = min(max(n_hold, 1), dataset.n - 1)
-    train_rows = np.sort(perm[n_hold:])
-    train_ds = subset(dataset, train_rows)
-    full = grow(train_ds, config.strategy, k_hi, config.min_node_size)
     rows = []
     pruned_star = None
     for lam, hold_err in zip(config.lambda_grid, hold_errors):
-        pruned = select_subtree(full, train_ds, lam)
+        pruned = sequence.select(full, lam)
         imse, imse_se = estimate_imse(
             pruned, config.model, config.mc_size, config.domain_box, config.seed + 7002
         )

@@ -7,18 +7,24 @@ critical alpha.  Repeatedly collapsing the node with the smallest alpha
 yields a nested sequence of subtrees whose alphas are non-decreasing,
 and for every penalty coefficient the smallest minimizer of
 train_error + lambda * |leaves| lies on that sequence.
+
+The sequence is computed once per tree: after each collapse only the
+collapsed node's ancestors are updated, so the interpreted work is
+O(nodes x depth), plus one vectorized minimum over the internal nodes
+per step.  PruneSequence.select then picks the subtree for any lambda
+from that one sequence.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset, subset
 from .splitting import SearchStrategy
-from .tree import Tree, TreeNode, grow, predict_batch, replace_node
+from .tree import Tree, TreeNode, grow, predict_batch
 
 _OBJECTIVE_TOL = 1e-12
 
@@ -77,75 +83,95 @@ class PruneSequence:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
+    def select(self, tree: Tree, lam: float) -> Tree:
+        """Smallest subtree of `tree` minimizing train_error + lam * leaf_count.
 
-def _subtree_leaf_stats(tree: Tree, collapsed: set[int]) -> dict[int, tuple[int, float]]:
-    """Per-node (leaf count, summed leaf SSE) treating `collapsed` as leaves."""
-    stats: dict[int, tuple[int, float]] = {}
-
-    order = sorted(
-        tree.nodes.values(), key=lambda nd: nd.depth, reverse=True
-    )
-    for node in order:
-        if node.is_leaf or node.node_id in collapsed:
-            stats[node.node_id] = (1, node.sse)
-        else:
-            lc, ls = stats[node.left_child]
-            rc, rs = stats[node.right_child]
-            stats[node.node_id] = (lc + rc, ls + rs)
-    return stats
-
-
-def _live_internal_ids(tree: Tree, collapsed: set[int]) -> list[int]:
-    """Internal nodes still expanded, i.e. not under or at a collapse."""
-    live = []
-    stack = [tree.root_id]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf or nid in collapsed:
-            continue
-        live.append(nid)
-        stack.extend((node.left_child, node.right_child))
-    return sorted(live)
+        `tree` must be the tree this sequence was computed from.  Walks
+        the sequence and keeps the last candidate whose objective is
+        within tolerance of the minimum, which is the candidate with the
+        fewest leaves (leaf counts strictly decrease along the path).
+        """
+        if lam < 0:
+            raise ValueError("lambda must be >= 0")
+        best_obj = self.initial_train_error + lam * self.initial_leaf_count
+        best_prefix = 0
+        for k, step in enumerate(self.steps, start=1):
+            objective = step.train_error_after + lam * step.leaf_count_after
+            scale = max(1.0, abs(best_obj))
+            if objective <= best_obj + _OBJECTIVE_TOL * scale:
+                best_obj = min(best_obj, objective)
+                best_prefix = k
+        collapsed = {s.collapsed_node_id for s in self.steps[:best_prefix]}
+        return _collapse_to_tree(tree, collapsed)
 
 
 def weakest_link_sequence(tree: Tree, dataset: Dataset) -> PruneSequence:
     """Successively collapse the internal node that costs least per leaf.
 
-    Ties on alpha collapse the smaller node id first.  A root-only tree
+    Each step collapses the smallest node id among the live internal
+    nodes whose alpha lies within _OBJECTIVE_TOL of the minimum, so ties
+    on alpha collapse the smaller node id first.  A root-only tree
     yields an empty sequence.
+
+    The per-node (leaf count, summed leaf SSE) is computed bottom-up
+    once; a collapse then updates it only along the collapsed node's
+    ancestor path, each ancestor summing its children's values in
+    left + right order.
     """
     if dataset.n != tree.n:
         raise ValueError("dataset does not match the tree")
-    collapsed: set[int] = set()
-    steps: list[PruneStep] = []
-    stats = _subtree_leaf_stats(tree, collapsed)
+    nodes = tree.nodes
+    parent: dict[int, int] = {}
+    internal: list[int] = []
+    order = [tree.root_id]  # preorder: every parent precedes its children
+    for nid in order:
+        node = nodes[nid]
+        if not node.is_leaf:
+            internal.append(nid)
+            parent[node.left_child] = parent[node.right_child] = nid
+            order.extend((node.left_child, node.right_child))
+    internal.sort()
+    slot = {nid: k for k, nid in enumerate(internal)}
+
+    stats: dict[int, tuple[int, float]] = {}
+    alpha = np.full(len(internal), np.inf)
+
+    def refresh(nid: int) -> None:
+        node = nodes[nid]
+        lc, ls = stats[node.left_child]
+        rc, rs = stats[node.right_child]
+        stats[nid] = (lc + rc, ls + rs)
+        alpha[slot[nid]] = (node.sse - (ls + rs)) / tree.n / (lc + rc - 1)
+
+    for nid in reversed(order):
+        if nodes[nid].is_leaf:
+            stats[nid] = (1, nodes[nid].sse)
+        else:
+            refresh(nid)
     initial_leaves = stats[tree.root_id][0]
-    error = (
-        sum(tree.nodes[nid].sse for nid in tree.leaf_ids()) / tree.n
-    )
+    error = sum(nodes[nid].sse for nid in tree.leaf_ids()) / tree.n
     initial_error = error
-    while True:
-        live = _live_internal_ids(tree, collapsed)
-        if not live:
+    steps: list[PruneStep] = []
+    while internal:
+        low = alpha.min()
+        if not low < np.inf:  # every node collapsed, or a non-finite alpha
             break
-        best_alpha = None
-        best_nid = None
-        for nid in live:
-            node = tree.nodes[nid]
-            leaves, leaf_sse = stats[nid]
-            alpha = (node.sse - leaf_sse) / tree.n / (leaves - 1)
-            if best_alpha is None or alpha < best_alpha - _OBJECTIVE_TOL:
-                best_alpha = alpha
-                best_nid = nid
-            elif abs(alpha - best_alpha) <= _OBJECTIVE_TOL and nid < best_nid:
-                best_nid = nid
-                best_alpha = min(best_alpha, alpha)
-        node = tree.nodes[best_nid]
-        leaves, leaf_sse = stats[best_nid]
-        error += (node.sse - leaf_sse) / tree.n
-        collapsed.add(best_nid)
-        stats = _subtree_leaf_stats(tree, collapsed)
+        k = int(np.argmax(alpha <= low + _OBJECTIVE_TOL))
+        best_nid = internal[k]
+        best_alpha = float(alpha[k])
+        node = nodes[best_nid]
+        error += (node.sse - stats[best_nid][1]) / tree.n
+        stats[best_nid] = (1, node.sse)
+        dead = [best_nid]
+        for nid in dead:
+            alpha[slot[nid]] = np.inf
+            for child in (nodes[nid].left_child, nodes[nid].right_child):
+                if child in slot and alpha[slot[child]] < np.inf:
+                    dead.append(child)
+        nid = best_nid
+        while nid in parent:
+            nid = parent[nid]
+            refresh(nid)
         steps.append(
             PruneStep(
                 critical_alpha=best_alpha,
@@ -168,11 +194,11 @@ def _collapse_to_tree(tree: Tree, collapsed: set[int]) -> Tree:
     stack = [tree.root_id]
     while stack:
         nid = stack.pop()
-        node = replace_node(tree.nodes[nid])
-        if nid in collapsed and not node.is_leaf:
-            node.split = None
-            node.left_child = None
-            node.right_child = None
+        node = tree.nodes[nid]
+        if nid in collapsed:
+            node = replace(node, split=None, left_child=None, right_child=None)
+        else:
+            node = replace(node)
         kept[nid] = node
         if not node.is_leaf:
             deepest = max(deepest, node.depth + 1)
@@ -190,24 +216,10 @@ def _collapse_to_tree(tree: Tree, collapsed: set[int]) -> Tree:
 def select_subtree(tree: Tree, dataset: Dataset, lam: float) -> Tree:
     """Smallest subtree minimizing train_error + lam * leaf_count.
 
-    Walks the weakest-link sequence and keeps the last candidate whose
-    objective is within tolerance of the minimum, which is the candidate
-    with the fewest leaves (leaf counts strictly decrease along the
-    path).
+    Computes the weakest-link sequence of `tree`; to select for several
+    penalties, compute the sequence once and call PruneSequence.select.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    seq = weakest_link_sequence(tree, dataset)
-    best_obj = seq.initial_train_error + lam * seq.initial_leaf_count
-    best_prefix = 0
-    for k, step in enumerate(seq.steps, start=1):
-        objective = step.train_error_after + lam * step.leaf_count_after
-        scale = max(1.0, abs(best_obj))
-        if objective <= best_obj + _OBJECTIVE_TOL * scale:
-            best_obj = min(best_obj, objective)
-            best_prefix = k
-    collapsed = {s.collapsed_node_id for s in seq.steps[:best_prefix]}
-    return _collapse_to_tree(tree, collapsed)
+    return weakest_link_sequence(tree, dataset).select(tree, lam)
 
 
 def default_lambda_grid(dataset: Dataset, size: int = 20) -> list[float]:
@@ -218,22 +230,17 @@ def default_lambda_grid(dataset: Dataset, size: int = 20) -> list[float]:
     return [float(v) for v in energy * np.geomspace(1e-6, 1.0, size)]
 
 
-def holdout_lambda(
+def _holdout_fit(
     dataset: Dataset,
     strategy: SearchStrategy,
     max_depth: int,
     lambda_grid,
     holdout_fraction: float,
     seed: int,
-    min_node_size: int = 1,
-) -> tuple[float, list[float]]:
-    """Pick the penalty by error on a held-out part of the sample.
-
-    Grows on the remaining rows, evaluates each grid value's selected
-    subtree on the holdout rows, and returns the lambda with the lowest
-    holdout MSE (ties resolved toward the larger lambda) together with
-    the per-lambda errors.
-    """
+    min_node_size: int,
+) -> tuple[float, list[float], Tree, PruneSequence]:
+    """holdout_lambda's (lambda, errors) plus the tree it trained on the
+    non-holdout rows and that tree's weakest-link sequence."""
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
@@ -247,13 +254,14 @@ def holdout_lambda(
     train_rows = np.sort(perm[n_hold:])
     train_ds = subset(dataset, train_rows)
     full = grow(train_ds, strategy, max_depth, min_node_size)
+    sequence = weakest_link_sequence(full, train_ds)
     X_hold = dataset.features[hold_rows]
     y_hold = dataset.response[hold_rows]
     errors = []
     best_lam = None
     best_err = None
     for lam in grid:
-        pruned = select_subtree(full, train_ds, lam)
+        pruned = sequence.select(full, lam)
         err = float(np.mean((y_hold - predict_batch(pruned, X_hold)) ** 2))
         errors.append(err)
         if best_err is None:
@@ -263,4 +271,27 @@ def holdout_lambda(
         if err < best_err - tol or (abs(err - best_err) <= tol and lam > best_lam):
             best_lam = lam
             best_err = min(best_err, err)
-    return best_lam, errors
+    return best_lam, errors, full, sequence
+
+
+def holdout_lambda(
+    dataset: Dataset,
+    strategy: SearchStrategy,
+    max_depth: int,
+    lambda_grid,
+    holdout_fraction: float,
+    seed: int,
+    min_node_size: int = 1,
+) -> tuple[float, list[float]]:
+    """Pick the penalty by error on a held-out part of the sample.
+
+    Grows on the remaining rows, computes that tree's weakest-link
+    sequence once, evaluates each grid value's selected subtree on the
+    holdout rows, and returns the lambda with the lowest holdout MSE
+    (ties resolved toward the larger lambda) together with the
+    per-lambda errors.
+    """
+    lam, errors, _, _ = _holdout_fit(
+        dataset, strategy, max_depth, lambda_grid, holdout_fraction, seed, min_node_size
+    )
+    return lam, errors

@@ -15,7 +15,7 @@ climbing, and sparse random projections.  All are pure functions of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -109,7 +109,12 @@ class SearchStrategy:
 
     @staticmethod
     def from_dict(data: dict) -> "SearchStrategy":
-        return SearchStrategy(**{k: data[k] for k in data})
+        unknown = sorted(set(data) - {f.name for f in fields(SearchStrategy)})
+        if unknown:
+            raise ValueError(f"unknown strategy keys: {', '.join(unknown)}")
+        if "kind" not in data:
+            raise ValueError("strategy has no 'kind'")
+        return SearchStrategy(**data)
 
 
 @dataclass(frozen=True)

@@ -243,17 +243,6 @@ def verify_expansion_reconstruction(
     return worst
 
 
-def _route(tree: Tree, x) -> float:
-    node = tree.nodes[tree.root_id]
-    vec = np.asarray(x, dtype=np.float64)
-    while not node.is_leaf:
-        value = float(vec @ node.split.direction.as_array())
-        node = tree.nodes[
-            node.left_child if value <= node.split.threshold else node.right_child
-        ]
-    return node.mean
-
-
 def verify_training_recursion(
     dataset: Dataset, strategy, max_depth: int, grow_fn=None
 ) -> list[float]:

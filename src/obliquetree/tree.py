@@ -10,6 +10,7 @@ gives the greedy-prefix property for deterministic strategies.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -177,6 +178,8 @@ def predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.p:
         raise ValueError(f"expected an (m, {tree.p}) matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has non-finite coordinates")
     out = np.empty(X.shape[0])
     stack = [(tree.root_id, np.arange(X.shape[0]))]
     while stack:
@@ -211,11 +214,10 @@ def prune_to_depth(tree: Tree, depth: int) -> Tree:
     for nid, node in tree.nodes.items():
         if node.depth > depth:
             continue
-        clone = replace_node(node)
         if node.depth == depth:
-            clone.split = None
-            clone.left_child = None
-            clone.right_child = None
+            clone = replace(node, split=None, left_child=None, right_child=None)
+        else:
+            clone = replace(node)
         if not clone.is_leaf:
             deepest = max(deepest, node.depth + 1)
         kept[nid] = clone
@@ -226,20 +228,6 @@ def prune_to_depth(tree: Tree, depth: int) -> Tree:
         p=tree.p,
         max_depth_reached=deepest,
         strategy=tree.strategy,
-    )
-
-
-def replace_node(node: TreeNode) -> TreeNode:
-    return TreeNode(
-        node_id=node.node_id,
-        depth=node.depth,
-        mean=node.mean,
-        sse=node.sse,
-        count=node.count,
-        index_set=node.index_set,
-        split=node.split,
-        left_child=node.left_child,
-        right_child=node.right_child,
     )
 
 
@@ -274,11 +262,14 @@ def to_dict(tree: Tree) -> dict:
 def from_dict(data: dict) -> Tree:
     nodes = {}
     for entry in data["nodes"]:
+        mean, sse = float(entry["mean"]), float(entry["sse"])
+        if not (math.isfinite(mean) and math.isfinite(sse)):
+            raise ValueError(f"node {entry['node_id']} has a non-finite mean or sse")
         nodes[int(entry["node_id"])] = TreeNode(
             node_id=int(entry["node_id"]),
             depth=int(entry["depth"]),
-            mean=float(entry["mean"]),
-            sse=float(entry["sse"]),
+            mean=mean,
+            sse=sse,
             count=int(entry["count"]),
             split=Split.from_dict(entry["split"]) if entry["split"] else None,
             left_child=entry["left_child"],

@@ -149,6 +149,27 @@ def test_exit_codes_input_errors(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda tree: tree["strategy"].update(bogus=1),
+        lambda tree: tree["nodes"][1].update(sse=float("nan")),
+    ],
+    ids=["unknown_strategy_key", "nan_sse"],
+)
+def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt):
+    csv = write_d1(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", csv, "--depth", "1", "--out", str(tree_path)]) == 0
+    payload = json.loads(tree_path.read_text())
+    corrupt(payload)
+    tree_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["prune", str(tree_path), csv, "--lambda", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_exit_code_bound_violation(tmp_path, monkeypatch):
     # The guarantee cannot be violated honestly under the enforced
     # preconditions, so exercise the exit-code path by stubbing the

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
+    PruneSequence,
+    PruneStep,
     SearchStrategy,
     default_lambda_grid,
     grow,
     holdout_lambda,
+    predict_batch,
     select_subtree,
+    subset,
     training_error,
     weakest_link_sequence,
 )
+from obliquetree.pruning import _OBJECTIVE_TOL
 
 from conftest import random_dataset
 
@@ -62,6 +69,133 @@ def brute_force_best(tree, lam):
         elif abs(objective - best[0][0]) <= 1e-12 and leaves < best[0][1]:
             best = ((min(objective, best[0][0]), leaves), retained)
     return best
+
+
+def _subtree_leaf_stats(tree, collapsed):
+    """Per-node (leaf count, summed leaf SSE) treating `collapsed` as leaves."""
+    stats = {}
+    order = sorted(tree.nodes.values(), key=lambda nd: nd.depth, reverse=True)
+    for node in order:
+        if node.is_leaf or node.node_id in collapsed:
+            stats[node.node_id] = (1, node.sse)
+        else:
+            lc, ls = stats[node.left_child]
+            rc, rs = stats[node.right_child]
+            stats[node.node_id] = (lc + rc, ls + rs)
+    return stats
+
+
+def _live_internal_ids(tree, collapsed):
+    """Internal nodes still expanded, i.e. not under or at a collapse."""
+    live = []
+    stack = [tree.root_id]
+    while stack:
+        nid = stack.pop()
+        node = tree.nodes[nid]
+        if node.is_leaf or nid in collapsed:
+            continue
+        live.append(nid)
+        stack.extend((node.left_child, node.right_child))
+    return sorted(live)
+
+
+def reference_weakest_link_sequence(tree, dataset):
+    """Reference: the quadratic weakest-link path, which rebuilds every
+    node's stats and the live set from scratch after each collapse."""
+    assert dataset.n == tree.n
+    collapsed = set()
+    steps = []
+    stats = _subtree_leaf_stats(tree, collapsed)
+    initial_leaves = stats[tree.root_id][0]
+    error = sum(tree.nodes[nid].sse for nid in tree.leaf_ids()) / tree.n
+    initial_error = error
+    while True:
+        live = _live_internal_ids(tree, collapsed)
+        if not live:
+            break
+        best_alpha = None
+        best_nid = None
+        for nid in live:
+            node = tree.nodes[nid]
+            leaves, leaf_sse = stats[nid]
+            alpha = (node.sse - leaf_sse) / tree.n / (leaves - 1)
+            if best_alpha is None or alpha < best_alpha - _OBJECTIVE_TOL:
+                best_alpha = alpha
+                best_nid = nid
+            elif abs(alpha - best_alpha) <= _OBJECTIVE_TOL and nid < best_nid:
+                best_nid = nid
+                best_alpha = min(best_alpha, alpha)
+        node = tree.nodes[best_nid]
+        leaves, leaf_sse = stats[best_nid]
+        error += (node.sse - leaf_sse) / tree.n
+        collapsed.add(best_nid)
+        stats = _subtree_leaf_stats(tree, collapsed)
+        steps.append(
+            PruneStep(
+                critical_alpha=best_alpha,
+                collapsed_node_id=best_nid,
+                leaf_count_after=stats[tree.root_id][0],
+                train_error_after=error,
+            )
+        )
+    return PruneSequence(
+        steps=tuple(steps),
+        initial_leaf_count=initial_leaves,
+        initial_train_error=initial_error,
+    )
+
+
+@st.composite
+def axis_datasets(draw, max_n=48):
+    """Small datasets whose features and responses may be integer-valued;
+    integer responses give many exactly tied critical alphas."""
+    n = draw(st.integers(2, max_n))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 6, size=(n, p)).astype(float)
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+    if draw(st.booleans()):
+        y = rng.integers(0, draw(st.integers(2, 4)), size=n).astype(float)
+    else:
+        y = 2.0 * rng.standard_normal(n)
+    return Dataset(X, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=axis_datasets(), depth=st.integers(0, 7), min_node_size=st.integers(1, 3))
+def test_sequence_matches_quadratic_reference(data, depth, min_node_size):
+    tree = grow(data, AXIS, depth, min_node_size)
+    fast = weakest_link_sequence(tree, data).to_json()
+    assert fast == reference_weakest_link_sequence(tree, data).to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=axis_datasets(max_n=40),
+    depth=st.integers(1, 5),
+    fraction=st.sampled_from([0.2, 0.3, 0.5]),
+    seed=st.integers(0, 1000),
+)
+def test_holdout_errors_match_per_lambda_selection(data, depth, fraction, seed):
+    grid = default_lambda_grid(data, size=6)
+    lam_star, errors = holdout_lambda(data, AXIS, depth, grid, fraction, seed)
+    # The same split as holdout_lambda, then one full selection per lambda.
+    perm = np.random.default_rng(seed).permutation(data.n)
+    n_hold = min(max(int(round(fraction * data.n)), 1), data.n - 1)
+    hold_rows = np.sort(perm[:n_hold])
+    train = subset(data, np.sort(perm[n_hold:]))
+    tree = grow(train, AXIS, depth)
+    expected = [
+        float(np.mean(
+            (data.response[hold_rows]
+             - predict_batch(select_subtree(tree, train, lam), data.features[hold_rows])) ** 2
+        ))
+        for lam in grid
+    ]
+    assert errors == expected
+    assert lam_star in grid
 
 
 def retained_internals(tree):

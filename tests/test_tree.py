@@ -56,6 +56,9 @@ def test_predict_validation(d1):
         predict(tree, [1.0, 2.0])
     with pytest.raises(ValueError):
         predict(tree, [np.nan])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            predict_batch(tree, np.array([[1.0], [bad]]))
 
 
 def test_training_error_hand_values(d1):
