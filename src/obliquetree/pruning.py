@@ -18,13 +18,13 @@ from that one sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, subset
 from .splitting import SearchStrategy
-from .tree import Tree, TreeNode, grow, predict_batch
+from .tree import Tree, collapse, grow, predict_batch
 
 _OBJECTIVE_TOL = 1e-12
 
@@ -102,7 +102,7 @@ class PruneSequence:
                 best_obj = min(best_obj, objective)
                 best_prefix = k
         collapsed = {s.collapsed_node_id for s in self.steps[:best_prefix]}
-        return _collapse_to_tree(tree, collapsed)
+        return collapse(tree, collapsed)
 
 
 def weakest_link_sequence(tree: Tree, dataset: Dataset) -> PruneSequence:
@@ -184,32 +184,6 @@ def weakest_link_sequence(tree: Tree, dataset: Dataset) -> PruneSequence:
         steps=tuple(steps),
         initial_leaf_count=initial_leaves,
         initial_train_error=initial_error,
-    )
-
-
-def _collapse_to_tree(tree: Tree, collapsed: set[int]) -> Tree:
-    """Materialize the pruned subtree for a set of collapse points."""
-    kept: dict[int, TreeNode] = {}
-    deepest = 0
-    stack = [tree.root_id]
-    while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
-        if nid in collapsed:
-            node = replace(node, split=None, left_child=None, right_child=None)
-        else:
-            node = replace(node)
-        kept[nid] = node
-        if not node.is_leaf:
-            deepest = max(deepest, node.depth + 1)
-            stack.extend((node.left_child, node.right_child))
-    return Tree(
-        nodes=kept,
-        root_id=tree.root_id,
-        n=tree.n,
-        p=tree.p,
-        max_depth_reached=deepest,
-        strategy=tree.strategy,
     )
 
 

@@ -87,6 +87,10 @@ class SearchStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        for f in fields(self)[1:]:  # every field after kind is an integer
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"strategy {f.name} must be an integer, got {value!r}")
         if self.sparsity_d < 1:
             raise ValueError("sparsity_d must be >= 1")
         if self.num_candidates < 0:
@@ -159,20 +163,21 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
 
 
 def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
-    """Prefix-sum sweep over the sorted projections of one direction.
+    """Prefix-sum sweep over sorted projections along axis 0.
 
-    values must be sorted ascending.  Returns (gains, thresholds, valid)
-    over the m-1 boundaries; a boundary is valid only when its midpoint
-    lies strictly between two distinct consecutive values.
+    values is (m,) for one direction or (m, k) for one direction per
+    column, each sorted ascending, and y holds the responses in the same
+    order.  Returns (gains, thresholds, valid) over the m-1 boundaries;
+    a boundary is valid only when its midpoint lies strictly between
+    two distinct consecutive values.
     """
     m = values.shape[0]
-    csum = np.cumsum(y)
+    csum = np.cumsum(y, axis=0)
     total = csum[-1]
-    n_left = np.arange(1, m, dtype=np.float64)
-    n_right = m - n_left
+    n_left = np.arange(1, m, dtype=np.float64).reshape((-1,) + (1,) * (y.ndim - 1))
     sum_left = csum[:-1]
     gains = (
-        sum_left**2 / n_left + (total - sum_left) ** 2 / n_right - total**2 / m
+        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
     ) / n_full
     thresholds = 0.5 * (values[:-1] + values[1:])
     valid = (values[:-1] < thresholds) & (thresholds < values[1:])
@@ -324,23 +329,12 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
         return None
     best_gain = -np.inf
     candidates: list[tuple[np.ndarray, float]] = []
-    n_left_idx = np.arange(1, m, dtype=np.float64)
     for lo in range(0, directions.shape[0], chunk):
         dirs = directions[lo : lo + chunk]
         proj = X @ dirs.T
         order = np.argsort(proj, axis=0, kind="stable")
         vals = np.take_along_axis(proj, order, axis=0)
-        ys = y[order]
-        csum = np.cumsum(ys, axis=0)
-        total = csum[-1]
-        sum_left = csum[:-1]
-        gains = (
-            sum_left**2 / n_left_idx[:, None]
-            + (total - sum_left) ** 2 / (m - n_left_idx)[:, None]
-            - total**2 / m
-        ) / dataset.n
-        mids = 0.5 * (vals[:-1] + vals[1:])
-        valid = (vals[:-1] < mids) & (mids < vals[1:])
+        gains, _, valid = _sweep_gains(vals, y[order], dataset.n)
         gains = np.where(valid, gains, -np.inf)
         chunk_best = float(np.max(gains)) if gains.size else -np.inf
         if chunk_best <= -np.inf:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .tree import Tree, predict_batch, training_error
+from .tree import Tree, predict_batch, route, training_error
 
 # Owner id of the constant feature (the conventional "empty node").
 EMPTY_NODE_ID = -1
@@ -121,13 +121,12 @@ def feature_at(tree: Tree, feature: StumpFeature, x) -> float:
     """Evaluate a stump at an arbitrary point by routing through the tree."""
     if feature.is_constant:
         return 1.0
-    vec = np.asarray(x, dtype=np.float64)
-    node = tree.nodes[tree.root_id]
-    while not node.is_leaf:
-        goes_left = float(vec @ node.split.direction.as_array()) <= node.split.threshold
-        if node.node_id == feature.owner_node_id:
-            return feature.left_value if goes_left else feature.right_value
-        node = tree.nodes[node.left_child if goes_left else node.right_child]
+    reached = route(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    owner = tree.nodes[feature.owner_node_id]
+    if owner.left_child in reached:
+        return feature.left_value
+    if owner.right_child in reached:
+        return feature.right_value
     return 0.0
 
 
@@ -194,8 +193,8 @@ def reconstruct_at(tree: Tree, expansion: Expansion, x) -> float:
 
 
 def reconstruct_batch(tree: Tree, expansion: Expansion, X: np.ndarray) -> np.ndarray:
-    """Vectorized expansion evaluation: one routing pass accumulates every
-    stump's contribution for all rows at once."""
+    """Vectorized expansion evaluation: one routing pass, then every
+    stump's contribution is added to its children's rows, parents first."""
     X = np.asarray(X, dtype=np.float64)
     by_owner = {
         f.owner_node_id: (f, c)
@@ -206,20 +205,16 @@ def reconstruct_batch(tree: Tree, expansion: Expansion, X: np.ndarray) -> np.nda
         c for f, c in zip(expansion.features, expansion.coefficients) if f.is_constant
     )
     out = np.full(X.shape[0], constant)
-    stack = [(tree.root_id, np.arange(X.shape[0]))]
-    while stack:
-        nid, rows = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf or rows.size == 0:
+    reached = route(tree, X)
+    for nid in reached:
+        if nid not in by_owner:
             continue
-        values = X[rows] @ node.split.direction.as_array()
-        left = values <= node.split.threshold
-        if nid in by_owner:
-            feat, coef = by_owner[nid]
-            out[rows[left]] += coef * feat.left_value
-            out[rows[~left]] += coef * feat.right_value
-        stack.append((node.left_child, rows[left]))
-        stack.append((node.right_child, rows[~left]))
+        feat, coef = by_owner[nid]
+        node = tree.nodes[nid]
+        if node.left_child in reached:
+            out[reached[node.left_child]] += coef * feat.left_value
+        if node.right_child in reached:
+            out[reached[node.right_child]] += coef * feat.right_value
     return out
 
 

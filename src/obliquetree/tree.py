@@ -5,6 +5,12 @@ frontier is searched before any child is, so a depth-K tree is exactly
 the depth-(K-1) tree plus one more round of splits.  Node ids are
 assigned in frontier order, which makes construction deterministic and
 gives the greedy-prefix property for deterministic strategies.
+
+Routing convention: a point goes to the left child when its projection
+onto the split direction is <= the threshold, and to the right child
+otherwise.  `_partition` is the only place that test is written; growth,
+prediction, index-set attachment and the stump features all route
+through it, and `collapse` is the only way a subtree is materialized.
 """
 
 from __future__ import annotations
@@ -56,9 +62,6 @@ class Tree:
     p: int
     max_depth_reached: int
     strategy: SearchStrategy
-
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
 
     def leaf_ids(self) -> list[int]:
         return sorted(nid for nid, nd in self.nodes.items() if nd.is_leaf)
@@ -120,10 +123,7 @@ def grow(
                 continue
             if split.decrease <= DECREASE_TOL:
                 continue
-            values = dataset.features[idx] @ split.direction.as_array()
-            left_mask = values <= split.threshold
-            left_idx = idx[left_mask]
-            right_idx = idx[~left_mask]
+            left_idx, right_idx = _partition(dataset.features, idx, split)
             if left_idx.size < min_node_size or right_idx.size < min_node_size:
                 continue
             if left_idx.size != split.left_count or right_idx.size != split.right_count:
@@ -158,6 +158,31 @@ def grow(
     )
 
 
+def _partition(X: np.ndarray, rows: np.ndarray, split: Split):
+    """Split `rows` of X into (left, right): projection <= threshold goes left."""
+    left = X[rows] @ split.direction.as_array() <= split.threshold
+    return rows[left], rows[~left]
+
+
+def route(tree: Tree, X: np.ndarray) -> dict[int, np.ndarray]:
+    """Rows of X reaching each node, parents before children.
+
+    A node that no row reaches is absent, and routing does not descend
+    below it, so one point visits only the nodes on its path.
+    """
+    reached = [(tree.root_id, np.arange(X.shape[0]))]
+    for nid, rows in reached:
+        node = tree.nodes[nid]
+        if node.is_leaf:
+            continue
+        left, right = _partition(X, rows, node.split)
+        if left.size:
+            reached.append((node.left_child, left))
+        if right.size:
+            reached.append((node.right_child, right))
+    return dict(reached)
+
+
 def predict(tree: Tree, x) -> float:
     """Route a single point to its terminal node and return that mean."""
     vec = np.asarray(x, dtype=np.float64)
@@ -165,12 +190,7 @@ def predict(tree: Tree, x) -> float:
         raise ValueError(f"expected a length-{tree.p} vector")
     if not np.all(np.isfinite(vec)):
         raise ValueError("point has non-finite coordinates")
-    node = tree.nodes[tree.root_id]
-    while not node.is_leaf:
-        value = float(vec @ node.split.direction.as_array())
-        child = node.left_child if value <= node.split.threshold else node.right_child
-        node = tree.nodes[child]
-    return node.mean
+    return float(predict_batch(tree, vec[None, :])[0])
 
 
 def predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -181,19 +201,10 @@ def predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("matrix has non-finite coordinates")
     out = np.empty(X.shape[0])
-    stack = [(tree.root_id, np.arange(X.shape[0]))]
-    while stack:
-        nid, rows = stack.pop()
+    for nid, rows in route(tree, X).items():
         node = tree.nodes[nid]
         if node.is_leaf:
             out[rows] = node.mean
-            continue
-        values = X[rows] @ node.split.direction.as_array()
-        left = values <= node.split.threshold
-        if np.any(left):
-            stack.append((node.left_child, rows[left]))
-        if not np.all(left):
-            stack.append((node.right_child, rows[~left]))
     return out
 
 
@@ -203,24 +214,26 @@ def training_error(tree: Tree, dataset: Dataset) -> float:
     return float(np.mean((dataset.response - preds) ** 2))
 
 
-def prune_to_depth(tree: Tree, depth: int) -> Tree:
-    """The tree truncated at `depth`: deeper nodes dropped, boundary
-    nodes turned into leaves.  For deterministic strategies this equals
-    the tree grown directly with max_depth=depth (greedy prefix)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+def collapse(tree: Tree, collapsed: set[int]) -> Tree:
+    """The subtree in which every node of `collapsed` is a leaf.
+
+    Nodes below a collapsed node are dropped; every other node is
+    copied, so the input tree is left as it was.
+    """
     kept: dict[int, TreeNode] = {}
     deepest = 0
-    for nid, node in tree.nodes.items():
-        if node.depth > depth:
-            continue
-        if node.depth == depth:
-            clone = replace(node, split=None, left_child=None, right_child=None)
+    stack = [tree.root_id]
+    while stack:
+        nid = stack.pop()
+        node = tree.nodes[nid]
+        if nid in collapsed:
+            node = replace(node, split=None, left_child=None, right_child=None)
         else:
-            clone = replace(node)
-        if not clone.is_leaf:
+            node = replace(node)
+        kept[nid] = node
+        if not node.is_leaf:
             deepest = max(deepest, node.depth + 1)
-        kept[nid] = clone
+            stack.extend((node.left_child, node.right_child))
     return Tree(
         nodes=kept,
         root_id=tree.root_id,
@@ -229,6 +242,15 @@ def prune_to_depth(tree: Tree, depth: int) -> Tree:
         max_depth_reached=deepest,
         strategy=tree.strategy,
     )
+
+
+def prune_to_depth(tree: Tree, depth: int) -> Tree:
+    """The tree truncated at `depth`: deeper nodes dropped, boundary
+    nodes turned into leaves.  For deterministic strategies this equals
+    the tree grown directly with max_depth=depth (greedy prefix)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return collapse(tree, {nid for nid, nd in tree.nodes.items() if nd.depth == depth})
 
 
 def to_dict(tree: Tree) -> dict:
@@ -297,29 +319,22 @@ def attach_index_sets(tree: Tree, dataset: Dataset) -> None:
     """Recompute every node's index set by routing the training data.
 
     Raises if the routed counts disagree with the stored ones, which
-    catches a tree paired with the wrong dataset.
+    catches a tree paired with the wrong dataset, or if some node is
+    reached by no training point.
     """
     if dataset.n != tree.n or dataset.p != tree.p:
         raise ValueError("dataset shape does not match the tree")
-    tree.nodes[tree.root_id].index_set = root_index_set(dataset)
-    order = sorted(tree.nodes.values(), key=lambda nd: (nd.depth, nd.node_id))
-    for node in order:
-        if node.is_leaf:
-            if node.index_set is None:
-                raise ValueError("unreachable node in tree")
-            continue
-        idx = node.index_set
-        values = dataset.features[idx] @ node.split.direction.as_array()
-        left_mask = values <= node.split.threshold
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        if (
-            left_idx.size != tree.nodes[node.left_child].count
-            or right_idx.size != tree.nodes[node.right_child].count
-        ):
-            raise ValueError("routed counts disagree with stored counts")
-        tree.nodes[node.left_child].index_set = left_idx
-        tree.nodes[node.right_child].index_set = right_idx
+    reached = route(tree, dataset.features)
+    for nid, rows in reached.items():
+        node = tree.nodes[nid]
+        if not node.is_leaf:
+            for child in (node.left_child, node.right_child):
+                routed = reached[child].size if child in reached else 0
+                if routed != tree.nodes[child].count:
+                    raise ValueError("routed counts disagree with stored counts")
+        node.index_set = rows
+    if len(reached) != len(tree.nodes):
+        raise ValueError("unreachable node in tree")
 
 
 def validate_partition(tree: Tree) -> None:

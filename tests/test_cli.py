@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import obliquetree
 from obliquetree import Dataset, save_csv
 from obliquetree.cli import main
 
@@ -154,8 +158,9 @@ def test_exit_codes_input_errors(tmp_path):
     [
         lambda tree: tree["strategy"].update(bogus=1),
         lambda tree: tree["nodes"][1].update(sse=float("nan")),
+        lambda tree: tree["strategy"].update(sparsity_d="2"),
     ],
-    ids=["unknown_strategy_key", "nan_sse"],
+    ids=["unknown_strategy_key", "nan_sse", "string_sparsity"],
 )
 def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt):
     csv = write_d1(tmp_path)
@@ -208,3 +213,22 @@ def test_cli_deterministic_outputs(tmp_path):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m obliquetree.cli` runs the same command line as `obliquetree`.
+    csv = write_d1(tmp_path)
+    out = tmp_path / "tree.json"
+    src = os.path.dirname(os.path.dirname(obliquetree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "obliquetree.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    done = run("train", csv, "--depth", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["nodes"][0]["split"]["threshold"] == 2.5
+    assert run("train", csv, "--no-such-flag").returncode == 1

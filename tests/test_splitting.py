@@ -304,3 +304,7 @@ def test_strategy_validation():
         SearchStrategy(kind="simulated_annealing")
     with pytest.raises(ValueError):
         SearchStrategy(kind="axis_aligned", sparsity_d=0)
+    # A wrong-typed value, e.g. from a JSON file, names its field.
+    for field, value in [("sparsity_d", "2"), ("num_candidates", 10.0), ("seed", True), ("node_cap", None)]:
+        with pytest.raises(ValueError, match=field):
+            SearchStrategy.from_dict({"kind": "axis_aligned", field: value})
