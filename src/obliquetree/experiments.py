@@ -24,11 +24,13 @@ from .dataset import Dataset, root_index_set
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
+    _named,
     eval_ridge_batch,
     generate_dataset,
     l1_tv_norm,
     node_size_profile,
     node_tv_profile,
+    parse_domain_box,
 )
 from .splitting import SearchStrategy, search_exhaustive_oblique
 from .tree import Tree, grow, predict_batch, prune_to_depth, training_error
@@ -83,18 +85,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment config must be a JSON object, got {data!r}")
         return ExperimentConfig(
-            model=RidgeModel.from_dict(data["model"]),
-            n=int(data["n"]),
-            noise_std=float(data["noise_std"]),
-            seed=int(data["seed"]),
+            model=_named("model", RidgeModel.from_dict, data["model"]),
+            n=_named("n", int, data["n"]),
+            noise_std=_named("noise_std", float, data["noise_std"]),
+            seed=_named("seed", int, data["seed"]),
             strategy=SearchStrategy.from_dict(data["strategy"]),
-            depth_range=tuple(int(v) for v in data["depth_range"]),
-            domain_box=tuple(tuple(float(v) for v in side) for side in data["domain_box"]),
-            lambda_grid=tuple(float(v) for v in data.get("lambda_grid", [])),
-            mc_size=int(data.get("mc_size", 2000)),
-            holdout_fraction=float(data.get("holdout_fraction", 0.3)),
-            min_node_size=int(data.get("min_node_size", 1)),
+            depth_range=_named("depth_range", lambda v: tuple(int(d) for d in v), data["depth_range"]),
+            domain_box=parse_domain_box(data["domain_box"]),
+            lambda_grid=_named(
+                "lambda_grid", lambda v: tuple(float(x) for x in v), data.get("lambda_grid", [])
+            ),
+            mc_size=_named("mc_size", int, data.get("mc_size", 2000)),
+            holdout_fraction=_named("holdout_fraction", float, data.get("holdout_fraction", 0.3)),
+            min_node_size=_named("min_node_size", int, data.get("min_node_size", 1)),
         )
 
 

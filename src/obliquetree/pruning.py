@@ -37,6 +37,13 @@ class PruneStep:
     train_error_after: float
 
 
+def _check_lambda(lam: float) -> None:
+    """A penalty must be a finite number >= 0 (NaN would compare false and
+    pass a bare `< 0` test)."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class PenalizedObjective:
     """train_error + lam * leaf_count for one candidate subtree."""
@@ -45,8 +52,7 @@ class PenalizedObjective:
     value: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        _check_lambda(self.lam)
         if not np.isfinite(self.value):
             raise ValueError("objective value must be finite")
 
@@ -91,8 +97,7 @@ class PruneSequence:
         within tolerance of the minimum, which is the candidate with the
         fewest leaves (leaf counts strictly decrease along the path).
         """
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
+        _check_lambda(lam)
         best_obj = self.initial_train_error + lam * self.initial_leaf_count
         best_prefix = 0
         for k, step in enumerate(self.steps, start=1):
@@ -218,6 +223,8 @@ def _holdout_fit(
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
+    for lam in grid:
+        _check_lambda(lam)
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)

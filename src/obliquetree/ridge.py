@@ -35,6 +35,28 @@ _DEFAULT_PARAMS = {
 }
 
 
+def _named(name: str, convert, value):
+    """convert(value), with a TypeError or ValueError from a malformed
+    value re-raised as a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _real_dict(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    return {k: float(v) for k, v in value.items()}
+
+
+def parse_domain_box(domain_box) -> tuple[tuple[float, float], ...]:
+    """A domain box as (lo, hi) float pairs, one per coordinate."""
+    return _named(
+        "domain_box", lambda box: tuple((float(lo), float(hi)) for lo, hi in box), domain_box
+    )
+
+
 @dataclass(frozen=True)
 class RidgeComponent:
     """One univariate shape composed with a direction."""
@@ -138,15 +160,22 @@ class RidgeModel:
 
     @staticmethod
     def from_dict(data: dict) -> "RidgeModel":
+        if not isinstance(data, dict):
+            raise ValueError(f"ridge model must be a JSON object, got {data!r}")
+        components = data.get("components")
+        if not isinstance(components, list) or not all(isinstance(c, dict) for c in components):
+            raise ValueError("ridge model 'components' must be a list of JSON objects")
         comps = tuple(
             RidgeComponent(
-                kind=c["kind"],
-                direction=Direction.canonical(c["direction"]),
-                parameters=c.get("parameters", {}),
+                kind=c.get("kind"),
+                direction=_named("direction", Direction.canonical, c.get("direction")),
+                parameters=_named("parameters", _real_dict, c.get("parameters", {})),
             )
-            for c in data["components"]
+            for c in components
         )
-        return RidgeModel(components=comps, intercept=float(data.get("intercept", 0.0)))
+        return RidgeModel(
+            components=comps, intercept=_named("intercept", float, data.get("intercept", 0.0))
+        )
 
     @staticmethod
     def from_json(text: str) -> "RidgeModel":
@@ -247,7 +276,7 @@ def generate_dataset(
         raise ValueError("n must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
-    box = [(float(lo), float(hi)) for lo, hi in domain_box]
+    box = parse_domain_box(domain_box)
     if len(box) != model.p:
         raise ValueError(f"domain box must have {model.p} sides")
     for lo, hi in box:

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import Dataset, Direction, axis_direction, project, validate_index_set
+# project is not called here; the benchmark's tracer and its tests still
+# look for it in this module's namespace.
+from .dataset import _COEFF_SNAP, Dataset, Direction, axis_direction, project, validate_index_set
 
 # Two decreases within this absolute tolerance are treated as tied, and
 # the deterministic tie-breaking order decides, so argmax results do not
@@ -113,6 +115,8 @@ class SearchStrategy:
 
     @staticmethod
     def from_dict(data: dict) -> "SearchStrategy":
+        if not isinstance(data, dict):
+            raise ValueError(f"strategy must be a JSON object, got {data!r}")
         unknown = sorted(set(data) - {f.name for f in fields(SearchStrategy)})
         if unknown:
             raise ValueError(f"unknown strategy keys: {', '.join(unknown)}")
@@ -141,6 +145,16 @@ class SuboptimalityReport:
         }
 
 
+def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int) -> float:
+    """(SSE(node) - SSE(left) - SSE(right)) / n_full for a boolean left mask over y."""
+    y_left = y[left]
+    y_right = y[~left]
+    sse_node = float(np.sum((y - y.mean()) ** 2))
+    sse_left = float(np.sum((y_left - y_left.mean()) ** 2))
+    sse_right = float(np.sum((y_right - y_right.mean()) ** 2))
+    return (sse_node - sse_left - sse_right) / n_full
+
+
 def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float) -> float:
     """SSE decrease of splitting `node` at direction/threshold.
 
@@ -153,35 +167,86 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
     n_left = int(np.count_nonzero(left))
     if n_left == 0 or n_left == idx.size:
         raise NoValidSplitError("split leaves an empty side")
-    y = dataset.response[idx]
-    sse_node = float(np.sum((y - y.mean()) ** 2))
-    y_left = y[left]
-    y_right = y[~left]
-    sse_left = float(np.sum((y_left - y_left.mean()) ** 2))
-    sse_right = float(np.sum((y_right - y_right.mean()) ** 2))
-    return (sse_node - sse_left - sse_right) / dataset.n
+    return _split_decrease(dataset.response[idx], left, dataset.n)
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
-    """Prefix-sum sweep over sorted projections along axis 0.
+def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int, scalar_total: bool = False):
+    """Prefix-sum sweep over sorted projections, one direction per column.
 
-    values is (m,) for one direction or (m, k) for one direction per
-    column, each sorted ascending, and y holds the responses in the same
-    order.  Returns (gains, thresholds, valid) over the m-1 boundaries;
-    a boundary is valid only when its midpoint lies strictly between
-    two distinct consecutive values.
+    values is (m, k), each column sorted ascending, and y holds the
+    responses in the same order.  Returns (gains, thresholds, valid)
+    over the m-1 boundaries; a boundary is valid only when its midpoint
+    lies strictly between two distinct consecutive values.
+
+    With scalar_total each column's total is squared as a numpy scalar,
+    which calls libm pow, as a sweep over one 1-D column does; its last
+    bit differs from the array square on about 0.1% of inputs.  The
+    re-solve squares that way, so its gains equal a one-direction
+    sweep's bit for bit; the bulk sweep squares the array.
     """
     m = values.shape[0]
     csum = np.cumsum(y, axis=0)
     total = csum[-1]
-    n_left = np.arange(1, m, dtype=np.float64).reshape((-1,) + (1,) * (y.ndim - 1))
+    total_sq = np.array([t**2 for t in total]) if scalar_total else total**2
+    n_left = np.arange(1, m, dtype=np.float64)[:, None]
     sum_left = csum[:-1]
     gains = (
-        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
+        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total_sq / m
     ) / n_full
     thresholds = 0.5 * (values[:-1] + values[1:])
     valid = (values[:-1] < thresholds) & (thresholds < values[1:])
     return gains, thresholds, valid
+
+
+def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> list:
+    """best_threshold along each direction on one node, in one batch.
+
+    X and y hold the node's rows in increasing index order.  Each
+    projection is its own gemv, as in dataset.project, stored as one row
+    of a k x m block, and a stable sort orders each row by value, then
+    by index, as project does.  Returns a Split per direction, or None
+    where no valid split exists.  The decrease depends only on the set
+    of left rows, so it is computed once per distinct left set.
+    """
+    m = X.shape[0]
+    if m < 2:
+        return [None] * len(directions)
+    V = np.empty((len(directions), m))
+    for j, direction in enumerate(directions):
+        np.matmul(X, direction.as_array(), out=V[j])
+    order = np.argsort(V, axis=1, kind="stable")
+    rows = np.arange(len(directions))[:, None]
+    # The sweep runs down columns; the transposed views keep every
+    # direction contiguous in memory.
+    gains, thresholds, valid = _sweep_gains(
+        V[rows, order].T, y[order].T, n_full, scalar_total=True
+    )
+    gains = np.where(valid, gains, -np.inf)
+    top = np.max(gains, axis=0)
+    # First boundary within tolerance of the max = smallest threshold.
+    boundaries = np.argmax(gains >= top - DECREASE_TOL, axis=0)
+    decreases: dict[bytes, float] = {}
+    splits = []
+    for j, direction in enumerate(directions):
+        if top[j] == -np.inf:
+            splits.append(None)
+            continue
+        boundary = int(boundaries[j])
+        threshold = float(thresholds[boundary, j])
+        left = V[j] <= threshold
+        key = left.tobytes()
+        if key not in decreases:
+            decreases[key] = _split_decrease(y, left, n_full)
+        splits.append(
+            Split(
+                direction=direction,
+                threshold=threshold,
+                decrease=decreases[key],
+                left_count=boundary + 1,
+                right_count=m - boundary - 1,
+            )
+        )
+    return splits
 
 
 def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
@@ -190,29 +255,20 @@ def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
     Evaluates every midpoint between consecutive distinct projections in
     one left-to-right prefix-sum sweep and returns the maximizer; ties
     are broken toward the smallest threshold.  The stored decrease is
-    re-evaluated with sse_decrease so it matches exactly.
+    re-evaluated from the left set, as sse_decrease does, so it matches
+    exactly.
     """
-    values, idx = project(dataset, node, direction)
-    if values.shape[0] < 2 or values[0] == values[-1]:
-        raise NoValidSplitError("no valid split: projections not separable")
-    y = dataset.response[idx]
-    gains, thresholds, valid = _sweep_gains(values, y, dataset.n)
-    if not np.any(valid):
-        raise NoValidSplitError("no valid split: projections not separable")
-    gains = np.where(valid, gains, -np.inf)
-    best_gain = float(np.max(gains))
-    # First boundary within tolerance of the max = smallest threshold.
-    candidates = np.nonzero(gains >= best_gain - DECREASE_TOL)[0]
-    boundary = int(candidates[0])
-    threshold = float(thresholds[boundary])
-    decrease = sse_decrease(dataset, node, direction, threshold)
-    return Split(
-        direction=direction,
-        threshold=threshold,
-        decrease=decrease,
-        left_count=boundary + 1,
-        right_count=values.shape[0] - boundary - 1,
+    idx = validate_index_set(node, dataset.n)
+    if len(direction.coefficients) != dataset.p:
+        raise ValueError(
+            f"direction has {len(direction.coefficients)} coefficients, p={dataset.p}"
+        )
+    (split,) = _best_thresholds(
+        dataset.features[idx], dataset.response[idx], [direction], dataset.n
     )
+    if split is None:
+        raise NoValidSplitError("no valid split: projections not separable")
+    return split
 
 
 def _tie_key(split: Split):
@@ -243,13 +299,11 @@ def search_axis_aligned(dataset: Dataset, node) -> Split:
     Ties are broken toward the lowest coordinate index, then the lowest
     threshold (both realized by keeping the earliest maximizer).
     """
+    idx = validate_index_set(node, dataset.n)
+    axes = [axis_direction(dataset.p, j) for j in range(dataset.p)]
     best = None
-    for j in range(dataset.p):
-        try:
-            split = best_threshold(dataset, node, axis_direction(dataset.p, j))
-        except NoValidSplitError:
-            continue
-        if best is None or split.decrease > best.decrease + DECREASE_TOL:
+    for split in _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n):
+        if split is not None and (best is None or split.decrease > best.decrease + DECREASE_TOL):
             best = split
     if best is None:
         raise NoValidSplitError("no coordinate admits a valid split")
@@ -276,7 +330,39 @@ def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
     first_nz = np.argmax(arr != 0.0, axis=1)
     signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
     arr = arr * signs[:, None]
-    return np.unique(arr, axis=0)
+    # Sorted distinct rows, as np.unique(arr, axis=0) gives them, without
+    # its structured-dtype sort.
+    arr = arr[np.lexsort(arr.T[::-1])]
+    fresh = np.ones(arr.shape[0], dtype=bool)
+    fresh[1:] = np.any(arr[1:] != arr[:-1], axis=1)
+    return arr[fresh]
+
+
+def _canonical_directions(rows: np.ndarray) -> list[Direction]:
+    """Direction.canonical of each row, first occurrences only, in row order.
+
+    Rows from _canonical_rows are canonical already, except that their
+    zeros may be -0.0 where Direction.canonical writes +0.0; the snap
+    below writes +0.0.  A row that the snap changes otherwise, whose norm
+    is not within 1e-13 of 1, or whose leading coefficient is not
+    positive goes through Direction.canonical itself.
+    """
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    snapped = np.where(np.abs(rows) <= _COEFF_SNAP * peak, 0.0, rows)
+    lead = snapped[np.arange(rows.shape[0]), np.argmax(snapped != 0.0, axis=1)]
+    ready = (
+        np.all(snapped == rows, axis=1)
+        & (np.abs(np.linalg.norm(snapped, axis=1) - 1.0) <= 1e-13)
+        & (lead > 0.0)
+    )
+    out = []
+    seen: set[tuple[float, ...]] = set()
+    for coeffs, row, ok in zip(snapped.tolist(), rows, ready):
+        direction = Direction(tuple(coeffs)) if ok else Direction.canonical(row)
+        if direction.coefficients not in seen:
+            seen.add(direction.coefficients)
+            out.append(direction)
+    return out
 
 
 def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.ndarray:
@@ -317,9 +403,12 @@ def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.
 def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=4096):
     """Best split over a matrix of candidate directions (rows).
 
-    Vectorizes the threshold sweep across directions and then resolves
-    near-ties by the deterministic order of better_split.  Returns None
-    when no direction admits a valid split.
+    Vectorizes the threshold sweep across directions and keeps every
+    direction whose gain comes within DECREASE_TOL of the best, once, in
+    the order its first such boundary appears.  Those near-ties are then
+    re-solved once per node in one batch (_best_thresholds, one decrease
+    per dichotomy) and folded by the deterministic order of
+    better_split.  Returns None when no direction admits a valid split.
     """
     idx = validate_index_set(node, dataset.n)
     X = dataset.features[idx]
@@ -328,7 +417,10 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
     if m < 2 or directions.shape[0] == 0:
         return None
     best_gain = -np.inf
-    candidates: list[tuple[np.ndarray, float]] = []
+    # (direction row, gain) of every boundary near the running best,
+    # chunk by chunk in row-major (boundary, direction) order.
+    near_rows: list[np.ndarray] = []
+    near_gains: list[np.ndarray] = []
     for lo in range(0, directions.shape[0], chunk):
         dirs = directions[lo : lo + chunk]
         proj = X @ dirs.T
@@ -339,28 +431,18 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
         chunk_best = float(np.max(gains)) if gains.size else -np.inf
         if chunk_best <= -np.inf:
             continue
-        if chunk_best > best_gain:
-            best_gain = chunk_best
-            candidates = [c for c in candidates if c[1] >= best_gain - DECREASE_TOL]
-        rows, cols = np.nonzero(gains >= best_gain - DECREASE_TOL)
-        for r, c in zip(rows, cols):
-            candidates.append((dirs[c].copy(), float(gains[r, c])))
+        best_gain = max(best_gain, chunk_best)
+        bounds, cols = np.nonzero(gains >= best_gain - DECREASE_TOL)
+        near_rows.append(lo + cols)
+        near_gains.append(gains[bounds, cols])
     if best_gain == -np.inf:
         return None
-    # Re-solve the per-direction sweep for every near-tied candidate so
-    # stored thresholds/counts are exact, then apply the global order.
+    rows = np.concatenate(near_rows)[np.concatenate(near_gains) >= best_gain - DECREASE_TOL]
+    _, first = np.unique(rows, return_index=True)
+    candidates = _canonical_directions(directions[rows[np.sort(first)]])
     best = None
-    seen: set[tuple[float, ...]] = set()
-    for vec, _gain in candidates:
-        direction = Direction.canonical(vec)
-        if direction.coefficients in seen:
-            continue
-        seen.add(direction.coefficients)
-        try:
-            split = best_threshold(dataset, node, direction)
-        except NoValidSplitError:
-            continue
-        if best is None or better_split(split, best):
+    for split in _best_thresholds(X, y, candidates, dataset.n):
+        if split is not None and (best is None or better_split(split, best)):
             best = split
     return best
 
@@ -382,9 +464,9 @@ def search_exhaustive_oblique(
         raise ValueError(
             f"node size {idx.size} exceeds exhaustive search cap {node_cap}"
         )
-    if sparsity_d > 3:
-        raise ValueError("exhaustive search supports sparsity_d <= 3")
     d = min(sparsity_d, dataset.p)
+    if d > 3:
+        raise ValueError("exhaustive search supports sparsity_d <= 3")
     X = dataset.features[idx]
     blocks = []
     for size in range(1, d + 1):
@@ -409,17 +491,17 @@ def _random_sparse_directions(rng, p: int, sparsity_d: int, count: int) -> np.nd
 def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
     """Axis-aligned baseline plus num_candidates sparse random directions.
 
-    Each candidate has a uniformly chosen support of size sparsity_d and
-    coefficients drawn i.i.d. from {-1, +1}, scaled to unit norm.  With
-    zero candidates this reduces to the axis-aligned search.
+    Each candidate has a uniformly chosen support of size
+    min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
+    scaled to unit norm.  With zero candidates this reduces to the
+    axis-aligned search.
     """
-    if strategy.sparsity_d > dataset.p:
-        raise ValueError("sparsity_d exceeds dimension p")
     best = search_axis_aligned(dataset, node)
     if strategy.num_candidates == 0:
         return best
     rng = np.random.default_rng(strategy.seed)
-    raw = _random_sparse_directions(rng, dataset.p, strategy.sparsity_d, strategy.num_candidates)
+    d = min(strategy.sparsity_d, dataset.p)
+    raw = _random_sparse_directions(rng, dataset.p, d, strategy.num_candidates)
     directions = _canonical_rows(raw)
     challenger = _best_over_directions(dataset, node, directions)
     if challenger is not None and better_split(challenger, best):

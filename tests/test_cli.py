@@ -26,6 +26,12 @@ def write_d1(tmp_path):
     return str(path)
 
 
+def write_json(tmp_path, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def strip_wall_time(payload):
     if isinstance(payload, dict):
         return {
@@ -173,6 +179,73 @@ def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt):
     assert main(["prune", str(tree_path), csv, "--lambda", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "nan"], ["--lambda", "inf"], ["--grid", "1,nan,inf"], ["--grid", "0.1,inf"]],
+    ids=["lambda_nan", "lambda_inf", "grid_nan_inf", "grid_inf"],
+)
+def test_prune_rejects_non_finite_lambda(tmp_path, capsys, flags):
+    # NaN and infinity used to pass the `< 0` test and reach the output as
+    # NaN / Infinity, which are not JSON.
+    csv = write_d1(tmp_path)
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", csv, "--depth", "1", "--out", str(tree_path)]) == 0
+    out = tmp_path / "pruned.json"
+    capsys.readouterr()
+    assert main(["prune", str(tree_path), csv, *flags, "--holdout", "0.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def experiment_config(**overrides):
+    config = {
+        "model": MODEL_SPEC,
+        "n": 24,
+        "noise_std": 0.0,
+        "seed": 9,
+        "strategy": {"kind": "exhaustive_oblique", "sparsity_d": 2},
+        "depth_range": [0, 2],
+        "domain_box": [[0, 1], [0, 1]],
+        "mc_size": 50,
+    }
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(domain_box=5)), "--kind", "rate"],
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(strategy=[1])), "--kind", "rate"],
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(model=None)), "--kind", "rate"],
+        lambda tmp: ["generate", write_json(tmp, MODEL_SPEC), "--n", "50", "--box", "5", "--out", str(tmp / "g.csv")],
+    ],
+    ids=["domain_box_int", "strategy_list", "model_null", "generate_box_int"],
+)
+def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command):
+    assert main(command(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", ["random_projection", "exhaustive_oblique"])
+def test_sparsity_above_p_is_capped_at_p(tmp_path, strategy):
+    # sparsity_d is a cap on the support size: 5 on p=3 data means 3.
+    rng = np.random.default_rng(4)
+    X = rng.uniform(size=(24, 3))
+    csv = tmp_path / "p3.csv"
+    save_csv(Dataset(X, X[:, 0] + X[:, 1] - X[:, 2] + (X[:, 2] > 0.5)), csv)
+    nodes = {}
+    for sparsity in ("3", "5"):
+        out = tmp_path / f"tree{sparsity}.json"
+        flags = ["--strategy", strategy, "--sparsity", sparsity, "--candidates", "20", "--seed", "2"]
+        assert main(["train", str(csv), "--depth", "2", *flags, "--out", str(out)]) == 0
+        nodes[sparsity] = json.loads(out.read_text())["nodes"]
+    assert nodes["5"] == nodes["3"]
+    assert any(node["split"] is not None for node in nodes["5"])
 
 
 def test_exit_code_bound_violation(tmp_path, monkeypatch):

@@ -350,6 +350,23 @@ def test_holdout_lambda_validation(d1):
         holdout_lambda(d1, AXIS, 1, [0.1], 1.5, seed=0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_lambda_must_be_finite_and_non_negative(d1, lam):
+    from obliquetree import PenalizedObjective, penalized_objective
+
+    tree = grow(d1, AXIS, max_depth=1)
+    with pytest.raises(ValueError, match="lambda"):
+        weakest_link_sequence(tree, d1).select(tree, lam)
+    with pytest.raises(ValueError, match="lambda"):
+        select_subtree(tree, d1, lam)
+    with pytest.raises(ValueError, match="lambda"):
+        penalized_objective(tree, d1, lam)
+    with pytest.raises(ValueError, match="lambda"):
+        PenalizedObjective(lam=lam, value=0.0)
+    with pytest.raises(ValueError, match="lambda"):
+        holdout_lambda(d1, AXIS, 1, [0.1, lam], 0.25, seed=0)
+
+
 def test_prune_sequence_json(d1):
     tree = grow(d1, AXIS, max_depth=1)
     seq = weakest_link_sequence(tree, d1)

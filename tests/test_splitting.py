@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
@@ -16,6 +20,20 @@ from obliquetree import (
     search_hill_climb,
     search_random_projection,
     sse_decrease,
+)
+from obliquetree import splitting
+from obliquetree.dataset import project
+from obliquetree.splitting import (
+    DECREASE_TOL,
+    Split,
+    _best_over_directions,
+    _best_thresholds,
+    _candidate_directions,
+    _canonical_directions,
+    _canonical_rows,
+    _random_sparse_directions,
+    _sweep_gains,
+    better_split,
 )
 
 from conftest import random_dataset
@@ -226,8 +244,12 @@ def test_exhaustive_cap_and_sparsity_validation(d2):
     root = root_index_set(d2)
     with pytest.raises(ValueError, match="cap"):
         search_exhaustive_oblique(d2, root, 2, node_cap=2)
+    # sparsity_d is a cap: above p it means p ...
+    assert search_exhaustive_oblique(d2, root, 4) == search_exhaustive_oblique(d2, root, 2)
+    # ... and the enumeration stops at supports of size 3.
+    wide = random_dataset(7, 8, 4)
     with pytest.raises(ValueError, match="sparsity"):
-        search_exhaustive_oblique(d2, root, 4)
+        search_exhaustive_oblique(wide, root_index_set(wide), 4)
 
 
 def test_hill_climb_bounds_and_determinism(d2):
@@ -308,3 +330,400 @@ def test_strategy_validation():
     for field, value in [("sparsity_d", "2"), ("num_candidates", 10.0), ("seed", True), ("node_cap", None)]:
         with pytest.raises(ValueError, match=field):
             SearchStrategy.from_dict({"kind": "axis_aligned", field: value})
+
+
+# References: the per-candidate near-tie re-solve and the np.unique-based
+# dedup that the batched re-solve in _best_over_directions replaced.  The
+# properties below check that the batch gives the same Split bytes.
+
+
+def reference_sweep_gains(values, y, n_full):
+    """The prefix-sum gain sweep as the per-candidate loop computed it."""
+    m = values.shape[0]
+    csum = np.cumsum(y, axis=0)
+    total = csum[-1]
+    n_left = np.arange(1, m, dtype=np.float64).reshape((-1,) + (1,) * (y.ndim - 1))
+    sum_left = csum[:-1]
+    gains = (
+        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
+    ) / n_full
+    thresholds = 0.5 * (values[:-1] + values[1:])
+    valid = (values[:-1] < thresholds) & (thresholds < values[1:])
+    return gains, thresholds, valid
+
+
+def reference_best_threshold(dataset, node, direction):
+    values, idx = project(dataset, node, direction)
+    if values.shape[0] < 2 or values[0] == values[-1]:
+        raise NoValidSplitError("no valid split: projections not separable")
+    y = dataset.response[idx]
+    gains, thresholds, valid = reference_sweep_gains(values, y, dataset.n)
+    if not np.any(valid):
+        raise NoValidSplitError("no valid split: projections not separable")
+    gains = np.where(valid, gains, -np.inf)
+    best_gain = float(np.max(gains))
+    boundary = int(np.nonzero(gains >= best_gain - DECREASE_TOL)[0][0])
+    threshold = float(thresholds[boundary])
+    return Split(
+        direction=direction,
+        threshold=threshold,
+        decrease=sse_decrease(dataset, node, direction, threshold),
+        left_count=boundary + 1,
+        right_count=values.shape[0] - boundary - 1,
+    )
+
+
+def reference_canonical_rows(matrix):
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.size == 0:
+        return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
+    peak = np.max(np.abs(arr), axis=1, keepdims=True)
+    keep = peak[:, 0] > 0.0
+    arr = arr[keep]
+    peak = peak[keep]
+    if arr.shape[0] == 0:
+        return arr
+    arr = np.where(np.abs(arr) <= 1e-12 * peak, 0.0, arr)
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    keep = norms[:, 0] > 0.0
+    arr = arr[keep] / norms[keep]
+    if arr.shape[0] == 0:
+        return arr
+    first_nz = np.argmax(arr != 0.0, axis=1)
+    signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
+    arr = arr * signs[:, None]
+    return np.unique(arr, axis=0)
+
+
+def reference_near_ties(dataset, node, directions, chunk=4096):
+    """Rows of the bulk sweep's near-ties, one copy per (boundary, row)."""
+    idx = np.asarray(node)
+    X = dataset.features[idx]
+    y = dataset.response[idx]
+    best_gain = -np.inf
+    candidates = []
+    for lo in range(0, directions.shape[0], chunk):
+        dirs = directions[lo : lo + chunk]
+        proj = X @ dirs.T
+        order = np.argsort(proj, axis=0, kind="stable")
+        vals = np.take_along_axis(proj, order, axis=0)
+        gains, _, valid = reference_sweep_gains(vals, y[order], dataset.n)
+        gains = np.where(valid, gains, -np.inf)
+        chunk_best = float(np.max(gains)) if gains.size else -np.inf
+        if chunk_best <= -np.inf:
+            continue
+        if chunk_best > best_gain:
+            best_gain = chunk_best
+            candidates = [c for c in candidates if c[1] >= best_gain - DECREASE_TOL]
+        rows, cols = np.nonzero(gains >= best_gain - DECREASE_TOL)
+        for r, c in zip(rows, cols):
+            candidates.append((dirs[c].copy(), float(gains[r, c])))
+    return [vec for vec, _gain in candidates]
+
+
+def reference_best_over_directions(dataset, node, directions, chunk=4096):
+    if np.asarray(node).size < 2 or directions.shape[0] == 0:
+        return None
+    candidates = reference_near_ties(dataset, node, directions, chunk)
+    if not candidates:
+        return None
+    best = None
+    seen = set()
+    for vec in candidates:
+        direction = Direction.canonical(vec)
+        if direction.coefficients in seen:
+            continue
+        seen.add(direction.coefficients)
+        try:
+            split = reference_best_threshold(dataset, node, direction)
+        except NoValidSplitError:
+            continue
+        if best is None or better_split(split, best):
+            best = split
+    return best
+
+
+def reference_search_axis_aligned(dataset, node):
+    best = None
+    for j in range(dataset.p):
+        try:
+            split = reference_best_threshold(dataset, node, axis_direction(dataset.p, j))
+        except NoValidSplitError:
+            continue
+        if best is None or split.decrease > best.decrease + DECREASE_TOL:
+            best = split
+    if best is None:
+        raise NoValidSplitError("no coordinate admits a valid split")
+    return best
+
+
+def reference_search_exhaustive_oblique(dataset, node, sparsity_d):
+    X = dataset.features[np.asarray(node)]
+    d = min(sparsity_d, dataset.p)
+    blocks = []
+    for size in range(1, d + 1):
+        for support in itertools.combinations(range(dataset.p), size):
+            pts = X[:, list(support)]
+            blocks.append(_candidate_directions(pts, support, dataset.p, size))
+    directions = reference_canonical_rows(np.concatenate(blocks, axis=0))
+    best = reference_best_over_directions(dataset, node, directions)
+    if best is None:
+        raise NoValidSplitError("no valid split on this node")
+    return best
+
+
+def reference_search_random_projection(dataset, node, strategy):
+    best = reference_search_axis_aligned(dataset, node)
+    if strategy.num_candidates == 0:
+        return best
+    rng = np.random.default_rng(strategy.seed)
+    raw = _random_sparse_directions(rng, dataset.p, strategy.sparsity_d, strategy.num_candidates)
+    challenger = reference_best_over_directions(dataset, node, reference_canonical_rows(raw))
+    if challenger is not None and better_split(challenger, best):
+        return challenger
+    return best
+
+
+def split_bytes(split):
+    """Every field of a Split, floats by their exact bits (sign of zero included)."""
+    if split is None:
+        return None
+    return (
+        tuple(c.hex() for c in split.direction.coefficients),
+        split.threshold.hex(),
+        split.decrease.hex(),
+        split.left_count,
+        split.right_count,
+    )
+
+
+def outcome(search, *args):
+    try:
+        return split_bytes(search(*args))
+    except NoValidSplitError:
+        return "no valid split"
+
+
+@st.composite
+def grid_nodes(draw, max_m=16, max_p=3):
+    """Small integer-grid datasets with duplicate points, constant
+    columns and integer responses, so that gains tie and sides empty;
+    the node is the root or a random subset of at most max_m rows."""
+    # Sizes come from the seed, uniformly: hypothesis would favour tiny nodes.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(1, max_p + 1))
+    n = int(rng.integers(2, max_m + 5))
+    X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    if draw(st.booleans()):
+        X[:, rng.integers(p)] = float(rng.integers(-2, 3))
+    if draw(st.booleans()):
+        X[rng.integers(n, size=n // 2)] = X[0]
+    y = rng.integers(0, draw(st.integers(1, 4)), size=n).astype(float)
+    data = Dataset(X, y)
+    m = min(n, max_m) if rng.random() < 0.5 else int(rng.integers(1, min(n, max_m) + 1))
+    node = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
+    return data, node
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_nodes(), sparsity=st.integers(1, 3))
+def test_exhaustive_matches_per_candidate_reference(case, sparsity):
+    data, node = case
+    assert outcome(search_exhaustive_oblique, data, node, sparsity) == outcome(
+        reference_search_exhaustive_oblique, data, node, sparsity
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grid_nodes(),
+    sparsity=st.integers(1, 3),
+    count=st.integers(0, 30),
+    seed=st.integers(0, 1000),
+)
+def test_random_projection_matches_per_candidate_reference(case, sparsity, count, seed):
+    data, node = case
+    strategy = SearchStrategy(
+        kind="random_projection",
+        sparsity_d=min(sparsity, data.p),
+        num_candidates=count,
+        seed=seed,
+    )
+    assert outcome(search_random_projection, data, node, strategy) == outcome(
+        reference_search_random_projection, data, node, strategy
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_nodes(max_m=12), chunk=st.sampled_from([1, 2, 5, 64]))
+def test_near_tie_order_matches_reference_across_chunks(case, chunk):
+    # Small chunks make the running best rise between chunks, which
+    # drops earlier near-ties; the survivors must keep the old order.
+    data, node = case
+    X = data.features[node]
+    blocks = [
+        _candidate_directions(X[:, list(s)], s, data.p, len(s))
+        for size in range(1, min(data.p, 2) + 1)
+        for s in itertools.combinations(range(data.p), size)
+    ]
+    directions = _canonical_rows(np.concatenate(blocks, axis=0))
+    got = _best_over_directions(data, node, directions, chunk=chunk)
+    want = reference_best_over_directions(data, node, directions, chunk=chunk)
+    assert split_bytes(got) == split_bytes(want)
+
+    # The candidates themselves: each row once, where its first surviving
+    # copy stood.
+    rows = []
+    original = splitting._canonical_directions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_canonical_directions", lambda r: rows.append(r) or original(r))
+        _best_over_directions(data, node, directions, chunk=chunk)
+    first = {}
+    for vec in reference_near_ties(data, node, directions, chunk) if node.size > 1 else []:
+        first.setdefault(vec.tobytes(), vec)
+    assert [r.tobytes() for r in (rows[0] if rows else [])] == list(first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_nodes(max_m=40), seed=st.integers(0, 1000), axis=st.booleans())
+def test_best_threshold_matches_reference(case, seed, axis):
+    data, node = case
+    rng = np.random.default_rng(seed)
+    if axis:
+        direction = axis_direction(data.p, int(rng.integers(data.p)))
+    else:
+        direction = Direction.canonical(rng.standard_normal(data.p) + 1e-3)
+    assert outcome(best_threshold, data, node, direction) == outcome(
+        reference_best_threshold, data, node, direction
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_nodes(max_m=40), seed=st.integers(0, 1000), float_y=st.booleans())
+def test_batch_matches_per_direction_reference(case, seed, float_y):
+    # Directions that share a boundary index but not a left set, and
+    # repeated dichotomies, in one batch.
+    data, node = case
+    rng = np.random.default_rng(seed)
+    if float_y:
+        data = Dataset(data.features, 1e3 * rng.standard_normal(data.n))
+    directions = [axis_direction(data.p, j) for j in range(data.p)] + [
+        Direction.canonical(v) for v in rng.standard_normal((8, data.p)) + 1e-3
+    ]
+    got = _best_thresholds(data.features[node], data.response[node], directions, data.n)
+    want = [outcome(reference_best_threshold, data, node, d) for d in directions]
+    assert [split_bytes(s) if s is not None else "no valid split" for s in got] == want
+
+
+def test_sweep_gains_match_reference_bit_for_bit(monkeypatch):
+    # The re-solve squares each column's total as a numpy scalar (libm
+    # pow), as the one-column sweep did, and the bulk sweep squares the
+    # array; pow's last bit differs on about 0.1% of totals.
+    rng = np.random.default_rng(0)
+    values = np.sort(rng.standard_normal((8, 2000)), axis=0)
+    y = 1e3 * rng.standard_normal((8, 2000))
+    bulk, _, _ = _sweep_gains(values, y, 50)
+    assert bulk.tobytes() == reference_sweep_gains(values, y, 50)[0].tobytes()
+
+    swept = []
+    original = splitting._sweep_gains
+
+    def recording(values, y, n_full, scalar_total=False):
+        out = original(values, y, n_full, scalar_total)
+        swept.append((values, y, n_full, out[0]))
+        return out
+
+    monkeypatch.setattr(splitting, "_sweep_gains", recording)
+    # Responses x, 0, ..., 0 sum to exactly x in any order; pick x where
+    # the scalar and the array square differ.
+    totals = [t for t in 1e3 * rng.standard_normal(20000) if np.float64(t) ** 2 != t * t][:10]
+    assert len(totals) == 10
+    for t in totals:
+        data = Dataset(rng.standard_normal((8, 2)), np.array([t] + [0.0] * 7))
+        directions = [Direction.canonical(v) for v in rng.standard_normal((3, 2))]
+        _best_thresholds(data.features, data.response, directions, data.n)
+    for values, y, n_full, gains in swept:
+        for j in range(values.shape[1]):
+            column, _, _ = reference_sweep_gains(values[:, j], y[:, j], n_full)
+            assert gains[:, j].tobytes() == column.tobytes()
+
+
+def test_best_threshold_matches_reference_on_float_columns():
+    # Continuous responses: the single-column sweep squares its total as
+    # a numpy scalar, whose last bit the batch must reproduce.
+    for seed in range(40):
+        data = random_dataset(seed + 400, 60, 3, y_scale=5.0)
+        root = root_index_set(data)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            direction = Direction.canonical(rng.standard_normal(3))
+            assert split_bytes(best_threshold(data, root, direction)) == split_bytes(
+                reference_best_threshold(data, root, direction)
+            )
+
+
+@st.composite
+def direction_rows(draw):
+    k = draw(st.integers(0, 40))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-2, 3, size=(k, p)).astype(float)
+    if k and draw(st.booleans()):
+        rows[rng.integers(k, size=k // 2)] = rows[0]
+    if draw(st.booleans()):
+        rows = rows * rng.uniform(0.1, 10.0, size=(k, 1))
+    if draw(st.booleans()):
+        rows[rows == 0.0] = -0.0
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=direction_rows())
+def test_canonical_rows_matches_np_unique(rows):
+    got = _canonical_rows(rows)
+    want = reference_canonical_rows(rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=direction_rows(), canonical_first=st.booleans())
+def test_canonical_directions_match_direction_canonical(rows, canonical_first):
+    rows = rows[np.any(rows != 0.0, axis=1)]
+    if canonical_first:
+        rows = _canonical_rows(rows)
+    want, seen = [], set()
+    for row in rows:
+        direction = Direction.canonical(row)
+        if direction.coefficients not in seen:
+            seen.add(direction.coefficients)
+            want.append(direction)
+    got = _canonical_directions(rows)
+    assert [tuple(c.hex() for c in d.coefficients) for d in got] == [
+        tuple(c.hex() for c in d.coefficients) for d in want
+    ]
+
+
+def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):
+    # Noiseless data tie many directions; none of them is re-solved
+    # through best_threshold, and each dichotomy's decrease is computed
+    # once.
+    X = np.array([[x1, x2, x3] for x1 in range(3) for x2 in range(3) for x3 in range(2)], float)
+    data = Dataset(X, (X[:, 0] + X[:, 1] > 2).astype(float))
+    root = root_index_set(data)
+    want = search_exhaustive_oblique(data, root, 3)
+    masks = []
+    original = splitting._split_decrease
+
+    def counted(y, left, n_full):
+        masks.append(left.tobytes())
+        return original(y, left, n_full)
+
+    def forbidden(*args):
+        raise AssertionError("per-candidate re-solve")
+
+    monkeypatch.setattr(splitting, "_split_decrease", counted)
+    monkeypatch.setattr(splitting, "best_threshold", forbidden)
+    monkeypatch.setattr(splitting, "sse_decrease", forbidden)
+    assert split_bytes(search_exhaustive_oblique(data, root, 3)) == split_bytes(want)
+    assert masks and len(masks) == len(set(masks))
