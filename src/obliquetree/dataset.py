@@ -71,14 +71,17 @@ class Direction:
     coefficient strictly positive, so a hyperplane has exactly one
     representation and tie-breaking between splits is well defined.
     Coefficients are stored as a tuple, which gives exact equality,
-    hashing, and lexicographic comparison for free.
+    hashing, and lexicographic comparison for free.  support_size, the
+    number of nonzero coefficients, is counted once at construction; it
+    is not a field, so equality, hashing and repr see only the
+    coefficients.
     """
 
     coefficients: tuple[float, ...]
 
-    @property
-    def support_size(self) -> int:
-        return sum(1 for c in self.coefficients if c != 0.0)
+    def __post_init__(self):
+        support = len(self.coefficients) - self.coefficients.count(0.0)
+        object.__setattr__(self, "support_size", support)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=np.float64)

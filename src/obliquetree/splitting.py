@@ -33,6 +33,8 @@ STRATEGY_KINDS = ("axis_aligned", "hill_climb", "random_projection", "exhaustive
 _GOLDEN_BRACKET = 2.5
 _GOLDEN_ITERS = 32
 
+_SIGNS = np.array([-1.0, 1.0])
+
 
 class NoValidSplitError(ValueError):
     """No threshold separates the node into two non-empty children."""
@@ -145,14 +147,17 @@ class SuboptimalityReport:
         }
 
 
-def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int) -> float:
-    """(SSE(node) - SSE(left) - SSE(right)) / n_full for a boolean left mask over y."""
-    y_left = y[left]
-    y_right = y[~left]
-    sse_node = float(np.sum((y - y.mean()) ** 2))
-    sse_left = float(np.sum((y_left - y_left.mean()) ** 2))
-    sse_right = float(np.sum((y_right - y_right.mean()) ** 2))
-    return (sse_node - sse_left - sse_right) / n_full
+def _sse(y: np.ndarray) -> float:
+    """Sum of squared deviations of y from its mean."""
+    return float(np.sum((y - y.mean()) ** 2))
+
+
+def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int, sse_node: float) -> float:
+    """(SSE(node) - SSE(left) - SSE(right)) / n_full for a boolean left mask over y.
+
+    sse_node is _sse(y), passed in so a node's many left sets share it.
+    """
+    return (sse_node - _sse(y[left]) - _sse(y[~left])) / n_full
 
 
 def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float) -> float:
@@ -167,16 +172,60 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
     n_left = int(np.count_nonzero(left))
     if n_left == 0 or n_left == idx.size:
         raise NoValidSplitError("split leaves an empty side")
-    return _split_decrease(dataset.response[idx], left, dataset.n)
+    y = dataset.response[idx]
+    return _split_decrease(y, left, dataset.n, _sse(y))
+
+
+def _stable_order(V: np.ndarray):
+    """Stable argsort of each row of a k x m block, and the sorted rows.
+
+    Returns (order, sorted_V) equal to np.argsort(V, axis=1,
+    kind="stable") and V gathered by that order, bit for bit, on every
+    platform.  numpy's default argsort is a SIMD quicksort, several
+    times faster than the stable timsort, but it leaves equal values in
+    an unspecified order.  Runs of equal neighbours (two NaNs count as
+    equal) are then re-sorted by column index, which gives the stable
+    order; continuous data rarely has any.
+    """
+    order = np.argsort(V, axis=1)
+    s = np.take_along_axis(V, order, axis=1)
+    k, m = s.shape
+    if m < 2:
+        return order, s
+    tied = s[:, 1:] == s[:, :-1]
+    # NaNs sort last, so only rows ending in NaN can hold two of them.
+    nan_rows = np.flatnonzero(np.isnan(s[:, -1]))
+    if nan_rows.size:
+        nan = np.isnan(s[nan_rows])
+        tied[nan_rows] |= nan[:, 1:] & nan[:, :-1]
+    if not tied.any():
+        return order, s
+    # Flat positions covered by runs, numbered run by run across the
+    # block.  The key (run number, column) is unique, so any sort of it
+    # gives the stable order; it stays below k * m**2.
+    in_run = np.zeros((k, m), dtype=bool)
+    in_run[:, 1:] = tied
+    in_run[:, :-1] |= tied
+    pos = np.flatnonzero(in_run)
+    starts = np.ones((k, m), dtype=bool)
+    starts[:, 1:] = ~tied
+    run_base = np.cumsum(starts.ravel()[pos]) * m
+    cols = np.sort(run_base + np.take(order, pos)) - run_base
+    np.put(order, pos, cols)
+    # Equal values can still differ in bits (-0.0 and +0.0, NaN payloads).
+    np.put(s, pos, np.take(V, pos - pos % m + cols))
+    return order, s
 
 
 def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int, scalar_total: bool = False):
     """Prefix-sum sweep over sorted projections, one direction per column.
 
     values is (m, k), each column sorted ascending, and y holds the
-    responses in the same order.  Returns (gains, thresholds, valid)
-    over the m-1 boundaries; a boundary is valid only when its midpoint
-    lies strictly between two distinct consecutive values.
+    responses in the same order.  The callers sort a k x m row-layout
+    block with _stable_order and pass its transposed views, so each
+    direction is contiguous in memory.  Returns (gains, thresholds,
+    valid) over the m-1 boundaries; a boundary is valid only when its
+    midpoint lies strictly between two distinct consecutive values.
 
     With scalar_total each column's total is squared as a numpy scalar,
     which calls libm pow, as a sweep over one 1-D column does; its last
@@ -203,10 +252,11 @@ def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> l
 
     X and y hold the node's rows in increasing index order.  Each
     projection is its own gemv, as in dataset.project, stored as one row
-    of a k x m block, and a stable sort orders each row by value, then
-    by index, as project does.  Returns a Split per direction, or None
+    of a k x m block; _stable_order sorts each row by value, then by
+    index, as project does.  Returns a Split per direction, or None
     where no valid split exists.  The decrease depends only on the set
-    of left rows, so it is computed once per distinct left set.
+    of left rows, so it is computed once per distinct left set, and the
+    node's own SSE once per call.
     """
     m = X.shape[0]
     if m < 2:
@@ -214,17 +264,15 @@ def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> l
     V = np.empty((len(directions), m))
     for j, direction in enumerate(directions):
         np.matmul(X, direction.as_array(), out=V[j])
-    order = np.argsort(V, axis=1, kind="stable")
-    rows = np.arange(len(directions))[:, None]
-    # The sweep runs down columns; the transposed views keep every
-    # direction contiguous in memory.
+    order, sorted_V = _stable_order(V)
     gains, thresholds, valid = _sweep_gains(
-        V[rows, order].T, y[order].T, n_full, scalar_total=True
+        sorted_V.T, y[order].T, n_full, scalar_total=True
     )
     gains = np.where(valid, gains, -np.inf)
     top = np.max(gains, axis=0)
     # First boundary within tolerance of the max = smallest threshold.
     boundaries = np.argmax(gains >= top - DECREASE_TOL, axis=0)
+    sse_node = _sse(y)
     decreases: dict[bytes, float] = {}
     splits = []
     for j, direction in enumerate(directions):
@@ -236,7 +284,7 @@ def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> l
         left = V[j] <= threshold
         key = left.tobytes()
         if key not in decreases:
-            decreases[key] = _split_decrease(y, left, n_full)
+            decreases[key] = _split_decrease(y, left, n_full, sse_node)
         splits.append(
             Split(
                 direction=direction,
@@ -403,12 +451,14 @@ def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.
 def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=4096):
     """Best split over a matrix of candidate directions (rows).
 
-    Vectorizes the threshold sweep across directions and keeps every
-    direction whose gain comes within DECREASE_TOL of the best, once, in
-    the order its first such boundary appears.  Those near-ties are then
-    re-solved once per node in one batch (_best_thresholds, one decrease
-    per dichotomy) and folded by the deterministic order of
-    better_split.  Returns None when no direction admits a valid split.
+    Projects a chunk of directions at a time, sorts it as a row-layout
+    block (one direction per row) with _stable_order, sweeps every
+    threshold at once, and keeps every direction whose gain comes
+    within DECREASE_TOL of the best, once, in the order its first such
+    boundary appears.  Those near-ties are then re-solved once per node
+    in one batch (_best_thresholds, one decrease per dichotomy) and
+    folded by the deterministic order of better_split.  Returns None
+    when no direction admits a valid split.
     """
     idx = validate_index_set(node, dataset.n)
     X = dataset.features[idx]
@@ -422,11 +472,10 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
     near_rows: list[np.ndarray] = []
     near_gains: list[np.ndarray] = []
     for lo in range(0, directions.shape[0], chunk):
-        dirs = directions[lo : lo + chunk]
-        proj = X @ dirs.T
-        order = np.argsort(proj, axis=0, kind="stable")
-        vals = np.take_along_axis(proj, order, axis=0)
-        gains, _, valid = _sweep_gains(vals, y[order], dataset.n)
+        # X @ dirs.T fixes the projection bits; its transpose is the
+        # row-layout block the sort takes.
+        order, vals = _stable_order(np.ascontiguousarray((X @ directions[lo : lo + chunk].T).T))
+        gains, _, valid = _sweep_gains(vals.T, y[order].T, dataset.n)
         gains = np.where(valid, gains, -np.inf)
         chunk_best = float(np.max(gains)) if gains.size else -np.inf
         if chunk_best <= -np.inf:
@@ -484,7 +533,8 @@ def _random_sparse_directions(rng, p: int, sparsity_d: int, count: int) -> np.nd
     out = np.zeros((count, p))
     for i in range(count):
         support = rng.choice(p, size=sparsity_d, replace=False)
-        out[i, support] = rng.choice([-1.0, 1.0], size=sparsity_d)
+        # The same draws as rng.choice([-1.0, 1.0], size=sparsity_d).
+        out[i, support] = _SIGNS[rng.integers(0, 2, size=sparsity_d)]
     return out / np.sqrt(sparsity_d)
 
 
@@ -550,16 +600,17 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     for _ in range(strategy.restarts - 1):
         starts.append(Direction.canonical(rng.standard_normal(dataset.p)))
     best = base
+    idx = validate_index_set(node, dataset.n)
+    X = dataset.features[idx]
+    y = dataset.response[idx]
 
     def evaluate(vector):
         try:
             direction = Direction.canonical(vector)
         except ValueError:
             return None
-        try:
-            return best_threshold(dataset, node, direction)
-        except NoValidSplitError:
-            return None
+        (split,) = _best_thresholds(X, y, [direction], dataset.n)
+        return split
 
     for start in starts:
         current = evaluate(start.as_array())

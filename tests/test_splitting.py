@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliquetree import (
@@ -32,6 +32,7 @@ from obliquetree.splitting import (
     _canonical_directions,
     _canonical_rows,
     _random_sparse_directions,
+    _stable_order,
     _sweep_gains,
     better_split,
 )
@@ -715,9 +716,9 @@ def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):
     masks = []
     original = splitting._split_decrease
 
-    def counted(y, left, n_full):
+    def counted(y, left, n_full, sse_node):
         masks.append(left.tobytes())
-        return original(y, left, n_full)
+        return original(y, left, n_full, sse_node)
 
     def forbidden(*args):
         raise AssertionError("per-candidate re-solve")
@@ -727,3 +728,104 @@ def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):
     monkeypatch.setattr(splitting, "sse_decrease", forbidden)
     assert split_bytes(search_exhaustive_oblique(data, root, 3)) == split_bytes(want)
     assert masks and len(masks) == len(set(masks))
+
+
+# _stable_order: numpy's unstable SIMD argsort plus a repair of tied
+# runs must give exactly the stable argsort, values bit for bit.
+
+
+@st.composite
+def sort_blocks(draw):
+    """k x m blocks whose rows are integer grids (many ties), continuous
+    (none), or constant, with -0.0 next to +0.0, +-inf and NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([1, 2, 3, 7, 20]))
+    m = draw(st.sampled_from([1, 2, 3, 5, 16, 33, 100, 300, 1000]))
+    V = rng.standard_normal((k, m))
+    grid = rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    V[grid] = rng.integers(-3, 4, size=(int(grid.sum()), m))
+    if draw(st.booleans()):
+        V[rng.integers(k)] = V[rng.integers(k), 0]
+    if draw(st.booleans()):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        hit = rng.random((k, m)) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+        V[hit] = rng.choice(specials, size=int(hit.sum()))
+    return V
+
+
+def assert_stable_order(V):
+    order, values = _stable_order(V)
+    want = np.argsort(V, axis=1, kind="stable")
+    assert order.dtype == want.dtype
+    assert np.array_equal(order, want)
+    assert values.tobytes() == np.take_along_axis(V, want, axis=1).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=sort_blocks())
+def test_stable_order_matches_stable_argsort(V):
+    assert_stable_order(V)
+
+
+def reversed_ties(real_argsort):
+    """An unstable argsort that orders equal values by descending index."""
+
+    def argsort(a, axis=-1, kind=None, **kwargs):
+        if kind is not None:
+            return real_argsort(a, axis=axis, kind=kind, **kwargs)
+        assert axis == 1 and a.ndim == 2
+        return a.shape[1] - 1 - real_argsort(a[:, ::-1], axis=1, kind="stable")
+
+    return argsort
+
+
+@settings(max_examples=150, deadline=None)
+@given(V=sort_blocks())
+@example(V=np.array([[1.0, 0.0, 1.0, -0.0, 0.0, np.nan, -np.nan, 2.0], [3.0, 1.0, 2.0, 0.5, 4, 5, 6, 7]]))
+def test_stable_order_repairs_reversed_ties(V):
+    # Whatever order the local SIMD sort leaves ties in, the repair
+    # must restore the stable one, sign of zero and NaN bits included.
+    calls = []
+    fake = reversed_ties(np.argsort)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw.get("kind")) or fake(*a, **kw))
+        assert_stable_order(V)
+    assert None in calls
+
+
+def test_splitting_sorts_only_through_stable_order():
+    # One sort kernel: no stable argsort is called during split search.
+    real = np.argsort
+
+    def unstable_only(a, axis=-1, kind=None, **kwargs):
+        assert kind is None, "split search sorted outside _stable_order"
+        return real(a, axis=axis, **kwargs)
+
+    data = random_dataset(7, 60, 3)
+    root = root_index_set(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argsort", unstable_only)
+        search_axis_aligned(data, root)
+        search_exhaustive_oblique(data, root[:20], 2)
+        search_hill_climb(data, root, SearchStrategy(kind="hill_climb", max_iterations=1))
+        search_random_projection(
+            data, root, SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=10)
+        )
+
+
+def reference_random_sparse_directions(rng, p, sparsity_d, count):
+    """The candidate draw as it was first written, one rng.choice per sign vector."""
+    out = np.zeros((count, p))
+    for i in range(count):
+        support = rng.choice(p, size=sparsity_d, replace=False)
+        out[i, support] = rng.choice([-1.0, 1.0], size=sparsity_d)
+    return out / np.sqrt(sparsity_d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), count=st.integers(0, 40), data=st.data())
+def test_random_sparse_directions_match_reference(seed, p, count, data):
+    d = data.draw(st.integers(1, p))
+    got = _random_sparse_directions(np.random.default_rng(seed), p, d, count)
+    want = reference_random_sparse_directions(np.random.default_rng(seed), p, d, count)
+    assert got.tobytes() == want.tobytes()
