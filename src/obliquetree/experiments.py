@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .dataset import Dataset, root_index_set
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
+    _check_keys,
     _named,
     eval_ridge_batch,
     generate_dataset,
@@ -87,6 +88,7 @@ class ExperimentConfig:
     def from_dict(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"experiment config must be a JSON object, got {data!r}")
+        _check_keys("experiment config", data, (f.name for f in fields(ExperimentConfig)))
         return ExperimentConfig(
             model=_named("model", RidgeModel.from_dict, data["model"]),
             n=_named("n", int, data["n"]),

@@ -44,6 +44,13 @@ def _named(name: str, convert, value):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _check_keys(what: str, data: dict, allowed) -> None:
+    """Reject keys outside `allowed`, so a misspelt key is not ignored."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
 def _real_dict(value) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object, got {value!r}")
@@ -162,9 +169,12 @@ class RidgeModel:
     def from_dict(data: dict) -> "RidgeModel":
         if not isinstance(data, dict):
             raise ValueError(f"ridge model must be a JSON object, got {data!r}")
+        _check_keys("ridge model", data, ("components", "intercept"))
         components = data.get("components")
         if not isinstance(components, list) or not all(isinstance(c, dict) for c in components):
             raise ValueError("ridge model 'components' must be a list of JSON objects")
+        for c in components:
+            _check_keys("component", c, ("kind", "direction", "parameters"))
         comps = tuple(
             RidgeComponent(
                 kind=c.get("kind"),

@@ -10,6 +10,16 @@ Four search strategies are provided: axis-aligned scan, exhaustive
 oblique enumeration (exact on small nodes), coordinate-wise hill
 climbing, and sparse random projections.  All are pure functions of
 (dataset, node, strategy) and deterministic given the strategy seed.
+
+Each search returns a function of its candidate set, not of the order
+in which candidates are generated, swept or deduplicated.  Among the
+candidate splits whose decrease is at least the largest minus
+DECREASE_TOL, the winner is the one with the smallest _tie_key: smaller
+support, then lexicographically smaller canonical direction, then
+smaller threshold.  search_axis_aligned applies the same set rule with
+the lowest coordinate index as its key.  Every threshold sweep runs on
+the node's responses centred on the node mean, so a constant offset in
+the response cannot cancel the gains.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ import numpy as np
 from .dataset import _COEFF_SNAP, Dataset, Direction, axis_direction, project, validate_index_set
 
 # Two decreases within this absolute tolerance are treated as tied, and
-# the deterministic tie-breaking order decides, so argmax results do not
-# flip with platform rounding.
+# the tie key decides, so argmax results do not flip with platform
+# rounding.
 DECREASE_TOL = 1e-12
 
 STRATEGY_KINDS = ("axis_aligned", "hill_climb", "random_projection", "exhaustive_oblique")
@@ -34,6 +44,7 @@ _GOLDEN_BRACKET = 2.5
 _GOLDEN_ITERS = 32
 
 _SIGNS = np.array([-1.0, 1.0])
+
 
 
 class NoValidSplitError(ValueError):
@@ -217,30 +228,24 @@ def _stable_order(V: np.ndarray):
     return order, s
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int, scalar_total: bool = False):
+def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
     """Prefix-sum sweep over sorted projections, one direction per column.
 
     values is (m, k), each column sorted ascending, and y holds the
-    responses in the same order.  The callers sort a k x m row-layout
-    block with _stable_order and pass its transposed views, so each
-    direction is contiguous in memory.  Returns (gains, thresholds,
-    valid) over the m-1 boundaries; a boundary is valid only when its
-    midpoint lies strictly between two distinct consecutive values.
-
-    With scalar_total each column's total is squared as a numpy scalar,
-    which calls libm pow, as a sweep over one 1-D column does; its last
-    bit differs from the array square on about 0.1% of inputs.  The
-    re-solve squares that way, so its gains equal a one-direction
-    sweep's bit for bit; the bulk sweep squares the array.
+    node's responses centred on the node mean, in the same order.  The
+    callers sort a k x m row-layout block with _stable_order and pass
+    its transposed views, so each direction is contiguous in memory.
+    Returns (gains, thresholds, valid) over the m-1 boundaries; a
+    boundary is valid only when its midpoint lies strictly between two
+    distinct consecutive values.
     """
     m = values.shape[0]
     csum = np.cumsum(y, axis=0)
     total = csum[-1]
-    total_sq = np.array([t**2 for t in total]) if scalar_total else total**2
     n_left = np.arange(1, m, dtype=np.float64)[:, None]
     sum_left = csum[:-1]
     gains = (
-        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total_sq / m
+        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
     ) / n_full
     thresholds = 0.5 * (values[:-1] + values[1:])
     valid = (values[:-1] < thresholds) & (thresholds < values[1:])
@@ -265,14 +270,13 @@ def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> l
     for j, direction in enumerate(directions):
         np.matmul(X, direction.as_array(), out=V[j])
     order, sorted_V = _stable_order(V)
-    gains, thresholds, valid = _sweep_gains(
-        sorted_V.T, y[order].T, n_full, scalar_total=True
-    )
+    centred = y - y.mean()
+    gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
     gains = np.where(valid, gains, -np.inf)
     top = np.max(gains, axis=0)
     # First boundary within tolerance of the max = smallest threshold.
     boundaries = np.argmax(gains >= top - DECREASE_TOL, axis=0)
-    sse_node = _sse(y)
+    sse_node = float(np.sum(centred**2))  # _sse(y)
     decreases: dict[bytes, float] = {}
     splits = []
     for j, direction in enumerate(directions):
@@ -327,60 +331,62 @@ def _tie_key(split: Split):
     )
 
 
-def better_split(challenger: Split, incumbent: Split) -> bool:
-    """Deterministic total order on splits.
+def _near_best(splits) -> list:
+    """The splits (Nones dropped) within DECREASE_TOL of the largest
+    decrease, in their given order."""
+    splits = [s for s in splits if s is not None]
+    top = max((s.decrease for s in splits), default=-np.inf)
+    return [s for s in splits if s.decrease >= top - DECREASE_TOL]
 
-    Larger decrease wins; decreases within DECREASE_TOL are resolved by
-    smaller support size, then lexicographically smaller canonical
-    direction, then smaller threshold.
-    """
-    if challenger.decrease > incumbent.decrease + DECREASE_TOL:
-        return True
-    if incumbent.decrease > challenger.decrease + DECREASE_TOL:
-        return False
-    return _tie_key(challenger) < _tie_key(incumbent)
+
+def _winner(splits):
+    """The winner rule of the module docstring: the near-best split with
+    the smallest _tie_key, or None."""
+    return min(_near_best(splits), key=_tie_key, default=None)
 
 
 def search_axis_aligned(dataset: Dataset, node) -> Split:
     """Best split over the p standard basis directions.
 
-    Ties are broken toward the lowest coordinate index, then the lowest
-    threshold (both realized by keeping the earliest maximizer).
+    The winner is the lowest-index axis among those whose decrease is
+    within DECREASE_TOL of the largest, at its smallest near-best
+    threshold.
     """
     idx = validate_index_set(node, dataset.n)
     axes = [axis_direction(dataset.p, j) for j in range(dataset.p)]
-    best = None
-    for split in _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n):
-        if split is not None and (best is None or split.decrease > best.decrease + DECREASE_TOL):
-            best = split
-    if best is None:
+    near = _near_best(
+        _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n)
+    )
+    if not near:
         raise NoValidSplitError("no coordinate admits a valid split")
-    return best
+    return near[0]
 
 
 def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
-    """Canonicalize direction rows in bulk and drop duplicates/zeros."""
+    """Canonicalize direction rows in bulk; drop zero rows and duplicates.
+
+    The rows come out in an arbitrary order, which split search does not
+    depend on.  Zeros are written as +0.0, so the copies of a duplicated
+    row are bit-identical and it does not matter which one is kept.
+    """
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
     peak = np.max(np.abs(arr), axis=1, keepdims=True)
-    keep = peak[:, 0] > 0.0
-    arr = arr[keep]
-    peak = peak[keep]
-    if arr.shape[0] == 0:
-        return arr
     arr = np.where(np.abs(arr) <= 1e-12 * peak, 0.0, arr)
+    # A zero row keeps a zero norm, and so does one whose squares underflow.
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     keep = norms[:, 0] > 0.0
     arr = arr[keep] / norms[keep]
-    if arr.shape[0] == 0:
-        return arr
     first_nz = np.argmax(arr != 0.0, axis=1)
     signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
-    arr = arr * signs[:, None]
-    # Sorted distinct rows, as np.unique(arr, axis=0) gives them, without
-    # its structured-dtype sort.
-    arr = arr[np.lexsort(arr.T[::-1])]
+    arr = arr * signs[:, None] + 0.0  # -0.0 + 0.0 is +0.0
+    # Sorting a hash of each row's bits makes equal rows neighbours; a
+    # hash collision can only leave a duplicate in, never drop a row.
+    # The multiplier is odd (2**64 over the golden ratio).
+    digest = np.zeros(arr.shape[0], dtype=np.uint64)
+    for column in arr.view(np.uint64).T:
+        digest = (digest ^ column) * np.uint64(0x9E3779B97F4A7C15)
+        digest ^= digest >> np.uint64(32)
+    arr = arr[np.argsort(digest)]
     fresh = np.ones(arr.shape[0], dtype=bool)
     fresh[1:] = np.any(arr[1:] != arr[:-1], axis=1)
     return arr[fresh]
@@ -389,11 +395,11 @@ def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
 def _canonical_directions(rows: np.ndarray) -> list[Direction]:
     """Direction.canonical of each row, first occurrences only, in row order.
 
-    Rows from _canonical_rows are canonical already, except that their
-    zeros may be -0.0 where Direction.canonical writes +0.0; the snap
-    below writes +0.0.  A row that the snap changes otherwise, whose norm
-    is not within 1e-13 of 1, or whose leading coefficient is not
-    positive goes through Direction.canonical itself.
+    The snap below writes zeros as +0.0, as Direction.canonical does,
+    so rows from _canonical_rows pass through as they are.  A row that
+    the snap changes otherwise, whose norm is not within 1e-13 of 1, or
+    whose leading coefficient is not positive goes through
+    Direction.canonical itself.
     """
     peak = np.max(np.abs(rows), axis=1, keepdims=True)
     snapped = np.where(np.abs(rows) <= _COEFF_SNAP * peak, 0.0, rows)
@@ -453,47 +459,30 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
 
     Projects a chunk of directions at a time, sorts it as a row-layout
     block (one direction per row) with _stable_order, sweeps every
-    threshold at once, and keeps every direction whose gain comes
-    within DECREASE_TOL of the best, once, in the order its first such
-    boundary appears.  Those near-ties are then re-solved once per node
-    in one batch (_best_thresholds, one decrease per dichotomy) and
-    folded by the deterministic order of better_split.  Returns None
+    threshold at once and records each direction's best valid gain.
+    The directions whose gain is within DECREASE_TOL of the best over
+    all of them are re-solved once, in one batch (_best_thresholds, one
+    decrease per dichotomy), and _winner picks among them.  Returns None
     when no direction admits a valid split.
     """
     idx = validate_index_set(node, dataset.n)
     X = dataset.features[idx]
     y = dataset.response[idx]
-    m = idx.size
-    if m < 2 or directions.shape[0] == 0:
+    if idx.size < 2 or directions.shape[0] == 0:
         return None
-    best_gain = -np.inf
-    # (direction row, gain) of every boundary near the running best,
-    # chunk by chunk in row-major (boundary, direction) order.
-    near_rows: list[np.ndarray] = []
-    near_gains: list[np.ndarray] = []
+    centred = y - y.mean()
+    best_gains = np.empty(directions.shape[0])
     for lo in range(0, directions.shape[0], chunk):
         # X @ dirs.T fixes the projection bits; its transpose is the
         # row-layout block the sort takes.
         order, vals = _stable_order(np.ascontiguousarray((X @ directions[lo : lo + chunk].T).T))
-        gains, _, valid = _sweep_gains(vals.T, y[order].T, dataset.n)
-        gains = np.where(valid, gains, -np.inf)
-        chunk_best = float(np.max(gains)) if gains.size else -np.inf
-        if chunk_best <= -np.inf:
-            continue
-        best_gain = max(best_gain, chunk_best)
-        bounds, cols = np.nonzero(gains >= best_gain - DECREASE_TOL)
-        near_rows.append(lo + cols)
-        near_gains.append(gains[bounds, cols])
-    if best_gain == -np.inf:
+        gains, _, valid = _sweep_gains(vals.T, centred[order].T, dataset.n)
+        best_gains[lo : lo + chunk] = np.max(np.where(valid, gains, -np.inf), axis=0)
+    top = np.max(best_gains)
+    if top == -np.inf:
         return None
-    rows = np.concatenate(near_rows)[np.concatenate(near_gains) >= best_gain - DECREASE_TOL]
-    _, first = np.unique(rows, return_index=True)
-    candidates = _canonical_directions(directions[rows[np.sort(first)]])
-    best = None
-    for split in _best_thresholds(X, y, candidates, dataset.n):
-        if split is not None and (best is None or better_split(split, best)):
-            best = split
-    return best
+    near = directions[best_gains >= top - DECREASE_TOL]
+    return _winner(_best_thresholds(X, y, _canonical_directions(near), dataset.n))
 
 
 def search_exhaustive_oblique(
@@ -547,16 +536,11 @@ def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -
     axis-aligned search.
     """
     best = search_axis_aligned(dataset, node)
-    if strategy.num_candidates == 0:
-        return best
     rng = np.random.default_rng(strategy.seed)
     d = min(strategy.sparsity_d, dataset.p)
     raw = _random_sparse_directions(rng, dataset.p, d, strategy.num_candidates)
     directions = _canonical_rows(raw)
-    challenger = _best_over_directions(dataset, node, directions)
-    if challenger is not None and better_split(challenger, best):
-        return challenger
-    return best
+    return _winner([best, _best_over_directions(dataset, node, directions)])
 
 
 def _golden_probe(objective, lo: float, hi: float, iters: int):
@@ -589,7 +573,8 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     Starts at the best axis split plus (restarts - 1) random unit
     directions; each pass runs a golden-section line search over every
     coefficient with the threshold re-solved per candidate, until a full
-    pass yields no improvement or max_iterations passes elapse.  With a
+    pass yields no improvement or max_iterations passes elapse.  Returns
+    the _winner of the axis split and every climb's end point.  With a
     zero iteration budget the axis-aligned result is returned unchanged.
     """
     base = search_axis_aligned(dataset, node)
@@ -599,7 +584,7 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     starts = [base.direction]
     for _ in range(strategy.restarts - 1):
         starts.append(Direction.canonical(rng.standard_normal(dataset.p)))
-    best = base
+    ends = [base]
     idx = validate_index_set(node, dataset.n)
     X = dataset.features[idx]
     y = dataset.response[idx]
@@ -636,9 +621,8 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
                     improved = True
             if not improved:
                 break
-        if better_split(current, best):
-            best = current
-    return best
+        ends.append(current)
+    return _winner(ends)
 
 
 def run_search(dataset: Dataset, node, strategy: SearchStrategy) -> Split:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, node_stats, root_index_set, validate_index_set
+from .dataset import Dataset, Direction, node_stats, root_index_set, validate_index_set
 from .splitting import (
     DECREASE_TOL,
     NoValidSplitError,
@@ -281,27 +281,47 @@ def to_dict(tree: Tree) -> dict:
     }
 
 
+def _split_from_dict(node_id: int, data: dict, p: int) -> Split:
+    """Split.from_dict, rejecting what grow cannot have written."""
+    split = Split.from_dict(data)
+    if not (math.isfinite(split.threshold) and math.isfinite(split.decrease)):
+        raise ValueError(f"node {node_id} has a non-finite split threshold or decrease")
+    try:
+        canonical = Direction.canonical(split.direction.coefficients)
+    except ValueError:
+        canonical = None
+    if len(split.direction.coefficients) != p or canonical != split.direction:
+        raise ValueError(f"node {node_id} split direction is not a canonical unit vector in R^{p}")
+    return split
+
+
 def from_dict(data: dict) -> Tree:
+    p = int(data["p"])
     nodes = {}
     for entry in data["nodes"]:
+        node_id = int(entry["node_id"])
         mean, sse = float(entry["mean"]), float(entry["sse"])
         if not (math.isfinite(mean) and math.isfinite(sse)):
-            raise ValueError(f"node {entry['node_id']} has a non-finite mean or sse")
-        nodes[int(entry["node_id"])] = TreeNode(
-            node_id=int(entry["node_id"]),
+            raise ValueError(f"node {node_id} has a non-finite mean or sse")
+        nodes[node_id] = TreeNode(
+            node_id=node_id,
             depth=int(entry["depth"]),
             mean=mean,
             sse=sse,
             count=int(entry["count"]),
-            split=Split.from_dict(entry["split"]) if entry["split"] else None,
+            split=_split_from_dict(node_id, entry["split"], p) if entry["split"] else None,
             left_child=entry["left_child"],
             right_child=entry["right_child"],
         )
+    for node in nodes.values():
+        children = (node.left_child, node.right_child)
+        if not node.is_leaf and not all(isinstance(c, int) and c in nodes for c in children):
+            raise ValueError(f"node {node.node_id} has a child id missing from the tree")
     return Tree(
         nodes=nodes,
         root_id=int(data["root_id"]),
         n=int(data["n"]),
-        p=int(data["p"]),
+        p=p,
         max_depth_reached=int(data["max_depth_reached"]),
         strategy=SearchStrategy.from_dict(data["strategy"]),
     )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from obliquetree import Dataset
+
+# CI runs pytest with --hypothesis-profile=ci, so a failing property
+# prints the blob that reproduces it with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

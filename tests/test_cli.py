@@ -159,26 +159,45 @@ def test_exit_codes_input_errors(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+D2_CSV = "x1,x2,y\n1,0,0\n2,1,0\n3,0,1\n4,1,1\n"
+
+
+def set_root(key, **fields):
+    def corrupt(tree):
+        root = tree["nodes"][0]
+        (root[key] if key else root).update(fields)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda tree: tree["strategy"].update(bogus=1),
-        lambda tree: tree["nodes"][1].update(sse=float("nan")),
-        lambda tree: tree["strategy"].update(sparsity_d="2"),
+        pytest.param(lambda tree: tree["strategy"].update(bogus=1), "bogus", id="unknown_strategy_key"),
+        pytest.param(lambda tree: tree["nodes"][1].update(sse=float("nan")), "node 1", id="nan_sse"),
+        pytest.param(lambda tree: tree["strategy"].update(sparsity_d="2"), "sparsity_d", id="string_sparsity"),
+        pytest.param(set_root("split", threshold=float("nan")), "node 0", id="nan_threshold"),
+        pytest.param(set_root("split", decrease=float("inf")), "node 0", id="inf_decrease"),
+        pytest.param(set_root("split", direction=[0.0, 0.0]), "node 0", id="zero_direction"),
+        pytest.param(set_root("split", direction=[1.0]), "node 0", id="short_direction"),
+        pytest.param(set_root("split", direction=[-3.0, 0.0]), "node 0", id="non_canonical_direction"),
+        pytest.param(set_root(None, left_child=99), "node 0", id="dangling_child"),
     ],
-    ids=["unknown_strategy_key", "nan_sse", "string_sparsity"],
 )
-def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt):
-    csv = write_d1(tmp_path)
+def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt, message):
+    csv = tmp_path / "d2.csv"
+    csv.write_text(D2_CSV)
     tree_path = tmp_path / "tree.json"
-    assert main(["train", csv, "--depth", "1", "--out", str(tree_path)]) == 0
+    assert main(["train", str(csv), "--depth", "1", "--out", str(tree_path)]) == 0
     payload = json.loads(tree_path.read_text())
+    assert payload["nodes"][0]["split"]["direction"] == [1.0, 0.0]
     corrupt(payload)
     tree_path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["prune", str(tree_path), csv, "--lambda", "0.1"]) == 1
+    assert main(["prune", str(tree_path), str(csv), "--lambda", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -198,6 +217,13 @@ def test_prune_rejects_non_finite_lambda(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+# A relu whose misspelt "parameters" key used to be ignored, leaving slope 1.
+MISSPELT_MODEL = {
+    "intercept": 0.0,
+    "components": [{"kind": "relu", "paramters": {"slope": 5.0}, "direction": [1.0, 1.0]}],
+}
 
 
 def experiment_config(**overrides):
@@ -222,8 +248,23 @@ def experiment_config(**overrides):
         lambda tmp: ["experiment", write_json(tmp, experiment_config(strategy=[1])), "--kind", "rate"],
         lambda tmp: ["experiment", write_json(tmp, experiment_config(model=None)), "--kind", "rate"],
         lambda tmp: ["generate", write_json(tmp, MODEL_SPEC), "--n", "50", "--box", "5", "--out", str(tmp / "g.csv")],
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(mc_sise=50)), "--kind", "rate"],
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(lamda_grid=[0.1])), "--kind", "rate"],
+        lambda tmp: ["experiment", write_json(tmp, experiment_config(model=MISSPELT_MODEL)), "--kind", "rate"],
+        lambda tmp: ["generate", write_json(tmp, MISSPELT_MODEL), "--n", "50", "--box", "[[0, 1], [0, 1]]", "--out", str(tmp / "g.csv")],
+        lambda tmp: ["generate", write_json(tmp, dict(MODEL_SPEC, intercpt=1.0)), "--n", "50", "--box", "[[0, 1], [0, 1]]", "--out", str(tmp / "g.csv")],
     ],
-    ids=["domain_box_int", "strategy_list", "model_null", "generate_box_int"],
+    ids=[
+        "domain_box_int",
+        "strategy_list",
+        "model_null",
+        "generate_box_int",
+        "config_mc_sise",
+        "config_lamda_grid",
+        "experiment_component_paramters",
+        "generate_component_paramters",
+        "generate_model_intercpt",
+    ],
 )
 def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command):
     assert main(command(tmp_path)) == 1

@@ -34,7 +34,7 @@ from obliquetree.splitting import (
     _random_sparse_directions,
     _stable_order,
     _sweep_gains,
-    better_split,
+    _winner,
 )
 
 from conftest import random_dataset
@@ -334,15 +334,18 @@ def test_strategy_validation():
 
 
 # References: the per-candidate near-tie re-solve and the np.unique-based
-# dedup that the batched re-solve in _best_over_directions replaced.  The
-# properties below check that the batch gives the same Split bytes.
+# dedup that the batched re-solve in _best_over_directions replaced, with
+# every sweep on the node's centred responses and every winner picked by
+# the set rule.  The properties below check that the batch gives the
+# same Split bytes.
 
 
 def reference_sweep_gains(values, y, n_full):
-    """The prefix-sum gain sweep as the per-candidate loop computed it."""
+    """The prefix-sum gain sweep, on 1-D or 2-D columns; the total stays
+    an array, so it is squared as the batch squares it."""
     m = values.shape[0]
     csum = np.cumsum(y, axis=0)
-    total = csum[-1]
+    total = csum[-1:]
     n_left = np.arange(1, m, dtype=np.float64).reshape((-1,) + (1,) * (y.ndim - 1))
     sum_left = csum[:-1]
     gains = (
@@ -353,11 +356,28 @@ def reference_sweep_gains(values, y, n_full):
     return gains, thresholds, valid
 
 
+def node_mean(dataset, node):
+    """The mean every sweep centres on: the node's responses in index order."""
+    return dataset.response[np.asarray(node)].mean()
+
+
+def reference_winner(splits):
+    """The set rule from its definition: among the splits within
+    DECREASE_TOL of the largest decrease, the smallest (support size,
+    coefficients, threshold)."""
+    splits = [s for s in splits if s is not None]
+    if not splits:
+        return None
+    top = max(s.decrease for s in splits)
+    near = [s for s in splits if s.decrease >= top - DECREASE_TOL]
+    return min(near, key=lambda s: (s.direction.support_size, s.direction.coefficients, s.threshold))
+
+
 def reference_best_threshold(dataset, node, direction):
     values, idx = project(dataset, node, direction)
     if values.shape[0] < 2 or values[0] == values[-1]:
         raise NoValidSplitError("no valid split: projections not separable")
-    y = dataset.response[idx]
+    y = dataset.response[idx] - node_mean(dataset, node)
     gains, thresholds, valid = reference_sweep_gains(values, y, dataset.n)
     if not np.any(valid):
         raise NoValidSplitError("no valid split: projections not separable")
@@ -397,65 +417,46 @@ def reference_canonical_rows(matrix):
 
 
 def reference_near_ties(dataset, node, directions, chunk=4096):
-    """Rows of the bulk sweep's near-ties, one copy per (boundary, row)."""
-    idx = np.asarray(node)
-    X = dataset.features[idx]
-    y = dataset.response[idx]
-    best_gain = -np.inf
-    candidates = []
+    """Rows whose best bulk gain is within DECREASE_TOL of the best gain
+    of any row.  Chunks only fix the projection bits, as X @ dirs.T."""
+    X = dataset.features[np.asarray(node)]
+    y = dataset.response[np.asarray(node)] - node_mean(dataset, node)
+    best = []
     for lo in range(0, directions.shape[0], chunk):
-        dirs = directions[lo : lo + chunk]
-        proj = X @ dirs.T
+        proj = X @ directions[lo : lo + chunk].T
         order = np.argsort(proj, axis=0, kind="stable")
         vals = np.take_along_axis(proj, order, axis=0)
         gains, _, valid = reference_sweep_gains(vals, y[order], dataset.n)
-        gains = np.where(valid, gains, -np.inf)
-        chunk_best = float(np.max(gains)) if gains.size else -np.inf
-        if chunk_best <= -np.inf:
-            continue
-        if chunk_best > best_gain:
-            best_gain = chunk_best
-            candidates = [c for c in candidates if c[1] >= best_gain - DECREASE_TOL]
-        rows, cols = np.nonzero(gains >= best_gain - DECREASE_TOL)
-        for r, c in zip(rows, cols):
-            candidates.append((dirs[c].copy(), float(gains[r, c])))
-    return [vec for vec, _gain in candidates]
+        best.extend(np.max(np.where(valid, gains, -np.inf), axis=0))
+    best = np.array(best)
+    if best.size == 0 or np.max(best) == -np.inf:
+        return []
+    return [directions[i] for i in np.flatnonzero(best >= np.max(best) - DECREASE_TOL)]
 
 
 def reference_best_over_directions(dataset, node, directions, chunk=4096):
     if np.asarray(node).size < 2 or directions.shape[0] == 0:
         return None
-    candidates = reference_near_ties(dataset, node, directions, chunk)
-    if not candidates:
-        return None
-    best = None
-    seen = set()
-    for vec in candidates:
-        direction = Direction.canonical(vec)
-        if direction.coefficients in seen:
-            continue
-        seen.add(direction.coefficients)
+    splits = []
+    for vec in reference_near_ties(dataset, node, directions, chunk):
         try:
-            split = reference_best_threshold(dataset, node, direction)
+            splits.append(reference_best_threshold(dataset, node, Direction.canonical(vec)))
         except NoValidSplitError:
             continue
-        if best is None or better_split(split, best):
-            best = split
-    return best
+    return reference_winner(splits)
 
 
 def reference_search_axis_aligned(dataset, node):
-    best = None
+    splits = []
     for j in range(dataset.p):
         try:
-            split = reference_best_threshold(dataset, node, axis_direction(dataset.p, j))
+            splits.append(reference_best_threshold(dataset, node, axis_direction(dataset.p, j)))
         except NoValidSplitError:
             continue
-        if best is None or split.decrease > best.decrease + DECREASE_TOL:
-            best = split
-    if best is None:
+    if not splits:
         raise NoValidSplitError("no coordinate admits a valid split")
-    return best
+    top = max(s.decrease for s in splits)
+    return next(s for s in splits if s.decrease >= top - DECREASE_TOL)
 
 
 def reference_search_exhaustive_oblique(dataset, node, sparsity_d):
@@ -480,9 +481,7 @@ def reference_search_random_projection(dataset, node, strategy):
     rng = np.random.default_rng(strategy.seed)
     raw = _random_sparse_directions(rng, dataset.p, strategy.sparsity_d, strategy.num_candidates)
     challenger = reference_best_over_directions(dataset, node, reference_canonical_rows(raw))
-    if challenger is not None and better_split(challenger, best):
-        return challenger
-    return best
+    return reference_winner([best, challenger])
 
 
 def split_bytes(split):
@@ -526,6 +525,17 @@ def grid_nodes(draw, max_m=16, max_p=3):
     return data, node
 
 
+def candidate_rows(data, node, max_support):
+    """The deduplicated exhaustive candidates on supports up to max_support."""
+    X = data.features[node]
+    blocks = [
+        _candidate_directions(X[:, list(s)], s, data.p, len(s))
+        for size in range(1, min(data.p, max_support) + 1)
+        for s in itertools.combinations(range(data.p), size)
+    ]
+    return _canonical_rows(np.concatenate(blocks, axis=0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=grid_nodes(), sparsity=st.integers(1, 3))
 def test_exhaustive_matches_per_candidate_reference(case, sparsity):
@@ -558,31 +568,11 @@ def test_random_projection_matches_per_candidate_reference(case, sparsity, count
 @settings(max_examples=60, deadline=None)
 @given(case=grid_nodes(max_m=12), chunk=st.sampled_from([1, 2, 5, 64]))
 def test_near_tie_order_matches_reference_across_chunks(case, chunk):
-    # Small chunks make the running best rise between chunks, which
-    # drops earlier near-ties; the survivors must keep the old order.
     data, node = case
-    X = data.features[node]
-    blocks = [
-        _candidate_directions(X[:, list(s)], s, data.p, len(s))
-        for size in range(1, min(data.p, 2) + 1)
-        for s in itertools.combinations(range(data.p), size)
-    ]
-    directions = _canonical_rows(np.concatenate(blocks, axis=0))
+    directions = candidate_rows(data, node, 2)
     got = _best_over_directions(data, node, directions, chunk=chunk)
     want = reference_best_over_directions(data, node, directions, chunk=chunk)
     assert split_bytes(got) == split_bytes(want)
-
-    # The candidates themselves: each row once, where its first surviving
-    # copy stood.
-    rows = []
-    original = splitting._canonical_directions
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splitting, "_canonical_directions", lambda r: rows.append(r) or original(r))
-        _best_over_directions(data, node, directions, chunk=chunk)
-    first = {}
-    for vec in reference_near_ties(data, node, directions, chunk) if node.size > 1 else []:
-        first.setdefault(vec.tobytes(), vec)
-    assert [r.tobytes() for r in (rows[0] if rows else [])] == list(first)
 
 
 @settings(max_examples=100, deadline=None)
@@ -616,42 +606,21 @@ def test_batch_matches_per_direction_reference(case, seed, float_y):
     assert [split_bytes(s) if s is not None else "no valid split" for s in got] == want
 
 
-def test_sweep_gains_match_reference_bit_for_bit(monkeypatch):
-    # The re-solve squares each column's total as a numpy scalar (libm
-    # pow), as the one-column sweep did, and the bulk sweep squares the
-    # array; pow's last bit differs on about 0.1% of totals.
+def test_sweep_gains_match_reference_bit_for_bit():
     rng = np.random.default_rng(0)
     values = np.sort(rng.standard_normal((8, 2000)), axis=0)
     y = 1e3 * rng.standard_normal((8, 2000))
+    y -= y.mean(axis=0)
     bulk, _, _ = _sweep_gains(values, y, 50)
     assert bulk.tobytes() == reference_sweep_gains(values, y, 50)[0].tobytes()
-
-    swept = []
-    original = splitting._sweep_gains
-
-    def recording(values, y, n_full, scalar_total=False):
-        out = original(values, y, n_full, scalar_total)
-        swept.append((values, y, n_full, out[0]))
-        return out
-
-    monkeypatch.setattr(splitting, "_sweep_gains", recording)
-    # Responses x, 0, ..., 0 sum to exactly x in any order; pick x where
-    # the scalar and the array square differ.
-    totals = [t for t in 1e3 * rng.standard_normal(20000) if np.float64(t) ** 2 != t * t][:10]
-    assert len(totals) == 10
-    for t in totals:
-        data = Dataset(rng.standard_normal((8, 2)), np.array([t] + [0.0] * 7))
-        directions = [Direction.canonical(v) for v in rng.standard_normal((3, 2))]
-        _best_thresholds(data.features, data.response, directions, data.n)
-    for values, y, n_full, gains in swept:
-        for j in range(values.shape[1]):
-            column, _, _ = reference_sweep_gains(values[:, j], y[:, j], n_full)
-            assert gains[:, j].tobytes() == column.tobytes()
+    # One column swept alone gives the same bits.
+    for j in range(0, 2000, 97):
+        column, _, _ = reference_sweep_gains(values[:, j], y[:, j], 50)
+        assert column.tobytes() == bulk[:, j].tobytes()
 
 
 def test_best_threshold_matches_reference_on_float_columns():
-    # Continuous responses: the single-column sweep squares its total as
-    # a numpy scalar, whose last bit the batch must reproduce.
+    # Continuous responses, where near-equal gains come from rounding.
     for seed in range(40):
         data = random_dataset(seed + 400, 60, 3, y_scale=5.0)
         root = root_index_set(data)
@@ -681,10 +650,11 @@ def direction_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=direction_rows())
 def test_canonical_rows_matches_np_unique(rows):
+    # The same set of rows, each once, in any order.
     got = _canonical_rows(rows)
     want = reference_canonical_rows(rows)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -728,6 +698,182 @@ def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):
     monkeypatch.setattr(splitting, "sse_decrease", forbidden)
     assert split_bytes(search_exhaustive_oblique(data, root, 3)) == split_bytes(want)
     assert masks and len(masks) == len(set(masks))
+
+
+# The winner rule: a function of the candidate set.
+
+
+def test_winner_is_the_same_in_every_order():
+    # Decreases 0, 0.8e-12 and 1.6e-12 with rising tie keys.  A pairwise
+    # fold with the tolerance returns C in the order A, B, C and A in the
+    # order C, B, A; the set rule keeps B and C, and B has the smaller key.
+    direction = axis_direction(2, 0)
+    a, b, c = (
+        Split(direction, threshold, decrease, 1, 1)
+        for threshold, decrease in ((1.0, 0.0), (2.0, 0.8e-12), (3.0, 1.6e-12))
+    )
+    for order in itertools.permutations([a, b, c]):
+        assert _winner(list(order)) is b
+    assert _winner([c, None, b, a, c, b]) is b
+    assert _winner([None]) is None
+
+
+def test_axis_winner_is_the_lowest_index_near_best(monkeypatch):
+    # The same three decreases on axes 0, 1 and 2: axes 1 and 2 are within
+    # DECREASE_TOL of the largest, and the lower index wins.
+    data = random_dataset(3, 10, 3)
+    decreases = [0.0, 0.8e-12, 1.6e-12]
+
+    def fixed(X, y, directions, n_full):
+        return [Split(d, 0.5, dec, 5, 5) for d, dec in zip(directions, decreases)]
+
+    monkeypatch.setattr(splitting, "_best_thresholds", fixed)
+    assert search_axis_aligned(data, root_index_set(data)).direction == axis_direction(3, 1)
+    decreases = [1.6e-12, 0.8e-12, 0.0]
+    assert search_axis_aligned(data, root_index_set(data)).direction == axis_direction(3, 0)
+
+
+def test_axis_winner_on_exactly_tied_integer_axes():
+    # y = x1 + x2 on the grid {0, 1, 2}^3: axes 1 and 2 tie exactly, axis 0
+    # explains nothing, and both thresholds of each axis tie too.
+    X = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+    data = Dataset(X, X[:, 1] + X[:, 2])
+    split = search_axis_aligned(data, root_index_set(data))
+    assert split.direction == axis_direction(3, 1)
+    assert (split.threshold, split.left_count, split.right_count) == (0.5, 9, 18)
+    swapped = Dataset(X[:, ::-1], data.response)
+    assert search_axis_aligned(swapped, root_index_set(swapped)).direction == axis_direction(3, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_nodes(max_m=30), copies=st.integers(2, 3))
+def test_axis_winner_on_duplicated_columns(case, copies):
+    # Every column repeated: the first copy of the best column wins, at
+    # the threshold and counts of the undoubled node.
+    data, node = case
+    wide = Dataset(np.tile(data.features, copies), data.response)
+    want = outcome(search_axis_aligned, data, node)
+    got = outcome(search_axis_aligned, wide, node)
+    if want == "no valid split":
+        assert got == want
+        return
+    coefficients, *rest = got
+    assert coefficients[: data.p] == want[0]
+    assert tuple(rest) == want[1:]
+
+
+def shuffled_with_repeats(rows, rng):
+    if rows.shape[0] == 0:
+        return rows
+    extra = rows[rng.integers(rows.shape[0], size=rows.shape[0] // 2 + 1)]
+    stacked = np.concatenate([rows, extra])
+    return stacked[rng.permutation(stacked.shape[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grid_nodes(max_m=12),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 2, 5, 64, 4096]),
+)
+def test_best_over_directions_depends_only_on_the_row_set(case, seed, chunk):
+    data, node = case
+    directions = candidate_rows(data, node, 2)
+    want = split_bytes(_best_over_directions(data, node, directions))
+    rng = np.random.default_rng(seed)
+    assert split_bytes(_best_over_directions(data, node, directions, chunk=chunk)) == want
+    shuffled = directions[rng.permutation(directions.shape[0])]
+    assert split_bytes(_best_over_directions(data, node, shuffled, chunk=chunk)) == want
+    repeated = shuffled_with_repeats(directions, rng)
+    assert split_bytes(_best_over_directions(data, node, repeated, chunk=chunk)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=grid_nodes(max_m=12),
+    sparsity=st.integers(1, 3),
+    count=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 2, 5, 64, 4096]),
+)
+def test_searches_depend_only_on_their_candidate_sets(case, sparsity, count, seed, chunk):
+    # Shuffle and repeat the deduplicated candidates, and sweep them at
+    # another chunk size: the exhaustive and random-projection splits
+    # keep every bit.
+    data, node = case
+    strategy = SearchStrategy(
+        kind="random_projection",
+        sparsity_d=min(sparsity, data.p),
+        num_candidates=count,
+        seed=seed % 1000,
+    )
+    searches = [(search_exhaustive_oblique, sparsity), (search_random_projection, strategy)]
+    want = [outcome(search, data, node, arg) for search, arg in searches]
+    rng = np.random.default_rng(seed)
+    canonical, best_over = splitting._canonical_rows, splitting._best_over_directions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            splitting, "_canonical_rows", lambda m: shuffled_with_repeats(canonical(m), rng)
+        )
+        patch.setattr(
+            splitting, "_best_over_directions", lambda *args: best_over(*args, chunk=chunk)
+        )
+        got = [outcome(search, data, node, arg) for search, arg in searches]
+    assert got == want
+
+
+def placement(search, dataset, node, *args):
+    """Direction, threshold and counts of a search's split, or None."""
+    try:
+        split = search(dataset, node, *args)
+    except NoValidSplitError:
+        return None
+    return split.direction, split.threshold, split.left_count, split.right_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grid_nodes(max_m=14),
+    continuous=st.booleans(),
+    sparsity=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_split_is_unchanged_by_a_response_offset(case, continuous, sparsity, seed):
+    # Integer grids tie exactly; continuous nodes tie only within a
+    # dichotomy.  (Not under y -> 2^k y: DECREASE_TOL is absolute.)
+    data, node = case
+    if continuous:
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(-1.0, 1.0, size=data.features.shape), rng.standard_normal(data.n))
+    strategy = SearchStrategy(
+        kind="random_projection", sparsity_d=min(sparsity, data.p), num_candidates=20, seed=seed
+    )
+    searches = [
+        (search_axis_aligned,),
+        (search_exhaustive_oblique, sparsity),
+        (search_random_projection, strategy),
+    ]
+    want = [placement(search, data, node, *args) for search, *args in searches]
+    for offset in (1e6, 1e8, 1e9):
+        shifted = Dataset(data.features, data.response + offset)
+        assert [placement(search, shifted, node, *args) for search, *args in searches] == want
+
+
+@pytest.mark.parametrize("offset", [1e8, 1e9])
+def test_step_survives_a_large_response_offset(offset):
+    # A step at x2 = 0.37 over 400 uniform points.  Sweeping uncentred
+    # responses lost it at these offsets: the axis search moved its
+    # threshold to the edge, and random projection took (1, 0, 1)/sqrt(2).
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, size=(400, 3))
+    step = X[:, 2] > 0.37
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=50, seed=0)
+    data = Dataset(X, step + offset)
+    root = root_index_set(data)
+    for split in (search_axis_aligned(data, root), search_random_projection(data, root, strategy)):
+        assert split.direction == axis_direction(3, 2)
+        assert np.max(X[~step, 2]) < split.threshold < np.min(X[step, 2])
+        assert split.left_count == np.count_nonzero(~step)
 
 
 # _stable_order: numpy's unstable SIMD argsort plus a repair of tied
