@@ -1,7 +1,7 @@
 """Observation storage, CSV ingestion, index-set bookkeeping, and projections.
 
-A Dataset is an immutable column-major view of n observations in p
-dimensions plus a response vector.  Nodes of a tree are represented as
+A Dataset is an immutable row-major (n, p) matrix of n observations in
+p dimensions plus a response vector.  Nodes of a tree are represented as
 index sets (strictly increasing integer arrays into the dataset), so the
 data itself is never copied while a tree is grown.
 """
@@ -22,6 +22,22 @@ _COEFF_SNAP = 1e-12
 
 class CsvFormatError(ValueError):
     """Raised when a CSV file cannot be parsed into a Dataset."""
+
+
+def _named(name: str, convert, value):
+    """convert(value), with a TypeError or ValueError from a malformed
+    value re-raised as a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _check_keys(what: str, data: dict, allowed) -> None:
+    """Reject keys outside `allowed`, so a misspelt key is not ignored."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,41 @@ def subset(dataset: Dataset, rows) -> Dataset:
     return Dataset(dataset.features[idx], dataset.response[idx])
 
 
+def projections(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The k x m block of projections of X's m rows onto W's k rows.
+
+    Entry (j, i) is the sum of W[j, c] * X[i, c] over the direction's
+    support (its nonzero coefficients), added one term at a time in
+    ascending c to a total that starts at +0.0.  Every product and every
+    sum is one elementwise numpy operation, so each value depends only
+    on its own point and direction: not on the other rows or directions,
+    the batch size or the BLAS build.  This is the only place where the
+    library multiplies features by a split direction.
+
+    Few directions over many rows are summed direction by direction,
+    column by column; a Fortran-ordered X makes those columns
+    contiguous.  Many directions over few rows (k > m) are summed into
+    an m x k block over the union of the supports and transposed once:
+    a zero coefficient adds a zero, which changes no value.
+    """
+    k, m = W.shape[0], X.shape[0]
+    if k > m:
+        by_coordinate = W.T.copy()
+        block = np.zeros((m, k))
+        term = np.empty((m, k))
+        for c in np.flatnonzero(by_coordinate.any(axis=1)).tolist():
+            np.multiply(X[:, c, None], by_coordinate[c], out=term)
+            block += term
+        return block.T.copy()
+    out = np.zeros((k, m))
+    columns = X.T
+    for row, w in zip(out, W.tolist()):
+        for c, coef in enumerate(w):
+            if coef:
+                row += columns[c] * coef
+    return out
+
+
 def project(dataset: Dataset, node, direction: Direction):
     """Project the node's points onto a direction, sorted ascending.
 
@@ -153,7 +204,7 @@ def project(dataset: Dataset, node, direction: Direction):
     coeffs = direction.as_array()
     if coeffs.shape[0] != dataset.p:
         raise ValueError(f"direction has {coeffs.shape[0]} coefficients, p={dataset.p}")
-    values = dataset.features[idx] @ coeffs
+    (values,) = projections(dataset.features[idx], coeffs[None, :])
     # lexsort uses the last key as primary: sort by value, then index.
     order = np.lexsort((idx, values))
     return values[order], idx[order]

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import Dataset, root_index_set
+from .dataset import Dataset, _check_keys, _named, root_index_set
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
-    _check_keys,
-    _named,
     eval_ridge_batch,
     generate_dataset,
     l1_tv_norm,

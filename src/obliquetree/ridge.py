@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Direction, validate_index_set
+from .dataset import Dataset, Direction, _check_keys, _named, validate_index_set
 
 COMPONENT_KINDS = ("linear", "relu", "sigmoid", "sine", "cubic")
 
@@ -33,22 +33,6 @@ _DEFAULT_PARAMS = {
     "sine": {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
     "cubic": {"c3": 1.0, "c2": 0.0, "c1": 0.0, "c0": 0.0},
 }
-
-
-def _named(name: str, convert, value):
-    """convert(value), with a TypeError or ValueError from a malformed
-    value re-raised as a ValueError that names the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _check_keys(what: str, data: dict, allowed) -> None:
-    """Reject keys outside `allowed`, so a misspelt key is not ignored."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def _real_dict(value) -> dict:

@@ -31,7 +31,17 @@ import numpy as np
 
 # project is not called here; the benchmark's tracer and its tests still
 # look for it in this module's namespace.
-from .dataset import _COEFF_SNAP, Dataset, Direction, axis_direction, project, validate_index_set
+from .dataset import (
+    _COEFF_SNAP,
+    Dataset,
+    Direction,
+    _check_keys,
+    _named,
+    axis_direction,
+    project,
+    projections,
+    validate_index_set,
+)
 
 # Two decreases within this absolute tolerance are treated as tied, and
 # the tie key decides, so argmax results do not flip with platform
@@ -73,11 +83,13 @@ class Split:
     @staticmethod
     def from_dict(data: dict) -> "Split":
         return Split(
-            direction=Direction(tuple(float(c) for c in data["direction"])),
-            threshold=float(data["threshold"]),
-            decrease=float(data["decrease"]),
-            left_count=int(data["left_count"]),
-            right_count=int(data["right_count"]),
+            direction=_named(
+                "direction", lambda v: Direction(tuple(float(c) for c in v)), data["direction"]
+            ),
+            threshold=_named("threshold", float, data["threshold"]),
+            decrease=_named("decrease", float, data["decrease"]),
+            left_count=_named("left_count", int, data["left_count"]),
+            right_count=_named("right_count", int, data["right_count"]),
         )
 
 
@@ -130,9 +142,7 @@ class SearchStrategy:
     def from_dict(data: dict) -> "SearchStrategy":
         if not isinstance(data, dict):
             raise ValueError(f"strategy must be a JSON object, got {data!r}")
-        unknown = sorted(set(data) - {f.name for f in fields(SearchStrategy)})
-        if unknown:
-            raise ValueError(f"unknown strategy keys: {', '.join(unknown)}")
+        _check_keys("strategy", data, (f.name for f in fields(SearchStrategy)))
         if "kind" not in data:
             raise ValueError("strategy has no 'kind'")
         return SearchStrategy(**data)
@@ -178,7 +188,7 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
     Raises NoValidSplitError if either side would be empty.
     """
     idx = validate_index_set(node, dataset.n)
-    values = dataset.features[idx] @ direction.as_array()
+    (values,) = projections(dataset.features[idx], np.array([direction.coefficients]))
     left = values <= threshold
     n_left = int(np.count_nonzero(left))
     if n_left == 0 or n_left == idx.size:
@@ -255,20 +265,18 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
 def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> list:
     """best_threshold along each direction on one node, in one batch.
 
-    X and y hold the node's rows in increasing index order.  Each
-    projection is its own gemv, as in dataset.project, stored as one row
-    of a k x m block; _stable_order sorts each row by value, then by
-    index, as project does.  Returns a Split per direction, or None
-    where no valid split exists.  The decrease depends only on the set
+    X and y hold the node's rows in increasing index order (X may be a
+    Fortran-ordered copy).  dataset.projections gives the k x m block of
+    projections, one direction per row; _stable_order sorts each row by
+    value, then by index, as project does.  Returns a Split per
+    direction, or None where no valid split exists.  The decrease depends only on the set
     of left rows, so it is computed once per distinct left set, and the
     node's own SSE once per call.
     """
     m = X.shape[0]
     if m < 2:
         return [None] * len(directions)
-    V = np.empty((len(directions), m))
-    for j, direction in enumerate(directions):
-        np.matmul(X, direction.as_array(), out=V[j])
+    V = projections(X, np.array([d.coefficients for d in directions]))
     order, sorted_V = _stable_order(V)
     centred = y - y.mean()
     gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
@@ -466,16 +474,14 @@ def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=
     when no direction admits a valid split.
     """
     idx = validate_index_set(node, dataset.n)
-    X = dataset.features[idx]
+    X = np.asfortranarray(dataset.features[idx])
     y = dataset.response[idx]
     if idx.size < 2 or directions.shape[0] == 0:
         return None
     centred = y - y.mean()
     best_gains = np.empty(directions.shape[0])
     for lo in range(0, directions.shape[0], chunk):
-        # X @ dirs.T fixes the projection bits; its transpose is the
-        # row-layout block the sort takes.
-        order, vals = _stable_order(np.ascontiguousarray((X @ directions[lo : lo + chunk].T).T))
+        order, vals = _stable_order(projections(X, directions[lo : lo + chunk]))
         gains, _, valid = _sweep_gains(vals.T, centred[order].T, dataset.n)
         best_gains[lo : lo + chunk] = np.max(np.where(valid, gains, -np.inf), axis=0)
     top = np.max(best_gains)
@@ -586,7 +592,7 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
         starts.append(Direction.canonical(rng.standard_normal(dataset.p)))
     ends = [base]
     idx = validate_index_set(node, dataset.n)
-    X = dataset.features[idx]
+    X = np.asfortranarray(dataset.features[idx])
     y = dataset.response[idx]
 
     def evaluate(vector):

@@ -11,6 +11,8 @@ onto the split direction is <= the threshold, and to the right child
 otherwise.  `_partition` is the only place that test is written; growth,
 prediction, index-set attachment and the stump features all route
 through it, and `collapse` is the only way a subtree is materialized.
+Projections come from `dataset.projections`, so a point reaches the same
+leaf whichever rows are routed with it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, Direction, node_stats, root_index_set, validate_index_set
+from .dataset import (
+    Dataset,
+    Direction,
+    _named,
+    node_stats,
+    projections,
+    root_index_set,
+    validate_index_set,
+)
 from .splitting import (
     DECREASE_TOL,
     NoValidSplitError,
@@ -160,7 +170,8 @@ def grow(
 
 def _partition(X: np.ndarray, rows: np.ndarray, split: Split):
     """Split `rows` of X into (left, right): projection <= threshold goes left."""
-    left = X[rows] @ split.direction.as_array() <= split.threshold
+    (values,) = projections(X[rows], np.array([split.direction.coefficients]))
+    left = values <= split.threshold
     return rows[left], rows[~left]
 
 
@@ -281,9 +292,9 @@ def to_dict(tree: Tree) -> dict:
     }
 
 
-def _split_from_dict(node_id: int, data: dict, p: int) -> Split:
+def _split_from_dict(node_id: int, data, p: int) -> Split:
     """Split.from_dict, rejecting what grow cannot have written."""
-    split = Split.from_dict(data)
+    split = _named(f"node {node_id} split", Split.from_dict, data)
     if not (math.isfinite(split.threshold) and math.isfinite(split.decrease)):
         raise ValueError(f"node {node_id} has a non-finite split threshold or decrease")
     try:
@@ -296,19 +307,27 @@ def _split_from_dict(node_id: int, data: dict, p: int) -> Split:
 
 
 def from_dict(data: dict) -> Tree:
-    p = int(data["p"])
+    if not isinstance(data, dict):
+        raise ValueError(f"tree must be a JSON object, got {data!r}")
+    p = _named("p", int, data["p"])
     nodes = {}
-    for entry in data["nodes"]:
-        node_id = int(entry["node_id"])
-        mean, sse = float(entry["mean"]), float(entry["sse"])
+    for entry in _named("nodes", list, data["nodes"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"tree node must be a JSON object, got {entry!r}")
+        node_id = _named("node_id", int, entry["node_id"])
+
+        def field(key, convert):
+            return _named(f"node {node_id} {key}", convert, entry[key])
+
+        mean, sse = field("mean", float), field("sse", float)
         if not (math.isfinite(mean) and math.isfinite(sse)):
             raise ValueError(f"node {node_id} has a non-finite mean or sse")
         nodes[node_id] = TreeNode(
             node_id=node_id,
-            depth=int(entry["depth"]),
+            depth=field("depth", int),
             mean=mean,
             sse=sse,
-            count=int(entry["count"]),
+            count=field("count", int),
             split=_split_from_dict(node_id, entry["split"], p) if entry["split"] else None,
             left_child=entry["left_child"],
             right_child=entry["right_child"],
@@ -319,10 +338,10 @@ def from_dict(data: dict) -> Tree:
             raise ValueError(f"node {node.node_id} has a child id missing from the tree")
     return Tree(
         nodes=nodes,
-        root_id=int(data["root_id"]),
-        n=int(data["n"]),
+        root_id=_named("root_id", int, data["root_id"]),
+        n=_named("n", int, data["n"]),
         p=p,
-        max_depth_reached=int(data["max_depth_reached"]),
+        max_depth_reached=_named("max_depth_reached", int, data["max_depth_reached"]),
         strategy=SearchStrategy.from_dict(data["strategy"]),
     )
 

@@ -28,3 +28,22 @@ def random_dataset(seed, n, p, y_scale=1.0):
     X = rng.uniform(-1.0, 1.0, size=(n, p))
     y = y_scale * rng.standard_normal(n)
     return Dataset(X, y)
+
+
+def point_projection(x, w):
+    """x . w as a per-point Python sum over w's support (its nonzero
+    coefficients) in ascending coordinate order, starting from 0.0: the
+    reference for dataset.projections.  x and w are sequences of floats."""
+    total = 0.0
+    for coef, value in zip(w, x):
+        if coef != 0.0:
+            total += coef * value
+    return total
+
+
+def reference_projections(X, w):
+    """point_projection of every row of X onto w."""
+    w = [float(c) for c in w]
+    return np.array(
+        [point_projection(x, w) for x in np.asarray(X, dtype=float).tolist()], dtype=float
+    )

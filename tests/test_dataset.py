@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     CsvFormatError,
@@ -12,8 +14,9 @@ from obliquetree import (
     root_index_set,
     save_csv,
 )
+from obliquetree.dataset import projections
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_projections
 
 
 def test_load_csv_readback(tmp_path):
@@ -102,14 +105,14 @@ def test_project_hand_oblique():
 
 
 def test_project_matches_naive_sort():
-    # Oracle: per-point dot products sorted by (value, index).
+    # Oracle: per-point Python sums sorted by (value, index).
     data = random_dataset(11, 20, 3)
     rng = np.random.default_rng(12)
     direction = Direction.canonical(rng.standard_normal(3))
     node = np.arange(20)
     values, idx = project(data, node, direction)
     naive = sorted(
-        ((float(data.features[i] @ direction.as_array()), i) for i in node),
+        zip(reference_projections(data.features, direction.coefficients).tolist(), node),
     )
     assert np.array_equal(idx, [i for _, i in naive])
     assert np.all(np.diff(values) >= 0)
@@ -162,3 +165,54 @@ def test_direction_support_size():
     assert d.support_size == 2
     with pytest.raises(ValueError):
         Direction.canonical([0.0, 0.0])
+
+
+@st.composite
+def projection_cases(draw):
+    """(X, W): m rows and k directions with k and m on both sides of the
+    kernel's layout switch, integer-grid or continuous features of mixed
+    magnitude, and directions of mixed support size (an all-zero one
+    included at times)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        X = rng.integers(-4, 5, size=(m, p)).astype(float)
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(m, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    W = np.zeros((k, p))
+    smallest = 0 if draw(st.booleans()) else 1
+    for row in W:
+        support = rng.choice(p, size=int(rng.integers(smallest, p + 1)), replace=False)
+        row[support] = rng.standard_normal(support.size)
+    return X, W
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=projection_cases())
+def test_projections_equal_per_point_python_sums(case):
+    X, W = case
+    got = projections(X, W)
+    assert got.shape == (W.shape[0], X.shape[0])
+    for j, w in enumerate(W):
+        # Compared as floats: the sign of a zero is not pinned.
+        assert np.array_equal(got[j], reference_projections(X, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=projection_cases(), data=st.data())
+def test_projections_do_not_depend_on_the_batch(case, data):
+    X, W = case
+    full = projections(X, W)
+    rows = np.sort(data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=1, unique=True)))
+    dirs = np.sort(data.draw(st.lists(st.integers(0, W.shape[0] - 1), min_size=1, unique=True)))
+    assert projections(X[rows], W[dirs]).tobytes() == full[np.ix_(dirs, rows)].tobytes()
+    assert projections(np.asfortranarray(X), W).tobytes() == full.tobytes()
+    # One row against k >= 1 directions takes the block layout when
+    # k > 1, one direction against m >= 1 rows the column layout: both
+    # layouts give every value bit for bit.
+    for i in range(X.shape[0]):
+        assert projections(X[i : i + 1], W).tobytes() == full[:, i : i + 1].tobytes()
+    for j in range(W.shape[0]):
+        assert projections(X, W[j : j + 1]).tobytes() == full[j : j + 1].tobytes()

@@ -1,9 +1,11 @@
 """Routing and subtree materialization against reference implementations.
 
 The references below are the per-function tree walks that `tree.route`,
-`tree._partition` and `tree.collapse` replaced.  Each property checks
-that the shared kernel gives the same bytes as the walk it replaced, on
-grown trees and on trees reloaded from JSON.
+`tree._partition` and `tree.collapse` replaced, with each projection
+computed as a per-point Python sum over the direction's support in
+ascending order (conftest.point_projection).  Each property checks that
+the shared kernel gives the same bytes as the walk it replaced, on grown
+trees and on trees reloaded from JSON.
 """
 
 from dataclasses import replace
@@ -22,9 +24,12 @@ from obliquetree import (
     predict_batch,
     prune_to_depth,
 )
-from obliquetree.dataset import root_index_set
+from obliquetree.dataset import Direction, root_index_set
+from obliquetree.splitting import Split
 from obliquetree.stumps import feature_at, reconstruct_at, reconstruct_batch
-from obliquetree.tree import Tree, from_json, to_json
+from obliquetree.tree import Tree, TreeNode, from_json, to_json
+
+from conftest import point_projection, reference_projections
 
 
 def reference_predict_batch(tree, X):
@@ -36,7 +41,7 @@ def reference_predict_batch(tree, X):
         if node.is_leaf:
             out[rows] = node.mean
             continue
-        values = X[rows] @ node.split.direction.as_array()
+        values = reference_projections(X[rows], node.split.direction.as_array())
         left = values <= node.split.threshold
         if np.any(left):
             stack.append((node.left_child, rows[left]))
@@ -53,7 +58,7 @@ def reference_attach_index_sets(tree, dataset):
             assert node.index_set is not None
             continue
         idx = node.index_set
-        values = dataset.features[idx] @ node.split.direction.as_array()
+        values = reference_projections(dataset.features[idx], node.split.direction.as_array())
         left_mask = values <= node.split.threshold
         tree.nodes[node.left_child].index_set = idx[left_mask]
         tree.nodes[node.right_child].index_set = idx[~left_mask]
@@ -65,7 +70,7 @@ def reference_feature_at(tree, feature, x):
     vec = np.asarray(x, dtype=np.float64)
     node = tree.nodes[tree.root_id]
     while not node.is_leaf:
-        goes_left = float(vec @ node.split.direction.as_array()) <= node.split.threshold
+        goes_left = point_projection(vec, node.split.direction.as_array()) <= node.split.threshold
         if node.node_id == feature.owner_node_id:
             return feature.left_value if goes_left else feature.right_value
         node = tree.nodes[node.left_child if goes_left else node.right_child]
@@ -88,7 +93,7 @@ def reference_reconstruct_batch(tree, expansion, X):
         node = tree.nodes[nid]
         if node.is_leaf or rows.size == 0:
             continue
-        values = X[rows] @ node.split.direction.as_array()
+        values = reference_projections(X[rows], node.split.direction.as_array())
         left = values <= node.split.threshold
         if nid in by_owner:
             feat, coef = by_owner[nid]
@@ -125,10 +130,15 @@ def reference_prune_to_depth(tree, depth):
 @st.composite
 def grown_trees(draw):
     """(dataset, tree, generic points, threshold points) for a random
-    axis or random-projection tree.  The generic points are the training
-    rows and fresh uniform rows; the threshold points lie exactly on the
-    threshold of an axis split (and may lie on an oblique one too)."""
-    n = draw(st.integers(2, 60))
+    axis, random-projection, hill-climb or exhaustive tree.  The generic
+    points are the training rows and fresh uniform rows; the threshold
+    points lie exactly on the threshold of an axis split, and integer
+    training rows often lie on an oblique one within rounding."""
+    kind = draw(st.sampled_from(
+        ["axis_aligned", "random_projection", "hill_climb", "exhaustive_oblique"]
+    ))
+    # The exhaustive search enumerates about m**4 / 2 directions at d = 3.
+    n = draw(st.integers(2, 24 if kind == "exhaustive_oblique" else 60))
     p = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -137,15 +147,14 @@ def grown_trees(draw):
         X = rng.uniform(-1.0, 1.0, size=(n, p))
     y = 2.0 * rng.standard_normal(n)
     data = Dataset(X, y)
-    if draw(st.booleans()):
-        strategy = SearchStrategy(kind="axis_aligned")
-    else:
-        strategy = SearchStrategy(
-            kind="random_projection",
-            sparsity_d=draw(st.integers(1, p)),
-            num_candidates=draw(st.integers(0, 12)),
-            seed=draw(st.integers(0, 1000)),
-        )
+    strategy = SearchStrategy(
+        kind=kind,
+        sparsity_d=draw(st.integers(1, p)),
+        num_candidates=draw(st.integers(0, 12)),
+        restarts=draw(st.integers(1, 2)),
+        max_iterations=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 1000)),
+    )
     tree = grow(data, strategy, draw(st.integers(0, 6)), draw(st.integers(1, 3)))
     on_threshold = []
     for nid in tree.internal_ids():
@@ -167,27 +176,41 @@ def _reloaded(tree):
 @given(case=grown_trees())
 def test_predict_matches_reference_and_single_points(case):
     """predict_batch is byte-equal to the reference, and predict on one
-    row equals that row's batch prediction.
-
-    On an oblique split the projection of a point can differ in the last
-    bit between a one-row product (a dot product) and a many-row one
-    (BLAS gemv, whose result also depends on the row count once p >= 8),
-    so a point within rounding of an oblique hyperplane may route
-    differently alone than in a batch.  Single points are therefore
-    compared on every query where projections are exact (trees with only
-    axis splits) and on the generic points otherwise.
-    """
+    row equals that row's batch prediction, on every query of every
+    tree: a projection does not depend on the rows routed with it."""
     _, tree, generic, on_threshold = case
     queries = np.concatenate([generic, on_threshold])
-    axis_only = all(
-        np.count_nonzero(tree.nodes[nid].split.direction.as_array()) == 1
-        for nid in tree.internal_ids()
-    )
     for t in (tree, _reloaded(tree)):
         batch = predict_batch(t, queries)
         assert batch.tobytes() == reference_predict_batch(t, queries).tobytes()
-        for i, x in enumerate(queries if axis_only else generic):
+        for i, x in enumerate(queries):
             assert predict(t, x) == batch[i]
+
+
+def test_point_near_oblique_threshold_routes_alone_as_in_a_batch():
+    # (4, 3, 4) projects onto (1, 1, -1)/sqrt(3) within rounding of the
+    # threshold; a one-row dot product and a 1,000-row gemv used to
+    # round it to opposite sides.
+    direction = Direction.canonical([1.0, 1.0, -1.0])
+    split = Split(direction, 1.7320508075688776, 1.0, 1, 1)
+    tree = Tree(
+        nodes={
+            0: TreeNode(0, 0, 0.5, 1.0, 2, split=split, left_child=1, right_child=2),
+            1: TreeNode(1, 1, 0.0, 0.0, 1),
+            2: TreeNode(2, 1, 1.0, 0.0, 1),
+        },
+        root_id=0,
+        n=2,
+        p=3,
+        max_depth_reached=1,
+        strategy=SearchStrategy(kind="random_projection", sparsity_d=3),
+    )
+    point = np.array([4.0, 3.0, 4.0])
+    X = np.random.default_rng(0).uniform(0.0, 5.0, size=(1000, 3))
+    X[500] = point
+    assert predict(tree, point) == predict_batch(tree, X)[500]
+    goes_left = point_projection(point, direction.coefficients) <= split.threshold
+    assert predict(tree, point) == (0.0 if goes_left else 1.0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -22,7 +22,6 @@ from obliquetree import (
     sse_decrease,
 )
 from obliquetree import splitting
-from obliquetree.dataset import project
 from obliquetree.splitting import (
     DECREASE_TOL,
     Split,
@@ -37,13 +36,13 @@ from obliquetree.splitting import (
     _winner,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_projections
 
 
 def naive_decrease(dataset, node, direction, threshold):
     """Independent evaluation of the split gain from its definition."""
     idx = np.asarray(node)
-    values = dataset.features[idx] @ direction.as_array()
+    values = reference_projections(dataset.features[idx], direction.coefficients)
     y = dataset.response[idx]
     left = y[values <= threshold]
     right = y[values > threshold]
@@ -57,7 +56,7 @@ def brute_best_threshold(dataset, node, direction):
     """Oracle: evaluate naive_decrease at every midpoint of consecutive
     distinct sorted projections, smallest threshold wins ties."""
     idx = np.asarray(node)
-    values = np.sort(dataset.features[idx] @ direction.as_array())
+    values = np.sort(reference_projections(dataset.features[idx], direction.coefficients))
     best = None
     for a, b in zip(values[:-1], values[1:]):
         if a == b:
@@ -100,7 +99,7 @@ def test_sse_decrease_identity_and_range():
         root = root_index_set(data)
         rng = np.random.default_rng(100 + seed)
         direction = Direction.canonical(rng.standard_normal(2))
-        values = data.features @ direction.as_array()
+        values = reference_projections(data.features, direction.coefficients)
         threshold = float(np.median(values)) + 1e-9
         got = sse_decrease(data, root, direction, threshold)
         # Between-groups form of the same quantity.
@@ -335,9 +334,10 @@ def test_strategy_validation():
 
 # References: the per-candidate near-tie re-solve and the np.unique-based
 # dedup that the batched re-solve in _best_over_directions replaced, with
-# every sweep on the node's centred responses and every winner picked by
-# the set rule.  The properties below check that the batch gives the
-# same Split bytes.
+# every sweep on the node's centred responses, every winner picked by
+# the set rule and every projection a per-point Python sum
+# (conftest.point_projection).  The properties below check that the
+# batch gives the same Split bytes.
 
 
 def reference_sweep_gains(values, y, n_full):
@@ -374,7 +374,10 @@ def reference_winner(splits):
 
 
 def reference_best_threshold(dataset, node, direction):
-    values, idx = project(dataset, node, direction)
+    idx = np.asarray(node)
+    values = reference_projections(dataset.features[idx], direction.coefficients)
+    order = np.lexsort((idx, values))
+    values, idx = values[order], idx[order]
     if values.shape[0] < 2 or values[0] == values[-1]:
         raise NoValidSplitError("no valid split: projections not separable")
     y = dataset.response[idx] - node_mean(dataset, node)
@@ -388,7 +391,7 @@ def reference_best_threshold(dataset, node, direction):
     return Split(
         direction=direction,
         threshold=threshold,
-        decrease=sse_decrease(dataset, node, direction, threshold),
+        decrease=naive_decrease(dataset, node, direction, threshold),
         left_count=boundary + 1,
         right_count=values.shape[0] - boundary - 1,
     )
@@ -418,12 +421,12 @@ def reference_canonical_rows(matrix):
 
 def reference_near_ties(dataset, node, directions, chunk=4096):
     """Rows whose best bulk gain is within DECREASE_TOL of the best gain
-    of any row.  Chunks only fix the projection bits, as X @ dirs.T."""
+    of any row, swept chunk by chunk."""
     X = dataset.features[np.asarray(node)]
     y = dataset.response[np.asarray(node)] - node_mean(dataset, node)
     best = []
     for lo in range(0, directions.shape[0], chunk):
-        proj = X @ directions[lo : lo + chunk].T
+        proj = np.array([reference_projections(X, w) for w in directions[lo : lo + chunk]]).T
         order = np.argsort(proj, axis=0, kind="stable")
         vals = np.take_along_axis(proj, order, axis=0)
         gains, _, valid = reference_sweep_gains(vals, y[order], dataset.n)
