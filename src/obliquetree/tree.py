@@ -334,7 +334,8 @@ def from_dict(data: dict) -> Tree:
         )
     for node in nodes.values():
         children = (node.left_child, node.right_child)
-        if not node.is_leaf and not all(isinstance(c, int) and c in nodes for c in children):
+        # type(c) is int: a JSON true is an int to isinstance and equals node 1.
+        if not node.is_leaf and not all(type(c) is int and c in nodes for c in children):
             raise ValueError(f"node {node.node_id} has a child id missing from the tree")
     return Tree(
         nodes=nodes,

@@ -182,6 +182,7 @@ def set_root(key, **fields):
         pytest.param(set_root("split", direction=[1.0]), "node 0", id="short_direction"),
         pytest.param(set_root("split", direction=[-3.0, 0.0]), "node 0", id="non_canonical_direction"),
         pytest.param(set_root(None, left_child=99), "node 0", id="dangling_child"),
+        pytest.param(set_root(None, left_child=True), "node 0", id="boolean_child"),
         pytest.param(set_root(None, depth=[1]), "node 0 depth", id="list_depth"),
         pytest.param(lambda tree: tree.update(p=None), "p: ", id="null_p"),
         pytest.param(lambda tree: tree.update(nodes=None), "nodes", id="null_nodes"),
