@@ -113,16 +113,18 @@ class Direction:
         if peak == 0.0:
             raise ValueError("direction must be nonzero")
         arr[np.abs(arr) <= _COEFF_SNAP * peak] = 0.0
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if not 0.0 < norm < np.inf:  # the squares underflow or overflow
+            arr = arr / peak
+            norm = float(np.linalg.norm(arr))
         # Skip the division when already unit-norm so canonicalization is
         # an exact fixpoint (idempotent to the bit).
         if abs(norm - 1.0) > 1e-12:
             arr = arr / norm
         first = arr[np.nonzero(arr)[0][0]]
         if first < 0.0:
-            arr = -arr
+            arr = -arr + 0.0  # -0.0 + 0.0 is +0.0
         return Direction(tuple(float(c) for c in arr))
 
 

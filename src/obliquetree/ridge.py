@@ -268,8 +268,8 @@ def generate_dataset(
     """Sample x uniformly on a box and y from the model plus Gaussian noise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not (math.isfinite(noise_std) and noise_std >= 0):  # NaN fails every comparison
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     box = parse_domain_box(domain_box)
     if len(box) != model.p:
         raise ValueError(f"domain box must have {model.p} sides")

@@ -7,9 +7,11 @@ it buys, normalized by the full sample size n:
              = (n_L * n_R / n(node)) * (mean_L - mean_R)^2 / n
 
 Four search strategies are provided: axis-aligned scan, exhaustive
-oblique enumeration (exact on small nodes), coordinate-wise hill
-climbing, and sparse random projections.  All are pure functions of
-(dataset, node, strategy) and deterministic given the strategy seed.
+oblique enumeration (exact on small nodes), OC1 hill climbing, and
+sparse random projections.  All are pure functions of (dataset, node,
+strategy) and deterministic given the strategy seed.  sparsity_d caps
+the support of every split they return, so at sparsity_d=1 each one
+searches only the axes and reaches the axis scan's decrease.
 
 Each search returns a function of its candidate set, not of the order
 in which candidates are generated, swept or deduplicated.  Among the
@@ -25,7 +27,7 @@ the response cannot cancel the gains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,11 +52,7 @@ DECREASE_TOL = 1e-12
 
 STRATEGY_KINDS = ("axis_aligned", "hill_climb", "random_projection", "exhaustive_oblique")
 
-_GOLDEN_BRACKET = 2.5
-_GOLDEN_ITERS = 32
-
 _SIGNS = np.array([-1.0, 1.0])
-
 
 
 class NoValidSplitError(ValueError):
@@ -97,7 +95,8 @@ class Split:
 class SearchStrategy:
     """Configuration of one candidate-direction strategy.
 
-    sparsity_d caps the number of nonzero direction coefficients,
+    sparsity_d caps the number of nonzero direction coefficients for
+    every kind (sparsity_d=1 reduces each one to the axis scan),
     num_candidates is the random-projection draw count, restarts and
     max_iterations budget the hill climb, and node_cap bounds the node
     size the exhaustive search will accept.
@@ -128,15 +127,7 @@ class SearchStrategy:
             raise ValueError("max_iterations must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sparsity_d": self.sparsity_d,
-            "num_candidates": self.num_candidates,
-            "restarts": self.restarts,
-            "max_iterations": self.max_iterations,
-            "seed": self.seed,
-            "node_cap": self.node_cap,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "SearchStrategy":
@@ -238,6 +229,14 @@ def _stable_order(V: np.ndarray):
     return order, s
 
 
+def _gains(sum_left, n_left, total, m: int, n_full: int):
+    """SSE decrease / n_full of left sets of n_left rows whose centred
+    responses sum to sum_left, on a node of m rows summing to total."""
+    return (
+        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
+    ) / n_full
+
+
 def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
     """Prefix-sum sweep over sorted projections, one direction per column.
 
@@ -251,12 +250,8 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
     """
     m = values.shape[0]
     csum = np.cumsum(y, axis=0)
-    total = csum[-1]
     n_left = np.arange(1, m, dtype=np.float64)[:, None]
-    sum_left = csum[:-1]
-    gains = (
-        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
-    ) / n_full
+    gains = _gains(csum[:-1], n_left, csum[-1], m, n_full)
     thresholds = 0.5 * (values[:-1] + values[1:])
     valid = (values[:-1] < thresholds) & (thresholds < values[1:])
     return gains, thresholds, valid
@@ -549,83 +544,86 @@ def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -
     return _winner([best, _best_over_directions(dataset, node, directions)])
 
 
-def _golden_probe(objective, lo: float, hi: float, iters: int):
-    """Golden-section maximization that remembers the best probed point."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
+def _coefficient_move(X: np.ndarray, centred: np.ndarray, w: np.ndarray, j: int,
+                      threshold: float, n_full: int):
+    """OC1's exact move of coefficient j (Murthy, Kasif & Salzberg, 1994).
+
+    w has w[j] = 0.  With w and the threshold held, row i goes left while
+    w . x_i + c x_ij <= threshold, so it changes side at U_i = (threshold
+    - w . x_i) / x_ij: leaving the left child as c rises if x_ij > 0,
+    joining it if x_ij < 0.  One sort of U and one prefix sweep of signed
+    increments score each c at a midpoint of consecutive distinct U, and
+    past either end by half the spread of U (or |U|, or 1, if all U are
+    equal).  centred is the node's responses minus their mean.  Returns
+    (c, gain) for the smallest c within DECREASE_TOL of the best gain, or
+    None if no c leaves both sides non-empty.
+    """
+    (rest,) = projections(X, w[None, :])
+    x = X[:, j]
+    moving = x != 0.0
+    if not moving.any():
+        return None
+    (order,), (U,) = _stable_order(((threshold - rest[moving]) / x[moving])[None, :])
+    pad = (U[-1] - U[0]) or abs(U[0]) or 1.0
+    ends = np.concatenate(([U[0] - pad], U, [U[-1] + pad]))
+    step = np.where(x[moving] > 0.0, -1.0, 1.0)[order]
+    left = np.where(moving, x > 0.0, rest <= threshold)  # c below every U_i
+    sum_left = np.cumsum(np.concatenate(([centred[left].sum()], step * centred[moving][order])))
+    n_left = np.cumsum(np.concatenate(([float(np.count_nonzero(left))], step)))
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    valid = (ends[:-1] < mids) & (mids < ends[1:]) & (n_left > 0.0) & (n_left < x.size)
+    if not valid.any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = _gains(sum_left, n_left, centred.sum(), x.size, n_full)
+    gains = np.where(valid, gains, -np.inf)
+    best = int(np.argmax(gains >= np.max(gains) - DECREASE_TOL))
+    return float(mids[best]), float(gains[best])
 
 
 def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
-    """Coordinate-wise hill climb from the axis-aligned optimum.
+    """OC1 coordinate climb from the axis-aligned optimum.
 
-    Starts at the best axis split plus (restarts - 1) random unit
-    directions; each pass runs a golden-section line search over every
-    coefficient with the threshold re-solved per candidate, until a full
-    pass yields no improvement or max_iterations passes elapse.  Returns
-    the _winner of the axis split and every climb's end point.  With a
-    zero iteration budget the axis-aligned result is returned unchanged.
+    Climbs from the best axis split and from restarts - 1 draws of
+    _random_sparse_directions.  A pass moves each coefficient in turn
+    (_coefficient_move), re-solves the threshold with _best_thresholds
+    and keeps a move that raises the decrease by more than DECREASE_TOL.
+    Once the support holds min(sparsity_d, p) coordinates, an outside
+    one enters only in place of the inside one of smallest magnitude.  A
+    climb stops after a pass without a move or max_iterations passes.
+    Returns the _winner of the axis split and every climb's end; with no
+    iteration budget, the axis split.
     """
     base = search_axis_aligned(dataset, node)
     if strategy.max_iterations == 0:
         return base
+    d = min(strategy.sparsity_d, dataset.p)
     rng = np.random.default_rng(strategy.seed)
-    starts = [base.direction]
-    for _ in range(strategy.restarts - 1):
-        starts.append(Direction.canonical(rng.standard_normal(dataset.p)))
-    ends = [base]
+    rows = _random_sparse_directions(rng, dataset.p, d, strategy.restarts - 1)
     idx = validate_index_set(node, dataset.n)
     X = np.asfortranarray(dataset.features[idx])
     y = dataset.response[idx]
-
-    def evaluate(vector):
-        try:
-            direction = Direction.canonical(vector)
-        except ValueError:
-            return None
-        (split,) = _best_thresholds(X, y, [direction], dataset.n)
-        return split
-
-    for start in starts:
-        current = evaluate(start.as_array())
+    centred = y - y.mean()
+    ends = [base]
+    for start in [base.direction] + [Direction.canonical(row) for row in rows]:
+        (current,) = _best_thresholds(X, y, [start], dataset.n)
         if current is None:
             continue
-        vec = start.as_array().copy()
         for _ in range(strategy.max_iterations):
-            improved = False
+            before = current
             for j in range(dataset.p):
-                def coeff_objective(c, _j=j):
-                    trial = vec.copy()
-                    trial[_j] = c
-                    split = evaluate(trial)
-                    return split.decrease if split is not None else -np.inf
-
-                c_best, f_best = _golden_probe(
-                    coeff_objective, -_GOLDEN_BRACKET, _GOLDEN_BRACKET, _GOLDEN_ITERS
-                )
-                if f_best > current.decrease + DECREASE_TOL:
-                    vec[j] = c_best
-                    vec = Direction.canonical(vec).as_array()
-                    current = evaluate(vec)
-                    improved = True
-            if not improved:
+                w = current.direction.as_array().copy()
+                if w[j] == 0.0 and current.direction.support_size >= d:
+                    w[np.argmin(np.where(w == 0.0, np.inf, np.abs(w)))] = 0.0
+                w[j] = 0.0
+                move = _coefficient_move(X, centred, w, j, current.threshold, dataset.n)
+                if move is None or move[1] <= current.decrease + DECREASE_TOL:
+                    continue
+                w[j] = move[0]
+                (split,) = _best_thresholds(X, y, [Direction.canonical(w)], dataset.n)
+                if split is not None and split.decrease > current.decrease + DECREASE_TOL:
+                    current = split
+            if current is before:
                 break
         ends.append(current)
     return _winner(ends)

@@ -332,14 +332,32 @@ def from_dict(data: dict) -> Tree:
             left_child=entry["left_child"],
             right_child=entry["right_child"],
         )
-    for node in nodes.values():
-        children = (node.left_child, node.right_child)
+    root_id = _named("root_id", int, data["root_id"])
+    if root_id not in nodes:
+        raise ValueError(f"root_id {root_id} names no node")
+    # Walk from the root: every node must be reached exactly once, one
+    # level below its parent, or prune and stumps would loop or count
+    # an orphan's error.
+    reached, seen = [root_id], {root_id}
+    for nid in reached:
+        node = nodes[nid]
+        children = () if node.is_leaf else (node.left_child, node.right_child)
         # type(c) is int: a JSON true is an int to isinstance and equals node 1.
-        if not node.is_leaf and not all(type(c) is int and c in nodes for c in children):
-            raise ValueError(f"node {node.node_id} has a child id missing from the tree")
+        if not all(type(c) is int and c in nodes for c in children):
+            raise ValueError(f"node {nid} has a child id missing from the tree")
+        for child in children:
+            if child in seen:
+                raise ValueError(f"node {child} is reached twice from the root")
+            if nodes[child].depth != node.depth + 1:
+                raise ValueError(f"node {child} has depth {nodes[child].depth}, not {node.depth + 1}")
+            reached.append(child)
+            seen.add(child)
+    if len(seen) != len(nodes):
+        orphan = min(set(nodes) - seen)
+        raise ValueError(f"node {orphan} is not reached from the root")
     return Tree(
         nodes=nodes,
-        root_id=_named("root_id", int, data["root_id"]),
+        root_id=root_id,
         n=_named("n", int, data["n"]),
         p=p,
         max_depth_reached=_named("max_depth_reached", int, data["max_depth_reached"]),

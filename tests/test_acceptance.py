@@ -63,7 +63,7 @@ def _strategy_for(i, n, p):
         )
     if i % 4 == 2 and n <= 40 and p <= 3:
         return SearchStrategy(kind="exhaustive_oblique", sparsity_d=min(2, p), node_cap=64)
-    return SearchStrategy(kind="hill_climb", restarts=2, max_iterations=1, seed=i)
+    return SearchStrategy(kind="hill_climb", sparsity_d=min(2, p), restarts=2, max_iterations=1, seed=i)
 
 
 def corpus():

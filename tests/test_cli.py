@@ -157,6 +157,13 @@ def test_exit_codes_input_errors(tmp_path):
     bad.write_text("x,y\n1,oops\n")
     assert main(["train", str(bad)]) == 1
     assert main(["nonsense"]) == 1
+    # NaN passed both `< 0` and `> 0` as false and wrote noiseless data.
+    spec = write_json(tmp_path, MODEL_SPEC)
+    for noise in ("nan", "inf", "-1"):
+        argv = ["generate", spec, "--n", "5", "--noise", noise, "--box", "[[0, 1], [0, 1]]",
+                "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 1
+    assert not (tmp_path / "g.csv").exists()
 
 
 D2_CSV = "x1,x2,y\n1,0,0\n2,1,0\n3,0,1\n4,1,1\n"
@@ -188,6 +195,11 @@ def set_root(key, **fields):
         pytest.param(lambda tree: tree.update(nodes=None), "nodes", id="null_nodes"),
         pytest.param(set_root("split", direction=5), "direction", id="number_direction"),
         pytest.param(set_root(None, split=[1]), "node 0 split", id="list_split"),
+        pytest.param(set_root("split", direction=[1e200, 1e200]), "node 0", id="overflowing_direction"),
+        pytest.param(set_root(None, left_child=0), "node 0", id="root_is_its_own_child"),
+        pytest.param(lambda tree: tree["nodes"].append(dict(tree["nodes"][1], node_id=3)), "node 3", id="orphan_leaf"),
+        pytest.param(lambda tree: tree.update(root_id=7), "root_id 7", id="missing_root"),
+        pytest.param(lambda tree: tree["nodes"][2].update(depth=2), "node 2", id="child_depth"),
     ],
 )
 def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt, message):

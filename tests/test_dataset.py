@@ -167,6 +167,17 @@ def test_direction_support_size():
         Direction.canonical([0.0, 0.0])
 
 
+def test_direction_canonical_at_extreme_scales_and_signed_zeros():
+    # Squares that overflow or underflow still give the unit vector, and a
+    # sign flip writes no -0.0 (tree JSON would print it).
+    unit = Direction.canonical([1.0, -1.0])
+    for scale in (1e200, 1e-200, 1e-310):
+        assert Direction.canonical([scale, -scale]) == unit
+    d = Direction.canonical([0.0, -2.0, 0.0])
+    assert d.coefficients == (0.0, 1.0, 0.0)
+    assert not any(np.signbit(d.coefficients))
+
+
 @st.composite
 def projection_cases(draw):
     """(X, W): m rows and k directions with k and m on both sides of the

@@ -29,6 +29,7 @@ from obliquetree.splitting import (
     _best_thresholds,
     _candidate_directions,
     _canonical_directions,
+    _coefficient_move,
     _canonical_rows,
     _random_sparse_directions,
     _stable_order,
@@ -265,6 +266,22 @@ def test_hill_climb_zero_iterations_is_axis(d2):
     root = root_index_set(d2)
     strategy = SearchStrategy(kind="hill_climb", restarts=3, max_iterations=0, seed=1)
     assert search_hill_climb(d2, root, strategy) == search_axis_aligned(d2, root)
+
+
+def test_hill_climb_reaches_the_oblique_split_at_sparsity_2(d2):
+    # From the first axis alone (restarts=1), moving the second
+    # coefficient past every crossing point gives (1, 1)/sqrt(2); at
+    # sparsity 1 the climb stays on the axes.
+    root = root_index_set(d2)
+    for restarts in (1, 3):
+        strategy = SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=restarts, max_iterations=3)
+        split = search_hill_climb(d2, root, strategy)
+        assert split.decrease == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert split.direction.support_size == 2
+    strategy = SearchStrategy(kind="hill_climb", restarts=3, max_iterations=3)
+    split = search_hill_climb(d2, root, strategy)
+    assert split.direction.support_size == 1
+    assert split.decrease == pytest.approx(0.25, rel=1e-12)
 
 
 def test_random_projection_zero_candidates_is_axis(d2):
@@ -879,6 +896,114 @@ def test_step_survives_a_large_response_offset(offset):
         assert split.left_count == np.count_nonzero(~step)
 
 
+# The OC1 hill climb: the exact coefficient move against a scan of its
+# candidate values, and what SearchStrategy promises of every split.
+
+
+def brute_coefficient_move(X, y, w, j, threshold, n_full):
+    """[(c, decrease)] for every candidate value c of coefficient j, from
+    the definitions: the midpoints of the sorted crossing points U_i =
+    (threshold - w . x_i) / x_ij, and one point past either end, half the
+    spread of U beyond it (or |U|, or 1, if all U are equal).  A row is
+    left if x_ij > 0 and c < U_i, if x_ij < 0 and c > U_i, or if x_ij = 0
+    and w . x_i <= threshold.  Values that empty a side are left out."""
+    rest = reference_projections(X, w)
+    x = X[:, j]
+    U = sorted((threshold - r) / xi for r, xi in zip(rest, x) if xi != 0.0)
+    if not U:
+        return []
+    pad = (U[-1] - U[0]) or abs(U[0]) or 1.0
+    points = [U[0] - pad, *U, U[-1] + pad]
+    sse = lambda v: float(np.sum((v - v.mean()) ** 2))
+    out = []
+    for a, b in zip(points[:-1], points[1:]):
+        c = 0.5 * (a + b)
+        if not a < c < b:
+            continue
+        left = np.array(
+            [(c < (threshold - r) / xi) == (xi > 0) if xi != 0.0 else r <= threshold
+             for r, xi in zip(rest, x)]
+        )
+        if 0 < np.count_nonzero(left) < left.size:
+            out.append((c, (sse(y) - sse(y[left]) - sse(y[~left])) / n_full))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grid_nodes(max_m=20, max_p=4), continuous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_coefficient_move_matches_a_scan_of_its_candidates(case, continuous, seed):
+    data, node = case
+    rng = np.random.default_rng(seed)
+    X, y = data.features[node], data.response[node]
+    if continuous:
+        X, y = rng.uniform(-1.0, 1.0, size=X.shape), rng.standard_normal(y.size)
+    j = int(rng.integers(data.p))
+    w = rng.standard_normal(data.p) * (rng.random(data.p) < 0.7)
+    w[j] = 0.0
+    threshold = float(rng.choice(reference_projections(X, w))) + float(rng.choice([0.0, 0.5, -0.5]))
+    got = _coefficient_move(np.asfortranarray(X), y - y.mean(), w, j, threshold, data.n)
+    scan = brute_coefficient_move(X, y, w, j, threshold, data.n)
+    if not scan:
+        assert got is None
+        return
+    best = max(gain for _, gain in scan)
+    c, gain = got
+    assert gain == pytest.approx(best, rel=1e-9, abs=1e-15)
+    assert c == min(value for value, g in scan if g >= best - DECREASE_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grid_nodes(max_m=30, max_p=5),
+    continuous=st.booleans(),
+    sparsity=st.integers(1, 5),
+    restarts=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_hill_climb_keeps_the_support_cap_and_the_axis_decrease(
+    case, continuous, sparsity, restarts, seed
+):
+    data, node = case
+    if continuous:
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(-1.0, 1.0, size=data.features.shape), rng.standard_normal(data.n))
+    strategy = SearchStrategy(
+        kind="hill_climb", sparsity_d=sparsity, restarts=restarts, max_iterations=4, seed=seed
+    )
+    try:
+        axis = search_axis_aligned(data, node)
+    except NoValidSplitError:
+        with pytest.raises(NoValidSplitError):
+            search_hill_climb(data, node, strategy)
+        return
+    split = search_hill_climb(data, node, strategy)
+    assert split.direction.support_size <= min(sparsity, data.p)
+    assert split.decrease >= axis.decrease - DECREASE_TOL
+    assert abs(split.decrease - sse_decrease(data, node, split.direction, split.threshold)) <= 1e-12
+    assert split_bytes(search_hill_climb(data, node, strategy)) == split_bytes(split)
+
+
+def test_hill_climb_swaps_out_the_smallest_coefficient(monkeypatch):
+    # y steps on x0 + 0.3 x1: the first pass from e_0 moves x1 in, which
+    # fills the sparsity-2 support, so x2 may enter only in place of x1.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(200, 3))
+    data = Dataset(X, (X[:, 0] + 0.3 * X[:, 1] > 0.0).astype(float))
+    calls = []
+    real = splitting._coefficient_move
+
+    def spy(X, centred, w, j, *rest):
+        calls.append((j, w.copy()))
+        return real(X, centred, w, j, *rest)
+
+    monkeypatch.setattr(splitting, "_coefficient_move", spy)
+    strategy = SearchStrategy(kind="hill_climb", sparsity_d=2, max_iterations=1)
+    split = search_hill_climb(data, root_index_set(data), strategy)
+    assert split.direction.support_size == 2
+    w = next(w for j, w in calls if j == 2)
+    assert w[0] != 0.0 and w[1] == 0.0 and w[2] == 0.0
+
+
 # _stable_order: numpy's unstable SIMD argsort plus a repair of tied
 # runs must give exactly the stable argsort, values bit for bit.
 
@@ -957,6 +1082,9 @@ def test_splitting_sorts_only_through_stable_order():
         search_axis_aligned(data, root)
         search_exhaustive_oblique(data, root[:20], 2)
         search_hill_climb(data, root, SearchStrategy(kind="hill_climb", max_iterations=1))
+        search_hill_climb(
+            data, root, SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=2, max_iterations=2)
+        )
         search_random_projection(
             data, root, SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=10)
         )
