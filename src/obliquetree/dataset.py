@@ -159,7 +159,7 @@ def subset(dataset: Dataset, rows) -> Dataset:
     return Dataset(dataset.features[idx], dataset.response[idx])
 
 
-def projections(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+def projections(X: np.ndarray, W: np.ndarray, rows=None) -> np.ndarray:
     """The k x m block of projections of X's m rows onto W's k rows.
 
     Entry (j, i) is the sum of W[j, c] * X[i, c] over the direction's
@@ -170,27 +170,34 @@ def projections(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     the batch size or the BLAS build.  This is the only place where the
     library multiplies features by a split direction.
 
+    With an index array `rows`, the m = len(rows) points X[rows] are
+    projected, but only the support columns X[rows, c] are gathered, not
+    every column of every row; the values are those of
+    projections(X[rows], W), bit for bit.
+
     Few directions over many rows are summed direction by direction,
     column by column; a Fortran-ordered X makes those columns
     contiguous.  Many directions over few rows (k > m) are summed into
     an m x k block over the union of the supports and transposed once:
     a zero coefficient adds a zero, which changes no value.
     """
-    k, m = W.shape[0], X.shape[0]
+    def column(c):
+        return X[:, c] if rows is None else X[rows, c]
+
+    k, m = W.shape[0], X.shape[0] if rows is None else len(rows)
     if k > m:
         by_coordinate = W.T.copy()
         block = np.zeros((m, k))
         term = np.empty((m, k))
         for c in np.flatnonzero(by_coordinate.any(axis=1)).tolist():
-            np.multiply(X[:, c, None], by_coordinate[c], out=term)
+            np.multiply(column(c)[:, None], by_coordinate[c], out=term)
             block += term
         return block.T.copy()
     out = np.zeros((k, m))
-    columns = X.T
     for row, w in zip(out, W.tolist()):
         for c, coef in enumerate(w):
             if coef:
-                row += columns[c] * coef
+                row += column(c) * coef
     return out
 
 
@@ -206,7 +213,7 @@ def project(dataset: Dataset, node, direction: Direction):
     coeffs = direction.as_array()
     if coeffs.shape[0] != dataset.p:
         raise ValueError(f"direction has {coeffs.shape[0]} coefficients, p={dataset.p}")
-    (values,) = projections(dataset.features[idx], coeffs[None, :])
+    (values,) = projections(dataset.features, coeffs[None, :], idx)
     # lexsort uses the last key as primary: sort by value, then index.
     order = np.lexsort((idx, values))
     return values[order], idx[order]

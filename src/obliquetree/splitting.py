@@ -22,6 +22,67 @@ smaller threshold.  search_axis_aligned applies the same set rule with
 the lowest coordinate index as its key.  Every threshold sweep runs on
 the node's responses centred on the node mean, so a constant offset in
 the response cannot cancel the gains.
+
+Decreases are exact; sweep gains only screen.  A threshold sweep scores
+every boundary of a direction with prefix sums (_sweep_gains), and each
+direction's split sits at the first boundary within DECREASE_TOL of its
+largest sweep gain, top_j.  The decrease a split carries is always the
+exact one, (_sse(node) - _sse(left) - _sse(right)) / n by the two-pass
+formula on the raw responses (_split_decrease), and the winner rule
+reads only those.  It is computed only for the contenders: the
+directions with
+
+    top_j >= G - 2 DECREASE_TOL - 2 B,      G = max_j top_j,
+
+where B bounds |sweep gain - exact decrease| for every dichotomy of the
+node (below).  Every near-best split passes: the direction attaining G
+has a split with sweep gain >= G - DECREASE_TOL, so the largest exact
+decrease E is >= G - DECREASE_TOL - B, and a split with exact decrease
+>= E - DECREASE_TOL has top_j >= its sweep gain >= E - DECREASE_TOL - B
+>= G - 2 DECREASE_TOL - 2 B.  The second DECREASE_TOL is the cost of
+taking the first boundary within DECREASE_TOL of top_j rather than the
+largest.  So the near-best set, and the winner, are those of re-solving
+every direction exactly.  Every search picks the directions it solves
+exactly through this one screen (_contenders): the axis scan, the bulk
+sweep of random projection and of the exhaustive oracle, each hill-climb
+re-solve and best_threshold.
+
+The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
+for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
+z = fl(y - c) the centred responses, A = sum |z| and R = max |z| (the
+node's sum and largest size of |y - mean|, as computed).  Write w = y - c
+exactly; A' = sum |w| and R' = max |w| exceed A and R by at most 2 %.
+
+1. For any constant c, n * decrease = S_L^2 / n_L + S_R^2 / n_R - S^2 / m,
+   where S_L, S_R and S = S_L + S_R sum w over the left side, the right
+   side and the node.  The sweep evaluates this on z.
+2. Sweep.  np.cumsum adds in sequence, so each prefix sum of z, the
+   total included, is within eta = gamma_m A' of the exact sum of w
+   (centring costs u |w_i| per row); the right sum, total minus left,
+   is within 3 eta.  A side's |S_k| <= n_k R', so its term S_k^2 / n_k
+   moves by at most 2 R' Delta + Delta^2: 10 R' eta + 11 eta^2 for the
+   three terms.  By Cauchy-Schwarz each term is <= sum_k w^2 <= R' A'
+   (S^2 / m too), and the formula's five roundings cost gamma_5 of
+   their sum.  So n |gain - decrease| <= 11 (m + 2) u R A + 13 (m u A)^2.
+3. Exact decrease.  With e_S = gamma_k M bounding the error of a side's
+   computed mean (k rows, raw responses), the two-pass _sse of the
+   node is within gamma_(m+2) sum w^2 + m e^2 of SSE(node), and those
+   of the two sides within gamma_(m+2) (sum w^2 + m e^2) + m e^2 of
+   SSE(left) + SSE(right), as a side's SSE is <= sum over it of w^2.
+   The two subtractions and the division add 3.1 u sum w^2.  So n |exact
+   - decrease| <= 2.2 (m + 4) u R A + 2.2 m (m u M)^2.
+
+Adding 2 and 3 and doubling, which also covers the rounding of B and of
+the screen's own comparisons,
+
+    B = 2 (14 (m + 4) u R A + 13 (m u A)^2 + 3 m (m u M)^2) / n.
+
+R <= 2 M, but R keeps B small when the responses carry a large common
+offset: at m = 1000, offset 1e9 and unit spread, B is about 7e-8, which
+the third term sets.  With no offset and unit spread, B is about 1e-11
+at m = 1000 and 2e-10 at the root of 20,000 rows, far below the gaps
+between the gains of distinct dichotomies, so one direction is usually
+the only contender.
 """
 
 from __future__ import annotations
@@ -51,6 +112,17 @@ from .dataset import (
 DECREASE_TOL = 1e-12
 
 STRATEGY_KINDS = ("axis_aligned", "hill_climb", "random_projection", "exhaustive_oblique")
+
+# The unit roundoff of float64, u in the module docstring's bound B.
+_UNIT_ROUNDOFF = 2.0**-53
+
+# A block of the bulk sweep holds at most _BLOCK_ELEMENTS projections
+# (directions x node rows, 1 MB per float64 array) and _BLOCK_DIRECTIONS
+# directions: 6 directions at a node of 20,000 rows, where a block that
+# stays in cache sorts and sweeps faster, and 4,096 at the exhaustive
+# oracle's nodes of 32 rows or fewer, where larger blocks were slower.
+_BLOCK_ELEMENTS = 2**17
+_BLOCK_DIRECTIONS = 4096
 
 _SIGNS = np.array([-1.0, 1.0])
 
@@ -179,7 +251,7 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
     Raises NoValidSplitError if either side would be empty.
     """
     idx = validate_index_set(node, dataset.n)
-    (values,) = projections(dataset.features[idx], np.array([direction.coefficients]))
+    (values,) = projections(dataset.features, np.array([direction.coefficients]), idx)
     left = values <= threshold
     n_left = int(np.count_nonzero(left))
     if n_left == 0 or n_left == idx.size:
@@ -257,36 +329,54 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
     return gains, thresholds, valid
 
 
+def _contenders(top: np.ndarray, y: np.ndarray, centred: np.ndarray, n_full: int) -> np.ndarray:
+    """Indices of the directions whose best sweep gain top_j passes the
+    screen of the module docstring, top_j >= max(top) - 2 DECREASE_TOL -
+    2 B, on the node whose responses are y (centred = y minus their
+    computed mean).  A direction without a valid split (top_j = -inf)
+    never passes."""
+    m = y.size
+    mu = m * _UNIT_ROUNDOFF
+    spread = np.abs(centred)
+    a = float(np.sum(spread))
+    r = float(np.max(spread))
+    big = float(np.max(np.abs(y)))  # M
+    sweep_and_sse = 14.0 * (m + 4) * _UNIT_ROUNDOFF * r * a
+    bound = 2.0 * (sweep_and_sse + 13.0 * (mu * a) ** 2 + 3.0 * m * (mu * big) ** 2) / n_full
+    floor = np.max(top) - 2.0 * DECREASE_TOL - 2.0 * bound
+    return np.flatnonzero((top >= floor) & (top > -np.inf))
+
+
 def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> list:
-    """best_threshold along each direction on one node, in one batch.
+    """The exact near-best splits over `directions` on one node.
 
     X and y hold the node's rows in increasing index order (X may be a
     Fortran-ordered copy).  dataset.projections gives the k x m block of
     projections, one direction per row; _stable_order sorts each row by
-    value, then by index, as project does.  Returns a Split per
-    direction, or None where no valid split exists.  The decrease depends only on the set
-    of left rows, so it is computed once per distinct left set, and the
-    node's own SSE once per call.
+    value, then by index, as project does, and one sweep scores every
+    boundary.  Only the contenders (_contenders) get a Split, at their
+    first boundary within DECREASE_TOL of their largest gain, with the
+    exact decrease, computed once per distinct left set.  Returns the
+    splits within DECREASE_TOL of the largest exact decrease, in
+    direction order: the same set as solving every direction exactly
+    (module docstring), empty when no direction has a valid split.
     """
     m = X.shape[0]
     if m < 2:
-        return [None] * len(directions)
+        return []
     V = projections(X, np.array([d.coefficients for d in directions]))
     order, sorted_V = _stable_order(V)
     centred = y - y.mean()
     gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
     gains = np.where(valid, gains, -np.inf)
     top = np.max(gains, axis=0)
+    chosen = _contenders(top, y, centred, n_full)
     # First boundary within tolerance of the max = smallest threshold.
-    boundaries = np.argmax(gains >= top - DECREASE_TOL, axis=0)
+    boundaries = np.argmax(gains[:, chosen] >= top[chosen] - DECREASE_TOL, axis=0)
     sse_node = float(np.sum(centred**2))  # _sse(y)
     decreases: dict[bytes, float] = {}
     splits = []
-    for j, direction in enumerate(directions):
-        if top[j] == -np.inf:
-            splits.append(None)
-            continue
-        boundary = int(boundaries[j])
+    for j, boundary in zip(chosen.tolist(), boundaries.tolist()):
         threshold = float(thresholds[boundary, j])
         left = V[j] <= threshold
         key = left.tobytes()
@@ -294,14 +384,14 @@ def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> l
             decreases[key] = _split_decrease(y, left, n_full, sse_node)
         splits.append(
             Split(
-                direction=direction,
+                direction=directions[j],
                 threshold=threshold,
                 decrease=decreases[key],
                 left_count=boundary + 1,
                 right_count=m - boundary - 1,
             )
         )
-    return splits
+    return _near_best(splits)
 
 
 def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
@@ -318,12 +408,10 @@ def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
         raise ValueError(
             f"direction has {len(direction.coefficients)} coefficients, p={dataset.p}"
         )
-    (split,) = _best_thresholds(
-        dataset.features[idx], dataset.response[idx], [direction], dataset.n
-    )
-    if split is None:
+    near = _best_thresholds(dataset.features[idx], dataset.response[idx], [direction], dataset.n)
+    if not near:
         raise NoValidSplitError("no valid split: projections not separable")
-    return split
+    return near[0]
 
 
 def _tie_key(split: Split):
@@ -357,9 +445,7 @@ def search_axis_aligned(dataset: Dataset, node) -> Split:
     """
     idx = validate_index_set(node, dataset.n)
     axes = [axis_direction(dataset.p, j) for j in range(dataset.p)]
-    near = _near_best(
-        _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n)
-    )
+    near = _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n)
     if not near:
         raise NoValidSplitError("no coordinate admits a valid split")
     return near[0]
@@ -457,33 +543,36 @@ def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.
     return out
 
 
-def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=4096):
+def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=None):
     """Best split over a matrix of candidate directions (rows).
 
-    Projects a chunk of directions at a time, sorts it as a row-layout
-    block (one direction per row) with _stable_order, sweeps every
-    threshold at once and records each direction's best valid gain.
-    The directions whose gain is within DECREASE_TOL of the best over
-    all of them are re-solved once, in one batch (_best_thresholds, one
-    decrease per dichotomy), and _winner picks among them.  Returns None
-    when no direction admits a valid split.
+    Projects a block of `chunk` directions at a time (by default as many
+    as _BLOCK_ELEMENTS and _BLOCK_DIRECTIONS allow), sorts it as a
+    row-layout block (one direction per row) with _stable_order, sweeps
+    every threshold at once and records each direction's best valid
+    gain.  The contenders (_contenders) are re-solved once, in one batch
+    (_best_thresholds, one exact decrease per dichotomy), and the
+    near-best split with the smallest _tie_key wins.  Returns None when
+    no direction admits a valid split.
     """
     idx = validate_index_set(node, dataset.n)
     X = np.asfortranarray(dataset.features[idx])
     y = dataset.response[idx]
     if idx.size < 2 or directions.shape[0] == 0:
         return None
+    if chunk is None:
+        chunk = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // idx.size))
     centred = y - y.mean()
     best_gains = np.empty(directions.shape[0])
     for lo in range(0, directions.shape[0], chunk):
         order, vals = _stable_order(projections(X, directions[lo : lo + chunk]))
         gains, _, valid = _sweep_gains(vals.T, centred[order].T, dataset.n)
         best_gains[lo : lo + chunk] = np.max(np.where(valid, gains, -np.inf), axis=0)
-    top = np.max(best_gains)
-    if top == -np.inf:
+    chosen = _contenders(best_gains, y, centred, dataset.n)
+    if chosen.size == 0:
         return None
-    near = directions[best_gains >= top - DECREASE_TOL]
-    return _winner(_best_thresholds(X, y, _canonical_directions(near), dataset.n))
+    near = _best_thresholds(X, y, _canonical_directions(directions[chosen]), dataset.n)
+    return min(near, key=_tie_key, default=None)
 
 
 def search_exhaustive_oblique(
@@ -606,9 +695,10 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     centred = y - y.mean()
     ends = [base]
     for start in [base.direction] + [Direction.canonical(row) for row in rows]:
-        (current,) = _best_thresholds(X, y, [start], dataset.n)
-        if current is None:
+        near = _best_thresholds(X, y, [start], dataset.n)
+        if not near:
             continue
+        current = near[0]
         for _ in range(strategy.max_iterations):
             before = current
             for j in range(dataset.p):
@@ -620,9 +710,9 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
                 if move is None or move[1] <= current.decrease + DECREASE_TOL:
                     continue
                 w[j] = move[0]
-                (split,) = _best_thresholds(X, y, [Direction.canonical(w)], dataset.n)
-                if split is not None and split.decrease > current.decrease + DECREASE_TOL:
-                    current = split
+                near = _best_thresholds(X, y, [Direction.canonical(w)], dataset.n)
+                if near and near[0].decrease > current.decrease + DECREASE_TOL:
+                    current = near[0]
             if current is before:
                 break
         ends.append(current)

@@ -169,8 +169,11 @@ def grow(
 
 
 def _partition(X: np.ndarray, rows: np.ndarray, split: Split):
-    """Split `rows` of X into (left, right): projection <= threshold goes left."""
-    (values,) = projections(X[rows], np.array([split.direction.coefficients]))
+    """Split `rows` of X into (left, right): projection <= threshold goes left.
+
+    Only the columns on the split's support are gathered for those rows.
+    """
+    (values,) = projections(X, np.array([split.direction.coefficients]), rows)
     left = values <= split.threshold
     return rows[left], rows[~left]
 

@@ -61,7 +61,7 @@ def _strategy_for(i, n, p):
         return SearchStrategy(
             kind="random_projection", sparsity_d=min(2, p), num_candidates=30, seed=i
         )
-    if i % 4 == 2 and n <= 40 and p <= 3:
+    if i % 4 == 2 and p <= 3:  # corpus() caps these nodes at 40 rows
         return SearchStrategy(kind="exhaustive_oblique", sparsity_d=min(2, p), node_cap=64)
     return SearchStrategy(kind="hill_climb", sparsity_d=min(2, p), restarts=2, max_iterations=1, seed=i)
 
@@ -79,8 +79,6 @@ def corpus():
         n = int(rng.integers(20, 201))
         depth = int(rng.integers(1, 6))
         strategy = _strategy_for(i, n, p)
-        if strategy.kind == "hill_climb":
-            n = min(n, 80)
         if strategy.kind == "exhaustive_oblique":
             n = min(n, 40)
         X = rng.uniform(-1.0, 1.0, size=(n, p))

@@ -227,3 +227,21 @@ def test_projections_do_not_depend_on_the_batch(case, data):
         assert projections(X[i : i + 1], W).tobytes() == full[:, i : i + 1].tobytes()
     for j in range(W.shape[0]):
         assert projections(X, W[j : j + 1]).tobytes() == full[j : j + 1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=projection_cases(), data=st.data())
+def test_row_indexed_projections_equal_the_gathered_block(case, data):
+    # projections(X, W, rows) gathers only the support columns of the
+    # rows, in any order and with repeats; the bytes are those of the
+    # gathered block and of the per-point sums.
+    X, W = case
+    rows = np.array(
+        data.draw(st.lists(st.integers(0, X.shape[0] - 1), min_size=1, max_size=60)),
+        dtype=np.int64,
+    )
+    got = projections(X, W, rows)
+    assert got.tobytes() == projections(X[rows], W).tobytes()
+    assert projections(np.asfortranarray(X), W, rows).tobytes() == got.tobytes()
+    for j, w in enumerate(W):
+        assert got[j].tobytes() == reference_projections(X[rows], w).tobytes()

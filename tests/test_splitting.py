@@ -390,28 +390,39 @@ def reference_winner(splits):
     return min(near, key=lambda s: (s.direction.support_size, s.direction.coefficients, s.threshold))
 
 
-def reference_best_threshold(dataset, node, direction):
-    idx = np.asarray(node)
-    values = reference_projections(dataset.features[idx], direction.coefficients)
-    order = np.lexsort((idx, values))
-    values, idx = values[order], idx[order]
-    if values.shape[0] < 2 or values[0] == values[-1]:
-        raise NoValidSplitError("no valid split: projections not separable")
-    y = dataset.response[idx] - node_mean(dataset, node)
-    gains, thresholds, valid = reference_sweep_gains(values, y, dataset.n)
+def reference_split(X, y, direction, n_full):
+    """A direction's split on a node's rows X, y (index order) from the
+    definitions, or None: per-point projections, the stable sort, the
+    centred prefix-sum sweep, the first boundary within DECREASE_TOL of
+    the best gain, and the two-pass decrease of its left set."""
+    values = reference_projections(X, direction.coefficients)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    if sorted_values.shape[0] < 2 or sorted_values[0] == sorted_values[-1]:
+        return None
+    gains, thresholds, valid = reference_sweep_gains(sorted_values, (y - y.mean())[order], n_full)
     if not np.any(valid):
-        raise NoValidSplitError("no valid split: projections not separable")
+        return None
     gains = np.where(valid, gains, -np.inf)
-    best_gain = float(np.max(gains))
-    boundary = int(np.nonzero(gains >= best_gain - DECREASE_TOL)[0][0])
+    boundary = int(np.nonzero(gains >= float(np.max(gains)) - DECREASE_TOL)[0][0])
     threshold = float(thresholds[boundary])
+    left = values <= threshold
+    sse = lambda v: float(np.sum((v - v.mean()) ** 2))
     return Split(
         direction=direction,
         threshold=threshold,
-        decrease=naive_decrease(dataset, node, direction, threshold),
+        decrease=(sse(y) - sse(y[left]) - sse(y[~left])) / n_full,
         left_count=boundary + 1,
         right_count=values.shape[0] - boundary - 1,
     )
+
+
+def reference_best_threshold(dataset, node, direction):
+    idx = np.asarray(node)
+    split = reference_split(dataset.features[idx], dataset.response[idx], direction, dataset.n)
+    if split is None:
+        raise NoValidSplitError("no valid split: projections not separable")
+    return split
 
 
 def reference_canonical_rows(matrix):
@@ -621,9 +632,17 @@ def test_batch_matches_per_direction_reference(case, seed, float_y):
     directions = [axis_direction(data.p, j) for j in range(data.p)] + [
         Direction.canonical(v) for v in rng.standard_normal((8, data.p)) + 1e-3
     ]
+    # The batch returns only the near-best splits, so each one must be the
+    # reference's split for its direction, and together they must be the
+    # reference's near-best set, in direction order.
     got = _best_thresholds(data.features[node], data.response[node], directions, data.n)
-    want = [outcome(reference_best_threshold, data, node, d) for d in directions]
-    assert [split_bytes(s) if s is not None else "no valid split" for s in got] == want
+    solved = [outcome(reference_best_threshold, data, node, d) for d in directions]
+    for split in got:
+        assert split_bytes(split) == solved[directions.index(split.direction)]
+    exact = [s for s in solved if s != "no valid split"]
+    top = max((float.fromhex(s[2]) for s in exact), default=None)
+    want = [s for s in exact if float.fromhex(s[2]) >= top - DECREASE_TOL]
+    assert [split_bytes(s) for s in got] == want
 
 
 def test_sweep_gains_match_reference_bit_for_bit():
@@ -745,7 +764,10 @@ def test_axis_winner_is_the_lowest_index_near_best(monkeypatch):
     decreases = [0.0, 0.8e-12, 1.6e-12]
 
     def fixed(X, y, directions, n_full):
-        return [Split(d, 0.5, dec, 5, 5) for d, dec in zip(directions, decreases)]
+        # _best_thresholds returns the near-best splits in direction order.
+        return splitting._near_best(
+            [Split(d, 0.5, dec, 5, 5) for d, dec in zip(directions, decreases)]
+        )
 
     monkeypatch.setattr(splitting, "_best_thresholds", fixed)
     assert search_axis_aligned(data, root_index_set(data)).direction == axis_direction(3, 1)
@@ -894,6 +916,122 @@ def test_step_survives_a_large_response_offset(offset):
         assert split.direction == axis_direction(3, 2)
         assert np.max(X[~step, 2]) < split.threshold < np.min(X[step, 2])
         assert split.left_count == np.count_nonzero(~step)
+
+
+# The screen: exact decreases only for the contenders of a sweep.  Every
+# search must return what it returns when every direction is solved
+# exactly (reference_split) before _near_best and _winner pick.
+
+
+def unscreened_best_thresholds(X, y, directions, n_full):
+    """_best_thresholds with no screen: every direction solved exactly."""
+    return splitting._near_best([reference_split(X, y, d, n_full) for d in directions])
+
+
+def unscreened_best_over_directions(dataset, node, directions):
+    """_best_over_directions with no bulk screen and no screened re-solve."""
+    idx = np.asarray(node)
+    if idx.size < 2 or directions.shape[0] == 0:
+        return None
+    X, y = dataset.features[idx], dataset.response[idx]
+    return _winner(unscreened_best_thresholds(X, y, _canonical_directions(directions), dataset.n))
+
+
+@st.composite
+def screen_cases(draw):
+    """Nodes of 2 to 3,000 rows: integer-grid features (tied gains) or
+    continuous ones, every column duplicated at times; integer or
+    continuous responses at scale 1e-6 (gains of the order of
+    DECREASE_TOL), 1 or 1e3, plus an offset of 0, 1e6 or 1e9; the root
+    or a subset of a larger sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(2, 41)) if draw(st.integers(0, 3)) else int(rng.integers(41, 3001))
+    p = int(rng.integers(1, 4))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, size=(m, p)).astype(float)
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(m, p))
+    if draw(st.booleans()):
+        X = np.repeat(X, 2, axis=1)
+    if draw(st.booleans()):
+        y = rng.integers(0, draw(st.integers(1, 4)), size=m).astype(float)
+    else:
+        y = rng.standard_normal(m)
+    y = y * draw(st.sampled_from([1e-6, 1.0, 1e3])) + draw(st.sampled_from([0.0, 1e6, 1e9]))
+    extra = int(rng.integers(0, m + 1)) if draw(st.booleans()) else 0
+    n = m + extra
+    X = np.concatenate([X, rng.uniform(-1.0, 1.0, size=(extra, X.shape[1]))])
+    y = np.concatenate([y, np.full(extra, y[0])])
+    node = np.sort(rng.permutation(n)[:m]) if extra else np.arange(n)
+    return Dataset(X, y), node
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=screen_cases(), seed=st.integers(0, 2**32 - 1))
+def test_screened_batch_is_the_exact_near_best_set(case, seed):
+    data, node = case
+    rng = np.random.default_rng(seed)
+    # On integer grids, small integer directions and each axis tilted by
+    # 1e-3 towards the next one cut the same dichotomies as others, but
+    # sweep the rows in another order, so their gains differ in the last
+    # bits while their exact decreases are equal.
+    eye = np.eye(data.p)
+    rows = np.concatenate([eye, eye + 1e-3 * np.roll(eye, 1, axis=1), rng.integers(-2, 3, size=(12, data.p))])
+    directions = [Direction.canonical(v) for v in rows if v.any()]
+    X, y = data.features[node], data.response[node]
+    got = _best_thresholds(X, y, directions, data.n)
+    want = unscreened_best_thresholds(X, y, directions, data.n)
+    assert [split_bytes(s) for s in got] == [split_bytes(s) for s in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=screen_cases(),
+    sparsity=st.integers(1, 3),
+    count=st.integers(0, 30),
+    restarts=st.integers(1, 2),
+    seed=st.integers(0, 1000),
+)
+def test_searches_equal_their_unscreened_reference(case, sparsity, count, restarts, seed):
+    data, node = case
+    searches = [
+        (search_axis_aligned,),
+        (
+            search_random_projection,
+            SearchStrategy(kind="random_projection", sparsity_d=sparsity, num_candidates=count, seed=seed),
+        ),
+        (
+            search_hill_climb,
+            SearchStrategy(kind="hill_climb", sparsity_d=sparsity, restarts=restarts, max_iterations=3, seed=seed),
+        ),
+    ]
+    if node.size <= 12:
+        searches.append((search_exhaustive_oblique, min(sparsity, 2)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_best_thresholds", unscreened_best_thresholds)
+        patch.setattr(splitting, "_best_over_directions", unscreened_best_over_directions)
+        want = [outcome(search, data, node, *args) for search, *args in searches]
+    assert [outcome(search, data, node, *args) for search, *args in searches] == want
+
+
+def test_screen_keeps_a_tie_whose_sweep_gains_differ_in_the_last_bit():
+    # Axis 1, (1, -1) and (1, 2) all cut point 3 from the rest: one
+    # dichotomy, one exact decrease.  The sweeps add the responses in
+    # different orders, and (1, -1)'s gain is one ulp (about 6e-11) above
+    # the others.  All three are near-best, and the winner has the
+    # smallest support: axis 1.  A screen without B keeps only (1, -1).
+    X = np.array([[2, -2], [2, 0], [0, 1], [-1, 2], [-2, -1], [-1, 0], [0, -2]], dtype=float)
+    y = np.array([748.7, 1634.8, 272.8, -1233.3, -958.3, 1600.0, 202.9])
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 2.0], [2.0, 1.0]])
+    directions = _canonical_directions(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    near = _best_thresholds(X, y, directions, 7)
+    assert [s.direction.coefficients for s in near] == [
+        d.coefficients for d in (directions[1], directions[3], directions[4])
+    ]
+    assert len({s.decrease for s in near}) == 1
+    data = Dataset(X, y)
+    best = _best_over_directions(data, root_index_set(data), np.array([d.coefficients for d in directions]))
+    assert best.direction == axis_direction(2, 1)
 
 
 # The OC1 hill climb: the exact coefficient move against a scan of its
