@@ -19,6 +19,11 @@ import numpy as np
 # inflated by floating-point dust from cross products.
 _COEFF_SNAP = 1e-12
 
+# A direction whose norm falls outside this range is divided by its peak
+# magnitude before it is normalized: its squares would lose bits to
+# underflow or overflow.
+_SAFE_NORMS = (2.0**-500, 2.0**500)
+
 
 class CsvFormatError(ValueError):
     """Raised when a CSV file cannot be parsed into a Dataset."""
@@ -107,25 +112,34 @@ class Direction:
         arr = np.array(vector, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("direction must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("direction has non-finite coefficients")
-        peak = np.max(np.abs(arr))
+        peak = np.abs(arr).max()
         if peak == 0.0:
             raise ValueError("direction must be nonzero")
-        arr[np.abs(arr) <= _COEFF_SNAP * peak] = 0.0
+        arr = _snap(arr)
         with np.errstate(over="ignore", under="ignore"):
             norm = float(np.linalg.norm(arr))
-        if not 0.0 < norm < np.inf:  # the squares underflow or overflow
-            arr = arr / peak
+        # Each division moves the peak, so it is followed by a snap against
+        # the new one; and the division by the norm is skipped when already
+        # unit-norm.  So canonicalization is an exact fixpoint (idempotent
+        # to the bit).
+        if not _SAFE_NORMS[0] < norm < _SAFE_NORMS[1]:
+            arr = _snap(arr / peak)
             norm = float(np.linalg.norm(arr))
-        # Skip the division when already unit-norm so canonicalization is
-        # an exact fixpoint (idempotent to the bit).
         if abs(norm - 1.0) > 1e-12:
-            arr = arr / norm
+            arr = _snap(arr / norm)
         first = arr[np.nonzero(arr)[0][0]]
         if first < 0.0:
             arr = -arr + 0.0  # -0.0 + 0.0 is +0.0
-        return Direction(tuple(float(c) for c in arr))
+        return Direction(tuple(arr.tolist()))
+
+
+def _snap(arr: np.ndarray) -> np.ndarray:
+    """arr with every coefficient of magnitude <= _COEFF_SNAP times its
+    row's peak written as +0.0; a 1-D arr is one row."""
+    size = np.abs(arr)
+    return np.where(size <= _COEFF_SNAP * size.max(axis=-1, keepdims=True), 0.0, arr)
 
 
 def axis_direction(p: int, coordinate: int) -> Direction:

@@ -42,10 +42,16 @@ decrease E is >= G - DECREASE_TOL - B, and a split with exact decrease
 >= G - 2 DECREASE_TOL - 2 B.  The second DECREASE_TOL is the cost of
 taking the first boundary within DECREASE_TOL of top_j rather than the
 largest.  So the near-best set, and the winner, are those of re-solving
-every direction exactly.  Every search picks the directions it solves
-exactly through this one screen (_contenders): the axis scan, the bulk
-sweep of random projection and of the exhaustive oracle, each hill-climb
-re-solve and best_threshold.
+every direction exactly.
+
+One function, _best_thresholds, sweeps and screens for every search (the
+axis scan, random projection, the exhaustive oracle, each hill-climb
+re-solve and best_threshold), each direction once.  It sweeps in blocks
+under a floor that only rises, the best top_j so far minus the margin
+2 DECREASE_TOL + 2 B (_margin), and keeps a direction's split only if
+top_j reaches its own block's floor.  The last floor is the screen's and
+no block's floor exceeds it, so every contender was kept; the kept
+directions below it get no exact decrease.
 
 The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
 for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
@@ -96,11 +102,12 @@ import numpy as np
 # look for it in this module's namespace.
 from .dataset import (
     _COEFF_SNAP,
+    _SAFE_NORMS,
     Dataset,
     Direction,
     _check_keys,
     _named,
-    axis_direction,
+    _snap,
     project,
     projections,
     validate_index_set,
@@ -116,7 +123,7 @@ STRATEGY_KINDS = ("axis_aligned", "hill_climb", "random_projection", "exhaustive
 # The unit roundoff of float64, u in the module docstring's bound B.
 _UNIT_ROUNDOFF = 2.0**-53
 
-# A block of the bulk sweep holds at most _BLOCK_ELEMENTS projections
+# A block of a sweep holds at most _BLOCK_ELEMENTS projections
 # (directions x node rows, 1 MB per float64 array) and _BLOCK_DIRECTIONS
 # directions: 6 directions at a node of 20,000 rows, where a block that
 # stays in cache sorts and sweeps faster, and 4,096 at the exhaustive
@@ -329,12 +336,10 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
     return gains, thresholds, valid
 
 
-def _contenders(top: np.ndarray, y: np.ndarray, centred: np.ndarray, n_full: int) -> np.ndarray:
-    """Indices of the directions whose best sweep gain top_j passes the
-    screen of the module docstring, top_j >= max(top) - 2 DECREASE_TOL -
-    2 B, on the node whose responses are y (centred = y minus their
-    computed mean).  A direction without a valid split (top_j = -inf)
-    never passes."""
+def _margin(y: np.ndarray, centred: np.ndarray, n_full: int) -> float:
+    """2 DECREASE_TOL + 2 B, the screen's margin below the best sweep gain
+    (module docstring), on the node whose responses are y (centred = y
+    minus their computed mean)."""
     m = y.size
     mu = m * _UNIT_ROUNDOFF
     spread = np.abs(centred)
@@ -343,54 +348,66 @@ def _contenders(top: np.ndarray, y: np.ndarray, centred: np.ndarray, n_full: int
     big = float(np.max(np.abs(y)))  # M
     sweep_and_sse = 14.0 * (m + 4) * _UNIT_ROUNDOFF * r * a
     bound = 2.0 * (sweep_and_sse + 13.0 * (mu * a) ** 2 + 3.0 * m * (mu * big) ** 2) / n_full
-    floor = np.max(top) - 2.0 * DECREASE_TOL - 2.0 * bound
-    return np.flatnonzero((top >= floor) & (top > -np.inf))
+    return 2.0 * DECREASE_TOL + 2.0 * bound
 
 
-def _best_thresholds(X: np.ndarray, y: np.ndarray, directions, n_full: int) -> list:
-    """The exact near-best splits over `directions` on one node.
+def _best_thresholds(X: np.ndarray, y: np.ndarray, W: np.ndarray, n_full: int) -> list:
+    """The exact near-best splits over the direction rows W on one node.
 
     X and y hold the node's rows in increasing index order (X may be a
-    Fortran-ordered copy).  dataset.projections gives the k x m block of
-    projections, one direction per row; _stable_order sorts each row by
-    value, then by index, as project does, and one sweep scores every
-    boundary.  Only the contenders (_contenders) get a Split, at their
-    first boundary within DECREASE_TOL of their largest gain, with the
-    exact decrease, computed once per distinct left set.  Returns the
-    splits within DECREASE_TOL of the largest exact decrease, in
-    direction order: the same set as solving every direction exactly
-    (module docstring), empty when no direction has a valid split.
+    Fortran-ordered copy).  A row of W becomes its split's direction as
+    it is, so callers pass fixpoints of Direction.canonical, as
+    _canonical_rows gives.  Blocks of at most _BLOCK_ELEMENTS projections
+    and _BLOCK_DIRECTIONS rows are projected (dataset.projections), sorted
+    by value, then by index (_stable_order), swept (_sweep_gains) and
+    screened under a rising floor (module docstring).  A kept row's split
+    sits at its first boundary within DECREASE_TOL of its best gain, with
+    its left set read off the block's projections, and the contenders'
+    exact decreases are computed once per distinct left set.  Returns the
+    splits within DECREASE_TOL of the largest exact decrease, in row
+    order, as solving every row exactly would; empty when no row has a
+    valid split.
     """
     m = X.shape[0]
     if m < 2:
         return []
-    V = projections(X, np.array([d.coefficients for d in directions]))
-    order, sorted_V = _stable_order(V)
     centred = y - y.mean()
-    gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
-    gains = np.where(valid, gains, -np.inf)
-    top = np.max(gains, axis=0)
-    chosen = _contenders(top, y, centred, n_full)
-    # First boundary within tolerance of the max = smallest threshold.
-    boundaries = np.argmax(gains[:, chosen] >= top[chosen] - DECREASE_TOL, axis=0)
+    margin = _margin(y, centred, n_full)
+    step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
+    floor = -np.inf
+    kept = []
+    for lo in range(0, W.shape[0], step):
+        V = projections(X, W[lo : lo + step])
+        order, sorted_V = _stable_order(V)
+        gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
+        gains = np.where(valid, gains, -np.inf)
+        top = gains.max(axis=0)
+        floor = max(floor, top.max() - margin)
+        if floor == -np.inf:  # no valid split in any block so far
+            continue
+        rows = np.flatnonzero(top >= floor)
+        top = top[rows]
+        # First boundary within tolerance of the max = smallest threshold.
+        boundaries = (gains[:, rows] >= top - DECREASE_TOL).argmax(axis=0)
+        cuts = thresholds[boundaries, rows]
+        kept.append((lo, rows, top, boundaries, cuts, V[rows] <= cuts[:, None]))
     sse_node = float(np.sum(centred**2))  # _sse(y)
     decreases: dict[bytes, float] = {}
     splits = []
-    for j, boundary in zip(chosen.tolist(), boundaries.tolist()):
-        threshold = float(thresholds[boundary, j])
-        left = V[j] <= threshold
-        key = left.tobytes()
-        if key not in decreases:
-            decreases[key] = _split_decrease(y, left, n_full, sse_node)
-        splits.append(
-            Split(
-                direction=directions[j],
-                threshold=threshold,
-                decrease=decreases[key],
-                left_count=boundary + 1,
-                right_count=m - boundary - 1,
+    for lo, rows, top, boundaries, cuts, lefts in kept:
+        for i in np.flatnonzero(top >= floor).tolist():
+            key = lefts[i].tobytes()
+            if key not in decreases:
+                decreases[key] = _split_decrease(y, lefts[i], n_full, sse_node)
+            splits.append(
+                Split(
+                    direction=Direction(tuple(W[lo + rows[i]].tolist())),
+                    threshold=float(cuts[i]),
+                    decrease=decreases[key],
+                    left_count=int(boundaries[i]) + 1,
+                    right_count=m - int(boundaries[i]) - 1,
+                )
             )
-        )
     return _near_best(splits)
 
 
@@ -408,7 +425,8 @@ def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
         raise ValueError(
             f"direction has {len(direction.coefficients)} coefficients, p={dataset.p}"
         )
-    near = _best_thresholds(dataset.features[idx], dataset.response[idx], [direction], dataset.n)
+    W = direction.as_array()[None]
+    near = _best_thresholds(dataset.features[idx], dataset.response[idx], W, dataset.n)
     if not near:
         raise NoValidSplitError("no valid split: projections not separable")
     return near[0]
@@ -444,7 +462,7 @@ def search_axis_aligned(dataset: Dataset, node) -> Split:
     threshold.
     """
     idx = validate_index_set(node, dataset.n)
-    axes = [axis_direction(dataset.p, j) for j in range(dataset.p)]
+    axes = np.eye(dataset.p)
     near = _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n)
     if not near:
         raise NoValidSplitError("no coordinate admits a valid split")
@@ -454,17 +472,32 @@ def search_axis_aligned(dataset: Dataset, node) -> Split:
 def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
     """Canonicalize direction rows in bulk; drop zero rows and duplicates.
 
-    The rows come out in an arbitrary order, which split search does not
-    depend on.  Zeros are written as +0.0, so the copies of a duplicated
-    row are bit-identical and it does not matter which one is kept.
+    Each row is snapped as Direction.canonical snaps it, divided by its
+    norm, snapped again against its new peak and given a positive
+    leading coefficient.  Its norm is computed row-wise and its division
+    is never skipped, so it may differ from Direction.canonical of the
+    row in the last bits; a row for which that could decide whether a
+    coefficient is snapped (one within a relative 1e-9 of the snap
+    border), and a row whose norm falls outside _SAFE_NORMS, goes
+    through Direction.canonical itself.  So every row that comes out is a
+    bit-exact fixpoint of Direction.canonical, with the same zeros and
+    signs as Direction.canonical of the row that went in.  The rows
+    come out in an arbitrary order, which split search does not depend
+    on.  Zeros are written as +0.0, so the copies of a duplicated row
+    are bit-identical and it does not matter which one is kept.
     """
-    arr = np.asarray(matrix, dtype=np.float64)
-    peak = np.max(np.abs(arr), axis=1, keepdims=True)
-    arr = np.where(np.abs(arr) <= 1e-12 * peak, 0.0, arr)
-    # A zero row keeps a zero norm, and so does one whose squares underflow.
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0.0
-    arr = arr[keep] / norms[keep]
+    raw = np.asarray(matrix, dtype=np.float64)
+    raw = raw[np.any(raw != 0.0, axis=1)]
+    size = np.abs(raw)
+    border = _COEFF_SNAP * size.max(axis=1, keepdims=True)
+    arr = np.where(size <= border, 0.0, raw)
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(arr, axis=1, keepdims=True)
+        arr = _snap(arr / norms)
+    odd = (norms[:, 0] <= _SAFE_NORMS[0]) | (norms[:, 0] >= _SAFE_NORMS[1])
+    odd |= np.any(np.abs(size - border) <= 1e-9 * border, axis=1)
+    for i in np.flatnonzero(odd):
+        arr[i] = Direction.canonical(raw[i]).coefficients
     first_nz = np.argmax(arr != 0.0, axis=1)
     signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
     arr = arr * signs[:, None] + 0.0  # -0.0 + 0.0 is +0.0
@@ -479,33 +512,6 @@ def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
     fresh = np.ones(arr.shape[0], dtype=bool)
     fresh[1:] = np.any(arr[1:] != arr[:-1], axis=1)
     return arr[fresh]
-
-
-def _canonical_directions(rows: np.ndarray) -> list[Direction]:
-    """Direction.canonical of each row, first occurrences only, in row order.
-
-    The snap below writes zeros as +0.0, as Direction.canonical does,
-    so rows from _canonical_rows pass through as they are.  A row that
-    the snap changes otherwise, whose norm is not within 1e-13 of 1, or
-    whose leading coefficient is not positive goes through
-    Direction.canonical itself.
-    """
-    peak = np.max(np.abs(rows), axis=1, keepdims=True)
-    snapped = np.where(np.abs(rows) <= _COEFF_SNAP * peak, 0.0, rows)
-    lead = snapped[np.arange(rows.shape[0]), np.argmax(snapped != 0.0, axis=1)]
-    ready = (
-        np.all(snapped == rows, axis=1)
-        & (np.abs(np.linalg.norm(snapped, axis=1) - 1.0) <= 1e-13)
-        & (lead > 0.0)
-    )
-    out = []
-    seen: set[tuple[float, ...]] = set()
-    for coeffs, row, ok in zip(snapped.tolist(), rows, ready):
-        direction = Direction(tuple(coeffs)) if ok else Direction.canonical(row)
-        if direction.coefficients not in seen:
-            seen.add(direction.coefficients)
-            out.append(direction)
-    return out
 
 
 def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.ndarray:
@@ -543,35 +549,13 @@ def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.
     return out
 
 
-def _best_over_directions(dataset: Dataset, node, directions: np.ndarray, chunk=None):
-    """Best split over a matrix of candidate directions (rows).
-
-    Projects a block of `chunk` directions at a time (by default as many
-    as _BLOCK_ELEMENTS and _BLOCK_DIRECTIONS allow), sorts it as a
-    row-layout block (one direction per row) with _stable_order, sweeps
-    every threshold at once and records each direction's best valid
-    gain.  The contenders (_contenders) are re-solved once, in one batch
-    (_best_thresholds, one exact decrease per dichotomy), and the
-    near-best split with the smallest _tie_key wins.  Returns None when
-    no direction admits a valid split.
-    """
+def _best_over_directions(dataset: Dataset, node, directions: np.ndarray):
+    """The near-best split with the smallest _tie_key over canonical
+    direction rows (_best_thresholds), or None when no row admits a
+    valid split."""
     idx = validate_index_set(node, dataset.n)
     X = np.asfortranarray(dataset.features[idx])
-    y = dataset.response[idx]
-    if idx.size < 2 or directions.shape[0] == 0:
-        return None
-    if chunk is None:
-        chunk = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // idx.size))
-    centred = y - y.mean()
-    best_gains = np.empty(directions.shape[0])
-    for lo in range(0, directions.shape[0], chunk):
-        order, vals = _stable_order(projections(X, directions[lo : lo + chunk]))
-        gains, _, valid = _sweep_gains(vals.T, centred[order].T, dataset.n)
-        best_gains[lo : lo + chunk] = np.max(np.where(valid, gains, -np.inf), axis=0)
-    chosen = _contenders(best_gains, y, centred, dataset.n)
-    if chosen.size == 0:
-        return None
-    near = _best_thresholds(X, y, _canonical_directions(directions[chosen]), dataset.n)
+    near = _best_thresholds(X, dataset.response[idx], directions, dataset.n)
     return min(near, key=_tie_key, default=None)
 
 
@@ -695,7 +679,7 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     centred = y - y.mean()
     ends = [base]
     for start in [base.direction] + [Direction.canonical(row) for row in rows]:
-        near = _best_thresholds(X, y, [start], dataset.n)
+        near = _best_thresholds(X, y, start.as_array()[None], dataset.n)
         if not near:
             continue
         current = near[0]
@@ -710,7 +694,7 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
                 if move is None or move[1] <= current.decrease + DECREASE_TOL:
                     continue
                 w[j] = move[0]
-                near = _best_thresholds(X, y, [Direction.canonical(w)], dataset.n)
+                near = _best_thresholds(X, y, Direction.canonical(w).as_array()[None], dataset.n)
                 if near and near[0].decrease > current.decrease + DECREASE_TOL:
                     current = near[0]
             if current is before:

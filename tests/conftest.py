@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from obliquetree import Dataset
 
@@ -47,3 +48,30 @@ def reference_projections(X, w):
     return np.array(
         [point_projection(x, w) for x in np.asarray(X, dtype=float).tolist()], dtype=float
     )
+
+
+# A vector on which Direction.canonical once failed to be idempotent: its
+# second coefficient sits one ulp above the snap border, 1e-12 times the
+# peak, and falls to it once the vector is divided by its norm.
+SNAP_BORDER_VECTOR = (2.3835015962674735, 2.3835015962674737e-12, 0.715050478880242)
+
+
+@st.composite
+def snap_border_rows(draw):
+    """k x p direction rows, each with a coefficient within two ulps of
+    1e-12 times the row's peak magnitude, at unit scale and at scales
+    whose squares underflow, lose bits as subnormals (1e-160) or
+    overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p = draw(st.integers(1, 20)), draw(st.integers(2, 5))
+    rows = rng.standard_normal((k, p))
+    for row in rows:
+        big = int(np.argmax(np.abs(row)))
+        small = (big + 1 + int(rng.integers(p - 1))) % p
+        border = 1e-12 * abs(row[big])
+        for _ in range(int(rng.integers(-2, 3))):
+            border = np.nextafter(border, np.inf)
+        for _ in range(int(rng.integers(0, 3))):
+            border = np.nextafter(border, 0.0)
+        row[small] = border * rng.choice([-1.0, 1.0])
+    return rows * draw(st.sampled_from([1.0, 3.7, 2.0**-560, 1e-200, 1e-160, 2.0**530]))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliquetree import (
@@ -16,7 +16,7 @@ from obliquetree import (
 )
 from obliquetree.dataset import projections
 
-from conftest import random_dataset, reference_projections
+from conftest import SNAP_BORDER_VECTOR, random_dataset, reference_projections, snap_border_rows
 
 
 def test_load_csv_readback(tmp_path):
@@ -158,6 +158,23 @@ def test_direction_canonical_idempotent_and_sign():
         arr = d.as_array()
         assert np.linalg.norm(arr) == pytest.approx(1.0, abs=1e-12)
         assert arr[np.nonzero(arr)[0][0]] > 0
+
+
+def coefficient_bits(direction):
+    return [c.hex() for c in direction.coefficients]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=snap_border_rows())
+@example(rows=np.array([SNAP_BORDER_VECTOR]))
+def test_direction_canonical_is_idempotent_to_the_bit(rows):
+    # A coefficient on the snap border can cross it when the vector is
+    # divided by its norm; canonicalizing the result again must change
+    # no bit, as tree.from_dict checks stored directions that way.
+    for row in rows:
+        direction = Direction.canonical(row)
+        assert coefficient_bits(Direction.canonical(direction.coefficients)) == coefficient_bits(direction)
+        assert coefficient_bits(Direction.canonical(-row)) == coefficient_bits(direction)
 
 
 def test_direction_support_size():

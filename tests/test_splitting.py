@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from obliquetree.splitting import (
     _best_over_directions,
     _best_thresholds,
     _candidate_directions,
-    _canonical_directions,
     _coefficient_move,
     _canonical_rows,
     _random_sparse_directions,
@@ -37,7 +37,7 @@ from obliquetree.splitting import (
     _winner,
 )
 
-from conftest import random_dataset, reference_projections
+from conftest import random_dataset, reference_projections, snap_border_rows
 
 
 def naive_decrease(dataset, node, direction, threshold):
@@ -349,12 +349,12 @@ def test_strategy_validation():
             SearchStrategy.from_dict({"kind": "axis_aligned", field: value})
 
 
-# References: the per-candidate near-tie re-solve and the np.unique-based
-# dedup that the batched re-solve in _best_over_directions replaced, with
-# every sweep on the node's centred responses, every winner picked by
-# the set rule and every projection a per-point Python sum
-# (conftest.point_projection).  The properties below check that the
-# batch gives the same Split bytes.
+# References: a per-candidate re-solve of the bulk sweep's near-ties and
+# an np.unique-based dedup, with every sweep on the node's centred
+# responses, every winner picked by the set rule and every projection a
+# per-point Python sum (conftest.point_projection).  The properties below
+# check that the one blocked sweep of _best_thresholds gives the same
+# Split bytes.
 
 
 def reference_sweep_gains(values, y, n_full):
@@ -601,7 +601,9 @@ def test_random_projection_matches_per_candidate_reference(case, sparsity, count
 def test_near_tie_order_matches_reference_across_chunks(case, chunk):
     data, node = case
     directions = candidate_rows(data, node, 2)
-    got = _best_over_directions(data, node, directions, chunk=chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_BLOCK_DIRECTIONS", chunk)
+        got = _best_over_directions(data, node, directions)
     want = reference_best_over_directions(data, node, directions, chunk=chunk)
     assert split_bytes(got) == split_bytes(want)
 
@@ -635,7 +637,8 @@ def test_batch_matches_per_direction_reference(case, seed, float_y):
     # The batch returns only the near-best splits, so each one must be the
     # reference's split for its direction, and together they must be the
     # reference's near-best set, in direction order.
-    got = _best_thresholds(data.features[node], data.response[node], directions, data.n)
+    W = np.array([d.coefficients for d in directions])
+    got = _best_thresholds(data.features[node], data.response[node], W, data.n)
     solved = [outcome(reference_best_threshold, data, node, d) for d in directions]
     for split in got:
         assert split_bytes(split) == solved[directions.index(split.direction)]
@@ -697,21 +700,21 @@ def test_canonical_rows_matches_np_unique(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=direction_rows(), canonical_first=st.booleans())
-def test_canonical_directions_match_direction_canonical(rows, canonical_first):
-    rows = rows[np.any(rows != 0.0, axis=1)]
-    if canonical_first:
-        rows = _canonical_rows(rows)
-    want, seen = [], set()
-    for row in rows:
-        direction = Direction.canonical(row)
-        if direction.coefficients not in seen:
-            seen.add(direction.coefficients)
-            want.append(direction)
-    got = _canonical_directions(rows)
-    assert [tuple(c.hex() for c in d.coefficients) for d in got] == [
-        tuple(c.hex() for c in d.coefficients) for d in want
-    ]
+@given(rows=st.one_of(direction_rows(), snap_border_rows()))
+def test_canonical_rows_are_fixpoints_of_direction_canonical(rows):
+    # _best_thresholds stores each swept row as its Split's direction, so
+    # a row must be exactly the direction Direction.canonical makes of it,
+    # at the snap border and at scales whose squares underflow or
+    # overflow too; and only zero rows are dropped.  (The bulk form
+    # computes norms row-wise, so it may differ from Direction.canonical
+    # of the input row in the last bits, but not in a snapped coefficient
+    # or a sign.)
+    got = _canonical_rows(rows)
+    for row in got:
+        assert [c.hex() for c in Direction.canonical(row).coefficients] == [c.hex() for c in row]
+    for row in rows[np.any(rows != 0.0, axis=1)]:
+        want = Direction.canonical(row).as_array()
+        assert np.min(np.max(np.abs(got - want), axis=1)) <= 2e-12
 
 
 def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):
@@ -763,10 +766,10 @@ def test_axis_winner_is_the_lowest_index_near_best(monkeypatch):
     data = random_dataset(3, 10, 3)
     decreases = [0.0, 0.8e-12, 1.6e-12]
 
-    def fixed(X, y, directions, n_full):
-        # _best_thresholds returns the near-best splits in direction order.
+    def fixed(X, y, W, n_full):
+        # _best_thresholds returns the near-best splits in row order.
         return splitting._near_best(
-            [Split(d, 0.5, dec, 5, 5) for d, dec in zip(directions, decreases)]
+            [Split(Direction(tuple(w)), 0.5, dec, 5, 5) for w, dec in zip(W.tolist(), decreases)]
         )
 
     monkeypatch.setattr(splitting, "_best_thresholds", fixed)
@@ -823,11 +826,12 @@ def test_best_over_directions_depends_only_on_the_row_set(case, seed, chunk):
     directions = candidate_rows(data, node, 2)
     want = split_bytes(_best_over_directions(data, node, directions))
     rng = np.random.default_rng(seed)
-    assert split_bytes(_best_over_directions(data, node, directions, chunk=chunk)) == want
     shuffled = directions[rng.permutation(directions.shape[0])]
-    assert split_bytes(_best_over_directions(data, node, shuffled, chunk=chunk)) == want
     repeated = shuffled_with_repeats(directions, rng)
-    assert split_bytes(_best_over_directions(data, node, repeated, chunk=chunk)) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_BLOCK_DIRECTIONS", chunk)
+        for rows in (directions, shuffled, repeated):
+            assert split_bytes(_best_over_directions(data, node, rows)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -852,14 +856,12 @@ def test_searches_depend_only_on_their_candidate_sets(case, sparsity, count, see
     searches = [(search_exhaustive_oblique, sparsity), (search_random_projection, strategy)]
     want = [outcome(search, data, node, arg) for search, arg in searches]
     rng = np.random.default_rng(seed)
-    canonical, best_over = splitting._canonical_rows, splitting._best_over_directions
+    canonical = splitting._canonical_rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             splitting, "_canonical_rows", lambda m: shuffled_with_repeats(canonical(m), rng)
         )
-        patch.setattr(
-            splitting, "_best_over_directions", lambda *args: best_over(*args, chunk=chunk)
-        )
+        patch.setattr(splitting, "_BLOCK_DIRECTIONS", chunk)
         got = [outcome(search, data, node, arg) for search, arg in searches]
     assert got == want
 
@@ -923,18 +925,9 @@ def test_step_survives_a_large_response_offset(offset):
 # exactly (reference_split) before _near_best and _winner pick.
 
 
-def unscreened_best_thresholds(X, y, directions, n_full):
-    """_best_thresholds with no screen: every direction solved exactly."""
-    return splitting._near_best([reference_split(X, y, d, n_full) for d in directions])
-
-
-def unscreened_best_over_directions(dataset, node, directions):
-    """_best_over_directions with no bulk screen and no screened re-solve."""
-    idx = np.asarray(node)
-    if idx.size < 2 or directions.shape[0] == 0:
-        return None
-    X, y = dataset.features[idx], dataset.response[idx]
-    return _winner(unscreened_best_thresholds(X, y, _canonical_directions(directions), dataset.n))
+def unscreened_best_thresholds(X, y, W, n_full):
+    """_best_thresholds with no screen: every row solved exactly."""
+    return splitting._near_best([reference_split(X, y, Direction(tuple(w)), n_full) for w in W.tolist()])
 
 
 @st.composite
@@ -977,10 +970,10 @@ def test_screened_batch_is_the_exact_near_best_set(case, seed):
     # bits while their exact decreases are equal.
     eye = np.eye(data.p)
     rows = np.concatenate([eye, eye + 1e-3 * np.roll(eye, 1, axis=1), rng.integers(-2, 3, size=(12, data.p))])
-    directions = [Direction.canonical(v) for v in rows if v.any()]
+    W = np.array([Direction.canonical(v).coefficients for v in rows if v.any()])
     X, y = data.features[node], data.response[node]
-    got = _best_thresholds(X, y, directions, data.n)
-    want = unscreened_best_thresholds(X, y, directions, data.n)
+    got = _best_thresholds(X, y, W, data.n)
+    want = unscreened_best_thresholds(X, y, W, data.n)
     assert [split_bytes(s) for s in got] == [split_bytes(s) for s in want]
 
 
@@ -1009,7 +1002,6 @@ def test_searches_equal_their_unscreened_reference(case, sparsity, count, restar
         searches.append((search_exhaustive_oblique, min(sparsity, 2)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splitting, "_best_thresholds", unscreened_best_thresholds)
-        patch.setattr(splitting, "_best_over_directions", unscreened_best_over_directions)
         want = [outcome(search, data, node, *args) for search, *args in searches]
     assert [outcome(search, data, node, *args) for search, *args in searches] == want
 
@@ -1023,15 +1015,77 @@ def test_screen_keeps_a_tie_whose_sweep_gains_differ_in_the_last_bit():
     X = np.array([[2, -2], [2, 0], [0, 1], [-1, 2], [-2, -1], [-1, 0], [0, -2]], dtype=float)
     y = np.array([748.7, 1634.8, 272.8, -1233.3, -958.3, 1600.0, 202.9])
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 2.0], [2.0, 1.0]])
-    directions = _canonical_directions(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-    near = _best_thresholds(X, y, directions, 7)
-    assert [s.direction.coefficients for s in near] == [
-        d.coefficients for d in (directions[1], directions[3], directions[4])
-    ]
+    W = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    near = _best_thresholds(X, y, W, 7)
+    assert [s.direction.coefficients for s in near] == [tuple(W[i]) for i in (1, 3, 4)]
     assert len({s.decrease for s in near}) == 1
     data = Dataset(X, y)
-    best = _best_over_directions(data, root_index_set(data), np.array([d.coefficients for d in directions]))
+    best = _best_over_directions(data, root_index_set(data), W)
     assert best.direction == axis_direction(2, 1)
+
+
+def test_a_direction_below_the_final_floor_is_not_solved(monkeypatch):
+    # One direction per block.  In the order (axis 0, axis 1), axis 0 is
+    # the best of the first block, so it passes that block's floor, but
+    # axis 1's far larger gain raises the floor past it.  In the order
+    # (axis 1, axis 0), the floor must not fall back for the second block.
+    # Either way only axis 1 gets an exact decrease and a Split.
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.0, 1.0, size=(40, 2))
+    y = (X[:, 1] > 0.0).astype(float)
+    weak, strong = (reference_split(X, y, axis_direction(2, j), 40) for j in (0, 1))
+    assert weak is not None and weak.decrease < 0.5 * strong.decrease
+    calls = []
+    real = splitting._split_decrease
+    monkeypatch.setattr(splitting, "_split_decrease", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(splitting, "_BLOCK_DIRECTIONS", 1)
+    for W in (np.eye(2), np.eye(2)[::-1]):
+        calls.clear()
+        assert [split_bytes(s) for s in _best_thresholds(X, y, W, 40)] == [split_bytes(strong)]
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [2.0**-560, 2.0**530])
+def test_exhaustive_keeps_oblique_candidates_whose_squares_underflow_or_overflow(scale):
+    # Pair differences of these points have squares below the smallest
+    # subnormal or above the largest double.  Their perpendiculars must
+    # still be swept: the oblique split beats every axis split.
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1.0, 1.0, size=(12, 2))
+    data = Dataset(X, (X[:, 0] + X[:, 1] > 0.1).astype(float))
+    root = root_index_set(data)
+    want = search_exhaustive_oblique(data, root, 2)
+    assert want.direction.support_size == 2
+    assert want.decrease > search_axis_aligned(data, root).decrease + 0.01
+    scaled = Dataset(X * scale, data.response)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = search_exhaustive_oblique(scaled, root, 2)
+    assert got.decrease == want.decrease
+    assert (got.left_count, got.right_count) == (want.left_count, want.right_count)
+    assert got.direction.coefficients == pytest.approx(want.direction.coefficients, rel=1e-12)
+
+
+def test_every_candidate_row_is_projected_and_sorted_once():
+    # One sweep per candidate direction: the rows handed to the
+    # projection kernel and to the sort equal the candidate rows, the
+    # axes of random projection's baseline included.
+    data = random_dataset(13, 24, 3)
+    root = root_index_set(data)
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=40, seed=2)
+    raw = _random_sparse_directions(np.random.default_rng(2), 3, 2, 40)
+    cases = [
+        (lambda: search_exhaustive_oblique(data, root, 3), candidate_rows(data, root, 3).shape[0]),
+        (lambda: search_random_projection(data, root, strategy), 3 + _canonical_rows(raw).shape[0]),
+    ]
+    for search, candidates in cases:
+        projected, sorted_rows = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            project, order = splitting.projections, splitting._stable_order
+            patch.setattr(splitting, "projections", lambda X, W, *a: projected.append(len(W)) or project(X, W, *a))
+            patch.setattr(splitting, "_stable_order", lambda V: sorted_rows.append(len(V)) or order(V))
+            search()
+        assert sum(projected) == sum(sorted_rows) == candidates
 
 
 # The OC1 hill climb: the exact coefficient move against a scan of its

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from obliquetree import (
     Dataset,
+    Direction,
     SearchStrategy,
     attach_index_sets,
     grow,
@@ -14,7 +17,7 @@ from obliquetree import (
 )
 from obliquetree.tree import from_json, to_json, validate_partition
 
-from conftest import random_dataset
+from conftest import SNAP_BORDER_VECTOR, random_dataset
 
 AXIS = SearchStrategy(kind="axis_aligned")
 
@@ -123,6 +126,17 @@ def test_json_round_trip_and_attach():
     assert np.array_equal(
         predict_batch(back, data.features), predict_batch(tree, data.features)
     )
+
+
+def test_json_round_trip_of_a_snap_border_direction():
+    # The direction's middle coefficient reaches the snap border only
+    # after the division by the norm; from_json re-canonicalizes every
+    # stored direction and must get the same one back.
+    data = random_dataset(23, 40, 3)
+    tree = grow(data, AXIS, max_depth=1)
+    root = tree.nodes[tree.root_id]
+    root.split = replace(root.split, direction=Direction.canonical(SNAP_BORDER_VECTOR))
+    assert to_json(from_json(to_json(tree))) == to_json(tree)
 
 
 def test_attach_rejects_wrong_dataset():
