@@ -189,16 +189,27 @@ def projections(X: np.ndarray, W: np.ndarray, rows=None) -> np.ndarray:
     every column of every row; the values are those of
     projections(X[rows], W), bit for bit.
 
+    A k x m index matrix `rows` gives each direction its own points:
+    entry (j, i) projects X[rows[j, i]] onto W[j], with the same bits as
+    projections(X[rows[j]], W[j:j + 1]).  Each coefficient column is
+    added only to the directions that use it.
+
     Few directions over many rows are summed direction by direction,
     column by column; a Fortran-ordered X makes those columns
-    contiguous.  Many directions over few rows (k > m) are summed into
-    an m x k block over the union of the supports and transposed once:
-    a zero coefficient adds a zero, which changes no value.
+    contiguous.  Many directions over few rows (k > m), and an index
+    matrix, are summed over the union of the supports: a zero
+    coefficient adds a zero, which changes no value.
     """
     def column(c):
         return X[:, c] if rows is None else X[rows, c]
 
     k, m = W.shape[0], X.shape[0] if rows is None else len(rows)
+    if rows is not None and rows.ndim == 2:
+        block = np.zeros(rows.shape)
+        for c in np.flatnonzero(W.any(axis=0)).tolist():
+            hit = np.flatnonzero(W[:, c])
+            block[hit] += W[hit, c, None] * X[:, c][rows[hit]]
+        return block
     if k > m:
         by_coordinate = W.T.copy()
         block = np.zeros((m, k))

@@ -46,12 +46,19 @@ every direction exactly.
 
 One function, _best_thresholds, sweeps and screens for every search (the
 axis scan, random projection, the exhaustive oracle, each hill-climb
-re-solve and best_threshold), each direction once.  It sweeps in blocks
-under a floor that only rises, the best top_j so far minus the margin
-2 DECREASE_TOL + 2 B (_margin), and keeps a direction's split only if
-top_j reaches its own block's floor.  The last floor is the screen's and
-no block's floor exceeds it, so every contender was kept; the kept
-directions below it get no exact decrease.
+re-solve and best_threshold), each direction once.  It takes a list of
+problems, each a node with its own direction rows, so tree.grow hands it
+a whole frontier level at once (_search_level), and a search on one node
+is a level of one.  Problems of few projections share padded blocks; a
+larger one sweeps in blocks of its own (_blocks).  Padding follows each
+node's rows, +inf values with 0.0 centred responses, so every prefix
+sum, total and gain of a node keeps its bits, and no boundary next to
+the padding is valid.  Each problem has its own floor, which only rises
+from block to block: the best top_j so far minus the margin 2
+DECREASE_TOL + 2 B (_margin) of its node.  A direction keeps its split
+only if top_j reaches its problem's floor in its own block.  The last
+floor is the screen's and no block's floor exceeds it, so every
+contender was kept; the kept directions below it get no exact decrease.
 
 The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
 for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
@@ -95,6 +102,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -131,6 +139,22 @@ _UNIT_ROUNDOFF = 2.0**-53
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_DIRECTIONS = 4096
 
+# A search problem (a node and its direction rows) of at most
+# _PACK_ELEMENTS projections shares a padded block with others (_blocks),
+# if its node has at least _PACK_FILL times as many rows as the block's
+# widest node; a larger problem sweeps in blocks of its own.  Below a few
+# thousand projections a node's fixed cost outweighs its sweep; 2^13 and
+# 1/2 (padding under half of any row) were the fastest of the cuts
+# 2^11, 2^13, 2^15 and fills 0 to 0.8 on depth-5 to depth-9 axis trees
+# of 600 to 20,000 rows.
+_PACK_ELEMENTS = 2**13
+_PACK_FILL = 0.5
+
+# The exhaustive search rescales a support's points by a power of two
+# when the binary exponent of their peak magnitude lies outside
+# [-_EXPONENT_BAND, _EXPONENT_BAND] (_rescaled).
+_EXPONENT_BAND = 200
+
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -140,13 +164,20 @@ class NoValidSplitError(ValueError):
 
 @dataclass(frozen=True)
 class Split:
-    """A chosen hyperplane split: direction, threshold, and its decrease."""
+    """A chosen hyperplane split: direction, threshold, and its decrease.
+
+    left, on a split that search found, marks the node's rows (in index
+    order) that go left; grow routes the node with it.  It is not part
+    of the split's value: equality and to_dict ignore it, and a split
+    read back from a dict has None.
+    """
 
     direction: Direction
     threshold: float
     decrease: float
     left_count: int
     right_count: int
+    left: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -239,8 +270,11 @@ class SuboptimalityReport:
 
 
 def _sse(y: np.ndarray) -> float:
-    """Sum of squared deviations of y from its mean."""
-    return float(np.sum((y - y.mean()) ** 2))
+    """Sum of squared deviations of y from its mean, with the bits of
+    dataset.node_stats (np.add.reduce is np.sum and y.mean() without
+    their Python wrappers)."""
+    centred = y - np.add.reduce(y) / y.size
+    return float(np.add.reduce(centred * centred))
 
 
 def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int, sse_node: float) -> float:
@@ -267,8 +301,8 @@ def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float)
     return _split_decrease(y, left, dataset.n, _sse(y))
 
 
-def _stable_order(V: np.ndarray):
-    """Stable argsort of each row of a k x m block, and the sorted rows.
+def _stable_order(V: np.ndarray, m=None):
+    """Stable argsort of each row of a k x M block, and the sorted rows.
 
     Returns (order, sorted_V) equal to np.argsort(V, axis=1,
     kind="stable") and V gathered by that order, bit for bit, on every
@@ -277,11 +311,17 @@ def _stable_order(V: np.ndarray):
     an unspecified order.  Runs of equal neighbours (two NaNs count as
     equal) are then re-sorted by column index, which gives the stable
     order; continuous data rarely has any.
+
+    With m, a (k, 1) array of row lengths, each row's columns from m on
+    are padding, +inf, and their order among themselves is left as the
+    quicksort leaves it: only ties within a row's first m sorted values
+    are repaired, or within the whole row if one of its own values is
+    +inf.  Every value of the row still comes before its padding.
     """
     order = np.argsort(V, axis=1)
     s = np.take_along_axis(V, order, axis=1)
-    k, m = s.shape
-    if m < 2:
+    k, M = s.shape
+    if M < 2:
         return order, s
     tied = s[:, 1:] == s[:, :-1]
     # NaNs sort last, so only rows ending in NaN can hold two of them.
@@ -289,26 +329,29 @@ def _stable_order(V: np.ndarray):
     if nan_rows.size:
         nan = np.isnan(s[nan_rows])
         tied[nan_rows] |= nan[:, 1:] & nan[:, :-1]
+    if m is not None:
+        last = np.take_along_axis(s, m - 1, axis=1)
+        tied &= np.arange(1, M) < np.where(last == np.inf, M, m)
     if not tied.any():
         return order, s
     # Flat positions covered by runs, numbered run by run across the
     # block.  The key (run number, column) is unique, so any sort of it
-    # gives the stable order; it stays below k * m**2.
-    in_run = np.zeros((k, m), dtype=bool)
+    # gives the stable order; it stays below k * M**2.
+    in_run = np.zeros((k, M), dtype=bool)
     in_run[:, 1:] = tied
     in_run[:, :-1] |= tied
     pos = np.flatnonzero(in_run)
-    starts = np.ones((k, m), dtype=bool)
+    starts = np.ones((k, M), dtype=bool)
     starts[:, 1:] = ~tied
-    run_base = np.cumsum(starts.ravel()[pos]) * m
+    run_base = np.cumsum(starts.ravel()[pos]) * M
     cols = np.sort(run_base + np.take(order, pos)) - run_base
     np.put(order, pos, cols)
     # Equal values can still differ in bits (-0.0 and +0.0, NaN payloads).
-    np.put(s, pos, np.take(V, pos - pos % m + cols))
+    np.put(s, pos, np.take(V, pos - pos % M + cols))
     return order, s
 
 
-def _gains(sum_left, n_left, total, m: int, n_full: int):
+def _gains(sum_left, n_left, total, m, n_full: int):
     """SSE decrease / n_full of left sets of n_left rows whose centred
     responses sum to sum_left, on a node of m rows summing to total."""
     return (
@@ -316,23 +359,26 @@ def _gains(sum_left, n_left, total, m: int, n_full: int):
     ) / n_full
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, n_full: int):
-    """Prefix-sum sweep over sorted projections, one direction per column.
+def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
+    """Prefix-sum sweep over sorted projections, one direction per row.
 
-    values is (m, k), each column sorted ascending, and y holds the
-    node's responses centred on the node mean, in the same order.  The
-    callers sort a k x m row-layout block with _stable_order and pass
-    its transposed views, so each direction is contiguous in memory.
-    Returns (gains, thresholds, valid) over the m-1 boundaries; a
+    values is (k, M), each row sorted ascending, and y holds the centred
+    responses of the row's node in the same order.  m is the node size:
+    an int, or a (k, 1) array for rows of nodes of several sizes.  A row
+    longer than its node is padded after the node's rows, with +inf
+    values and 0.0 responses: the prefix sums over the node's rows are
+    untouched, the total only gains zeros, so every gain of the node
+    keeps its bits, and no boundary next to the padding is valid.
+    Returns (gains, thresholds, valid) over the M-1 boundaries; a
     boundary is valid only when its midpoint lies strictly between two
     distinct consecutive values.
     """
-    m = values.shape[0]
-    csum = np.cumsum(y, axis=0)
-    n_left = np.arange(1, m, dtype=np.float64)[:, None]
-    gains = _gains(csum[:-1], n_left, csum[-1], m, n_full)
-    thresholds = 0.5 * (values[:-1] + values[1:])
-    valid = (values[:-1] < thresholds) & (thresholds < values[1:])
+    csum = np.cumsum(y, axis=1)
+    n_left = np.arange(1, values.shape[1], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # boundaries in the padding
+        gains = _gains(csum[:, :-1], n_left, csum[:, -1:], m, n_full)
+    thresholds = 0.5 * (values[:, :-1] + values[:, 1:])
+    valid = (values[:, :-1] < thresholds) & (thresholds < values[:, 1:])
     return gains, thresholds, valid
 
 
@@ -343,72 +389,170 @@ def _margin(y: np.ndarray, centred: np.ndarray, n_full: int) -> float:
     m = y.size
     mu = m * _UNIT_ROUNDOFF
     spread = np.abs(centred)
-    a = float(np.sum(spread))
-    r = float(np.max(spread))
-    big = float(np.max(np.abs(y)))  # M
+    a = float(np.add.reduce(spread))
+    r = float(np.maximum.reduce(spread))
+    big = float(np.maximum.reduce(np.abs(y)))  # M
     sweep_and_sse = 14.0 * (m + 4) * _UNIT_ROUNDOFF * r * a
     bound = 2.0 * (sweep_and_sse + 13.0 * (mu * a) ** 2 + 3.0 * m * (mu * big) ** 2) / n_full
     return 2.0 * DECREASE_TOL + 2.0 * bound
 
 
-def _best_thresholds(X: np.ndarray, y: np.ndarray, W: np.ndarray, n_full: int) -> list:
-    """The exact near-best splits over the direction rows W on one node.
+class _Node:
+    """A node's sample as split search reads it.
 
-    X and y hold the node's rows in increasing index order (X may be a
-    Fortran-ordered copy).  A row of W becomes its split's direction as
-    it is, so callers pass fixpoints of Direction.canonical, as
-    _canonical_rows gives.  Blocks of at most _BLOCK_ELEMENTS projections
-    and _BLOCK_DIRECTIONS rows are projected (dataset.projections), sorted
-    by value, then by index (_stable_order), swept (_sweep_gains) and
-    screened under a rising floor (module docstring).  A kept row's split
-    sits at its first boundary within DECREASE_TOL of its best gain, with
-    its left set read off the block's projections, and the contenders'
-    exact decreases are computed once per distinct left set.  Returns the
-    splits within DECREASE_TOL of the largest exact decrease, in row
-    order, as solving every row exactly would; empty when no row has a
-    valid split.
+    rows indexes the node's rows, in increasing order, of the feature
+    matrix it is searched with; y holds their responses, centred holds y
+    minus the node mean, and sse is _sse(y).  grow stores mean and sse as the tree node's statistics and
+    hands the same record to the next level's search, so each node's are
+    computed once.
     """
-    m = X.shape[0]
-    if m < 2:
-        return []
-    centred = y - y.mean()
-    margin = _margin(y, centred, n_full)
-    step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
-    floor = -np.inf
-    kept = []
-    for lo in range(0, W.shape[0], step):
-        V = projections(X, W[lo : lo + step])
-        order, sorted_V = _stable_order(V)
-        gains, thresholds, valid = _sweep_gains(sorted_V.T, centred[order].T, n_full)
-        gains = np.where(valid, gains, -np.inf)
-        top = gains.max(axis=0)
-        floor = max(floor, top.max() - margin)
-        if floor == -np.inf:  # no valid split in any block so far
+
+    __slots__ = ("rows", "y", "mean", "centred", "sse", "_margin", "_features")
+
+    def __init__(self, y: np.ndarray, rows: np.ndarray):
+        self.rows = rows
+        self.y = y
+        self.mean = float(np.add.reduce(y) / y.size)  # _sse's mean and sum
+        self.centred = y - self.mean
+        self.sse = float(np.add.reduce(self.centred * self.centred))
+        self._margin = self._features = None
+
+    @staticmethod
+    def of(dataset: Dataset, node) -> "_Node":
+        idx = validate_index_set(node, dataset.n)
+        return _Node(dataset.response[idx], idx)
+
+    def features(self, X: np.ndarray) -> np.ndarray:
+        """The node's rows of X, as a Fortran-ordered copy made once."""
+        if self._features is None:
+            self._features = np.asfortranarray(X[self.rows])
+        return self._features
+
+    def margin(self, n_full: int) -> float:
+        if self._margin is None:
+            self._margin = _margin(self.y, self.centred, n_full)
+        return self._margin
+
+
+def _blocks(problems) -> list:
+    """The sweep's blocks, as lists of (problem, first row, end row).
+
+    A problem of at most _PACK_ELEMENTS projections (direction rows x
+    node rows) goes whole into a block shared with others, widest node
+    first, while the block stays within _BLOCK_ELEMENTS projections and
+    _BLOCK_DIRECTIONS rows and the node fills at least _PACK_FILL of the
+    block's width.  A larger one is cut into blocks of its own.
+    """
+    blocks, small = [], []
+    for q, (node, W) in enumerate(problems):
+        m, k = node.y.size, W.shape[0]
+        if m < 2 or k == 0:
             continue
-        rows = np.flatnonzero(top >= floor)
+        if k * m <= _PACK_ELEMENTS and k <= _BLOCK_DIRECTIONS:
+            small.append((m, k, q))
+            continue
+        step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
+        blocks.extend([(q, lo, min(lo + step, k))] for lo in range(0, k, step))
+    small.sort(key=lambda problem: -problem[0])
+    block, rows, width = [], 0, 0
+    for m, k, q in small:
+        if block and (
+            (rows + k) * width > _BLOCK_ELEMENTS
+            or rows + k > _BLOCK_DIRECTIONS
+            or m < _PACK_FILL * width
+        ):
+            blocks.append(block)
+            block = []
+        if not block:
+            rows, width = 0, m
+        block.append((q, 0, k))
+        rows += k
+    if block:
+        blocks.append(block)
+    return blocks
+
+
+def _best_thresholds(X: np.ndarray, problems, n_full: int) -> list:
+    """The exact near-best splits of each (node, W) problem.
+
+    A problem pairs a _Node of X's rows with a matrix W of direction
+    rows.  A row of W becomes its split's direction as it is, so callers
+    pass fixpoints of Direction.canonical, as _canonical_rows gives.
+    The rows of every problem are swept in the blocks of _blocks: each
+    block is projected (one dataset.projections call), sorted by value,
+    then by index (one _stable_order call), swept (_sweep_gains, one
+    cumsum along the rows) and screened under each problem's rising
+    floor (module docstring).  A kept row's split sits at its first
+    boundary within DECREASE_TOL of its best gain, with its left set read
+    off the block's projections, and each problem's contenders get exact
+    decreases once per distinct left set.  Returns, for each problem, the
+    splits within DECREASE_TOL of its largest exact decrease, in row
+    order, as solving every row exactly would; empty when no row has a
+    valid split.  Each split carries its left set as a mask (Split.left).
+    """
+    floor = np.full(len(problems), -np.inf)
+    kept = []
+    for block in _blocks(problems):
+        qs = [q for q, _, _ in block]
+        nodes = [problems[q][0] for q in qs]
+        counts = [hi - lo for _, lo, hi in block]
+        which = np.repeat(np.arange(len(block)), counts)
+        W = np.concatenate([problems[q][1][lo:hi] for q, lo, hi in block])
+        if len(block) == 1:
+            m = nodes[0].y.size
+            V = projections(nodes[0].features(X), W)
+            order, sorted_V = _stable_order(V)
+            y = nodes[0].centred[order]
+        else:
+            sizes = np.array([node.y.size for node in nodes])
+            index = np.zeros((len(nodes), sizes[0]), dtype=np.intp)
+            centred = np.zeros((len(nodes), sizes[0]))
+            for i, node in enumerate(nodes):
+                index[i, : sizes[i]] = node.rows
+                centred[i, : sizes[i]] = node.centred
+            m = sizes[which][:, None]
+            V = projections(X, W, index[which])
+            V[np.arange(sizes[0]) >= m] = np.inf
+            order, sorted_V = _stable_order(V, m)
+            y = centred[which[:, None], order]
+        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full)
+        gains = np.where(valid, gains, -np.inf)
+        top = gains.max(axis=1)
+        starts = np.cumsum([0] + counts[:-1])
+        margins = np.array([node.margin(n_full) for node in nodes])
+        floor[qs] = np.maximum(floor[qs], np.maximum.reduceat(top, starts) - margins)
+        row_floor = floor[qs][which]
+        rows = np.flatnonzero((top >= row_floor) & (row_floor > -np.inf))
         top = top[rows]
         # First boundary within tolerance of the max = smallest threshold.
-        boundaries = (gains[:, rows] >= top - DECREASE_TOL).argmax(axis=0)
-        cuts = thresholds[boundaries, rows]
-        kept.append((lo, rows, top, boundaries, cuts, V[rows] <= cuts[:, None]))
-    sse_node = float(np.sum(centred**2))  # _sse(y)
-    decreases: dict[bytes, float] = {}
-    splits = []
-    for lo, rows, top, boundaries, cuts, lefts in kept:
-        for i in np.flatnonzero(top >= floor).tolist():
-            key = lefts[i].tobytes()
+        boundaries = (gains[rows] >= top[:, None] - DECREASE_TOL).argmax(axis=1)
+        cuts = thresholds[rows, boundaries]
+        offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
+        kept.append(
+            (np.array(qs)[which[rows]], offsets[rows], top, boundaries, cuts, V[rows] <= cuts[:, None])
+        )
+    decreases: dict[tuple, float] = {}
+    splits = [[] for _ in problems]
+    for owners, offsets, top, boundaries, cuts, lefts in kept:
+        for i in np.flatnonzero(top >= floor[owners]).tolist():
+            q, b = int(owners[i]), int(boundaries[i])
+            node, W = problems[q]
+            m = node.y.size
+            left = lefts[i, :m]
+            key = (q, left.tobytes())
             if key not in decreases:
-                decreases[key] = _split_decrease(y, lefts[i], n_full, sse_node)
-            splits.append(
+                decreases[key] = _split_decrease(node.y, left, n_full, node.sse)
+            splits[q].append(
                 Split(
-                    direction=Direction(tuple(W[lo + rows[i]].tolist())),
+                    direction=Direction(tuple(W[offsets[i]].tolist())),
                     threshold=float(cuts[i]),
                     decrease=decreases[key],
-                    left_count=int(boundaries[i]) + 1,
-                    right_count=m - int(boundaries[i]) - 1,
+                    left_count=b + 1,
+                    right_count=m - b - 1,
+                    left=left,
                 )
             )
-    return _near_best(splits)
+    return [_near_best(found) for found in splits]
 
 
 def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
@@ -420,13 +564,12 @@ def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
     re-evaluated from the left set, as sse_decrease does, so it matches
     exactly.
     """
-    idx = validate_index_set(node, dataset.n)
+    sample = _Node.of(dataset, node)
     if len(direction.coefficients) != dataset.p:
         raise ValueError(
             f"direction has {len(direction.coefficients)} coefficients, p={dataset.p}"
         )
-    W = direction.as_array()[None]
-    near = _best_thresholds(dataset.features[idx], dataset.response[idx], W, dataset.n)
+    (near,) = _best_thresholds(dataset.features, [(sample, direction.as_array()[None])], dataset.n)
     if not near:
         raise NoValidSplitError("no valid split: projections not separable")
     return near[0]
@@ -452,21 +595,6 @@ def _winner(splits):
     """The winner rule of the module docstring: the near-best split with
     the smallest _tie_key, or None."""
     return min(_near_best(splits), key=_tie_key, default=None)
-
-
-def search_axis_aligned(dataset: Dataset, node) -> Split:
-    """Best split over the p standard basis directions.
-
-    The winner is the lowest-index axis among those whose decrease is
-    within DECREASE_TOL of the largest, at its smallest near-best
-    threshold.
-    """
-    idx = validate_index_set(node, dataset.n)
-    axes = np.eye(dataset.p)
-    near = _best_thresholds(dataset.features[idx], dataset.response[idx], axes, dataset.n)
-    if not near:
-        raise NoValidSplitError("no coordinate admits a valid split")
-    return near[0]
 
 
 def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
@@ -549,72 +677,85 @@ def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.
     return out
 
 
-def _best_over_directions(dataset: Dataset, node, directions: np.ndarray):
-    """The near-best split with the smallest _tie_key over canonical
-    direction rows (_best_thresholds), or None when no row admits a
-    valid split."""
-    idx = validate_index_set(node, dataset.n)
-    X = np.asfortranarray(dataset.features[idx])
-    near = _best_thresholds(X, dataset.response[idx], directions, dataset.n)
-    return min(near, key=_tie_key, default=None)
+def _rescaled(points: np.ndarray) -> np.ndarray:
+    """points times 2^-e, e the binary exponent of their peak magnitude,
+    or points itself when |e| <= _EXPONENT_BAND.
 
-
-def search_exhaustive_oblique(
-    dataset: Dataset, node, sparsity_d: int, node_cap: int = 64
-) -> Split:
-    """Exact maximizer of the SSE decrease over sparsity-d hyperplanes.
-
-    Enumerates, for every support of size <= sparsity_d, the directions
-    spanned by node-point subsets (see _candidate_directions) and sweeps
-    every midpoint threshold along each.  This realizes every dichotomy
-    of the node achievable by a hyperplane with at most sparsity_d
-    nonzero coefficients, so the returned split is a true maximizer over
-    the restricted space.  Restricted to small instances by node_cap.
+    A power of two scales exactly, and canonical directions do not see a
+    common scale, so this changes no candidate direction of points whose
+    scale stays within the band; beyond it, the cross products of
+    _candidate_directions would overflow or underflow.
     """
-    idx = validate_index_set(node, dataset.n)
-    if idx.size > node_cap:
-        raise ValueError(
-            f"node size {idx.size} exceeds exhaustive search cap {node_cap}"
-        )
-    d = min(sparsity_d, dataset.p)
-    if d > 3:
-        raise ValueError("exhaustive search supports sparsity_d <= 3")
-    X = dataset.features[idx]
+    _, exponent = np.frexp(np.max(np.abs(points)))
+    if abs(int(exponent)) <= _EXPONENT_BAND:
+        return points
+    return np.ldexp(points, -int(exponent))
+
+
+def _oblique_candidates(points: np.ndarray, d: int) -> np.ndarray:
+    """The exhaustive search's canonical candidate rows on a node's
+    points (its m x p features), for every support of size <= d."""
+    p = points.shape[1]
     blocks = []
     for size in range(1, d + 1):
-        for support in itertools.combinations(range(dataset.p), size):
-            pts = X[:, list(support)]
-            blocks.append(_candidate_directions(pts, support, dataset.p, size))
-    directions = _canonical_rows(np.concatenate(blocks, axis=0))
-    best = _best_over_directions(dataset, node, directions)
-    if best is None:
-        raise NoValidSplitError("no valid split on this node")
-    return best
+        for support in itertools.combinations(range(p), size):
+            pts = _rescaled(points[:, list(support)])
+            blocks.append(_candidate_directions(pts, support, p, size))
+    return _canonical_rows(np.concatenate(blocks, axis=0))
 
 
-def _random_sparse_directions(rng, p: int, sparsity_d: int, count: int) -> np.ndarray:
-    out = np.zeros((count, p))
-    for i in range(count):
+def _random_sparse_directions(seed: int, p: int, sparsity_d: int, count: int) -> np.ndarray:
+    """count random sparse unit directions from np.random.default_rng(seed).
+
+    Candidate by candidate, they are the directions of this loop, bit for
+    bit:
+
         support = rng.choice(p, size=sparsity_d, replace=False)
-        # The same draws as rng.choice([-1.0, 1.0], size=sparsity_d).
-        out[i, support] = _SIGNS[rng.integers(0, 2, size=sparsity_d)]
-    return out / np.sqrt(sparsity_d)
+        out[i, support] = (-1.0, 1.0)[rng.integers(0, 2, size=sparsity_d)]
 
-
-def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
-    """Axis-aligned baseline plus num_candidates sparse random directions.
-
-    Each candidate has a uniformly chosen support of size
-    min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
-    scaled to unit norm.  With zero candidates this reduces to the
-    axis-aligned search.
+    scaled by 1 / sqrt(sparsity_d).  The draws are made in bulk.  numpy's
+    choice without replacement runs Floyd's algorithm (for j = p - d, ...,
+    p - 1, a draw from [0, j], or j itself when the draw repeats an
+    earlier pick), then shuffles the d picks (for i = d - 1, ..., 1, a
+    draw from [0, i] is swapped with i); integers(0, 2) is a draw from
+    [0, 1].  A draw from [0, r] is Lemire's: the high 32 bits of u (r + 1)
+    for the generator's next 32-bit output u, the low then the high half
+    of a 64-bit output; it is redrawn while the low 32 bits fall below
+    (2^32 - 1 - r) mod (r + 1), and skipped when r = 0.  Without a redraw,
+    every candidate takes the same number of outputs.  A redraw has a
+    chance below 2^-28 per draw; if one occurs, the loop above runs
+    instead.  numpy does not promise this stream across versions, and a
+    test pins the bulk draw to the loop.
     """
-    best = search_axis_aligned(dataset, node)
-    rng = np.random.default_rng(strategy.seed)
-    d = min(strategy.sparsity_d, dataset.p)
-    raw = _random_sparse_directions(rng, dataset.p, d, strategy.num_candidates)
-    directions = _canonical_rows(raw)
-    return _winner([best, _best_over_directions(dataset, node, directions)])
+    d = sparsity_d
+    out = np.zeros((count, p))
+    if count == 0:
+        return out
+    rng = np.random.default_rng(seed)
+    floyd = [j for j in range(p - d, p) if j > 0]
+    r = np.array(floyd + list(range(d - 1, 0, -1)) + [1] * d, dtype=np.uint64)
+    words = rng.bit_generator.random_raw((count * r.size + 1) // 2)
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1)
+    scaled = halves.reshape(-1)[: count * r.size].reshape(count, r.size) * (r + np.uint64(1))
+    redrawn = (scaled & np.uint64(0xFFFFFFFF)) < (np.uint64(0xFFFFFFFF) - r) % (r + np.uint64(1))
+    if redrawn.any():
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            support = rng.choice(p, size=d, replace=False)
+            out[i, support] = _SIGNS[rng.integers(0, 2, size=d)]
+        return out / np.sqrt(d)
+    draws = (scaled >> np.uint64(32)).astype(np.intp)
+    picks = np.zeros((count, d), dtype=np.intp)  # j = 0 takes 0 without a draw
+    for t, column in zip(range(d - len(floyd), d), draws.T):
+        j = p - d + t
+        picks[:, t] = np.where((picks[:, :t] == column[:, None]).any(axis=1), j, column)
+    rows = np.arange(count)
+    for i, column in zip(range(d - 1, 0, -1), draws[:, len(floyd) :].T):
+        held = picks[rows, column]
+        picks[rows, column] = picks[:, i]
+        picks[:, i] = held
+    out[rows[:, None], picks] = _SIGNS[draws[:, -d:]]
+    return out / np.sqrt(d)
 
 
 def _coefficient_move(X: np.ndarray, centred: np.ndarray, w: np.ndarray, j: int,
@@ -654,6 +795,135 @@ def _coefficient_move(X: np.ndarray, centred: np.ndarray, w: np.ndarray, j: int,
     return float(mids[best]), float(gains[best])
 
 
+def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
+           seed: int, n_full: int) -> Split:
+    """search_hill_climb on one node, from its axis split base."""
+    if strategy.max_iterations == 0:
+        return base
+    p = X.shape[1]
+    d = min(strategy.sparsity_d, p)
+    rows = _random_sparse_directions(seed, p, d, strategy.restarts - 1)
+    local = node.features(X)
+    ends = [base]
+    for start in [base.direction] + [Direction.canonical(row) for row in rows]:
+        (near,) = _best_thresholds(X, [(node, start.as_array()[None])], n_full)
+        if not near:
+            continue
+        current = near[0]
+        for _ in range(strategy.max_iterations):
+            before = current
+            for j in range(p):
+                w = current.direction.as_array().copy()
+                if w[j] == 0.0 and current.direction.support_size >= d:
+                    w[np.argmin(np.where(w == 0.0, np.inf, np.abs(w)))] = 0.0
+                w[j] = 0.0
+                move = _coefficient_move(local, node.centred, w, j, current.threshold, n_full)
+                if move is None or move[1] <= current.decrease + DECREASE_TOL:
+                    continue
+                w[j] = move[0]
+                (near,) = _best_thresholds(X, [(node, Direction.canonical(w).as_array()[None])], n_full)
+                if near and near[0].decrease > current.decrease + DECREASE_TOL:
+                    current = near[0]
+            if current is before:
+                break
+        ends.append(current)
+    return _winner(ends)
+
+
+def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds: list) -> list:
+    """The split strategy picks at each node, or None where it finds no
+    valid split.
+
+    nodes are _Node records of dataset's rows; node i draws its random
+    candidates, if any, from seeds[i].  The direction rows of every node
+    go to one _best_thresholds call, so that nodes too small to fill a
+    block share one; only the hill climb's probes are swept node by node.
+    """
+    X, n, p = dataset.features, dataset.n, dataset.p
+    d = min(strategy.sparsity_d, p)
+    if strategy.kind == "exhaustive_oblique":
+        for node in nodes:
+            if node.y.size > strategy.node_cap:
+                raise ValueError(
+                    f"node size {node.y.size} exceeds exhaustive search cap {strategy.node_cap}"
+                )
+        if d > 3:
+            raise ValueError("exhaustive search supports sparsity_d <= 3")
+        problems = [(node, _oblique_candidates(node.features(X), d)) for node in nodes]
+        return [min(near, key=_tie_key, default=None) for near in _best_thresholds(X, problems, n)]
+    axes = np.eye(p)
+    problems = [(node, axes) for node in nodes]
+    if strategy.kind == "random_projection":
+        problems += [
+            (node, _canonical_rows(_random_sparse_directions(seed, p, d, strategy.num_candidates)))
+            for node, seed in zip(nodes, seeds)
+        ]
+    near = _best_thresholds(X, problems, n)
+    # search_axis_aligned's winner: the lowest-index near-best axis.
+    axis = [found[0] if found else None for found in near[: len(nodes)]]
+    if strategy.kind == "random_projection":
+        return [
+            base and _winner([base, min(found, key=_tie_key, default=None)])
+            for base, found in zip(axis, near[len(nodes) :])
+        ]
+    if strategy.kind == "hill_climb":
+        return [
+            base and _climb(X, node, base, strategy, seed, n)
+            for node, base, seed in zip(nodes, axis, seeds)
+        ]
+    return axis
+
+
+def run_search(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
+    """The split strategy picks at one node (a level of one node).
+
+    Raises NoValidSplitError when no candidate separates the node.
+    """
+    (split,) = _search_level(dataset, [_Node.of(dataset, node)], strategy, [strategy.seed])
+    if split is None:
+        raise NoValidSplitError("no valid split on this node")
+    return split
+
+
+def search_axis_aligned(dataset: Dataset, node) -> Split:
+    """Best split over the p standard basis directions.
+
+    The winner is the lowest-index axis among those whose decrease is
+    within DECREASE_TOL of the largest, at its smallest near-best
+    threshold.
+    """
+    return run_search(dataset, node, SearchStrategy(kind="axis_aligned"))
+
+
+def search_exhaustive_oblique(
+    dataset: Dataset, node, sparsity_d: int, node_cap: int = 64
+) -> Split:
+    """Exact maximizer of the SSE decrease over sparsity-d hyperplanes.
+
+    Enumerates, for every support of size <= sparsity_d, the directions
+    spanned by node-point subsets (see _candidate_directions) and sweeps
+    every midpoint threshold along each.  This realizes every dichotomy
+    of the node achievable by a hyperplane with at most sparsity_d
+    nonzero coefficients, so the returned split is a true maximizer over
+    the restricted space.  Restricted to small instances by node_cap.
+    """
+    strategy = SearchStrategy(kind="exhaustive_oblique", sparsity_d=sparsity_d, node_cap=node_cap)
+    return run_search(dataset, node, strategy)
+
+
+def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
+    """Axis-aligned baseline plus num_candidates sparse random directions.
+
+    Each candidate has a uniformly chosen support of size
+    min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
+    scaled to unit norm (_random_sparse_directions from the strategy
+    seed).  The winner rule picks between the axis split and the best
+    candidate; with zero candidates this reduces to the axis-aligned
+    search.
+    """
+    return run_search(dataset, node, replace(strategy, kind="random_projection"))
+
+
 def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
     """OC1 coordinate climb from the axis-aligned optimum.
 
@@ -667,55 +937,7 @@ def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split
     Returns the _winner of the axis split and every climb's end; with no
     iteration budget, the axis split.
     """
-    base = search_axis_aligned(dataset, node)
-    if strategy.max_iterations == 0:
-        return base
-    d = min(strategy.sparsity_d, dataset.p)
-    rng = np.random.default_rng(strategy.seed)
-    rows = _random_sparse_directions(rng, dataset.p, d, strategy.restarts - 1)
-    idx = validate_index_set(node, dataset.n)
-    X = np.asfortranarray(dataset.features[idx])
-    y = dataset.response[idx]
-    centred = y - y.mean()
-    ends = [base]
-    for start in [base.direction] + [Direction.canonical(row) for row in rows]:
-        near = _best_thresholds(X, y, start.as_array()[None], dataset.n)
-        if not near:
-            continue
-        current = near[0]
-        for _ in range(strategy.max_iterations):
-            before = current
-            for j in range(dataset.p):
-                w = current.direction.as_array().copy()
-                if w[j] == 0.0 and current.direction.support_size >= d:
-                    w[np.argmin(np.where(w == 0.0, np.inf, np.abs(w)))] = 0.0
-                w[j] = 0.0
-                move = _coefficient_move(X, centred, w, j, current.threshold, dataset.n)
-                if move is None or move[1] <= current.decrease + DECREASE_TOL:
-                    continue
-                w[j] = move[0]
-                near = _best_thresholds(X, y, Direction.canonical(w).as_array()[None], dataset.n)
-                if near and near[0].decrease > current.decrease + DECREASE_TOL:
-                    current = near[0]
-            if current is before:
-                break
-        ends.append(current)
-    return _winner(ends)
-
-
-def run_search(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
-    """Dispatch a search strategy on one node."""
-    if strategy.kind == "axis_aligned":
-        return search_axis_aligned(dataset, node)
-    if strategy.kind == "exhaustive_oblique":
-        return search_exhaustive_oblique(
-            dataset, node, strategy.sparsity_d, strategy.node_cap
-        )
-    if strategy.kind == "hill_climb":
-        return search_hill_climb(dataset, node, strategy)
-    if strategy.kind == "random_projection":
-        return search_random_projection(dataset, node, strategy)
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+    return run_search(dataset, node, replace(strategy, kind="hill_climb"))
 
 
 def estimate_suboptimality(

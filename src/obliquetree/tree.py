@@ -2,15 +2,23 @@
 
 Growth is breadth-first (level-synchronous): every node on the current
 frontier is searched before any child is, so a depth-K tree is exactly
-the depth-(K-1) tree plus one more round of splits.  Node ids are
-assigned in frontier order, which makes construction deterministic and
-gives the greedy-prefix property for deterministic strategies.
+the depth-(K-1) tree plus one more round of splits.  The whole frontier
+goes to one search call (splitting._search_level), which sweeps the
+small nodes together in shared blocks; each node still gets the split
+that run_search finds on it alone.  A split carries its node's left
+set, which routes the node's rows to its children, and each child's
+mean and SSE are computed once, as the tree node's statistics and as
+the next level's centring.  Node ids are assigned in frontier order,
+which makes construction deterministic and gives the greedy-prefix
+property for deterministic strategies.
 
 Routing convention: a point goes to the left child when its projection
 onto the split direction is <= the threshold, and to the right child
-otherwise.  `_partition` is the only place that test is written; growth,
-prediction, index-set attachment and the stump features all route
-through it, and `collapse` is the only way a subtree is materialized.
+otherwise.  `_partition` is the only place that test is written for a
+stored tree; prediction, index-set attachment and the stump features
+all route through it, and `collapse` is the only way a subtree is
+materialized.  (Growth reads the same test off the search's own
+projections, which dataset.projections computed with the same bits.)
 Projections come from `dataset.projections`, so a point reaches the same
 leaf whichever rows are routed with it.
 """
@@ -28,16 +36,19 @@ from .dataset import (
     Dataset,
     Direction,
     _named,
-    node_stats,
     projections,
     root_index_set,
     validate_index_set,
 )
+
+# run_search is not called here; the benchmark's tracer and its tests
+# still look for it in this module's namespace.
 from .splitting import (
     DECREASE_TOL,
-    NoValidSplitError,
     SearchStrategy,
     Split,
+    _Node,
+    _search_level,
     run_search,
 )
 
@@ -83,12 +94,6 @@ class Tree:
         return sum(1 for nd in self.nodes.values() if nd.is_leaf)
 
 
-def _derived_strategy(strategy: SearchStrategy, node_id: int) -> SearchStrategy:
-    # Per-node seed so random strategies draw fresh candidates at every
-    # node while the whole tree stays a function of the base seed.
-    return replace(strategy, seed=strategy.seed + node_id)
-
-
 def grow(
     dataset: Dataset,
     strategy: SearchStrategy,
@@ -107,57 +112,50 @@ def grow(
         raise ValueError("max_depth must be >= 0")
     if min_node_size < 1:
         raise ValueError("min_node_size must be >= 1")
-    root_idx = root_index_set(dataset)
-    mean, sse = node_stats(dataset, root_idx)
+    root = _Node.of(dataset, root_index_set(dataset))
     nodes = {
         0: TreeNode(
-            node_id=0, depth=0, mean=mean, sse=sse, count=dataset.n, index_set=root_idx
+            node_id=0, depth=0, mean=root.mean, sse=root.sse, count=dataset.n, index_set=root.rows
         )
     }
-    frontier = [0]
+    frontier = [(0, root)]
     next_id = 1
     deepest = 0
     for depth in range(max_depth):
-        next_frontier: list[int] = []
-        for nid in frontier:
+        searched = [
+            (nid, sample)
+            for nid, sample in frontier
+            if sample.y.size >= 2 * min_node_size
+            and float(sample.y.max() - sample.y.min()) > PURITY_TOL
+        ]
+        # Per-node seeds, so random strategies draw fresh candidates at
+        # every node while the whole tree stays a function of the base seed.
+        splits = _search_level(
+            dataset,
+            [sample for _, sample in searched],
+            strategy,
+            [strategy.seed + nid for nid, _ in searched],
+        )
+        frontier = []
+        for (nid, sample), split in zip(searched, splits):
+            if split is None or split.decrease <= DECREASE_TOL:
+                continue
+            if min(split.left_count, split.right_count) < min_node_size:
+                continue
             node = nodes[nid]
-            idx = node.index_set
-            if idx.size < 2 * min_node_size:
-                continue
-            y = dataset.response[idx]
-            if float(y.max() - y.min()) <= PURITY_TOL:
-                continue
-            try:
-                split = run_search(dataset, idx, _derived_strategy(strategy, nid))
-            except NoValidSplitError:
-                continue
-            if split.decrease <= DECREASE_TOL:
-                continue
-            left_idx, right_idx = _partition(dataset.features, idx, split)
-            if left_idx.size < min_node_size or right_idx.size < min_node_size:
-                continue
-            if left_idx.size != split.left_count or right_idx.size != split.right_count:
-                raise AssertionError("split counts disagree with routing")
-            left_mean, left_sse = node_stats(dataset, left_idx)
-            right_mean, right_sse = node_stats(dataset, right_idx)
-            lid, rid = next_id, next_id + 1
-            next_id += 2
-            nodes[lid] = TreeNode(
-                node_id=lid, depth=depth + 1, mean=left_mean, sse=left_sse,
-                count=left_idx.size, index_set=left_idx,
-            )
-            nodes[rid] = TreeNode(
-                node_id=rid, depth=depth + 1, mean=right_mean, sse=right_sse,
-                count=right_idx.size, index_set=right_idx,
-            )
             node.split = split
-            node.left_child = lid
-            node.right_child = rid
-            next_frontier.extend((lid, rid))
+            for side in (split.left, ~split.left):
+                child = _Node(sample.y[side], sample.rows[side])
+                nodes[next_id] = TreeNode(
+                    node_id=next_id, depth=depth + 1, mean=child.mean, sse=child.sse,
+                    count=child.y.size, index_set=child.rows,
+                )
+                frontier.append((next_id, child))
+                next_id += 1
+            node.left_child, node.right_child = next_id - 2, next_id - 1
             deepest = depth + 1
-        if not next_frontier:
+        if not frontier:
             break
-        frontier = next_frontier
     return Tree(
         nodes=nodes,
         root_id=0,

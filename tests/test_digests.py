@@ -37,26 +37,37 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# name: (data shape, strategy, max_depth, min_node_size, sha256 of the tree JSON)
 TREES = {
     "axis": (
-        (600, 4), SearchStrategy(kind="axis_aligned"), 6,
+        (600, 4), SearchStrategy(kind="axis_aligned"), 6, 1,
         "1a8cefdfa6eeee580d936efd5c28ecf48a4a9a9e016204db9b68d1f36739c364",
     ),
+    # Deep enough that 19 nodes stay leaves because a child of their best
+    # split would hold fewer than 5 rows.
+    "axis_min_node_size": (
+        (600, 4), SearchStrategy(kind="axis_aligned"), 8, 5,
+        "4788f87d4880015db5f267412f4391f5870e9a6a86535cedd66c29283de7cf05",
+    ),
     "hill_climb": (
-        (400, 4), SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=1, max_iterations=4), 3,
+        (400, 4), SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=1, max_iterations=4), 3, 1,
         "2159dbdba5b43e0cb81cdd1b16caa673483d4fe9a645abe3d8581b8294a35c84",
     ),
     "exhaustive": (
-        (30, 2), SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), 3,
+        (30, 2), SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), 3, 1,
         "961680cc1c2c444f679e61d9f3a94950b8f4973f00d824981ba590e7234d544a",
+    ),
+    "random_projection": (
+        (600, 4), SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=30, seed=3), 5, 1,
+        "c9871205864a940e3a410ffeb4f7d1d29d5f5db16a23cf77cf3bf30f986ee271",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_tree_bytes_are_pinned(name):
-    shape, strategy, depth, digest = TREES[name]
-    grown = grow(grid_dataset(*shape), strategy, depth)
+    shape, strategy, depth, min_node_size, digest = TREES[name]
+    grown = grow(grid_dataset(*shape), strategy, depth, min_node_size)
     assert sha(to_json(grown).encode()) == digest
 
 

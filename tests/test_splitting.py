@@ -26,7 +26,7 @@ from obliquetree import splitting
 from obliquetree.splitting import (
     DECREASE_TOL,
     Split,
-    _best_over_directions,
+    _Node,
     _best_thresholds,
     _candidate_directions,
     _coefficient_move,
@@ -510,7 +510,7 @@ def reference_search_random_projection(dataset, node, strategy):
     if strategy.num_candidates == 0:
         return best
     rng = np.random.default_rng(strategy.seed)
-    raw = _random_sparse_directions(rng, dataset.p, strategy.sparsity_d, strategy.num_candidates)
+    raw = reference_random_sparse_directions(rng, dataset.p, strategy.sparsity_d, strategy.num_candidates)
     challenger = reference_best_over_directions(dataset, node, reference_canonical_rows(raw))
     return reference_winner([best, challenger])
 
@@ -533,6 +533,20 @@ def outcome(search, *args):
         return split_bytes(search(*args))
     except NoValidSplitError:
         return "no valid split"
+
+
+def node_best_thresholds(X, y, W, n_full):
+    """_best_thresholds on one node whose rows of features and responses
+    are X and y."""
+    (near,) = _best_thresholds(X, [(_Node(y, np.arange(y.size)), W)], n_full)
+    return near
+
+
+def best_over_directions(dataset, node, directions):
+    """The winner among a node's near-best splits over canonical
+    direction rows, as the exhaustive search picks it, or None."""
+    near = node_best_thresholds(dataset.features[node], dataset.response[node], directions, dataset.n)
+    return min(near, key=splitting._tie_key, default=None)
 
 
 @st.composite
@@ -603,7 +617,7 @@ def test_near_tie_order_matches_reference_across_chunks(case, chunk):
     directions = candidate_rows(data, node, 2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splitting, "_BLOCK_DIRECTIONS", chunk)
-        got = _best_over_directions(data, node, directions)
+        got = best_over_directions(data, node, directions)
     want = reference_best_over_directions(data, node, directions, chunk=chunk)
     assert split_bytes(got) == split_bytes(want)
 
@@ -638,7 +652,7 @@ def test_batch_matches_per_direction_reference(case, seed, float_y):
     # reference's split for its direction, and together they must be the
     # reference's near-best set, in direction order.
     W = np.array([d.coefficients for d in directions])
-    got = _best_thresholds(data.features[node], data.response[node], W, data.n)
+    got = node_best_thresholds(data.features[node], data.response[node], W, data.n)
     solved = [outcome(reference_best_threshold, data, node, d) for d in directions]
     for split in got:
         assert split_bytes(split) == solved[directions.index(split.direction)]
@@ -653,12 +667,24 @@ def test_sweep_gains_match_reference_bit_for_bit():
     values = np.sort(rng.standard_normal((8, 2000)), axis=0)
     y = 1e3 * rng.standard_normal((8, 2000))
     y -= y.mean(axis=0)
-    bulk, _, _ = _sweep_gains(values, y, 50)
-    assert bulk.tobytes() == reference_sweep_gains(values, y, 50)[0].tobytes()
+    bulk, _, _ = _sweep_gains(values.T, y.T, 8, 50)
+    assert bulk.tobytes() == reference_sweep_gains(values, y, 50)[0].T.copy().tobytes()
     # One column swept alone gives the same bits.
     for j in range(0, 2000, 97):
         column, _, _ = reference_sweep_gains(values[:, j], y[:, j], 50)
-        assert column.tobytes() == bulk[:, j].tobytes()
+        assert column.tobytes() == bulk[j].tobytes()
+    # So does a column padded after its rows with +inf values and 0.0
+    # responses, swept beside columns of other lengths; and no boundary
+    # next to the padding is valid.
+    sizes = rng.integers(2, 9, size=2000)
+    padded = np.where(np.arange(8) < sizes[:, None], values.T, np.inf)
+    centred = np.where(np.arange(8) < sizes[:, None], y.T, 0.0)
+    gains, _, valid = _sweep_gains(padded, centred, sizes[:, None], 50)
+    for j in range(0, 2000, 97):
+        m = sizes[j]
+        want, _, _ = reference_sweep_gains(padded[j, :m], centred[j, :m], 50)
+        assert gains[j, : m - 1].tobytes() == want.tobytes()
+        assert not valid[j, m - 1 :].any()
 
 
 def test_best_threshold_matches_reference_on_float_columns():
@@ -766,11 +792,14 @@ def test_axis_winner_is_the_lowest_index_near_best(monkeypatch):
     data = random_dataset(3, 10, 3)
     decreases = [0.0, 0.8e-12, 1.6e-12]
 
-    def fixed(X, y, W, n_full):
+    def fixed(X, problems, n_full):
         # _best_thresholds returns the near-best splits in row order.
-        return splitting._near_best(
-            [Split(Direction(tuple(w)), 0.5, dec, 5, 5) for w, dec in zip(W.tolist(), decreases)]
-        )
+        return [
+            splitting._near_best(
+                [Split(Direction(tuple(w)), 0.5, dec, 5, 5) for w, dec in zip(W.tolist(), decreases)]
+            )
+            for _, W in problems
+        ]
 
     monkeypatch.setattr(splitting, "_best_thresholds", fixed)
     assert search_axis_aligned(data, root_index_set(data)).direction == axis_direction(3, 1)
@@ -824,14 +853,14 @@ def shuffled_with_repeats(rows, rng):
 def test_best_over_directions_depends_only_on_the_row_set(case, seed, chunk):
     data, node = case
     directions = candidate_rows(data, node, 2)
-    want = split_bytes(_best_over_directions(data, node, directions))
+    want = split_bytes(best_over_directions(data, node, directions))
     rng = np.random.default_rng(seed)
     shuffled = directions[rng.permutation(directions.shape[0])]
     repeated = shuffled_with_repeats(directions, rng)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splitting, "_BLOCK_DIRECTIONS", chunk)
         for rows in (directions, shuffled, repeated):
-            assert split_bytes(_best_over_directions(data, node, rows)) == want
+            assert split_bytes(best_over_directions(data, node, rows)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -925,9 +954,15 @@ def test_step_survives_a_large_response_offset(offset):
 # exactly (reference_split) before _near_best and _winner pick.
 
 
-def unscreened_best_thresholds(X, y, W, n_full):
-    """_best_thresholds with no screen: every row solved exactly."""
-    return splitting._near_best([reference_split(X, y, Direction(tuple(w)), n_full) for w in W.tolist()])
+def unscreened_best_thresholds(X, problems, n_full):
+    """_best_thresholds with no screen: every row of every problem solved
+    exactly."""
+    return [
+        splitting._near_best(
+            [reference_split(node.features(X), node.y, Direction(tuple(w)), n_full) for w in W.tolist()]
+        )
+        for node, W in problems
+    ]
 
 
 @st.composite
@@ -972,8 +1007,8 @@ def test_screened_batch_is_the_exact_near_best_set(case, seed):
     rows = np.concatenate([eye, eye + 1e-3 * np.roll(eye, 1, axis=1), rng.integers(-2, 3, size=(12, data.p))])
     W = np.array([Direction.canonical(v).coefficients for v in rows if v.any()])
     X, y = data.features[node], data.response[node]
-    got = _best_thresholds(X, y, W, data.n)
-    want = unscreened_best_thresholds(X, y, W, data.n)
+    got = node_best_thresholds(X, y, W, data.n)
+    (want,) = unscreened_best_thresholds(X, [(_Node(y, np.arange(y.size)), W)], data.n)
     assert [split_bytes(s) for s in got] == [split_bytes(s) for s in want]
 
 
@@ -1016,11 +1051,11 @@ def test_screen_keeps_a_tie_whose_sweep_gains_differ_in_the_last_bit():
     y = np.array([748.7, 1634.8, 272.8, -1233.3, -958.3, 1600.0, 202.9])
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 2.0], [2.0, 1.0]])
     W = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    near = _best_thresholds(X, y, W, 7)
+    near = node_best_thresholds(X, y, W, 7)
     assert [s.direction.coefficients for s in near] == [tuple(W[i]) for i in (1, 3, 4)]
     assert len({s.decrease for s in near}) == 1
     data = Dataset(X, y)
-    best = _best_over_directions(data, root_index_set(data), W)
+    best = best_over_directions(data, root_index_set(data), W)
     assert best.direction == axis_direction(2, 1)
 
 
@@ -1041,7 +1076,7 @@ def test_a_direction_below_the_final_floor_is_not_solved(monkeypatch):
     monkeypatch.setattr(splitting, "_BLOCK_DIRECTIONS", 1)
     for W in (np.eye(2), np.eye(2)[::-1]):
         calls.clear()
-        assert [split_bytes(s) for s in _best_thresholds(X, y, W, 40)] == [split_bytes(strong)]
+        assert [split_bytes(s) for s in node_best_thresholds(X, y, W, 40)] == [split_bytes(strong)]
         assert len(calls) == 1
 
 
@@ -1073,7 +1108,7 @@ def test_every_candidate_row_is_projected_and_sorted_once():
     data = random_dataset(13, 24, 3)
     root = root_index_set(data)
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=40, seed=2)
-    raw = _random_sparse_directions(np.random.default_rng(2), 3, 2, 40)
+    raw = _random_sparse_directions(2, 3, 2, 40)
     cases = [
         (lambda: search_exhaustive_oblique(data, root, 3), candidate_rows(data, root, 3).shape[0]),
         (lambda: search_random_projection(data, root, strategy), 3 + _canonical_rows(raw).shape[0]),
@@ -1083,7 +1118,7 @@ def test_every_candidate_row_is_projected_and_sorted_once():
         with pytest.MonkeyPatch.context() as patch:
             project, order = splitting.projections, splitting._stable_order
             patch.setattr(splitting, "projections", lambda X, W, *a: projected.append(len(W)) or project(X, W, *a))
-            patch.setattr(splitting, "_stable_order", lambda V: sorted_rows.append(len(V)) or order(V))
+            patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
             search()
         assert sum(projected) == sum(sorted_rows) == candidates
 
@@ -1259,6 +1294,28 @@ def test_stable_order_repairs_reversed_ties(V):
     assert None in calls
 
 
+@settings(max_examples=150, deadline=None)
+@given(V=sort_blocks(), seed=st.integers(0, 2**32 - 1), reverse=st.booleans())
+def test_stable_order_keeps_each_row_ahead_of_its_padding(V, seed, reverse):
+    # Rows of several lengths m, padded with +inf after their values (no
+    # NaN: split search never projects one): the first m sorted positions
+    # of a row are the stable sort of its own values, its own +infs
+    # included, whatever order the SIMD sort leaves ties in.
+    V = np.where(np.isnan(V), np.inf, V)
+    k, M = V.shape
+    m = np.random.default_rng(seed).integers(1, M + 1, size=(k, 1))
+    padded = np.where(np.arange(M) < m, V, np.inf)
+    with pytest.MonkeyPatch.context() as patch:
+        if reverse:
+            patch.setattr(np, "argsort", reversed_ties(np.argsort))
+        order, values = _stable_order(padded, m)
+    for row, (size,) in enumerate(m.tolist()):
+        want = np.argsort(V[row, :size], kind="stable")
+        assert np.array_equal(order[row, :size], want)
+        assert values[row, :size].tobytes() == V[row, want].tobytes()
+        assert np.all(values[row, size:] == np.inf)
+
+
 def test_splitting_sorts_only_through_stable_order():
     # One sort kernel: no stable argsort is called during split search.
     real = np.argsort
@@ -1295,6 +1352,45 @@ def reference_random_sparse_directions(rng, p, sparsity_d, count):
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 12), count=st.integers(0, 40), data=st.data())
 def test_random_sparse_directions_match_reference(seed, p, count, data):
     d = data.draw(st.integers(1, p))
-    got = _random_sparse_directions(np.random.default_rng(seed), p, d, count)
+    got = _random_sparse_directions(seed, p, d, count)
     want = reference_random_sparse_directions(np.random.default_rng(seed), p, d, count)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p, d", [(10, 2), (5, 2), (5, 5), (3, 3), (10, 1), (7, 4), (10, 10)])
+def test_bulk_random_draw_is_the_per_candidate_stream(p, d):
+    # The bulk draw replays numpy's choice and integers streams; numpy
+    # does not promise them across versions, so they are pinned here.
+    for seed in range(200):
+        got = _random_sparse_directions(seed, p, d, 30)
+        want = reference_random_sparse_directions(np.random.default_rng(seed), p, d, 30)
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_bulk_random_draw_falls_back_on_a_redraw():
+    # Seed 83478's stream redraws one bounded draw (candidate 1153's
+    # shuffle step from [0, 9]), which shifts every later candidate; the
+    # bulk draw must notice and give the loop's directions.
+    got = _random_sparse_directions(83478, 10, 10, 2000)
+    want = reference_random_sparse_directions(np.random.default_rng(83478), 10, 10, 2000)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [2.0**520, 2.0**1000])
+def test_exhaustive_cross_products_do_not_overflow(scale):
+    # The size-3 candidates are cross products of point differences,
+    # which square the data's scale.  Rescaled by a power of two first,
+    # they give the directions of the unscaled points, bit for bit.
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1.0, 1.0, size=(10, 3))
+    y = (X[:, 0] + 0.7 * X[:, 1] - 1.3 * X[:, 2] > 0.1).astype(float)
+    root = np.arange(10)
+    want = search_exhaustive_oblique(Dataset(X, y), root, 3)
+    assert want.direction.support_size == 3
+    assert want.decrease == pytest.approx(0.21, abs=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = search_exhaustive_oblique(Dataset(X * scale, y), root, 3)
+    assert got.decrease == want.decrease
+    assert [c.hex() for c in got.direction.coefficients] == [c.hex() for c in want.direction.coefficients]
+    assert (got.left_count, got.right_count) == (want.left_count, want.right_count)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
@@ -15,6 +17,8 @@ from obliquetree import (
     prune_to_depth,
     training_error,
 )
+from obliquetree import splitting
+from obliquetree.splitting import DECREASE_TOL, NoValidSplitError, run_search
 from obliquetree.tree import from_json, to_json, validate_partition
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset
@@ -154,3 +158,82 @@ def test_deterministic_ids_with_random_strategy():
     t1 = grow(data, strategy, max_depth=4)
     t2 = grow(data, strategy, max_depth=4)
     assert to_json(t1) == to_json(t2)
+
+
+# grow searches a whole frontier level at once, packing small nodes into
+# shared padded blocks; each node's split must be the one run_search
+# finds on that node alone.
+
+
+@st.composite
+def growth_cases(draw, max_n):
+    """Integer-grid (tied) or continuous features, some rows repeated,
+    integer or continuous responses with an offset up to 1e9, and the
+    packing cut at its own value or far below it, so nodes fall on both
+    sides of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = int(rng.integers(2, max_n + 1)), int(rng.integers(1, 4))
+    if draw(st.booleans()):
+        X = rng.integers(-3, 4, size=(n, p)).astype(float)
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(n, p))
+    if draw(st.booleans()):
+        X[rng.integers(n, size=n // 3)] = X[rng.integers(n)]
+    if draw(st.booleans()):
+        y = rng.integers(0, 4, size=n).astype(float)
+    else:
+        y = rng.standard_normal(n)
+    y = y + draw(st.sampled_from([0.0, 1e6, 1e9]))
+    cut = draw(st.sampled_from([8, 64, 512, splitting._PACK_ELEMENTS]))
+    return Dataset(X, y), cut
+
+
+STRATEGIES = {
+    "axis_aligned": (300, lambda d, seed: SearchStrategy(kind="axis_aligned")),
+    "random_projection": (
+        300,
+        lambda d, seed: SearchStrategy(kind="random_projection", sparsity_d=d, num_candidates=15, seed=seed),
+    ),
+    "hill_climb": (
+        150,
+        lambda d, seed: SearchStrategy(kind="hill_climb", sparsity_d=d, restarts=2, max_iterations=2, seed=seed),
+    ),
+    "exhaustive_oblique": (30, lambda d, seed: SearchStrategy(kind="exhaustive_oblique", sparsity_d=min(d, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRATEGIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), sparsity=st.integers(1, 3), seed=st.integers(0, 1000),
+       depth=st.integers(1, 5), min_node_size=st.integers(1, 4))
+def test_each_node_splits_as_it_would_alone(kind, data, sparsity, seed, depth, min_node_size):
+    max_n, make = STRATEGIES[kind]
+    dataset, cut = data.draw(growth_cases(max_n))
+    strategy = make(sparsity, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_PACK_ELEMENTS", cut)
+        tree = grow(dataset, strategy, depth, min_node_size)
+    for nid, node in tree.nodes.items():
+        y = dataset.response[node.index_set]
+        if node.depth == depth or node.count < 2 * min_node_size or np.ptp(y) <= 1e-12:
+            assert node.is_leaf
+            continue
+        try:
+            alone = run_search(dataset, node.index_set, replace(strategy, seed=strategy.seed + nid))
+        except NoValidSplitError:
+            assert node.is_leaf
+            continue
+        if node.is_leaf:
+            assert alone.decrease <= DECREASE_TOL or min(alone.left_count, alone.right_count) < min_node_size
+        else:
+            assert split_fields(node.split) == split_fields(alone)
+
+
+def split_fields(split):
+    return (
+        [c.hex() for c in split.direction.coefficients],
+        split.threshold.hex(),
+        split.decrease.hex(),
+        split.left_count,
+        split.right_count,
+    )
