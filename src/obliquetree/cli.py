@@ -230,9 +230,6 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except experiments.BoundViolationError as exc:
-        sys.stderr.write(f"bound violation: {exc}\n")
-        return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

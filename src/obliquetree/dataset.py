@@ -252,10 +252,17 @@ def node_stats(dataset: Dataset, node) -> tuple[float, float]:
     cross-check used in tests.
     """
     idx = validate_index_set(node, dataset.n)
-    y = dataset.response[idx]
-    mean = float(y.mean())
-    sse = float(np.sum((y - mean) ** 2))
+    mean, _, sse = _moments(dataset.response[idx])
     return mean, sse
+
+
+def _moments(y: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(mean, y - mean, sum of squares of y - mean) of a non-empty y: the
+    one formula for node statistics, so node_stats and split search give
+    a node's mean and SSE the same bits."""
+    mean = float(np.add.reduce(y) / y.size)
+    centred = y - mean
+    return mean, centred, float(np.add.reduce(centred * centred))
 
 
 def load_csv(path, response_column) -> Dataset:

@@ -31,7 +31,7 @@ from .ridge import (
     node_tv_profile,
     parse_domain_box,
 )
-from .splitting import SearchStrategy, search_exhaustive_oblique
+from .splitting import NoValidSplitError, SearchStrategy, _Node, _search_level
 from .tree import Tree, grow, predict_batch, prune_to_depth, training_error
 
 _BOUND_SLACK = 1e-9
@@ -159,9 +159,30 @@ def estimate_imse(
     return float(sq.mean()), stderr
 
 
-def _excess_error(tree: Tree, dataset: Dataset, model: RidgeModel) -> float:
-    resid = dataset.response - eval_ridge_batch(model, dataset.features)
-    return training_error(tree, dataset) - float(np.mean(resid**2))
+def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: bool = False):
+    """The preconditions, then the one realization of a noiseless rate
+    experiment: the sample, its capacity norm, one grow at the deepest
+    depth, and (depth, tree, training error, excess error) of each prefix
+    from depth lowest on.  exact_bound adds the norm^2/K bound's needs."""
+    if config.strategy.kind != "exhaustive_oblique":
+        raise ValueError(f"{what} requires the exhaustive_oblique strategy")
+    if exact_bound and (config.model.p > 3 or config.strategy.sparsity_d < config.model.p):
+        raise ValueError(f"{what} requires full sparsity with p <= 3")
+    if exact_bound and config.n > config.strategy.node_cap:
+        raise ValueError("n exceeds the exhaustive search cap")
+    if config.noise_std != 0.0:
+        raise ValueError(f"{what} requires noiseless data")
+    start = time.perf_counter()
+    dataset = generate_dataset(config.model, config.n, 0.0, config.domain_box, config.seed)
+    norm = l1_tv_norm(config.model, dataset, root_index_set(dataset)).total
+    noise = float(np.mean((dataset.response - eval_ridge_batch(config.model, dataset.features)) ** 2))
+    full = grow(dataset, config.strategy, config.depth_range[1], config.min_node_size)
+    prefixes = []
+    for depth in range(lowest, config.depth_range[1] + 1):
+        tree = prune_to_depth(full, depth)
+        err = training_error(tree, dataset)
+        prefixes.append((depth, tree, err, err - noise))
+    return start, dataset, norm, prefixes
 
 
 def run_rate_experiment(config: ExperimentConfig, assert_bound: bool = True) -> RateReport:
@@ -172,27 +193,10 @@ def run_rate_experiment(config: ExperimentConfig, assert_bound: bool = True) -> 
     the excess error and the bound; with assert_bound a violation raises
     BoundViolationError after the full report is assembled.
     """
-    if config.strategy.kind != "exhaustive_oblique":
-        raise ValueError("rate experiment requires the exhaustive_oblique strategy")
-    if config.model.p > 3 or config.strategy.sparsity_d < config.model.p:
-        raise ValueError("rate experiment requires full sparsity with p <= 3")
-    if config.n > config.strategy.node_cap:
-        raise ValueError("n exceeds the exhaustive search cap")
-    if config.noise_std != 0.0:
-        raise ValueError("rate experiment requires noiseless data")
-    start = time.perf_counter()
-    dataset = generate_dataset(
-        config.model, config.n, 0.0, config.domain_box, config.seed
-    )
-    norm = l1_tv_norm(config.model, dataset, root_index_set(dataset)).total
-    k_lo, k_hi = config.depth_range
-    full = grow(dataset, config.strategy, k_hi, config.min_node_size)
+    start, _, norm, prefixes = _realization(config, "rate experiment", config.depth_range[0], True)
     rows = []
     violations = []
-    for depth in range(k_lo, k_hi + 1):
-        tree = prune_to_depth(full, depth)
-        err = training_error(tree, dataset)
-        excess = _excess_error(tree, dataset, config.model)
+    for depth, tree, err, excess in prefixes:
         bound = norm**2 / max(depth, 1)  # kappa = 1 under the preconditions
         imse, imse_se = estimate_imse(
             tree, config.model, config.mc_size, config.domain_box, config.seed + 7001
@@ -235,33 +239,22 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
     excess error sits below A * V^2 / 4^((K-1)/q); the underlying result
     bounds expectations, so nothing is asserted here.
     """
-    if config.strategy.kind != "exhaustive_oblique":
-        raise ValueError("fast rate experiment requires the exhaustive_oblique strategy")
-    if config.noise_std != 0.0:
-        raise ValueError("fast rate experiment requires noiseless data")
-    start = time.perf_counter()
-    dataset = generate_dataset(
-        config.model, config.n, 0.0, config.domain_box, config.seed
+    start, dataset, norm, prefixes = _realization(
+        config, "fast rate experiment", max(config.depth_range[0], 1)
     )
-    norm = l1_tv_norm(config.model, dataset, root_index_set(dataset)).total
-    k_lo, k_hi = config.depth_range
-    k_lo = max(k_lo, 1)
-    full = grow(dataset, config.strategy, k_hi, config.min_node_size)
-    trees = {depth: prune_to_depth(full, depth) for depth in range(k_lo, k_hi + 1)}
     q_grid = sorted(set(_Q_GRID) | ({float(config.model.p)} if config.model.p > 2 else set()))
     chosen_q = None
     for q in q_grid:
         if all(
-            node_tv_profile(config.model, trees[d], dataset, q)[1] <= norm**q * (1 + 1e-12)
-            for d in trees
+            node_tv_profile(config.model, tree, dataset, q)[1] <= norm**q * (1 + 1e-12)
+            for _, tree, _, _ in prefixes
         ):
             chosen_q = q
             break
-    balance = max(node_size_profile(trees[d])[1] for d in trees)
+    balances = [node_size_profile(tree)[1] for _, tree, _, _ in prefixes]
+    balance = max(balances)
     rows = []
-    for depth in range(k_lo, k_hi + 1):
-        tree = trees[depth]
-        excess = _excess_error(tree, dataset, config.model)
+    for (depth, tree, err, excess), factor in zip(prefixes, balances):
         per_leaf, power_sum = node_tv_profile(
             config.model, tree, dataset, chosen_q if chosen_q else _Q_GRID[0]
         )
@@ -271,17 +264,17 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
         rows.append(
             {
                 "depth": depth,
-                "train_error": training_error(tree, dataset),
+                "train_error": err,
                 "excess_error": excess,
                 "fast_bound": bound,
                 "fast_bound_satisfied": (None if bound is None else bool(excess <= bound)),
-                "balance_factor": node_size_profile(tree)[1],
+                "balance_factor": factor,
                 "max_leaf_norm": max(per_leaf),
                 "leaf_norm_power_sum": power_sum,
                 "leaf_count": tree.leaf_count(),
             }
         )
-    report = RateReport(
+    return RateReport(
         kind="fast_rate",
         config=config,
         rows=rows,
@@ -293,7 +286,6 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
         },
         wall_time_s=time.perf_counter() - start,
     )
-    return report
 
 
 def verify_impurity_bound(
@@ -306,32 +298,29 @@ def verify_impurity_bound(
     model), the exact best decrease must be at least
     w(t) * R(t)^2 / norm(t)^2.  Returns one row per eligible node with
     the achieved margin lhs - rhs; nodes with R(t) <= 0 are skipped.
+    The eligible nodes share one exhaustive search call at sparsity p.
     """
     if dataset.p > 3:
         raise ValueError("impurity bound check needs p <= 3 for the exact oracle")
-    rows = []
+    rows, eligible = [], []
     for node in nodes:
         idx = np.asarray(node, dtype=np.int64)
         y = dataset.response[idx]
         g = eval_ridge_batch(model, dataset.features[idx])
         excess = float(np.mean((y - y.mean()) ** 2) - np.mean((y - g) ** 2))
-        if excess <= 0.0:
-            rows.append({"size": int(idx.size), "excess": excess, "skipped": True})
-            continue
-        oracle = search_exhaustive_oblique(dataset, idx, dataset.p, node_cap)
-        weight = idx.size / dataset.n
-        norm_t = l1_tv_norm(model, dataset, idx).total
-        rhs = weight * excess**2 / norm_t**2 if norm_t > 0 else 0.0
-        rows.append(
-            {
-                "size": int(idx.size),
-                "excess": excess,
-                "skipped": False,
-                "oracle_decrease": oracle.decrease,
-                "rhs": rhs,
-                "margin": oracle.decrease - rhs,
-            }
-        )
+        rows.append({"size": int(idx.size), "excess": excess, "skipped": excess <= 0.0})
+        if not rows[-1]["skipped"]:
+            eligible.append((rows[-1], _Node.of(dataset, idx)))
+    oracle = SearchStrategy(kind="exhaustive_oblique", sparsity_d=dataset.p, node_cap=node_cap)
+    samples = [sample for _, sample in eligible]
+    splits = _search_level(dataset, samples, oracle, [oracle.seed] * len(samples))
+    for (row, sample), split in zip(eligible, splits):
+        if split is None:
+            raise NoValidSplitError("no valid split on this node")
+        weight = sample.rows.size / dataset.n
+        norm_t = l1_tv_norm(model, dataset, sample.rows).total
+        rhs = weight * row["excess"] ** 2 / norm_t**2 if norm_t > 0 else 0.0
+        row.update(oracle_decrease=split.decrease, rhs=rhs, margin=split.decrease - rhs)
     return rows
 
 
@@ -349,7 +338,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.model, config.n, config.noise_std, config.domain_box, config.seed
     )
     k_lo, k_hi = config.depth_range
-    lam_star, hold_errors, full, sequence = _holdout_fit(
+    lam_star, hold_errors, full, selected = _holdout_fit(
         dataset,
         config.strategy,
         k_hi,
@@ -360,8 +349,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
     )
     rows = []
     pruned_star = None
-    for lam, hold_err in zip(config.lambda_grid, hold_errors):
-        pruned = sequence.select(full, lam)
+    for lam, hold_err, pruned in zip(config.lambda_grid, hold_errors, selected):
         imse, imse_se = estimate_imse(
             pruned, config.model, config.mc_size, config.domain_box, config.seed + 7002
         )
@@ -386,7 +374,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
             {"depth": depth, "imse": imse, "imse_se": imse_se, "leaf_count": tree.leaf_count()}
         )
     root_imse = fixed[0]["imse"] if fixed and fixed[0]["depth"] == 0 else None
-    report = RateReport(
+    return RateReport(
         kind="pruning",
         config=config,
         rows=rows,
@@ -401,4 +389,3 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         },
         wall_time_s=time.perf_counter() - start,
     )
-    return report

@@ -217,9 +217,9 @@ def _holdout_fit(
     holdout_fraction: float,
     seed: int,
     min_node_size: int,
-) -> tuple[float, list[float], Tree, PruneSequence]:
+) -> tuple[float, list[float], Tree, list[Tree]]:
     """holdout_lambda's (lambda, errors) plus the tree it trained on the
-    non-holdout rows and that tree's weakest-link sequence."""
+    non-holdout rows and the subtree it selected for each grid value."""
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
@@ -241,8 +241,8 @@ def _holdout_fit(
     errors = []
     best_lam = None
     best_err = None
-    for lam in grid:
-        pruned = sequence.select(full, lam)
+    selected = [sequence.select(full, lam) for lam in grid]
+    for lam, pruned in zip(grid, selected):
         err = float(np.mean((y_hold - predict_batch(pruned, X_hold)) ** 2))
         errors.append(err)
         if best_err is None:
@@ -252,7 +252,7 @@ def _holdout_fit(
         if err < best_err - tol or (abs(err - best_err) <= tol and lam > best_lam):
             best_lam = lam
             best_err = min(best_err, err)
-    return best_lam, errors, full, sequence
+    return best_lam, errors, full, selected
 
 
 def holdout_lambda(

@@ -114,6 +114,7 @@ from .dataset import (
     Dataset,
     Direction,
     _check_keys,
+    _moments,
     _named,
     _snap,
     project,
@@ -270,11 +271,8 @@ class SuboptimalityReport:
 
 
 def _sse(y: np.ndarray) -> float:
-    """Sum of squared deviations of y from its mean, with the bits of
-    dataset.node_stats (np.add.reduce is np.sum and y.mean() without
-    their Python wrappers)."""
-    centred = y - np.add.reduce(y) / y.size
-    return float(np.add.reduce(centred * centred))
+    """Sum of squared deviations of y from its mean (dataset._moments)."""
+    return _moments(y)[2]
 
 
 def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int, sse_node: float) -> float:
@@ -401,10 +399,10 @@ class _Node:
     """A node's sample as split search reads it.
 
     rows indexes the node's rows, in increasing order, of the feature
-    matrix it is searched with; y holds their responses, centred holds y
-    minus the node mean, and sse is _sse(y).  grow stores mean and sse as the tree node's statistics and
-    hands the same record to the next level's search, so each node's are
-    computed once.
+    matrix it is searched with; y holds their responses, and mean,
+    centred (y minus the mean) and sse are dataset._moments(y).  grow
+    stores mean and sse as the tree node's statistics and hands the same
+    record to the next level's search, so each node's are computed once.
     """
 
     __slots__ = ("rows", "y", "mean", "centred", "sse", "_margin", "_features")
@@ -412,9 +410,7 @@ class _Node:
     def __init__(self, y: np.ndarray, rows: np.ndarray):
         self.rows = rows
         self.y = y
-        self.mean = float(np.add.reduce(y) / y.size)  # _sse's mean and sum
-        self.centred = y - self.mean
-        self.sse = float(np.add.reduce(self.centred * self.centred))
+        self.mean, self.centred, self.sse = _moments(y)
         self._margin = self._features = None
 
     @staticmethod
@@ -768,23 +764,32 @@ def _coefficient_move(X: np.ndarray, centred: np.ndarray, w: np.ndarray, j: int,
     joining it if x_ij < 0.  One sort of U and one prefix sweep of signed
     increments score each c at a midpoint of consecutive distinct U, and
     past either end by half the spread of U (or |U|, or 1, if all U are
-    equal).  centred is the node's responses minus their mean.  Returns
-    (c, gain) for the smallest c within DECREASE_TOL of the best gain, or
-    None if no c leaves both sides non-empty.
+    equal).  A row whose U overflows, like a row with x_ij = 0, keeps its
+    side at every finite c: left iff (x_ij > 0) == (U_i > 0).  Midpoints
+    are 0.5 a + 0.5 b, the bits of 0.5 (a + b) unless that sum overflows
+    or the result underflows.  centred is the node's responses minus
+    their mean.  Returns (c, gain) for the smallest c within
+    DECREASE_TOL of the best gain, or None if no c leaves both sides
+    non-empty.
     """
     (rest,) = projections(X, w[None, :])
     x = X[:, j]
-    moving = x != 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        crossings = (threshold - rest) / x
+    moving = np.isfinite(crossings)
     if not moving.any():
         return None
-    (order,), (U,) = _stable_order(((threshold - rest[moving]) / x[moving])[None, :])
-    pad = (U[-1] - U[0]) or abs(U[0]) or 1.0
-    ends = np.concatenate(([U[0] - pad], U, [U[-1] + pad]))
+    (order,), (U,) = _stable_order(crossings[moving][None, :])
+    with np.errstate(over="ignore"):  # an infinite end's midpoint is invalid
+        pad = (U[-1] - U[0]) or abs(U[0]) or 1.0
+        ends = np.concatenate(([U[0] - pad], U, [U[-1] + pad]))
     step = np.where(x[moving] > 0.0, -1.0, 1.0)[order]
-    left = np.where(moving, x > 0.0, rest <= threshold)  # c below every U_i
+    # The rows on the left at a c below every finite U_i.
+    fixed = np.where(x != 0.0, (x > 0.0) == (crossings > 0.0), rest <= threshold)
+    left = np.where(moving, x > 0.0, fixed)
     sum_left = np.cumsum(np.concatenate(([centred[left].sum()], step * centred[moving][order])))
     n_left = np.cumsum(np.concatenate(([float(np.count_nonzero(left))], step)))
-    mids = 0.5 * (ends[:-1] + ends[1:])
+    mids = 0.5 * ends[:-1] + 0.5 * ends[1:]
     valid = (ends[:-1] < mids) & (mids < ends[1:]) & (n_left > 0.0) & (n_left < x.size)
     if not valid.any():
         return None
@@ -797,16 +802,18 @@ def _coefficient_move(X: np.ndarray, centred: np.ndarray, w: np.ndarray, j: int,
 
 def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
            seed: int, n_full: int) -> Split:
-    """search_hill_climb on one node, from its axis split base."""
+    """search_hill_climb on one node.  The first climb continues from
+    base, the axis split its level solved; the restart directions are
+    solved in one _best_thresholds call, one problem each."""
     if strategy.max_iterations == 0:
         return base
     p = X.shape[1]
     d = min(strategy.sparsity_d, p)
     rows = _random_sparse_directions(seed, p, d, strategy.restarts - 1)
+    starts = [(node, Direction.canonical(row).as_array()[None]) for row in rows]
     local = node.features(X)
-    ends = [base]
-    for start in [base.direction] + [Direction.canonical(row) for row in rows]:
-        (near,) = _best_thresholds(X, [(node, start.as_array()[None])], n_full)
+    ends = []  # each move gains over DECREASE_TOL: base is near-best only as its climb's end
+    for near in [[base]] + _best_thresholds(X, starts, n_full):
         if not near:
             continue
         current = near[0]
@@ -838,6 +845,8 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
     candidates, if any, from seeds[i].  The direction rows of every node
     go to one _best_thresholds call, so that nodes too small to fill a
     block share one; only the hill climb's probes are swept node by node.
+    A node listed twice (one per trial) has its exhaustive candidates
+    enumerated once.
     """
     X, n, p = dataset.features, dataset.n, dataset.p
     d = min(strategy.sparsity_d, p)
@@ -849,7 +858,8 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
                 )
         if d > 3:
             raise ValueError("exhaustive search supports sparsity_d <= 3")
-        problems = [(node, _oblique_candidates(node.features(X), d)) for node in nodes]
+        candidates = {id(node): _oblique_candidates(node.features(X), d) for node in nodes}
+        problems = [(node, candidates[id(node)]) for node in nodes]
         return [min(near, key=_tie_key, default=None) for near in _best_thresholds(X, problems, n)]
     axes = np.eye(p)
     problems = [(node, axes) for node in nodes]
@@ -948,7 +958,9 @@ def estimate_suboptimality(
     The oracle decrease is computed once with the exhaustive search at
     full sparsity (hence p <= 3 is required so the restricted space is
     the whole of R^p); the strategy is re-run with seeds seed .. seed +
-    trials - 1.  Deterministic strategies yield a fraction of 0 or 1.
+    trials - 1, every trial a copy of the node in one _search_level
+    call.  A trial that finds no valid split achieves 0.0.
+    Deterministic strategies yield a fraction of 0 or 1.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must lie in (0, 1]")
@@ -957,22 +969,15 @@ def estimate_suboptimality(
     if dataset.p > 3:
         raise ValueError("sub-optimality estimation needs p <= 3 for the exact oracle")
     oracle = search_exhaustive_oblique(dataset, node, dataset.p, strategy.node_cap)
-    decreases = []
-    successes = 0
-    for trial in range(trials):
-        trial_strategy = replace(strategy, seed=strategy.seed + trial)
-        try:
-            result = run_search(dataset, node, trial_strategy)
-            achieved = result.decrease
-        except NoValidSplitError:
-            achieved = 0.0
-        decreases.append(achieved)
-        if achieved >= kappa * oracle.decrease - DECREASE_TOL:
-            successes += 1
+    sample = _Node.of(dataset, node)
+    seeds = [strategy.seed + trial for trial in range(trials)]
+    splits = _search_level(dataset, [sample] * trials, strategy, seeds)
+    decreases = tuple(0.0 if split is None else split.decrease for split in splits)
+    successes = sum(achieved >= kappa * oracle.decrease - DECREASE_TOL for achieved in decreases)
     return SuboptimalityReport(
         kappa=kappa,
         trials=trials,
         success_fraction=successes / trials,
         oracle_decrease=oracle.decrease,
-        per_trial_decreases=tuple(decreases),
+        per_trial_decreases=decreases,
     )

@@ -364,3 +364,25 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["nodes"][0]["split"]["threshold"] == 2.5
     assert run("train", csv, "--no-such-flag").returncode == 1
+
+
+def test_hill_climb_train_is_quiet_on_columns_scaled_near_the_float_limits(tmp_path):
+    # A column at 1e300 next to one at 1e-300: the climb's crossing
+    # points overflow, which must cost no numpy warning on stderr.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, size=(200, 3))
+    y = np.sin(X @ np.array([1.0, 1.5, -0.5])) + 0.1 * rng.standard_normal(200)
+    X[:, 0] *= 1e300
+    X[:, 1] *= 1e-300
+    csv = str(tmp_path / "hostile.csv")
+    save_csv(Dataset(X, y), csv)
+    src = os.path.dirname(os.path.dirname(obliquetree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "tree.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "obliquetree.cli", "train", csv, "--depth", "3",
+         "--strategy", "hill_climb", "--sparsity", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(out.read_text())["nodes"][0]["split"] is not None

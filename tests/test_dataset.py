@@ -15,6 +15,7 @@ from obliquetree import (
     save_csv,
 )
 from obliquetree.dataset import projections
+from obliquetree.splitting import _Node, _sse
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset, reference_projections, snap_border_rows
 
@@ -141,6 +142,31 @@ def test_node_stats_two_pass_vs_one_pass():
         y = data.response
         one_pass = float(np.sum(y**2) - 60 * mean**2)
         assert sse == pytest.approx(one_pass, rel=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, -3.5, 1e6, 1e9, 1e15]),
+)
+def test_node_stats_match_the_search_node_bit_for_bit(seed, n, scale, offset):
+    # One formula for a node's statistics: node_stats, split search's
+    # node record and its SSE all give the bits of the two-pass
+    # mean-then-deviations formula, on the root and on a subset.
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(n, 2)), scale * rng.standard_normal(n) + offset)
+    for node in (root_index_set(data), np.flatnonzero(rng.random(n) < 0.5)):
+        if node.size == 0:
+            continue
+        y = data.response[node]
+        mean = float(y.mean())
+        want = (mean.hex(), float(np.sum((y - mean) ** 2)).hex())
+        sample = _Node.of(data, node)
+        assert tuple(v.hex() for v in node_stats(data, node)) == want
+        assert (sample.mean.hex(), sample.sse.hex(), _sse(y).hex()) == (*want, want[1])
+        assert sample.centred.tobytes() == (y - mean).tobytes()
 
 
 def test_node_stats_empty_node_rejected(d1):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
@@ -11,11 +13,14 @@ from obliquetree import (
     RidgeModel,
     SearchStrategy,
     estimate_imse,
+    eval_ridge_batch,
     generate_dataset,
     grow,
+    l1_tv_norm,
     run_fast_rate_experiment,
     run_pruning_experiment,
     run_rate_experiment,
+    search_exhaustive_oblique,
     training_error,
     verify_impurity_bound,
 )
@@ -345,3 +350,66 @@ def test_report_write_files(tmp_path):
     assert len(lines) == len(report.rows)
     csv_text = (tmp_path / "out.csv").read_text().splitlines()
     assert len(csv_text) == len(report.rows) + 1
+
+
+def reference_verify_impurity_bound(dataset, model, nodes, node_cap=64):
+    """verify_impurity_bound with one exhaustive search per eligible node."""
+    rows = []
+    for node in nodes:
+        idx = np.asarray(node, dtype=np.int64)
+        y = dataset.response[idx]
+        g = eval_ridge_batch(model, dataset.features[idx])
+        excess = float(np.mean((y - y.mean()) ** 2) - np.mean((y - g) ** 2))
+        if excess <= 0.0:
+            rows.append({"size": int(idx.size), "excess": excess, "skipped": True})
+            continue
+        oracle = search_exhaustive_oblique(dataset, idx, dataset.p, node_cap)
+        norm_t = l1_tv_norm(model, dataset, idx).total
+        rhs = idx.size / dataset.n * excess**2 / norm_t**2 if norm_t > 0 else 0.0
+        rows.append(
+            {
+                "size": int(idx.size),
+                "excess": excess,
+                "skipped": False,
+                "oracle_decrease": oracle.decrease,
+                "rhs": rhs,
+                "margin": oracle.decrease - rhs,
+            }
+        )
+    return rows
+
+
+IMPURITY_MODELS = {
+    1: RidgeModel((RidgeComponent("sigmoid", e(1, 0), {"gain": 8.0, "center": 0.2}),)),
+    2: RidgeModel(
+        (
+            RidgeComponent("sine", Direction.canonical([2.0, 1.0]), {"frequency": 2.0}),
+            RidgeComponent("relu", e(2, 1), {"slope": 1.5}),
+        )
+    ),
+    3: RidgeModel((RidgeComponent("sine", Direction.canonical([1.0, 1.5, -0.5]), {"frequency": 1.0}),)),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.3]),
+    grid=st.booleans(),
+)
+def test_impurity_bound_rows_match_one_search_per_node(seed, p, noise, grid):
+    # The eligible nodes share one exhaustive search call, in padded
+    # blocks when they are small.  A node of one row is skipped, as noisy
+    # nodes may be; nodes overlap, and one is listed twice.
+    rng = np.random.default_rng(seed)
+    model = IMPURITY_MODELS[p]
+    data = generate_dataset(model, 40, noise, [(-1, 1)] * p, seed=int(rng.integers(1000)))
+    if grid:
+        data = Dataset(np.round(data.features * 2.0), data.response)
+    nodes = [np.sort(rng.choice(40, size=int(rng.integers(1, 17)), replace=False)) for _ in range(8)]
+    nodes += [nodes[0], np.arange(12), np.arange(6, 18), np.array([5])]
+    got = verify_impurity_bound(data, model, nodes)
+    want = reference_verify_impurity_bound(data, model, nodes)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert got[-1]["skipped"]

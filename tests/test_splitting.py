@@ -1,5 +1,7 @@
 import itertools
+import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from obliquetree import (
     axis_direction,
     best_threshold,
     estimate_suboptimality,
+    grow,
     node_stats,
     root_index_set,
     search_axis_aligned,
@@ -21,10 +24,12 @@ from obliquetree import (
     search_hill_climb,
     search_random_projection,
     sse_decrease,
+    training_error,
 )
 from obliquetree import splitting
 from obliquetree.splitting import (
     DECREASE_TOL,
+    STRATEGY_KINDS,
     Split,
     _Node,
     _best_thresholds,
@@ -35,6 +40,7 @@ from obliquetree.splitting import (
     _stable_order,
     _sweep_gains,
     _winner,
+    run_search,
 )
 
 from conftest import random_dataset, reference_projections, snap_border_rows
@@ -1394,3 +1400,152 @@ def test_exhaustive_cross_products_do_not_overflow(scale):
     assert got.decrease == want.decrease
     assert [c.hex() for c in got.direction.coefficients] == [c.hex() for c in want.direction.coefficients]
     assert (got.left_count, got.right_count) == (want.left_count, want.right_count)
+
+
+# One search call per job: estimate_suboptimality hands its trials to one
+# _search_level call, and the hill climb continues from its level's axis
+# split and solves its restarts in one _best_thresholds call.  The loops
+# they replaced are the references.
+
+
+def reference_estimate_suboptimality(dataset, node, strategy, kappa, trials):
+    """The report's dict from one run_search per trial, a trial without a
+    valid split counting as 0.0."""
+    oracle = search_exhaustive_oblique(dataset, node, dataset.p, strategy.node_cap)
+    decreases = []
+    for trial in range(trials):
+        try:
+            decreases.append(run_search(dataset, node, replace(strategy, seed=strategy.seed + trial)).decrease)
+        except NoValidSplitError:
+            decreases.append(0.0)
+    successes = sum(achieved >= kappa * oracle.decrease - DECREASE_TOL for achieved in decreases)
+    return {
+        "kappa": kappa,
+        "trials": trials,
+        "success_fraction": successes / trials,
+        "oracle_decrease": oracle.decrease,
+        "per_trial_decreases": decreases,
+    }
+
+
+def reference_climb(X, node, base, strategy, seed, n_full):
+    """The climb that re-solves its axis start, and each restart, with a
+    _best_thresholds call of its own."""
+    if strategy.max_iterations == 0:
+        return base
+    p = X.shape[1]
+    d = min(strategy.sparsity_d, p)
+    rows = _random_sparse_directions(seed, p, d, strategy.restarts - 1)
+    local = node.features(X)
+    ends = [base]
+    for start in [base.direction] + [Direction.canonical(row) for row in rows]:
+        (near,) = _best_thresholds(X, [(node, start.as_array()[None])], n_full)
+        if not near:
+            continue
+        current = near[0]
+        for _ in range(strategy.max_iterations):
+            before = current
+            for j in range(p):
+                w = current.direction.as_array().copy()
+                if w[j] == 0.0 and current.direction.support_size >= d:
+                    w[np.argmin(np.where(w == 0.0, np.inf, np.abs(w)))] = 0.0
+                w[j] = 0.0
+                move = _coefficient_move(local, node.centred, w, j, current.threshold, n_full)
+                if move is None or move[1] <= current.decrease + DECREASE_TOL:
+                    continue
+                w[j] = move[0]
+                (near,) = _best_thresholds(X, [(node, Direction.canonical(w).as_array()[None])], n_full)
+                if near and near[0].decrease > current.decrease + DECREASE_TOL:
+                    current = near[0]
+            if current is before:
+                break
+        ends.append(current)
+    return _winner(ends)
+
+
+def report_or_error(run, *args):
+    """run(*args) as JSON with every float exact, or its error."""
+    try:
+        return json.dumps(run(*args), sort_keys=True)
+    except (NoValidSplitError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grid_nodes(max_m=14),
+    continuous=st.booleans(),
+    kind=st.sampled_from(STRATEGY_KINDS),
+    sparsity=st.integers(1, 3),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 1000),
+    kappa=st.sampled_from([0.5, 0.9, 1.0]),
+)
+def test_estimate_suboptimality_matches_one_search_per_trial(
+    case, continuous, kind, sparsity, trials, seed, kappa
+):
+    data, node = case
+    if continuous:
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(-1.0, 1.0, size=data.features.shape), rng.standard_normal(data.n))
+    strategy = SearchStrategy(
+        kind=kind, sparsity_d=sparsity, num_candidates=8, restarts=2, max_iterations=3, seed=seed
+    )
+    got = report_or_error(lambda: estimate_suboptimality(data, node, strategy, kappa, trials).to_dict())
+    want = report_or_error(reference_estimate_suboptimality, data, node, strategy, kappa, trials)
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=grid_nodes(max_m=40, max_p=4),
+    continuous=st.booleans(),
+    sparsity=st.integers(1, 4),
+    restarts=st.integers(1, 4),
+    iterations=st.integers(0, 5),
+    seed=st.integers(0, 1000),
+)
+def test_hill_climb_matches_the_climb_that_re_solves_its_starts(
+    case, continuous, sparsity, restarts, iterations, seed
+):
+    data, node = case
+    if continuous:
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(-1.0, 1.0, size=data.features.shape), rng.standard_normal(data.n))
+    strategy = SearchStrategy(
+        kind="hill_climb", sparsity_d=sparsity, restarts=restarts, max_iterations=iterations, seed=seed
+    )
+    try:
+        base = search_axis_aligned(data, node)
+    except NoValidSplitError:
+        want = "no valid split"
+    else:
+        sample = _Node.of(data, node)
+        want = split_bytes(reference_climb(data.features, sample, base, strategy, seed, data.n))
+    assert outcome(run_search, data, node, strategy) == want
+
+
+def test_hill_climb_is_warning_free_on_columns_scaled_near_the_float_limits():
+    # Column 0 at 1e300 and column 1 at 1e-300: a crossing point of a
+    # coefficient of column 1 overflows, and such a row keeps its side at
+    # every finite coefficient.  No overflow or invalid value may be
+    # raised (pytest fails on a RuntimeWarning), and every split still
+    # carries the exact decrease of the split it stores.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, size=(200, 3))
+    y = np.sin(X @ np.array([1.0, 1.5, -0.5])) + 0.1 * rng.standard_normal(200)
+    X[:, 0] *= 1e300
+    X[:, 1] *= 1e-300
+    data = Dataset(X, y)
+    strategy = SearchStrategy(kind="hill_climb", sparsity_d=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grown = grow(data, strategy, 4)
+    root = grown.nodes[grown.root_id]
+    assert root.split.decrease >= search_axis_aligned(data, root.index_set).decrease - DECREASE_TOL
+    for node in grown.nodes.values():
+        if not node.is_leaf:
+            split = node.split
+            assert split.direction.support_size <= 3
+            assert split.decrease == sse_decrease(data, node.index_set, split.direction, split.threshold)
+    assert training_error(grown, data) < node_stats(data, root.index_set)[1] / data.n
