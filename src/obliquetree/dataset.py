@@ -114,32 +114,45 @@ class Direction:
             raise ValueError("direction must be a non-empty 1-D vector")
         if not np.isfinite(arr).all():
             raise ValueError("direction has non-finite coefficients")
-        peak = np.abs(arr).max()
-        if peak == 0.0:
+        if not arr.any():
             raise ValueError("direction must be nonzero")
-        arr = _snap(arr)
-        with np.errstate(over="ignore", under="ignore"):
-            norm = float(np.linalg.norm(arr))
-        # Each division moves the peak, so it is followed by a snap against
-        # the new one; and the division by the norm is skipped when already
-        # unit-norm.  So canonicalization is an exact fixpoint (idempotent
-        # to the bit).
-        if not _SAFE_NORMS[0] < norm < _SAFE_NORMS[1]:
-            arr = _snap(arr / peak)
-            norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-12:
-            arr = _snap(arr / norm)
-        first = arr[np.nonzero(arr)[0][0]]
-        if first < 0.0:
-            arr = -arr + 0.0  # -0.0 + 0.0 is +0.0
-        return Direction(tuple(arr.tolist()))
+        return Direction(tuple(canonical_rows(arr[None])[0].tolist()))
 
 
 def _snap(arr: np.ndarray) -> np.ndarray:
     """arr with every coefficient of magnitude <= _COEFF_SNAP times its
-    row's peak written as +0.0; a 1-D arr is one row."""
+    row's peak written as +0.0."""
     size = np.abs(arr)
-    return np.where(size <= _COEFF_SNAP * size.max(axis=-1, keepdims=True), 0.0, arr)
+    return np.where(size <= _COEFF_SNAP * size.max(axis=1, keepdims=True), 0.0, arr)
+
+
+def _norms(arr: np.ndarray) -> np.ndarray:
+    """Row norms by numpy's elementwise sum, with no BLAS call."""
+    return np.sqrt(np.add.reduce(arr * arr, axis=1))
+
+
+def canonical_rows(raw) -> np.ndarray:
+    """The canonical form of each row of a k x p matrix of nonzero finite
+    direction rows, the library's one canonicalization formula.
+
+    A row is snapped (_snap); if its norm is outside _SAFE_NORMS, it is
+    divided by its peak and snapped; unless its norm is within 1e-12 of
+    1, it is divided by it and snapped; and its first nonzero is made
+    positive, with zeros written as +0.0.  Each step is elementwise
+    within a row, so a row's bits do not depend on the batch or the BLAS
+    build, and the output rows are fixpoints.
+    """
+    arr = _snap(np.asarray(raw, dtype=np.float64))
+    with np.errstate(over="ignore", under="ignore"):
+        norms = _norms(arr)
+        odd = ~((_SAFE_NORMS[0] < norms) & (norms < _SAFE_NORMS[1]))
+        if odd.any():
+            arr[odd] = _snap(arr[odd] / np.abs(arr[odd]).max(axis=1, keepdims=True))
+            norms[odd] = _norms(arr[odd])
+    norms = norms[:, None]
+    arr = np.where(np.abs(norms - 1.0) > 1e-12, _snap(arr / norms), arr)
+    first = arr[np.arange(arr.shape[0]), np.argmax(arr != 0.0, axis=1)]
+    return np.where(first[:, None] < 0.0, -arr, arr) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def axis_direction(p: int, coordinate: int) -> Direction:
@@ -330,19 +343,16 @@ def load_csv(path, response_column) -> Dataset:
     return Dataset(np.asarray(feat_rows), np.asarray(resp_vals))
 
 
-def save_csv(dataset: Dataset, path, feature_names=None, response_name="y") -> None:
-    """Write a Dataset in the same dialect load_csv reads.
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a Dataset in the same dialect load_csv reads: features x1 ..
+    xp, then the response y.
 
     Floats are written with repr(), which round-trips exactly, so a
     save/load cycle reproduces the matrices bit for bit.
     """
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(dataset.p)]
-    if len(feature_names) != dataset.p:
-        raise ValueError("feature_names length must equal p")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(feature_names) + [response_name])
+        writer.writerow([f"x{j + 1}" for j in range(dataset.p)] + ["y"])
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.features[i]]
             row.append(repr(float(dataset.response[i])))

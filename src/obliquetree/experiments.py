@@ -185,13 +185,13 @@ def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: 
     return start, dataset, norm, prefixes
 
 
-def run_rate_experiment(config: ExperimentConfig, assert_bound: bool = True) -> RateReport:
+def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Excess-training-error decay against the norm^2/K guarantee.
 
     Grows once at the deepest requested K with the exact exhaustive
     search and reads shallower trees off as prefixes.  Every row records
-    the excess error and the bound; with assert_bound a violation raises
-    BoundViolationError after the full report is assembled.
+    the excess error and the bound; a violation raises BoundViolationError
+    after the full report is assembled.
     """
     start, _, norm, prefixes = _realization(config, "rate experiment", config.depth_range[0], True)
     rows = []
@@ -223,7 +223,7 @@ def run_rate_experiment(config: ExperimentConfig, assert_bound: bool = True) -> 
         summary={"capacity_norm": norm, "violations": violations},
         wall_time_s=time.perf_counter() - start,
     )
-    if assert_bound and violations:
+    if violations:
         raise BoundViolationError(
             f"excess error exceeded the norm^2/K bound at depths {violations}", report
         )
@@ -239,6 +239,8 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
     excess error sits below A * V^2 / 4^((K-1)/q); the underlying result
     bounds expectations, so nothing is asserted here.
     """
+    if config.depth_range[1] < 1:
+        raise ValueError("fast rate experiment needs a depth range with a depth >= 1")
     start, dataset, norm, prefixes = _realization(
         config, "fast rate experiment", max(config.depth_range[0], 1)
     )

@@ -109,14 +109,12 @@ import numpy as np
 # project is not called here; the benchmark's tracer and its tests still
 # look for it in this module's namespace.
 from .dataset import (
-    _COEFF_SNAP,
-    _SAFE_NORMS,
     Dataset,
     Direction,
     _check_keys,
     _moments,
     _named,
-    _snap,
+    canonical_rows,
     project,
     projections,
     validate_index_set,
@@ -473,7 +471,7 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int) -> list:
 
     A problem pairs a _Node of X's rows with a matrix W of direction
     rows.  A row of W becomes its split's direction as it is, so callers
-    pass fixpoints of Direction.canonical, as _canonical_rows gives.
+    pass canonical rows, as canonical_rows gives.
     The rows of every problem are swept in the blocks of _blocks: each
     block is projected (one dataset.projections call), sorted by value,
     then by index (one _stable_order call), swept (_sweep_gains, one
@@ -594,37 +592,14 @@ def _winner(splits):
 
 
 def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
-    """Canonicalize direction rows in bulk; drop zero rows and duplicates.
+    """canonical_rows of a matrix's nonzero rows, each distinct row once.
 
-    Each row is snapped as Direction.canonical snaps it, divided by its
-    norm, snapped again against its new peak and given a positive
-    leading coefficient.  Its norm is computed row-wise and its division
-    is never skipped, so it may differ from Direction.canonical of the
-    row in the last bits; a row for which that could decide whether a
-    coefficient is snapped (one within a relative 1e-9 of the snap
-    border), and a row whose norm falls outside _SAFE_NORMS, goes
-    through Direction.canonical itself.  So every row that comes out is a
-    bit-exact fixpoint of Direction.canonical, with the same zeros and
-    signs as Direction.canonical of the row that went in.  The rows
-    come out in an arbitrary order, which split search does not depend
-    on.  Zeros are written as +0.0, so the copies of a duplicated row
-    are bit-identical and it does not matter which one is kept.
+    The rows come out in an arbitrary order, which split search does not
+    depend on.  Zeros are written as +0.0, so the copies of a duplicated
+    row are bit-identical and it does not matter which one is kept.
     """
     raw = np.asarray(matrix, dtype=np.float64)
-    raw = raw[np.any(raw != 0.0, axis=1)]
-    size = np.abs(raw)
-    border = _COEFF_SNAP * size.max(axis=1, keepdims=True)
-    arr = np.where(size <= border, 0.0, raw)
-    with np.errstate(all="ignore"):
-        norms = np.linalg.norm(arr, axis=1, keepdims=True)
-        arr = _snap(arr / norms)
-    odd = (norms[:, 0] <= _SAFE_NORMS[0]) | (norms[:, 0] >= _SAFE_NORMS[1])
-    odd |= np.any(np.abs(size - border) <= 1e-9 * border, axis=1)
-    for i in np.flatnonzero(odd):
-        arr[i] = Direction.canonical(raw[i]).coefficients
-    first_nz = np.argmax(arr != 0.0, axis=1)
-    signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
-    arr = arr * signs[:, None] + 0.0  # -0.0 + 0.0 is +0.0
+    arr = canonical_rows(raw[np.any(raw != 0.0, axis=1)])
     # Sorting a hash of each row's bits makes equal rows neighbours; a
     # hash collision can only leave a duplicate in, never drop a row.
     # The multiplier is odd (2**64 over the golden ratio).
@@ -810,7 +785,7 @@ def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
     p = X.shape[1]
     d = min(strategy.sparsity_d, p)
     rows = _random_sparse_directions(seed, p, d, strategy.restarts - 1)
-    starts = [(node, Direction.canonical(row).as_array()[None]) for row in rows]
+    starts = [(node, row[None]) for row in canonical_rows(rows)] if len(rows) else []
     local = node.features(X)
     ends = []  # each move gains over DECREASE_TOL: base is near-best only as its climb's end
     for near in [[base]] + _best_thresholds(X, starts, n_full):
@@ -828,7 +803,7 @@ def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
                 if move is None or move[1] <= current.decrease + DECREASE_TOL:
                     continue
                 w[j] = move[0]
-                (near,) = _best_thresholds(X, [(node, Direction.canonical(w).as_array()[None])], n_full)
+                (near,) = _best_thresholds(X, [(node, canonical_rows(w[None]))], n_full)
                 if near and near[0].decrease > current.decrease + DECREASE_TOL:
                     current = near[0]
             if current is before:

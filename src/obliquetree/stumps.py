@@ -14,7 +14,6 @@ counts as a failure is left to the test layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +66,6 @@ class Expansion:
             ],
             "coefficients": list(self.coefficients),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def stump(tree: Tree, dataset: Dataset, internal_node_id: int) -> StumpFeature:

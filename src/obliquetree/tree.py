@@ -34,8 +34,8 @@ import numpy as np
 
 from .dataset import (
     Dataset,
-    Direction,
     _named,
+    canonical_rows,
     projections,
     root_index_set,
     validate_index_set,
@@ -293,17 +293,19 @@ def to_dict(tree: Tree) -> dict:
     }
 
 
+def _not_canonical(node_id: int, p: int) -> ValueError:
+    return ValueError(f"node {node_id} split direction is not a canonical unit vector in R^{p}")
+
+
 def _split_from_dict(node_id: int, data, p: int) -> Split:
-    """Split.from_dict, rejecting what grow cannot have written."""
+    """Split.from_dict, rejecting what grow cannot have written (from_dict
+    checks that the direction is canonical, for every node at once)."""
     split = _named(f"node {node_id} split", Split.from_dict, data)
     if not (math.isfinite(split.threshold) and math.isfinite(split.decrease)):
         raise ValueError(f"node {node_id} has a non-finite split threshold or decrease")
-    try:
-        canonical = Direction.canonical(split.direction.coefficients)
-    except ValueError:
-        canonical = None
-    if len(split.direction.coefficients) != p or canonical != split.direction:
-        raise ValueError(f"node {node_id} split direction is not a canonical unit vector in R^{p}")
+    coefficients = split.direction.coefficients
+    if not (len(coefficients) == p and all(map(math.isfinite, coefficients)) and any(coefficients)):
+        raise _not_canonical(node_id, p)
     return split
 
 
@@ -333,6 +335,12 @@ def from_dict(data: dict) -> Tree:
             left_child=entry["left_child"],
             right_child=entry["right_child"],
         )
+    split = [node for node in nodes.values() if node.split]
+    if split:
+        W = np.array([node.split.direction.coefficients for node in split])
+        for node, moved in zip(split, (canonical_rows(W) != W).any(axis=1).tolist()):
+            if moved:
+                raise _not_canonical(node.node_id, p)
     root_id = _named("root_id", int, data["root_id"])
     if root_id not in nodes:
         raise ValueError(f"root_id {root_id} names no node")

@@ -200,7 +200,7 @@ def test_criterion_5_training_bound_exact_search():
             domain_box=((-1.0, 1.0), (-1.0, 1.0)),
             mc_size=50,
         )
-        report = run_rate_experiment(config, assert_bound=True)
+        report = run_rate_experiment(config)
         runs += len(report.rows)
         violations += len(report.summary["violations"])
     elapsed = time.perf_counter() - start

@@ -290,6 +290,13 @@ def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_fast_rate_rejects_a_depth_range_without_a_depth_of_one(tmp_path, capsys):
+    config = write_json(tmp_path, experiment_config(depth_range=[0, 0]))
+    assert main(["experiment", config, "--kind", "fast_rate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "depth >= 1" in err
+
+
 @pytest.mark.parametrize("strategy", ["random_projection", "exhaustive_oblique"])
 def test_sparsity_above_p_is_capped_at_p(tmp_path, strategy):
     # sparsity_d is a cap on the support size: 5 on p=3 data means 3.

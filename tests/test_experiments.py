@@ -179,6 +179,12 @@ def test_fast_rate_additive_1d_profile():
         assert row["leaf_norm_power_sum"] <= report.summary["capacity_norm"] ** 2.1 * (1 + 1e-9)
 
 
+def test_fast_rate_rejects_a_depth_range_without_a_depth_of_one():
+    # Depth 0 has no balance factor or fast bound: (0, 0) leaves no row.
+    with pytest.raises(ValueError, match="depth >= 1"):
+        run_fast_rate_experiment(linear_ridge_config(depth=(0, 0)))
+
+
 def test_fast_rate_balance_factor_reported():
     config = linear_ridge_config(seed=5, depth=(1, 4))
     report = run_fast_rate_experiment(config)

@@ -27,6 +27,7 @@ from obliquetree import (
     training_error,
 )
 from obliquetree import splitting
+from obliquetree.dataset import canonical_rows
 from obliquetree.splitting import (
     DECREASE_TOL,
     STRATEGY_KINDS,
@@ -432,25 +433,10 @@ def reference_best_threshold(dataset, node, direction):
 
 
 def reference_canonical_rows(matrix):
+    """Direction.canonical of each nonzero row, each distinct row once."""
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
-    peak = np.max(np.abs(arr), axis=1, keepdims=True)
-    keep = peak[:, 0] > 0.0
-    arr = arr[keep]
-    peak = peak[keep]
-    if arr.shape[0] == 0:
-        return arr
-    arr = np.where(np.abs(arr) <= 1e-12 * peak, 0.0, arr)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0.0
-    arr = arr[keep] / norms[keep]
-    if arr.shape[0] == 0:
-        return arr
-    first_nz = np.argmax(arr != 0.0, axis=1)
-    signs = np.sign(arr[np.arange(arr.shape[0]), first_nz])
-    arr = arr * signs[:, None]
-    return np.unique(arr, axis=0)
+    rows = [Direction.canonical(row).coefficients for row in arr if row.any()]
+    return np.unique(np.array(rows, dtype=np.float64).reshape(-1, arr.shape[1]), axis=0)
 
 
 def reference_near_ties(dataset, node, directions, chunk=4096):
@@ -728,25 +714,52 @@ def test_canonical_rows_matches_np_unique(rows):
     got = _canonical_rows(rows)
     want = reference_canonical_rows(rows)
     assert got.shape == want.shape
-    assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
+    assert {r.tobytes() for r in got} == {r.tobytes() for r in want}
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=st.one_of(direction_rows(), snap_border_rows()))
-def test_canonical_rows_are_fixpoints_of_direction_canonical(rows):
-    # _best_thresholds stores each swept row as its Split's direction, so
-    # a row must be exactly the direction Direction.canonical makes of it,
-    # at the snap border and at scales whose squares underflow or
-    # overflow too; and only zero rows are dropped.  (The bulk form
-    # computes norms row-wise, so it may differ from Direction.canonical
-    # of the input row in the last bits, but not in a snapped coefficient
-    # or a sign.)
-    got = _canonical_rows(rows)
-    for row in got:
-        assert [c.hex() for c in Direction.canonical(row).coefficients] == [c.hex() for c in row]
-    for row in rows[np.any(rows != 0.0, axis=1)]:
-        want = Direction.canonical(row).as_array()
-        assert np.min(np.max(np.abs(got - want), axis=1)) <= 2e-12
+@st.composite
+def extreme_and_unit_rows(draw):
+    """k x p direction rows with zeros among their coefficients, whose
+    norms lie near 2^-600 or 2^600 (outside the safe range), near its
+    ends 2^-500 and 2^500, or within rounding of 1: rows already divided
+    by their norm, and the +-1/sqrt(d) rows of random projection."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    rows = rng.standard_normal((k, p))
+    rows[rng.random((k, p)) < 0.3] = 0.0
+    rows[~rows.any(axis=1), 0] = -1.0
+    kind = draw(st.sampled_from(["scaled", "unit", "random_projection"]))
+    if kind == "unit":
+        return rows / np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
+    if kind == "random_projection":
+        d = int(rng.integers(1, p + 1))
+        return _random_sparse_directions(int(rng.integers(2**32)), p, d, k)
+    scale = draw(st.sampled_from([2.0**-600, 2.0**-500, 2.0**500, 2.0**600]))
+    return rows * scale * rng.uniform(0.5, 2.0, size=(k, 1))
+
+
+def row_bits(row):
+    return tuple(float(c).hex() for c in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.one_of(direction_rows(), snap_border_rows(), extreme_and_unit_rows()))
+def test_canonical_rows_equal_direction_canonical_row_by_row(rows):
+    # One formula: a row's canonical bits do not depend on the batch it
+    # is canonicalized in.  _best_thresholds stores each swept row as its
+    # Split's direction, and tree.from_dict checks stored directions in
+    # one bulk call, so a bulk row must be exactly Direction.canonical of
+    # the row that went in, at the snap border, at norms whose squares
+    # underflow or overflow and at norms already within rounding of 1;
+    # it must be a fixpoint; and only zero rows and duplicates are
+    # dropped.
+    nonzero = rows[np.any(rows != 0.0, axis=1)]
+    want = [row_bits(Direction.canonical(row).coefficients) for row in nonzero]
+    bulk = canonical_rows(nonzero)
+    assert [row_bits(row) for row in bulk] == want
+    for row in bulk:
+        assert row_bits(Direction.canonical(row).coefficients) == row_bits(row)
+    assert sorted(row_bits(row) for row in _canonical_rows(rows)) == sorted(set(want))
 
 
 def test_exhaustive_resolves_near_ties_in_one_batch(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,20 @@ def test_json_round_trip_of_a_snap_border_direction():
     root = tree.nodes[tree.root_id]
     root.split = replace(root.split, direction=Direction.canonical(SNAP_BORDER_VECTOR))
     assert to_json(from_json(to_json(tree))) == to_json(tree)
+
+
+def test_from_json_names_the_first_node_with_a_non_canonical_direction():
+    # Every stored direction is checked in one call; the message still
+    # names the first offending node in the file's order.
+    data = random_dataset(41, 80, 3)
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=40, seed=2)
+    payload = json.loads(to_json(grow(data, strategy, max_depth=3)))
+    split = [node for node in payload["nodes"] if node["split"]]
+    assert len(split) >= 3
+    for node in split[1:]:
+        node["split"]["direction"] = [2.0 * c for c in node["split"]["direction"]]
+    with pytest.raises(ValueError, match=f"node {split[1]['node_id']} split direction"):
+        from_json(json.dumps(payload))
 
 
 def test_attach_rejects_wrong_dataset():
