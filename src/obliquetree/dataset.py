@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,6 +279,11 @@ def _moments(y: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.add.reduce(centred * centred))
 
 
+# What the body of a file, its CRLF line ends made LF, may hold for
+# load_csv to parse it in bulk.
+_PLAIN_BODY = re.compile(r"[0-9+\-.eE,\n]*")
+
+
 def load_csv(path, response_column) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
@@ -286,7 +292,65 @@ def load_csv(path, response_column) -> Dataset:
     remaining columns become features in file order.  Cells must parse
     as finite decimal numbers ('.' decimal point, no quoting); any
     offending cell is reported with its row and column.
+
+    A file of plain numbers is parsed in bulk (_load_plain_csv); any
+    other file, and every file with an error, is read row by row
+    (_load_csv_rows), which gives the same Dataset and is the one source
+    of CsvFormatError messages.
     """
+    dataset = _load_plain_csv(path, response_column)
+    if dataset is not None:
+        return dataset
+    return _load_csv_rows(path, response_column)
+
+
+def _load_plain_csv(path, response_column):
+    """load_csv's Dataset in a few array operations, or None.
+
+    Taken when the header line holds no quote, NUL or carriage return
+    (but a CRLF line end), and the body only digits, '+-.eE', commas and
+    LF or CRLF line ends.  Blank lines are skipped, as the csv module
+    skips them.  Every cell is converted by one np.array call, which
+    parses a decimal string to the bits float() gives it.  Whatever
+    _load_csv_rows would reject (an unreadable file, a missing response
+    column, a ragged row, an unparsable or non-finite cell, too few
+    columns or rows) gives None, so that it reports it.
+    """
+    try:
+        with open(path, "r", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    header_line, _, body = text.partition("\n")
+    header_line = header_line.removesuffix("\r")
+    if not header_line or any(c in header_line for c in '"\r\0'):
+        return None
+    header = [h.strip() for h in header_line.split(",")]
+    if isinstance(response_column, int):
+        resp_pos = response_column if 0 <= response_column < len(header) else None
+    else:
+        resp_pos = header.index(response_column) if response_column in header else None
+    if resp_pos is None or len(header) < 2:
+        return None
+    body = body.replace("\r\n", "\n")
+    if not _PLAIN_BODY.fullmatch(body):
+        return None
+    lines = [line for line in body.split("\n") if line]
+    if not lines or any(line.count(",") != len(header) - 1 for line in lines):
+        return None
+    try:
+        values = np.array(",".join(lines).split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    values = values.reshape(len(lines), len(header))
+    return Dataset(np.delete(values, resp_pos, axis=1), values[:, resp_pos])
+
+
+def _load_csv_rows(path, response_column) -> Dataset:
+    """load_csv cell by cell through the csv module, with a
+    CsvFormatError naming the first offending row, column or cell."""
     try:
         handle = open(path, "r", newline="")
     except FileNotFoundError:

@@ -340,7 +340,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.model, config.n, config.noise_std, config.domain_box, config.seed
     )
     k_lo, k_hi = config.depth_range
-    lam_star, hold_errors, full, selected = _holdout_fit(
+    lam_star, hold_errors, full, sequence = _holdout_fit(
         dataset,
         config.strategy,
         k_hi,
@@ -351,7 +351,8 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
     )
     rows = []
     pruned_star = None
-    for lam, hold_err, pruned in zip(config.lambda_grid, hold_errors, selected):
+    for lam, hold_err in zip(config.lambda_grid, hold_errors):
+        pruned = sequence.select(full, lam)
         imse, imse_se = estimate_imse(
             pruned, config.model, config.mc_size, config.domain_box, config.seed + 7002
         )

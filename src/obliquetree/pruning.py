@@ -11,8 +11,11 @@ train_error + lambda * |leaves| lies on that sequence.
 The sequence is computed once per tree: after each collapse only the
 collapsed node's ancestors are updated, so the interpreted work is
 O(nodes x depth), plus one vectorized minimum over the internal nodes
-per step.  PruneSequence.select then picks the subtree for any lambda
-from that one sequence.
+per step.  PruneSequence.prefix gives, for any lambda, how many steps
+of that one sequence its subtree collapses, and PruneSequence.select
+materializes that subtree.  The holdout choice of lambda builds no
+subtree: it routes the holdout rows once through the full tree and
+scores every grid value from that routing with array operations.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, subset
 from .splitting import SearchStrategy
-from .tree import Tree, collapse, grow, predict_batch
+from .tree import Tree, collapse, grow, route
 
 _OBJECTIVE_TOL = 1e-12
 
@@ -89,13 +92,12 @@ class PruneSequence:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def select(self, tree: Tree, lam: float) -> Tree:
-        """Smallest subtree of `tree` minimizing train_error + lam * leaf_count.
+    def prefix(self, lam: float) -> int:
+        """How many steps of the sequence the subtree for `lam` collapses.
 
-        `tree` must be the tree this sequence was computed from.  Walks
-        the sequence and keeps the last candidate whose objective is
-        within tolerance of the minimum, which is the candidate with the
-        fewest leaves (leaf counts strictly decrease along the path).
+        Walks the sequence and keeps the last candidate whose objective
+        is within tolerance of the minimum, which is the candidate with
+        the fewest leaves (leaf counts strictly decrease along the path).
         """
         _check_lambda(lam)
         best_obj = self.initial_train_error + lam * self.initial_leaf_count
@@ -106,8 +108,16 @@ class PruneSequence:
             if objective <= best_obj + _OBJECTIVE_TOL * scale:
                 best_obj = min(best_obj, objective)
                 best_prefix = k
-        collapsed = {s.collapsed_node_id for s in self.steps[:best_prefix]}
-        return collapse(tree, collapsed)
+        return best_prefix
+
+    def select(self, tree: Tree, lam: float) -> Tree:
+        """Smallest subtree of `tree` minimizing train_error + lam * leaf_count.
+
+        `tree` must be the tree this sequence was computed from; the
+        subtree collapses the first prefix(lam) steps.
+        """
+        steps = self.steps[: self.prefix(lam)]
+        return collapse(tree, {s.collapsed_node_id for s in steps})
 
 
 def weakest_link_sequence(tree: Tree, dataset: Dataset) -> PruneSequence:
@@ -209,6 +219,53 @@ def default_lambda_grid(dataset: Dataset, size: int = 20) -> list[float]:
     return [float(v) for v in energy * np.geomspace(1e-6, 1.0, size)]
 
 
+def _holdout_errors(
+    full: Tree, sequence: PruneSequence, grid: list[float], X_hold: np.ndarray, y_hold: np.ndarray
+) -> list[float]:
+    """The holdout MSE of sequence.select(full, lam) for each lam in grid.
+
+    The holdout rows are routed once, through `full`.  The subtree of a
+    prefix of P steps turns into leaves the nodes those steps collapse,
+    so a row reaches in it the first node of its root-to-leaf path that
+    the sequence collapses within P steps, or its leaf if there is none.
+    Its prediction is that node's mean, with the bits predict_batch on
+    the subtree gives it, and grid values with one prefix share an error.
+    """
+    reached = route(full, X_hold)
+    # The step that collapses each node: 0 for a leaf, which every
+    # prefix keeps, and inf for a node the sequence never collapses.
+    size = max(full.nodes) + 1
+    step_of, mean = np.full(size, np.inf), np.zeros(size)
+    for nid, node in full.nodes.items():
+        mean[nid] = node.mean
+        if node.is_leaf:
+            step_of[nid] = 0
+    for k, step in enumerate(sequence.steps, start=1):
+        step_of[step.collapsed_node_id] = k
+    paths = {full.root_id: (full.root_id,)}
+    leaves = []
+    for nid in reached:  # parents before children
+        node = full.nodes[nid]
+        if node.is_leaf:
+            leaves.append(nid)
+        else:
+            paths[node.left_child] = paths[nid] + (node.left_child,)
+            paths[node.right_child] = paths[nid] + (node.right_child,)
+    width = max(len(paths[nid]) for nid in leaves)
+    # Each reached leaf's path from the root, padded with the leaf.
+    padded = np.array([paths[nid] + (nid,) * (width - len(paths[nid])) for nid in leaves])
+    leaf_of_row = np.empty(y_hold.size, dtype=np.intp)
+    for k, nid in enumerate(leaves):
+        leaf_of_row[reached[nid]] = k
+    prefixes = [sequence.prefix(lam) for lam in grid]
+    errors = {}
+    for prefix in set(prefixes):
+        stop = np.argmax(step_of[padded] <= prefix, axis=1)
+        pred = mean[padded[np.arange(len(leaves)), stop]][leaf_of_row]
+        errors[prefix] = float(np.mean((y_hold - pred) ** 2))
+    return [errors[prefix] for prefix in prefixes]
+
+
 def _holdout_fit(
     dataset: Dataset,
     strategy: SearchStrategy,
@@ -217,9 +274,9 @@ def _holdout_fit(
     holdout_fraction: float,
     seed: int,
     min_node_size: int,
-) -> tuple[float, list[float], Tree, list[Tree]]:
+) -> tuple[float, list[float], Tree, PruneSequence]:
     """holdout_lambda's (lambda, errors) plus the tree it trained on the
-    non-holdout rows and the subtree it selected for each grid value."""
+    non-holdout rows and that tree's weakest-link sequence."""
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
@@ -236,15 +293,12 @@ def _holdout_fit(
     train_ds = subset(dataset, train_rows)
     full = grow(train_ds, strategy, max_depth, min_node_size)
     sequence = weakest_link_sequence(full, train_ds)
-    X_hold = dataset.features[hold_rows]
-    y_hold = dataset.response[hold_rows]
-    errors = []
+    errors = _holdout_errors(
+        full, sequence, grid, dataset.features[hold_rows], dataset.response[hold_rows]
+    )
     best_lam = None
     best_err = None
-    selected = [sequence.select(full, lam) for lam in grid]
-    for lam, pruned in zip(grid, selected):
-        err = float(np.mean((y_hold - predict_batch(pruned, X_hold)) ** 2))
-        errors.append(err)
+    for lam, err in zip(grid, errors):
         if best_err is None:
             best_lam, best_err = lam, err
             continue
@@ -252,7 +306,7 @@ def _holdout_fit(
         if err < best_err - tol or (abs(err - best_err) <= tol and lam > best_lam):
             best_lam = lam
             best_err = min(best_err, err)
-    return best_lam, errors, full, selected
+    return best_lam, errors, full, sequence
 
 
 def holdout_lambda(
@@ -267,8 +321,9 @@ def holdout_lambda(
     """Pick the penalty by error on a held-out part of the sample.
 
     Grows on the remaining rows, computes that tree's weakest-link
-    sequence once, evaluates each grid value's selected subtree on the
-    holdout rows, and returns the lambda with the lowest holdout MSE
+    sequence once, routes the holdout rows once through that tree, and
+    scores every grid value's selected subtree from the one routing (no
+    subtree is built).  Returns the lambda with the lowest holdout MSE
     (ties resolved toward the larger lambda) together with the
     per-lambda errors.
     """

@@ -935,7 +935,11 @@ def estimate_suboptimality(
     the whole of R^p); the strategy is re-run with seeds seed .. seed +
     trials - 1, every trial a copy of the node in one _search_level
     call.  A trial that finds no valid split achieves 0.0.
-    Deterministic strategies yield a fraction of 0 or 1.
+    Deterministic strategies yield a fraction of 0 or 1: a strategy
+    that draws no random direction (axis, exhaustive, a hill climb
+    without restarts, random projection without candidates) is searched
+    once and its split repeated, and an exhaustive one at sparsity >= p
+    repeats the oracle's split.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must lie in (0, 1]")
@@ -944,9 +948,16 @@ def estimate_suboptimality(
     if dataset.p > 3:
         raise ValueError("sub-optimality estimation needs p <= 3 for the exact oracle")
     oracle = search_exhaustive_oblique(dataset, node, dataset.p, strategy.node_cap)
-    sample = _Node.of(dataset, node)
-    seeds = [strategy.seed + trial for trial in range(trials)]
-    splits = _search_level(dataset, [sample] * trials, strategy, seeds)
+    seeded = (strategy.kind == "hill_climb" and strategy.restarts > 1) or (
+        strategy.kind == "random_projection" and strategy.num_candidates > 0
+    )
+    if strategy.kind == "exhaustive_oblique" and strategy.sparsity_d >= dataset.p:
+        splits = [oracle] * trials
+    elif seeded:
+        seeds = [strategy.seed + trial for trial in range(trials)]
+        splits = _search_level(dataset, [_Node.of(dataset, node)] * trials, strategy, seeds)
+    else:
+        splits = _search_level(dataset, [_Node.of(dataset, node)], strategy, [strategy.seed]) * trials
     decreases = tuple(0.0 if split is None else split.decrease for split in splits)
     successes = sum(achieved >= kappa * oracle.decrease - DECREASE_TOL for achieved in decreases)
     return SuboptimalityReport(

@@ -15,19 +15,20 @@ property for deterministic strategies.
 Routing convention: a point goes to the left child when its projection
 onto the split direction is <= the threshold, and to the right child
 otherwise.  `_partition` is the only place that test is written for a
-stored tree; prediction, index-set attachment and the stump features
-all route through it, and `collapse` is the only way a subtree is
-materialized.  (Growth reads the same test off the search's own
-projections, which dataset.projections computed with the same bits.)
-Projections come from `dataset.projections`, so a point reaches the same
-leaf whichever rows are routed with it.
+stored tree; prediction, the holdout scores of pruning, index-set
+attachment and the stump features all route through it, and
+`collapse` is the only way a subtree is materialized.  (Growth reads
+the same test off the search's own projections, which
+dataset.projections computed with the same bits.)  Projections come
+from `dataset.projections`, so a point reaches the same leaf whichever
+rows are routed with it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -239,9 +240,14 @@ def collapse(tree: Tree, collapsed: set[int]) -> Tree:
         nid = stack.pop()
         node = tree.nodes[nid]
         if nid in collapsed:
-            node = replace(node, split=None, left_child=None, right_child=None)
+            split = left = right = None
         else:
-            node = replace(node)
+            split, left, right = node.split, node.left_child, node.right_child
+        node = TreeNode(
+            node_id=node.node_id, depth=node.depth, mean=node.mean, sse=node.sse,
+            count=node.count, index_set=node.index_set, split=split, left_child=left,
+            right_child=right,
+        )
         kept[nid] = node
         if not node.is_leaf:
             deepest = max(deepest, node.depth + 1)

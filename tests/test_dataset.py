@@ -1,3 +1,7 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +18,7 @@ from obliquetree import (
     root_index_set,
     save_csv,
 )
-from obliquetree.dataset import projections
+from obliquetree.dataset import _load_csv_rows, _load_plain_csv, projections
 from obliquetree.splitting import _Node, _sse
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset, reference_projections, snap_border_rows
@@ -80,6 +84,94 @@ def test_csv_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "round2.csv"
     save_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_plain_csv_is_parsed_in_bulk(tmp_path):
+    """save_csv writes CRLF line ends; the bulk parser takes that file and
+    its LF copy, leaves a copy with a space after each comma to the row
+    loop, and all three give the same bits."""
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3)),
+                   rng.standard_normal(50))
+    crlf = tmp_path / "crlf.csv"
+    save_csv(data, crlf)
+    text = crlf.read_bytes()
+    assert b"\r\n" in text
+    lf, spaced = tmp_path / "lf.csv", tmp_path / "spaced.csv"
+    lf.write_bytes(text.replace(b"\r\n", b"\n"))
+    spaced.write_bytes(text.replace(b",", b", "))
+    assert _load_plain_csv(crlf, "y") is not None and _load_plain_csv(lf, 3) is not None
+    assert _load_plain_csv(spaced, "y") is None
+    for path in (crlf, lf, spaced):
+        back = load_csv(path, "y")
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.response.tobytes() == data.response.tobytes()
+
+
+_CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.from_regex(r"[+-]?[0-9]{0,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{0,3})?", fullmatch=True),
+    st.sampled_from(["", " 1.5", "2 ", '"3"', "1_000", "inf", "-inf", "nan", "1e999", "x", " "]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """(file text, response column): a header and rows with LF, CRLF or
+    CR line ends, blank and whitespace-only lines, spaces, quotes, '_',
+    inf/nan and ragged rows; plain files (digits, signs, points,
+    exponents, commas, LF or CRLF) are drawn often."""
+    plain = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    names = ["x", "y", "z", "w"] if plain else ["x", "y", "z", " y", "a b", '"y"', '"a,b"', "y_1", ""]
+    header = draw(st.lists(st.sampled_from(names), min_size=width, max_size=width))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr) if plain else _CSV_CELLS
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"] + ([] if plain else ["space"])))
+        if kind == "row" or kind == "ragged":
+            size = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
+            lines.append(",".join(draw(st.lists(cell, min_size=size, max_size=size))))
+        else:
+            lines.append("" if kind == "blank" else "  ")
+    ends = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if plain:
+        response = draw(st.one_of(st.sampled_from(header), st.integers(0, width - 1)))
+    else:
+        response = draw(st.one_of(st.sampled_from(["y", "x", "w"]), st.integers(-1, width)))
+    return text, response
+
+
+def _csv_outcome(load, path, response):
+    try:
+        data = load(path, response)
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return data.features.shape, data.features.tobytes(), data.response.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=csv_texts())
+@example(file=("x,y\r\n1,2\r\n\r\n3,4\r\n", "y"))
+@example(file=("x,y\n1,2\n3,4", 0))
+@example(file=("x,y\n1,2\n3,1e999\n", "y"))
+@example(file=("x,y\n1,2\n3\n", "y"))
+@example(file=("x,y\n1, 2\n", "y"))
+@example(file=("x,y\n1\r,2\n", "y"))
+@example(file=('"a,b",y\n1,2,3\n', 1))
+def test_bulk_csv_parse_matches_the_row_loop(file):
+    """load_csv, whichever path it takes, gives the row loop's bits or
+    its error message."""
+    text, response = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        assert _csv_outcome(load_csv, path, response) == _csv_outcome(_load_csv_rows, path, response)
 
 
 def test_dataset_rejects_bad_shapes_and_values():

@@ -17,7 +17,17 @@ import json
 import numpy as np
 import pytest
 
-from obliquetree import Dataset, SearchStrategy, grow, save_csv
+from obliquetree import (
+    Dataset,
+    Direction,
+    ExperimentConfig,
+    RidgeComponent,
+    RidgeModel,
+    SearchStrategy,
+    grow,
+    run_pruning_experiment,
+    save_csv,
+)
 from obliquetree.tree import to_json
 from obliquetree.cli import main
 
@@ -111,3 +121,38 @@ def test_cli_bytes_are_pinned(tmp_path):
         "stumps": sha(json.dumps(payload, sort_keys=True).encode()),
     }
     assert got == CLI_DIGESTS
+
+
+# strategy name: (strategy, min_node_size, sha256 of the report without wall_time_s)
+PRUNING_EXPERIMENTS = {
+    "axis": (
+        SearchStrategy(kind="axis_aligned"), 1,
+        "f00db0818d252e90342bbf22415b772adb54cccbadc6b009a2eb6c1c65295ff3",
+    ),
+    "random_projection": (
+        SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=20, seed=4), 3,
+        "f78170f96fb26f8927fc39ece56fa00d296ce24e5a7d94f25c6803d8b4157038",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_EXPERIMENTS))
+def test_pruning_experiment_report_is_pinned(name):
+    """Holdout errors, selected leaf counts and IMSEs along a grid whose
+    values share selected subtrees (and one repeated value).  The model's
+    directions are coordinate axes, so evaluating it through a BLAS
+    matrix product gives each coordinate exactly."""
+    strategy, min_node_size, digest = PRUNING_EXPERIMENTS[name]
+    model = RidgeModel((
+        RidgeComponent("relu", Direction((1.0, 0.0)), {"slope": 3.0, "kink": 0.25}),
+        RidgeComponent("linear", Direction((0.0, 1.0)), {"slope": -2.0}),
+    ))
+    config = ExperimentConfig(
+        model=model, n=400, noise_std=0.3, seed=11, strategy=strategy, depth_range=(0, 6),
+        domain_box=((0.0, 1.0), (0.0, 1.0)),
+        lambda_grid=(0.0, 1e-5, 2e-5, 1e-4, 1e-3, 1e-3, 5e-3, 0.02, 0.1, 10.0),
+        mc_size=1000, holdout_fraction=0.3, min_node_size=min_node_size,
+    )
+    report = run_pruning_experiment(config).to_dict()
+    del report["wall_time_s"]
+    assert sha(json.dumps(report, sort_keys=True).encode()) == digest

@@ -171,22 +171,33 @@ def test_sequence_matches_quadratic_reference(data, depth, min_node_size):
     assert fast == reference_weakest_link_sequence(tree, data).to_json()
 
 
-@settings(max_examples=40, deadline=None)
+PROJECTION = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=8, seed=3)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     data=axis_datasets(max_n=40),
+    strategy=st.sampled_from([AXIS, PROJECTION]),
     depth=st.integers(1, 5),
+    min_node_size=st.integers(1, 3),
     fraction=st.sampled_from([0.2, 0.3, 0.5]),
     seed=st.integers(0, 1000),
+    scales=st.lists(st.floats(0.0, 2.0), max_size=4),
 )
-def test_holdout_errors_match_per_lambda_selection(data, depth, fraction, seed):
-    grid = default_lambda_grid(data, size=6)
-    lam_star, errors = holdout_lambda(data, AXIS, depth, grid, fraction, seed)
+def test_holdout_errors_match_per_lambda_selection(
+    data, strategy, depth, min_node_size, fraction, seed, scales
+):
+    base = default_lambda_grid(data, size=6)
+    # A repeated value, near neighbours of grid values and 0 make several
+    # lambdas select the same subtree.
+    grid = base + [base[2], 0.0] + [v * (1 + 1e-9) for v in base[:3]] + [v * base[-1] for v in scales]
+    lam_star, errors = holdout_lambda(data, strategy, depth, grid, fraction, seed, min_node_size)
     # The same split as holdout_lambda, then one full selection per lambda.
     perm = np.random.default_rng(seed).permutation(data.n)
     n_hold = min(max(int(round(fraction * data.n)), 1), data.n - 1)
     hold_rows = np.sort(perm[:n_hold])
     train = subset(data, np.sort(perm[n_hold:]))
-    tree = grow(train, AXIS, depth)
+    tree = grow(train, strategy, depth, min_node_size)
     expected = [
         float(np.mean(
             (data.response[hold_rows]
@@ -196,6 +207,8 @@ def test_holdout_errors_match_per_lambda_selection(data, depth, fraction, seed):
     ]
     assert errors == expected
     assert lam_star in grid
+    prefixes = [weakest_link_sequence(tree, train).prefix(lam) for lam in grid]
+    assert len(set(prefixes)) < len(grid)
 
 
 def retained_internals(tree):

@@ -1421,6 +1421,9 @@ def test_exhaustive_cross_products_do_not_overflow(scale):
 # they replaced are the references.
 
 
+UNIT_SQUARE = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0, 1.0, 2.0]))
+
+
 def reference_estimate_suboptimality(dataset, node, strategy, kappa, trials):
     """The report's dict from one run_search per trial, a trial without a
     valid split counting as 0.0."""
@@ -1484,7 +1487,7 @@ def report_or_error(run, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     case=grid_nodes(max_m=14),
     continuous=st.booleans(),
@@ -1493,16 +1496,25 @@ def report_or_error(run, *args):
     trials=st.integers(1, 5),
     seed=st.integers(0, 1000),
     kappa=st.sampled_from([0.5, 0.9, 1.0]),
+    num_candidates=st.sampled_from([0, 1, 8]),
+    restarts=st.sampled_from([1, 2]),
 )
+# On the unit square with y = x1 + x2 the oblique split beats both axes,
+# and a single random direction is (1, 1) or (1, -1) depending on the seed.
+@example(case=(UNIT_SQUARE, np.arange(4)), continuous=False, kind="exhaustive_oblique",
+         sparsity=1, trials=2, seed=0, kappa=1.0, num_candidates=0, restarts=1)
+@example(case=(UNIT_SQUARE, np.arange(4)), continuous=False, kind="random_projection",
+         sparsity=2, trials=5, seed=0, kappa=1.0, num_candidates=1, restarts=1)
 def test_estimate_suboptimality_matches_one_search_per_trial(
-    case, continuous, kind, sparsity, trials, seed, kappa
+    case, continuous, kind, sparsity, trials, seed, kappa, num_candidates, restarts
 ):
     data, node = case
     if continuous:
         rng = np.random.default_rng(seed)
         data = Dataset(rng.uniform(-1.0, 1.0, size=data.features.shape), rng.standard_normal(data.n))
     strategy = SearchStrategy(
-        kind=kind, sparsity_d=sparsity, num_candidates=8, restarts=2, max_iterations=3, seed=seed
+        kind=kind, sparsity_d=sparsity, num_candidates=num_candidates, restarts=restarts,
+        max_iterations=3, seed=seed,
     )
     got = report_or_error(lambda: estimate_suboptimality(data, node, strategy, kappa, trials).to_dict())
     want = report_or_error(reference_estimate_suboptimality, data, node, strategy, kappa, trials)
