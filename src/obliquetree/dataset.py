@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,78 +278,22 @@ def _moments(y: np.ndarray) -> tuple[float, np.ndarray, float]:
     return mean, centred, float(np.add.reduce(centred * centred))
 
 
-# What the body of a file, its CRLF line ends made LF, may hold for
-# load_csv to parse it in bulk.
-_PLAIN_BODY = re.compile(r"[0-9+\-.eE,\n]*")
-
-
 def load_csv(path, response_column) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
     The first row must be a header.  `response_column` selects the
     response either by header name or by 0-based column index; the
     remaining columns become features in file order.  Cells must parse
-    as finite decimal numbers ('.' decimal point, no quoting); any
-    offending cell is reported with its row and column.
+    as finite decimal numbers ('.' decimal point); any offending cell is
+    reported with its row and column.
 
-    A file of plain numbers is parsed in bulk (_load_plain_csv); any
-    other file, and every file with an error, is read row by row
-    (_load_csv_rows), which gives the same Dataset and is the one source
-    of CsvFormatError messages.
+    The csv module reads every record, and one np.array call converts
+    the cells of the non-empty ones, parsing each string as float()
+    does.  Only if that fails, or gives a ragged or non-finite matrix,
+    are the records walked cell by cell, to name the first error.  A
+    record the csv module cannot read (say, a cell over its field size
+    limit) is reported with its line.
     """
-    dataset = _load_plain_csv(path, response_column)
-    if dataset is not None:
-        return dataset
-    return _load_csv_rows(path, response_column)
-
-
-def _load_plain_csv(path, response_column):
-    """load_csv's Dataset in a few array operations, or None.
-
-    Taken when the header line holds no quote, NUL or carriage return
-    (but a CRLF line end), and the body only digits, '+-.eE', commas and
-    LF or CRLF line ends.  Blank lines are skipped, as the csv module
-    skips them.  Every cell is converted by one np.array call, which
-    parses a decimal string to the bits float() gives it.  Whatever
-    _load_csv_rows would reject (an unreadable file, a missing response
-    column, a ragged row, an unparsable or non-finite cell, too few
-    columns or rows) gives None, so that it reports it.
-    """
-    try:
-        with open(path, "r", newline="") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    header_line, _, body = text.partition("\n")
-    header_line = header_line.removesuffix("\r")
-    if not header_line or any(c in header_line for c in '"\r\0'):
-        return None
-    header = [h.strip() for h in header_line.split(",")]
-    if isinstance(response_column, int):
-        resp_pos = response_column if 0 <= response_column < len(header) else None
-    else:
-        resp_pos = header.index(response_column) if response_column in header else None
-    if resp_pos is None or len(header) < 2:
-        return None
-    body = body.replace("\r\n", "\n")
-    if not _PLAIN_BODY.fullmatch(body):
-        return None
-    lines = [line for line in body.split("\n") if line]
-    if not lines or any(line.count(",") != len(header) - 1 for line in lines):
-        return None
-    try:
-        values = np.array(",".join(lines).split(","), dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    values = values.reshape(len(lines), len(header))
-    return Dataset(np.delete(values, resp_pos, axis=1), values[:, resp_pos])
-
-
-def _load_csv_rows(path, response_column) -> Dataset:
-    """load_csv cell by cell through the csv module, with a
-    CsvFormatError naming the first offending row, column or cell."""
     try:
         handle = open(path, "r", newline="")
     except FileNotFoundError:
@@ -358,53 +301,66 @@ def _load_csv_rows(path, response_column) -> Dataset:
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if isinstance(response_column, int):
-            if not 0 <= response_column < len(header):
+            records = list(reader)
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise CsvFormatError(f"{path}: file is empty")
+    header, body = [h.strip() for h in records[0]], records[1:]
+    if isinstance(response_column, int):
+        if not 0 <= response_column < len(header):
+            raise CsvFormatError(f"{path}: response column index {response_column} out of range")
+        resp_pos = response_column
+    else:
+        if response_column not in header:
+            raise CsvFormatError(
+                f"{path}: response column {response_column!r} not in header {header}"
+            )
+        resp_pos = header.index(response_column)
+    rows = [row for row in body if row]
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or values.shape[1:] != (len(header),) or not np.isfinite(values).all():
+        values = np.array(_parse_records(path, header, body))
+    if len(header) < 2:
+        raise CsvFormatError(f"{path}: need at least one feature column")
+    return Dataset(np.delete(values, resp_pos, axis=1), values[:, resp_pos])
+
+
+def _parse_records(path, header, records) -> list:
+    """float() of every cell of the non-empty records that follow the
+    header, with a CsvFormatError naming the first ragged row or
+    unparsable or non-finite cell: load_csv's one source of per-cell
+    messages."""
+    parsed_rows = []
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise CsvFormatError(
-                    f"{path}: response column index {response_column} out of range"
-                )
-            resp_pos = response_column
-        else:
-            if response_column not in header:
+                    f"{path}: row {lineno}, column {header[col]!r}: "
+                    f"non-numeric cell {cell!r}"
+                ) from None
+            if not math.isfinite(value):
                 raise CsvFormatError(
-                    f"{path}: response column {response_column!r} not in header {header}"
+                    f"{path}: row {lineno}, column {header[col]!r}: "
+                    f"non-finite cell {cell!r}"
                 )
-            resp_pos = header.index(response_column)
-        feat_rows = []
-        resp_vals = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {lineno}, column {header[col]!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: row {lineno}, column {header[col]!r}: "
-                        f"non-finite cell {cell!r}"
-                    )
-                parsed.append(value)
-            resp_vals.append(parsed[resp_pos])
-            feat_rows.append([v for c, v in enumerate(parsed) if c != resp_pos])
-        if not feat_rows:
-            raise CsvFormatError(f"{path}: no data rows")
-        if len(header) < 2:
-            raise CsvFormatError(f"{path}: need at least one feature column")
-    return Dataset(np.asarray(feat_rows), np.asarray(resp_vals))
+            parsed.append(value)
+        parsed_rows.append(parsed)
+    return parsed_rows
 
 
 def save_csv(dataset: Dataset, path) -> None:

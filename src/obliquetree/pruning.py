@@ -95,20 +95,18 @@ class PruneSequence:
     def prefix(self, lam: float) -> int:
         """How many steps of the sequence the subtree for `lam` collapses.
 
-        Walks the sequence and keeps the last candidate whose objective
-        is within tolerance of the minimum, which is the candidate with
-        the fewest leaves (leaf counts strictly decrease along the path).
+        The number of the last step whose objective is within tolerance
+        of the minimum over the candidates before it, which is the
+        candidate with the fewest leaves (leaf counts strictly decrease
+        along the path); 0 if there is none.
         """
         _check_lambda(lam)
-        best_obj = self.initial_train_error + lam * self.initial_leaf_count
-        best_prefix = 0
-        for k, step in enumerate(self.steps, start=1):
-            objective = step.train_error_after + lam * step.leaf_count_after
-            scale = max(1.0, abs(best_obj))
-            if objective <= best_obj + _OBJECTIVE_TOL * scale:
-                best_obj = min(best_obj, objective)
-                best_prefix = k
-        return best_prefix
+        errors = [self.initial_train_error] + [s.train_error_after for s in self.steps]
+        leaves = [self.initial_leaf_count] + [s.leaf_count_after for s in self.steps]
+        objective = np.array(errors) + lam * np.array(leaves, dtype=np.float64)
+        best = np.minimum.accumulate(objective)[:-1]
+        kept = np.flatnonzero(objective[1:] <= best + _OBJECTIVE_TOL * np.maximum(1.0, np.abs(best)))
+        return int(kept[-1]) + 1 if kept.size else 0
 
     def select(self, tree: Tree, lam: float) -> Tree:
         """Smallest subtree of `tree` minimizing train_error + lam * leaf_count.

@@ -183,20 +183,6 @@ class TVReport:
     per_component: tuple[tuple[RidgeComponent, tuple[float, float], float], ...]
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "per_component": [
-                {
-                    "kind": comp.kind,
-                    "direction": list(comp.direction.coefficients),
-                    "interval": [interval[0], interval[1]],
-                    "tv": tv,
-                }
-                for comp, interval, tv in self.per_component
-            ],
-        }
-
 
 def eval_ridge(model: RidgeModel, x) -> float:
     """Model value at a single point."""

@@ -820,8 +820,6 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
     candidates, if any, from seeds[i].  The direction rows of every node
     go to one _best_thresholds call, so that nodes too small to fill a
     block share one; only the hill climb's probes are swept node by node.
-    A node listed twice (one per trial) has its exhaustive candidates
-    enumerated once.
     """
     X, n, p = dataset.features, dataset.n, dataset.p
     d = min(strategy.sparsity_d, p)
@@ -833,8 +831,7 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
                 )
         if d > 3:
             raise ValueError("exhaustive search supports sparsity_d <= 3")
-        candidates = {id(node): _oblique_candidates(node.features(X), d) for node in nodes}
-        problems = [(node, candidates[id(node)]) for node in nodes]
+        problems = [(node, _oblique_candidates(node.features(X), d)) for node in nodes]
         return [min(near, key=_tie_key, default=None) for near in _best_thresholds(X, problems, n)]
     axes = np.eye(p)
     problems = [(node, axes) for node in nodes]

@@ -341,6 +341,60 @@ def test_exit_code_bound_violation(tmp_path, monkeypatch):
     assert main(["experiment", str(config_path), "--kind", "rate"]) == 2
 
 
+def test_exit_code_bound_violation_still_writes_the_report(tmp_path, monkeypatch, capsys):
+    # With --out, the report of a violated bound is written before exit 2.
+    import obliquetree.cli as cli
+    from obliquetree.experiments import BoundViolationError, RateReport
+
+    reports = []
+
+    def explode(config):
+        reports.append(RateReport(kind="rate", config=config, rows=[{"depth": 1, "imse": 0.25}]))
+        raise BoundViolationError("stub", reports[-1])
+
+    monkeypatch.setattr(cli.experiments, "run_rate_experiment", explode)
+    prefix = tmp_path / "violated"
+    assert main(["experiment", write_json(tmp_path, experiment_config()), "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err == "bound violation: stub\n"
+    assert (tmp_path / "violated.json").read_text() == reports[0].to_json()
+    assert (tmp_path / "violated.jsonl").read_text() == '{"depth": 1, "imse": 0.25}\n'
+    assert (tmp_path / "violated.csv").read_text() == "depth,imse\n1,0.25\n"
+
+
+@pytest.mark.parametrize("kind", ["rate", "fast_rate", "pruning"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_experiment_report_matches_the_library(tmp_path, capsys, kind, to_file):
+    # The report the command writes, to <prefix>.json or to stdout, is
+    # the library's for the same config, wall time aside.
+    from obliquetree import experiments
+
+    config = experiment_config(lambda_grid=[1e-4, 1e-2, 1.0], depth_range=[0, 3])
+    argv = ["experiment", write_json(tmp_path, config), "--kind", kind]
+    if to_file:
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    if to_file:
+        assert text == ""
+        text = (tmp_path / "report.json").read_text()
+    run = {
+        "rate": experiments.run_rate_experiment,
+        "fast_rate": experiments.run_fast_rate_experiment,
+        "pruning": experiments.run_pruning_experiment,
+    }[kind]
+    expected = run(experiments.ExperimentConfig.from_dict(config)).to_json()
+    assert strip_wall_time(json.loads(text)) == strip_wall_time(json.loads(expected))
+
+
+def test_train_rejects_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    # The csv module's own error used to escape main as a traceback.
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n" + "1" * 200_000 + ",2\n")
+    assert main(["train", str(big)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {big}: line 2: field larger than field limit (131072)\n"
+
+
 def test_cli_deterministic_outputs(tmp_path):
     # Fixed seed, two runs, byte-identical JSON (wall time keys aside).
     csv = write_d1(tmp_path)

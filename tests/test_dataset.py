@@ -1,5 +1,7 @@
 import csv
+import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -18,7 +20,8 @@ from obliquetree import (
     root_index_set,
     save_csv,
 )
-from obliquetree.dataset import _load_csv_rows, _load_plain_csv, projections
+from obliquetree import dataset as dataset_module
+from obliquetree.dataset import projections
 from obliquetree.splitting import _Node, _sse
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset, reference_projections, snap_border_rows
@@ -86,10 +89,10 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_plain_csv_is_parsed_in_bulk(tmp_path):
-    """save_csv writes CRLF line ends; the bulk parser takes that file and
-    its LF copy, leaves a copy with a space after each comma to the row
-    loop, and all three give the same bits."""
+def test_plain_csv_is_parsed_in_bulk(tmp_path, monkeypatch):
+    """save_csv writes CRLF line ends; that file, its LF copy, a copy
+    with a space after each comma and a copy with every cell quoted give
+    the same bits, and none of them reaches the per-cell loop."""
     rng = np.random.default_rng(8)
     data = Dataset(rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3)),
                    rng.standard_normal(50))
@@ -97,15 +100,80 @@ def test_plain_csv_is_parsed_in_bulk(tmp_path):
     save_csv(data, crlf)
     text = crlf.read_bytes()
     assert b"\r\n" in text
-    lf, spaced = tmp_path / "lf.csv", tmp_path / "spaced.csv"
+    lf, spaced, quoted = tmp_path / "lf.csv", tmp_path / "spaced.csv", tmp_path / "quoted.csv"
     lf.write_bytes(text.replace(b"\r\n", b"\n"))
     spaced.write_bytes(text.replace(b",", b", "))
-    assert _load_plain_csv(crlf, "y") is not None and _load_plain_csv(lf, 3) is not None
-    assert _load_plain_csv(spaced, "y") is None
-    for path in (crlf, lf, spaced):
-        back = load_csv(path, "y")
+    quoted.write_bytes(re.sub(rb"[^,\r\n]+", rb'"\g<0>"', text))
+    assert quoted.read_bytes().startswith(b'"x1","x2","x3","y"\r\n"')
+
+    def per_cell(*args):
+        raise AssertionError("a valid file reached the per-cell loop")
+
+    monkeypatch.setattr(dataset_module, "_parse_records", per_cell)
+    for path, response in ((crlf, "y"), (lf, 3), (spaced, "y"), (quoted, "y")):
+        back = load_csv(path, response)
         assert back.features.tobytes() == data.features.tobytes()
         assert back.response.tobytes() == data.response.tobytes()
+
+
+def _load_csv_rows(path, response_column) -> Dataset:
+    """Reference for load_csv: every cell through float(), one at a
+    time, with a CsvFormatError naming the first offending row, column
+    or cell."""
+    try:
+        handle = open(path, "r", newline="")
+    except FileNotFoundError:
+        raise CsvFormatError(f"no such file: {path}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if isinstance(response_column, int):
+            if not 0 <= response_column < len(header):
+                raise CsvFormatError(
+                    f"{path}: response column index {response_column} out of range"
+                )
+            resp_pos = response_column
+        else:
+            if response_column not in header:
+                raise CsvFormatError(
+                    f"{path}: response column {response_column!r} not in header {header}"
+                )
+            resp_pos = header.index(response_column)
+        feat_rows = []
+        resp_vals = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            parsed = []
+            for col, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {lineno}, column {header[col]!r}: "
+                        f"non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: row {lineno}, column {header[col]!r}: "
+                        f"non-finite cell {cell!r}"
+                    )
+                parsed.append(value)
+            resp_vals.append(parsed[resp_pos])
+            feat_rows.append([v for c, v in enumerate(parsed) if c != resp_pos])
+        if not feat_rows:
+            raise CsvFormatError(f"{path}: no data rows")
+        if len(header) < 2:
+            raise CsvFormatError(f"{path}: need at least one feature column")
+    return Dataset(np.asarray(feat_rows), np.asarray(resp_vals))
 
 
 _CSV_CELLS = st.one_of(
@@ -163,15 +231,39 @@ def _csv_outcome(load, path, response):
 @example(file=("x,y\n1, 2\n", "y"))
 @example(file=("x,y\n1\r,2\n", "y"))
 @example(file=('"a,b",y\n1,2,3\n', 1))
+@example(file=('x,y\n"1.5",2\n', "y"))
+@example(file=("x,y\n1,2\n  \n3,4\n", "y"))
+@example(file=("x,y\n1_000,2\n", "y"))
+@example(file=("x\n1\n  \n", "x"))
+@example(file=("\nx,y\n1,2\n", 0))
+@example(file=("x,y\n1,2\x00\n", "y"))
 def test_bulk_csv_parse_matches_the_row_loop(file):
-    """load_csv, whichever path it takes, gives the row loop's bits or
-    its error message."""
+    """load_csv, whether or not its bulk conversion succeeds, gives the
+    per-cell reference loop's bits or its error message."""
     text, response = file
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", newline="") as handle:
             handle.write(text)
         assert _csv_outcome(load_csv, path, response) == _csv_outcome(_load_csv_rows, path, response)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("x,y\n1,2\n" + "1" * 200_000 + ",2\n", 3), ("x" * 200_000 + ",y\n1,2\n", 1)],
+    ids=["body", "header"],
+)
+def test_csv_module_errors_name_the_file_and_line(tmp_path, text, line):
+    """A record the csv module cannot read, here a finite cell over its
+    field size limit, is a CsvFormatError naming the file and line; the
+    reference loop lets the csv module's own error escape."""
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    with pytest.raises(csv.Error):
+        _load_csv_rows(path, 1)
+    with pytest.raises(CsvFormatError) as caught:
+        load_csv(path, 1)
+    assert str(caught.value) == f"{path}: line {line}: field larger than field limit (131072)"
 
 
 def test_dataset_rejects_bad_shapes_and_values():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliquetree import (
@@ -209,6 +209,51 @@ def test_holdout_errors_match_per_lambda_selection(
     assert lam_star in grid
     prefixes = [weakest_link_sequence(tree, train).prefix(lam) for lam in grid]
     assert len(set(prefixes)) < len(grid)
+
+
+def reference_prefix(sequence, lam):
+    """PruneSequence.prefix as a walk: keep the last step whose objective
+    is within tolerance of the best objective before it."""
+    best_obj = sequence.initial_train_error + lam * sequence.initial_leaf_count
+    best_prefix = 0
+    for k, step in enumerate(sequence.steps, start=1):
+        objective = step.train_error_after + lam * step.leaf_count_after
+        scale = max(1.0, abs(best_obj))
+        if objective <= best_obj + _OBJECTIVE_TOL * scale:
+            best_obj = min(best_obj, objective)
+            best_prefix = k
+    return best_prefix
+
+
+@st.composite
+def near_tie_sequences(draw):
+    """(sequence, lambda) whose objectives are a few base values, each
+    nudged by a multiple of _OBJECTIVE_TOL, so that many steps tie with
+    the best objective before them within, at or just past tolerance."""
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0, 3.0]))
+    bases = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e6]), min_size=1, max_size=3))
+    nudges = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-3, 2.0, -1.0, -0.5])
+    size = draw(st.integers(0, 30))
+    errors = []
+    for k in range(size + 1):
+        target = draw(st.sampled_from(bases))
+        objective = target + draw(nudges) * _OBJECTIVE_TOL * max(1.0, target)
+        errors.append(objective - lam * (size + 1 - k))
+    steps = tuple(
+        PruneStep(critical_alpha=0.0, collapsed_node_id=k, leaf_count_after=size + 1 - k,
+                  train_error_after=errors[k])
+        for k in range(1, size + 1)
+    )
+    return PruneSequence(steps, size + 1, errors[0]), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=near_tie_sequences())
+@example(case=(PruneSequence((), 1, 0.5), 1.0))
+@example(case=(PruneSequence((PruneStep(0.0, 0, 1, 1.0 + _OBJECTIVE_TOL),), 2, 0.0), 1.0))
+def test_prefix_matches_the_objective_walk(case):
+    sequence, lam = case
+    assert sequence.prefix(lam) == reference_prefix(sequence, lam)
 
 
 def retained_internals(tree):
