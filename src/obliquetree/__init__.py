@@ -63,7 +63,6 @@ from .splitting import (
     search_axis_aligned,
     search_exhaustive_oblique,
     search_hill_climb,
-    search_random_projection,
     sse_decrease,
 )
 from .stumps import (
@@ -79,8 +78,8 @@ from .stumps import (
 from .tree import (
     Tree,
     TreeNode,
-    attach_index_sets,
     grow,
+    node_rows,
     predict,
     predict_batch,
     prune_to_depth,

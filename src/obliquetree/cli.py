@@ -102,7 +102,6 @@ def _cmd_prune(args) -> int:
 def _cmd_stumps(args) -> int:
     data = ds.load_csv(args.csv, args.response)
     grown = tree.from_dict(_read_json(args.tree))
-    tree.attach_index_sets(grown, data)
     expansion = stumps.build_expansion(grown, data)
     gram_dev = stumps.verify_orthonormality(expansion, data)
     impurity_dev, worst = stumps.verify_impurity_identity(grown, data)

@@ -1,14 +1,17 @@
-"""Observation storage, CSV ingestion, index-set bookkeeping, and projections.
+"""Observation storage, CSV ingestion, index sets, and projections.
 
 A Dataset is an immutable row-major (n, p) matrix of n observations in
-p dimensions plus a response vector.  Nodes of a tree are represented as
-index sets (strictly increasing integer arrays into the dataset), so the
-data itself is never copied while a tree is grown.
+p dimensions plus a response vector.  Split search and node statistics
+take a node's rows as an index set (a strictly increasing integer array
+into the dataset), so the data itself is never copied while a tree is
+grown.  A tree stores no index sets: its splits fix the rows reaching
+each node (tree.node_rows).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -281,11 +284,12 @@ def _moments(y: np.ndarray) -> tuple[float, np.ndarray, float]:
 def load_csv(path, response_column) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
-    The first row must be a header.  `response_column` selects the
-    response either by header name or by 0-based column index; the
-    remaining columns become features in file order.  Cells must parse
-    as finite decimal numbers ('.' decimal point); any offending cell is
-    reported with its row and column.
+    The file is read as UTF-8; a byte that is not UTF-8 is reported
+    with its line.  The first row must be a header.  `response_column`
+    selects the response either by header name or by 0-based column
+    index; the remaining columns become features in file order.  Cells
+    must parse as finite decimal numbers ('.' decimal point); any
+    offending cell is reported with its row and column.
 
     The csv module reads every record, and one np.array call converts
     the cells of the non-empty ones, parsing each string as float()
@@ -295,15 +299,23 @@ def load_csv(path, response_column) -> Dataset:
     limit) is reported with its line.
     """
     try:
-        handle = open(path, "r", newline="")
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except FileNotFoundError:
         raise CsvFormatError(f"no such file: {path}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            records = list(reader)
-        except csv.Error as exc:
-            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines ends a line where the csv module does.
+        line = len(raw[: exc.start + 1].splitlines())
+        raise CsvFormatError(
+            f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise CsvFormatError(f"{path}: file is empty")
     header, body = [h.strip() for h in records[0]], records[1:]
@@ -370,7 +382,7 @@ def save_csv(dataset: Dataset, path) -> None:
     Floats are written with repr(), which round-trips exactly, so a
     save/load cycle reproduces the matrices bit for bit.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"x{j + 1}" for j in range(dataset.p)] + ["y"])
         for i in range(dataset.n):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, Direction, _check_keys, _named, validate_index_set
+from .tree import node_rows
 
 COMPONENT_KINDS = ("linear", "relu", "sigmoid", "sine", "cubic")
 
@@ -280,12 +281,8 @@ def node_tv_profile(model: RidgeModel, tree, dataset: Dataset, q: float):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    per_leaf = []
-    for nid in tree.leaf_ids():
-        node = tree.nodes[nid]
-        if node.index_set is None:
-            raise ValueError("index sets not attached")
-        per_leaf.append(l1_tv_norm(model, dataset, node.index_set).total)
+    rows = node_rows(tree, dataset)
+    per_leaf = [l1_tv_norm(model, dataset, rows[nid]).total for nid in tree.leaf_ids()]
     power_sum = float(sum(v**q for v in per_leaf))
     return per_leaf, power_sum
 

@@ -209,6 +209,13 @@ class SearchStrategy:
     num_candidates is the random-projection draw count, restarts and
     max_iterations budget the hill climb, and node_cap bounds the node
     size the exhaustive search will accept.
+
+    random_projection searches the axes plus num_candidates sparse
+    random directions.  Each candidate has a uniformly chosen support of
+    size min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
+    scaled to unit norm (_random_sparse_directions from the seed).  The
+    winner rule picks between the axis split and the best candidate;
+    with zero candidates this reduces to the axis-aligned search.
     """
 
     kind: str
@@ -891,19 +898,6 @@ def search_exhaustive_oblique(
     """
     strategy = SearchStrategy(kind="exhaustive_oblique", sparsity_d=sparsity_d, node_cap=node_cap)
     return run_search(dataset, node, strategy)
-
-
-def search_random_projection(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
-    """Axis-aligned baseline plus num_candidates sparse random directions.
-
-    Each candidate has a uniformly chosen support of size
-    min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
-    scaled to unit norm (_random_sparse_directions from the strategy
-    seed).  The winner rule picks between the axis split and the best
-    candidate; with zero candidates this reduces to the axis-aligned
-    search.
-    """
-    return run_search(dataset, node, replace(strategy, kind="random_projection"))
 
 
 def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .tree import Tree, predict_batch, route, training_error
+from .tree import Tree, node_rows, predict_batch, route, training_error
 
 # Owner id of the constant feature (the conventional "empty node").
 EMPTY_NODE_ID = -1
@@ -29,7 +29,7 @@ EMPTY_NODE_ID = -1
 class StumpFeature:
     """One orthonormal stump, stored intensionally.
 
-    Only the two values and the children's index sets are kept; values
+    Only the two values and the children's training rows are kept; values
     at fresh points are produced by routing through the tree, so the
     feature is a function on the whole input space, not just the sample.
     """
@@ -68,29 +68,35 @@ class Expansion:
         }
 
 
+_CONSTANT = StumpFeature(
+    owner_node_id=EMPTY_NODE_ID,
+    left_value=1.0,
+    right_value=1.0,
+    weight=1.0,
+    left_ids=None,
+    right_ids=None,
+)
+
+
 def stump(tree: Tree, dataset: Dataset, internal_node_id: int) -> StumpFeature:
     """The orthonormal stump attached to one internal node.
 
     Passing EMPTY_NODE_ID returns the constant feature (identically 1).
-    Raises ValueError on terminal nodes, which own no stump.
+    Raises ValueError on terminal nodes, which own no stump, and, as
+    node_rows does, on a dataset the tree was not grown on.
     """
     if internal_node_id == EMPTY_NODE_ID:
-        return StumpFeature(
-            owner_node_id=EMPTY_NODE_ID,
-            left_value=1.0,
-            right_value=1.0,
-            weight=1.0,
-            left_ids=None,
-            right_ids=None,
-        )
-    node = tree.nodes[internal_node_id]
-    if node.is_leaf:
+        return _CONSTANT
+    if tree.nodes[internal_node_id].is_leaf:
         raise ValueError(f"node {internal_node_id} is terminal and has no stump")
-    left = tree.nodes[node.left_child]
-    right = tree.nodes[node.right_child]
-    if left.index_set is None or right.index_set is None:
-        raise ValueError("index sets not attached; call attach_index_sets first")
-    n_left, n_right = left.count, right.count
+    return _stump(tree, internal_node_id, node_rows(tree, dataset))
+
+
+def _stump(tree: Tree, internal_node_id: int, rows: dict[int, np.ndarray]) -> StumpFeature:
+    """stump() of an internal node, given the tree's node_rows."""
+    node = tree.nodes[internal_node_id]
+    n_left = tree.nodes[node.left_child].count
+    n_right = tree.nodes[node.right_child].count
     weight = node.count / tree.n
     scale = np.sqrt(weight * n_left * n_right)
     return StumpFeature(
@@ -98,8 +104,8 @@ def stump(tree: Tree, dataset: Dataset, internal_node_id: int) -> StumpFeature:
         left_value=n_right / scale,
         right_value=-n_left / scale,
         weight=weight,
-        left_ids=left.index_set,
-        right_ids=right.index_set,
+        left_ids=rows[node.left_child],
+        right_ids=rows[node.right_child],
     )
 
 
@@ -133,10 +139,11 @@ def build_expansion(tree: Tree, dataset: Dataset) -> Expansion:
     id.  Coefficients are the empirical inner products (1/n) Sum y_i *
     feature(x_i); the constant's coefficient is the grand mean.
     """
-    features = [stump(tree, dataset, EMPTY_NODE_ID)]
+    rows = node_rows(tree, dataset)
+    features = [_CONSTANT]
     coefficients = [float(dataset.response.mean())]
     for nid in tree.internal_ids():
-        feat = stump(tree, dataset, nid)
+        feat = _stump(tree, nid, rows)
         y = dataset.response
         coef = (
             feat.left_value * float(y[feat.left_ids].sum())
@@ -180,12 +187,7 @@ def verify_impurity_identity(tree: Tree, dataset: Dataset) -> tuple[float, int |
 
 def reconstruct_at(tree: Tree, expansion: Expansion, x) -> float:
     """Evaluate the orthogonal expansion at an arbitrary point."""
-    return float(
-        sum(
-            coef * feature_at(tree, feat, x)
-            for feat, coef in zip(expansion.features, expansion.coefficients)
-        )
-    )
+    return float(reconstruct_batch(tree, expansion, np.reshape(x, (1, -1)))[0])
 
 
 def reconstruct_batch(tree: Tree, expansion: Expansion, X: np.ndarray) -> np.ndarray:

@@ -15,13 +15,13 @@ property for deterministic strategies.
 Routing convention: a point goes to the left child when its projection
 onto the split direction is <= the threshold, and to the right child
 otherwise.  `_partition` is the only place that test is written for a
-stored tree; prediction, the holdout scores of pruning, index-set
-attachment and the stump features all route through it, and
-`collapse` is the only way a subtree is materialized.  (Growth reads
-the same test off the search's own projections, which
+stored tree; prediction, the holdout scores of pruning, the training
+rows of each node (`node_rows`) and the stump features all route
+through it, and `collapse` is the only way a subtree is materialized.
+(Growth reads the same test off the search's own projections, which
 dataset.projections computed with the same bits.)  Projections come
 from `dataset.projections`, so a point reaches the same leaf whichever
-rows are routed with it.
+rows are routed with it.  A tree stores no rows: its splits fix them.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    _named,
-    canonical_rows,
-    projections,
-    root_index_set,
-    validate_index_set,
-)
+from .dataset import Dataset, _named, canonical_rows, projections, root_index_set
 
 # run_search is not called here; the benchmark's tracer and its tests
 # still look for it in this module's namespace.
@@ -64,7 +57,6 @@ class TreeNode:
     mean: float
     sse: float
     count: int
-    index_set: Optional[np.ndarray] = None
     split: Optional[Split] = None
     left_child: Optional[int] = None
     right_child: Optional[int] = None
@@ -114,11 +106,7 @@ def grow(
     if min_node_size < 1:
         raise ValueError("min_node_size must be >= 1")
     root = _Node.of(dataset, root_index_set(dataset))
-    nodes = {
-        0: TreeNode(
-            node_id=0, depth=0, mean=root.mean, sse=root.sse, count=dataset.n, index_set=root.rows
-        )
-    }
+    nodes = {0: TreeNode(node_id=0, depth=0, mean=root.mean, sse=root.sse, count=dataset.n)}
     frontier = [(0, root)]
     next_id = 1
     deepest = 0
@@ -149,7 +137,7 @@ def grow(
                 child = _Node(sample.y[side], sample.rows[side])
                 nodes[next_id] = TreeNode(
                     node_id=next_id, depth=depth + 1, mean=child.mean, sse=child.sse,
-                    count=child.y.size, index_set=child.rows,
+                    count=child.y.size,
                 )
                 frontier.append((next_id, child))
                 next_id += 1
@@ -245,8 +233,7 @@ def collapse(tree: Tree, collapsed: set[int]) -> Tree:
             split, left, right = node.split, node.left_child, node.right_child
         node = TreeNode(
             node_id=node.node_id, depth=node.depth, mean=node.mean, sse=node.sse,
-            count=node.count, index_set=node.index_set, split=split, left_child=left,
-            right_child=right,
+            count=node.count, split=split, left_child=left, right_child=right,
         )
         kept[nid] = node
         if not node.is_leaf:
@@ -272,8 +259,9 @@ def prune_to_depth(tree: Tree, depth: int) -> Tree:
 
 
 def to_dict(tree: Tree) -> dict:
-    """JSON-ready representation (index sets are not serialized; use
-    attach_index_sets to rebuild them from the training data)."""
+    """JSON-ready representation.  It holds every field of the tree, so
+    from_dict(to_dict(tree)) == tree; the training rows of each node
+    follow from the splits (node_rows)."""
     nodes = []
     for nid in sorted(tree.nodes):
         node = tree.nodes[nid]
@@ -388,8 +376,8 @@ def from_json(text: str) -> Tree:
     return from_dict(json.loads(text))
 
 
-def attach_index_sets(tree: Tree, dataset: Dataset) -> None:
-    """Recompute every node's index set by routing the training data.
+def node_rows(tree: Tree, dataset: Dataset) -> dict[int, np.ndarray]:
+    """The training rows reaching each node: route(tree, dataset.features).
 
     Raises if the routed counts disagree with the stored ones, which
     catches a tree paired with the wrong dataset, or if some node is
@@ -398,27 +386,13 @@ def attach_index_sets(tree: Tree, dataset: Dataset) -> None:
     if dataset.n != tree.n or dataset.p != tree.p:
         raise ValueError("dataset shape does not match the tree")
     reached = route(tree, dataset.features)
-    for nid, rows in reached.items():
+    for nid in reached:
         node = tree.nodes[nid]
         if not node.is_leaf:
             for child in (node.left_child, node.right_child):
                 routed = reached[child].size if child in reached else 0
                 if routed != tree.nodes[child].count:
                     raise ValueError("routed counts disagree with stored counts")
-        node.index_set = rows
     if len(reached) != len(tree.nodes):
         raise ValueError("unreachable node in tree")
-
-
-def validate_partition(tree: Tree) -> None:
-    """Terminal index sets must partition [0, n)."""
-    pieces = []
-    for nid in tree.leaf_ids():
-        idx = tree.nodes[nid].index_set
-        if idx is None:
-            raise ValueError("index sets not attached")
-        validate_index_set(idx, tree.n)
-        pieces.append(idx)
-    merged = np.sort(np.concatenate(pieces))
-    if merged.size != tree.n or not np.array_equal(merged, np.arange(tree.n)):
-        raise ValueError("terminal index sets do not partition the sample")
+    return reached

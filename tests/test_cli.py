@@ -102,6 +102,22 @@ def test_stumps_command(tmp_path):
     assert payload["expansion"]["coefficients"] == [0.5, -0.5]
 
 
+def test_stumps_rejects_data_the_tree_was_not_grown_on(tmp_path, capsys):
+    # Same shape, other rows: routing them through the tree's splits
+    # gives node counts other than the stored ones.
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("data.csv", "other.csv"):
+        paths.append(str(tmp_path / name))
+        save_csv(Dataset(rng.uniform(size=(60, 2)), rng.standard_normal(60)), paths[-1])
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", paths[0], "--depth", "3", "--out", str(tree_path)]) == 0
+    capsys.readouterr()
+    assert main(["stumps", str(tree_path), paths[1]]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: routed counts disagree with stored counts\n")
+
+
 def test_subopt_command(tmp_path):
     # D2 on disk.
     csv = tmp_path / "d2.csv"
@@ -393,6 +409,14 @@ def test_train_rejects_a_cell_over_the_csv_field_limit(tmp_path, capsys):
     assert main(["train", str(big)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {big}: line 2: field larger than field limit (131072)\n"
+
+
+def test_train_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"x,y\n1,2\n\xe9,3\n")
+    assert main(["train", str(latin)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {latin}: line 3: byte 0xe9 is not UTF-8\n"
 
 
 def test_cli_deterministic_outputs(tmp_path):

@@ -13,6 +13,7 @@ from obliquetree import (
     l1_tv_norm,
     leaf_additivity_gap_1d,
     node_size_profile,
+    node_rows,
     node_tv_profile,
     root_index_set,
     total_variation,
@@ -124,12 +125,13 @@ def test_l1_tv_norm_monotone_under_refinement():
     )
     data = generate_dataset(model, 80, 0.0, [(-1, 1), (-1, 1)], seed=3)
     tree = grow(data, AXIS, max_depth=3)
+    rows = node_rows(tree, data)
     for nid, node in tree.nodes.items():
         if node.is_leaf:
             continue
-        parent = l1_tv_norm(model, data, node.index_set)
+        parent = l1_tv_norm(model, data, rows[nid])
         for child in (node.left_child, node.right_child):
-            child_report = l1_tv_norm(model, data, tree.nodes[child].index_set)
+            child_report = l1_tv_norm(model, data, rows[child])
             for (c_comp, _, c_tv), (p_comp, _, p_tv) in zip(
                 child_report.per_component, parent.per_component
             ):

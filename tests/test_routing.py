@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 from obliquetree import (
     Dataset,
     SearchStrategy,
-    attach_index_sets,
     build_expansion,
     grow,
+    node_rows,
     predict,
     predict_batch,
     prune_to_depth,
 )
-from obliquetree.dataset import Direction, root_index_set
+from obliquetree.dataset import Direction, _moments, root_index_set
 from obliquetree.splitting import Split
 from obliquetree.stumps import feature_at, reconstruct_at, reconstruct_batch
 from obliquetree.tree import Tree, TreeNode, from_json, to_json
@@ -50,18 +50,19 @@ def reference_predict_batch(tree, X):
     return out
 
 
-def reference_attach_index_sets(tree, dataset):
-    tree.nodes[tree.root_id].index_set = root_index_set(dataset)
+def reference_node_rows(tree, dataset):
+    rows = {tree.root_id: root_index_set(dataset)}
     order = sorted(tree.nodes.values(), key=lambda nd: (nd.depth, nd.node_id))
     for node in order:
         if node.is_leaf:
-            assert node.index_set is not None
+            assert node.node_id in rows
             continue
-        idx = node.index_set
+        idx = rows[node.node_id]
         values = reference_projections(dataset.features[idx], node.split.direction.as_array())
         left_mask = values <= node.split.threshold
-        tree.nodes[node.left_child].index_set = idx[left_mask]
-        tree.nodes[node.right_child].index_set = idx[~left_mask]
+        rows[node.left_child] = idx[left_mask]
+        rows[node.right_child] = idx[~left_mask]
+    return rows
 
 
 def reference_feature_at(tree, feature, x):
@@ -156,12 +157,13 @@ def grown_trees(draw):
         seed=draw(st.integers(0, 1000)),
     )
     tree = grow(data, strategy, draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+    rows = node_rows(tree, data)
     on_threshold = []
     for nid in tree.internal_ids():
         node = tree.nodes[nid]
         coefs = node.split.direction.as_array()
         if np.count_nonzero(coefs) == 1:
-            row = X[node.index_set[0]].copy()
+            row = X[rows[nid][0]].copy()
             row[np.flatnonzero(coefs)[0]] = node.split.threshold
             on_threshold.append(row)
     generic = np.concatenate([X, rng.uniform(-1.5, 5.5, size=(20, p))])
@@ -215,16 +217,20 @@ def test_point_near_oblique_threshold_routes_alone_as_in_a_batch():
 
 @settings(max_examples=80, deadline=None)
 @given(case=grown_trees())
-def test_attach_reproduces_grown_index_sets(case):
+def test_node_rows_match_reference_and_stored_stats(case):
+    """node_rows is the reference walk's rows, and every node's stored
+    mean and SSE are, bit for bit, those of its routed responses: the
+    splits alone fix the rows that grow computed them from."""
     data, tree, _, _ = case
-    back = _reloaded(tree)
-    attach_index_sets(back, data)
-    ref = _reloaded(tree)
-    reference_attach_index_sets(ref, data)
-    for nid, node in tree.nodes.items():
-        assert np.array_equal(back.nodes[nid].index_set, node.index_set)
-        assert np.array_equal(back.nodes[nid].index_set, ref.nodes[nid].index_set)
-        assert back.nodes[nid].index_set.dtype == node.index_set.dtype
+    want = reference_node_rows(tree, data)
+    for t in (tree, _reloaded(tree)):
+        rows = node_rows(t, data)
+        assert rows.keys() == want.keys() == t.nodes.keys()
+        for nid, node in t.nodes.items():
+            assert rows[nid].dtype == want[nid].dtype
+            assert np.array_equal(rows[nid], want[nid])
+            mean, _, sse = _moments(data.response[rows[nid]])
+            assert (mean.hex(), sse.hex()) == (node.mean.hex(), node.sse.hex())
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,9 +238,7 @@ def test_attach_reproduces_grown_index_sets(case):
 def test_reconstruction_matches_reference(case):
     data, tree, generic, on_threshold = case
     queries = np.concatenate([generic, on_threshold])
-    back = _reloaded(tree)
-    attach_index_sets(back, data)
-    for t in (tree, back):
+    for t in (tree, _reloaded(tree)):
         expansion = build_expansion(t, data)
         fast = reconstruct_batch(t, expansion, queries)
         assert fast.tobytes() == reference_reconstruct_batch(t, expansion, queries).tobytes()

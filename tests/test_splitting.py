@@ -17,12 +17,12 @@ from obliquetree import (
     best_threshold,
     estimate_suboptimality,
     grow,
+    node_rows,
     node_stats,
     root_index_set,
     search_axis_aligned,
     search_exhaustive_oblique,
     search_hill_climb,
-    search_random_projection,
     sse_decrease,
     training_error,
 )
@@ -170,7 +170,7 @@ def test_split_decrease_matches_reevaluation():
             lambda: search_hill_climb(
                 data, root, SearchStrategy(kind="hill_climb", restarts=2, max_iterations=2, seed=seed)
             ),
-            lambda: search_random_projection(
+            lambda: run_search(
                 data, root, SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=25, seed=seed)
             ),
         ):
@@ -294,15 +294,15 @@ def test_hill_climb_reaches_the_oblique_split_at_sparsity_2(d2):
 def test_random_projection_zero_candidates_is_axis(d2):
     root = root_index_set(d2)
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=0, seed=0)
-    assert search_random_projection(d2, root, strategy) == search_axis_aligned(d2, root)
+    assert run_search(d2, root, strategy) == search_axis_aligned(d2, root)
 
 
 def test_random_projection_finds_diagonal_and_is_deterministic(d2):
     root = root_index_set(d2)
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=200, seed=0)
-    split = search_random_projection(d2, root, strategy)
+    split = run_search(d2, root, strategy)
     assert split.decrease == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert split == search_random_projection(d2, root, strategy)
+    assert split == run_search(d2, root, strategy)
     assert split.decrease >= 0.25 - 1e-12
 
 
@@ -597,7 +597,7 @@ def test_random_projection_matches_per_candidate_reference(case, sparsity, count
         num_candidates=count,
         seed=seed,
     )
-    assert outcome(search_random_projection, data, node, strategy) == outcome(
+    assert outcome(run_search, data, node, strategy) == outcome(
         reference_search_random_projection, data, node, strategy
     )
 
@@ -901,7 +901,7 @@ def test_searches_depend_only_on_their_candidate_sets(case, sparsity, count, see
         num_candidates=count,
         seed=seed % 1000,
     )
-    searches = [(search_exhaustive_oblique, sparsity), (search_random_projection, strategy)]
+    searches = [(search_exhaustive_oblique, sparsity), (run_search, strategy)]
     want = [outcome(search, data, node, arg) for search, arg in searches]
     rng = np.random.default_rng(seed)
     canonical = splitting._canonical_rows
@@ -943,7 +943,7 @@ def test_split_is_unchanged_by_a_response_offset(case, continuous, sparsity, see
     searches = [
         (search_axis_aligned,),
         (search_exhaustive_oblique, sparsity),
-        (search_random_projection, strategy),
+        (run_search, strategy),
     ]
     want = [placement(search, data, node, *args) for search, *args in searches]
     for offset in (1e6, 1e8, 1e9):
@@ -962,7 +962,7 @@ def test_step_survives_a_large_response_offset(offset):
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=50, seed=0)
     data = Dataset(X, step + offset)
     root = root_index_set(data)
-    for split in (search_axis_aligned(data, root), search_random_projection(data, root, strategy)):
+    for split in (search_axis_aligned(data, root), run_search(data, root, strategy)):
         assert split.direction == axis_direction(3, 2)
         assert np.max(X[~step, 2]) < split.threshold < np.min(X[step, 2])
         assert split.left_count == np.count_nonzero(~step)
@@ -1044,7 +1044,7 @@ def test_searches_equal_their_unscreened_reference(case, sparsity, count, restar
     searches = [
         (search_axis_aligned,),
         (
-            search_random_projection,
+            run_search,
             SearchStrategy(kind="random_projection", sparsity_d=sparsity, num_candidates=count, seed=seed),
         ),
         (
@@ -1130,7 +1130,7 @@ def test_every_candidate_row_is_projected_and_sorted_once():
     raw = _random_sparse_directions(2, 3, 2, 40)
     cases = [
         (lambda: search_exhaustive_oblique(data, root, 3), candidate_rows(data, root, 3).shape[0]),
-        (lambda: search_random_projection(data, root, strategy), 3 + _canonical_rows(raw).shape[0]),
+        (lambda: run_search(data, root, strategy), 3 + _canonical_rows(raw).shape[0]),
     ]
     for search, candidates in cases:
         projected, sorted_rows = [], []
@@ -1353,7 +1353,7 @@ def test_splitting_sorts_only_through_stable_order():
         search_hill_climb(
             data, root, SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=2, max_iterations=2)
         )
-        search_random_projection(
+        run_search(
             data, root, SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=10)
         )
 
@@ -1566,11 +1566,12 @@ def test_hill_climb_is_warning_free_on_columns_scaled_near_the_float_limits():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grown = grow(data, strategy, 4)
+    rows = node_rows(grown, data)
     root = grown.nodes[grown.root_id]
-    assert root.split.decrease >= search_axis_aligned(data, root.index_set).decrease - DECREASE_TOL
-    for node in grown.nodes.values():
+    assert root.split.decrease >= search_axis_aligned(data, rows[grown.root_id]).decrease - DECREASE_TOL
+    for nid, node in grown.nodes.items():
         if not node.is_leaf:
             split = node.split
             assert split.direction.support_size <= 3
-            assert split.decrease == sse_decrease(data, node.index_set, split.direction, split.threshold)
-    assert training_error(grown, data) < node_stats(data, root.index_set)[1] / data.n
+            assert split.decrease == sse_decrease(data, rows[nid], split.direction, split.threshold)
+    assert training_error(grown, data) < node_stats(data, rows[grown.root_id])[1] / data.n

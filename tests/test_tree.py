@@ -10,8 +10,8 @@ from obliquetree import (
     Dataset,
     Direction,
     SearchStrategy,
-    attach_index_sets,
     grow,
+    node_rows,
     node_stats,
     predict,
     predict_batch,
@@ -20,7 +20,8 @@ from obliquetree import (
 )
 from obliquetree import splitting
 from obliquetree.splitting import DECREASE_TOL, NoValidSplitError, run_search
-from obliquetree.tree import from_json, to_json, validate_partition
+from obliquetree.dataset import validate_index_set
+from obliquetree.tree import from_json, to_json
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset
 
@@ -94,14 +95,16 @@ def test_terminal_partition_and_stored_stats():
         data = random_dataset(seed + 40, 60, 3)
         strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=30, seed=seed)
         tree = grow(data, strategy, max_depth=4)
-        validate_partition(tree)
+        rows = node_rows(tree, data)
+        leaves = [validate_index_set(rows[nid], data.n) for nid in tree.leaf_ids()]
+        assert np.array_equal(np.sort(np.concatenate(leaves)), np.arange(data.n))
         preds = predict_batch(tree, data.features)
         for nid in tree.leaf_ids():
             node = tree.nodes[nid]
-            mean, sse = node_stats(data, node.index_set)
+            mean, sse = node_stats(data, rows[nid])
             assert mean == pytest.approx(node.mean, rel=1e-12, abs=1e-15)
             assert sse == pytest.approx(node.sse, rel=1e-10, abs=1e-12)
-            assert np.all(preds[node.index_set] == node.mean)
+            assert np.all(preds[rows[nid]] == node.mean)
 
 
 def test_greedy_prefix_property():
@@ -119,18 +122,6 @@ def test_min_node_size_respected():
     tree = grow(data, AXIS, max_depth=6, min_node_size=8)
     for nid in tree.leaf_ids():
         assert tree.nodes[nid].count >= 8
-
-
-def test_json_round_trip_and_attach():
-    data = random_dataset(23, 40, 2)
-    tree = grow(data, AXIS, max_depth=3)
-    back = from_json(to_json(tree))
-    assert to_json(back) == to_json(tree)
-    attach_index_sets(back, data)
-    validate_partition(back)
-    assert np.array_equal(
-        predict_batch(back, data.features), predict_batch(tree, data.features)
-    )
 
 
 def test_json_round_trip_of_a_snap_border_direction():
@@ -158,13 +149,14 @@ def test_from_json_names_the_first_node_with_a_non_canonical_direction():
         from_json(json.dumps(payload))
 
 
-def test_attach_rejects_wrong_dataset():
+def test_node_rows_rejects_wrong_dataset():
     data = random_dataset(29, 40, 2, y_scale=2.0)
     other = random_dataset(31, 40, 2, y_scale=2.0)
     tree = grow(data, AXIS, max_depth=3)
-    stripped = from_json(to_json(tree))
-    with pytest.raises(ValueError):
-        attach_index_sets(stripped, other)
+    with pytest.raises(ValueError, match="^routed counts disagree with stored counts$"):
+        node_rows(tree, other)
+    with pytest.raises(ValueError, match="^dataset shape does not match the tree$"):
+        node_rows(tree, random_dataset(31, 41, 2))
 
 
 def test_deterministic_ids_with_random_strategy():
@@ -228,13 +220,14 @@ def test_each_node_splits_as_it_would_alone(kind, data, sparsity, seed, depth, m
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splitting, "_PACK_ELEMENTS", cut)
         tree = grow(dataset, strategy, depth, min_node_size)
+    rows = node_rows(tree, dataset)
     for nid, node in tree.nodes.items():
-        y = dataset.response[node.index_set]
+        y = dataset.response[rows[nid]]
         if node.depth == depth or node.count < 2 * min_node_size or np.ptp(y) <= 1e-12:
             assert node.is_leaf
             continue
         try:
-            alone = run_search(dataset, node.index_set, replace(strategy, seed=strategy.seed + nid))
+            alone = run_search(dataset, rows[nid], replace(strategy, seed=strategy.seed + nid))
         except NoValidSplitError:
             assert node.is_leaf
             continue
@@ -252,3 +245,18 @@ def split_fields(split):
         split.left_count,
         split.right_count,
     )
+
+
+@pytest.mark.parametrize("kind", sorted(STRATEGIES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), sparsity=st.integers(1, 3), seed=st.integers(0, 1000), depth=st.integers(0, 5))
+def test_json_round_trip_is_the_identity(kind, data, sparsity, seed, depth):
+    """A grown tree is its splits and node statistics, all of which
+    to_json writes, so reading it back gives an equal tree."""
+    max_n, make = STRATEGIES[kind]
+    dataset, _ = data.draw(growth_cases(max_n))
+    tree = grow(dataset, make(sparsity, seed), depth)
+    back = from_json(to_json(tree))
+    assert back == tree
+    assert to_json(back) == to_json(tree)
+    assert np.array_equal(predict_batch(back, dataset.features), predict_batch(tree, dataset.features))
