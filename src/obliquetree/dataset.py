@@ -198,7 +198,9 @@ def projections(X: np.ndarray, W: np.ndarray, rows=None) -> np.ndarray:
     sum is one elementwise numpy operation, so each value depends only
     on its own point and direction: not on the other rows or directions,
     the batch size or the BLAS build.  This is the only place where the
-    library multiplies features by a split direction.
+    library multiplies features by a direction, a split's or a ridge
+    model's; the stump Gram matrix (stumps.verify_orthonormality) is the
+    library's one BLAS product.
 
     With an index array `rows`, the m = len(rows) points X[rows] are
     projected, but only the support columns X[rows, c] are gathered, not

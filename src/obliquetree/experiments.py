@@ -24,11 +24,12 @@ from .dataset import Dataset, _check_keys, _named, root_index_set
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
+    _leaf_norms,
+    _power_sum,
     eval_ridge_batch,
     generate_dataset,
     l1_tv_norm,
     node_size_profile,
-    node_tv_profile,
     parse_domain_box,
 )
 from .splitting import NoValidSplitError, SearchStrategy, _Node, _search_level
@@ -150,11 +151,8 @@ def estimate_imse(
     """
     if mc_size < 1:
         raise ValueError("mc_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    lows = np.asarray([side[0] for side in domain_box], dtype=np.float64)
-    highs = np.asarray([side[1] for side in domain_box], dtype=np.float64)
-    X = rng.uniform(lows, highs, size=(mc_size, len(domain_box)))
-    sq = (eval_ridge_batch(model, X) - predict_batch(tree, X)) ** 2
+    sample = generate_dataset(model, mc_size, 0.0, domain_box, seed)
+    sq = (sample.response - predict_batch(tree, sample.features)) ** 2
     stderr = float(sq.std(ddof=1) / np.sqrt(mc_size)) if mc_size > 1 else 0.0
     return float(sq.mean()), stderr
 
@@ -162,8 +160,9 @@ def estimate_imse(
 def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: bool = False):
     """The preconditions, then the one realization of a noiseless rate
     experiment: the sample, its capacity norm, one grow at the deepest
-    depth, and (depth, tree, training error, excess error) of each prefix
-    from depth lowest on.  exact_bound adds the norm^2/K bound's needs."""
+    depth, and (depth, tree, training error) of each prefix from depth
+    lowest on.  The sample is noiseless, so a prefix's training error is
+    also its excess error.  exact_bound adds the norm^2/K bound's needs."""
     if config.strategy.kind != "exhaustive_oblique":
         raise ValueError(f"{what} requires the exhaustive_oblique strategy")
     if exact_bound and (config.model.p > 3 or config.strategy.sparsity_d < config.model.p):
@@ -175,13 +174,11 @@ def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: 
     start = time.perf_counter()
     dataset = generate_dataset(config.model, config.n, 0.0, config.domain_box, config.seed)
     norm = l1_tv_norm(config.model, dataset, root_index_set(dataset)).total
-    noise = float(np.mean((dataset.response - eval_ridge_batch(config.model, dataset.features)) ** 2))
     full = grow(dataset, config.strategy, config.depth_range[1], config.min_node_size)
     prefixes = []
     for depth in range(lowest, config.depth_range[1] + 1):
         tree = prune_to_depth(full, depth)
-        err = training_error(tree, dataset)
-        prefixes.append((depth, tree, err, err - noise))
+        prefixes.append((depth, tree, training_error(tree, dataset)))
     return start, dataset, norm, prefixes
 
 
@@ -196,19 +193,19 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     start, _, norm, prefixes = _realization(config, "rate experiment", config.depth_range[0], True)
     rows = []
     violations = []
-    for depth, tree, err, excess in prefixes:
+    for depth, tree, err in prefixes:
         bound = norm**2 / max(depth, 1)  # kappa = 1 under the preconditions
         imse, imse_se = estimate_imse(
             tree, config.model, config.mc_size, config.domain_box, config.seed + 7001
         )
-        ok = excess <= bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
+        ok = err <= bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
         if depth >= 1 and not ok:
             violations.append(depth)
         rows.append(
             {
                 "depth": depth,
                 "train_error": err,
-                "excess_error": excess,
+                "excess_error": err,
                 "bound": bound,
                 "bound_satisfied": bool(depth < 1 or ok),
                 "leaf_count": tree.leaf_count(),
@@ -245,21 +242,15 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
         config, "fast rate experiment", max(config.depth_range[0], 1)
     )
     q_grid = sorted(set(_Q_GRID) | ({float(config.model.p)} if config.model.p > 2 else set()))
-    chosen_q = None
-    for q in q_grid:
-        if all(
-            node_tv_profile(config.model, tree, dataset, q)[1] <= norm**q * (1 + 1e-12)
-            for _, tree, _, _ in prefixes
-        ):
-            chosen_q = q
-            break
-    balances = [node_size_profile(tree)[1] for _, tree, _, _ in prefixes]
+    leaf_norms = [_leaf_norms(config.model, tree, dataset) for _, tree, _ in prefixes]
+    chosen_q = next(
+        (q for q in q_grid if all(_power_sum(v, q) <= norm**q * (1 + 1e-12) for v in leaf_norms)),
+        None,
+    )
+    balances = [node_size_profile(tree)[1] for _, tree, _ in prefixes]
     balance = max(balances)
     rows = []
-    for (depth, tree, err, excess), factor in zip(prefixes, balances):
-        per_leaf, power_sum = node_tv_profile(
-            config.model, tree, dataset, chosen_q if chosen_q else _Q_GRID[0]
-        )
+    for (depth, tree, err), norms, factor in zip(prefixes, leaf_norms, balances):
         bound = (
             balance * norm**2 / 4.0 ** ((depth - 1) / chosen_q) if chosen_q else None
         )
@@ -267,12 +258,12 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
             {
                 "depth": depth,
                 "train_error": err,
-                "excess_error": excess,
+                "excess_error": err,
                 "fast_bound": bound,
-                "fast_bound_satisfied": (None if bound is None else bool(excess <= bound)),
+                "fast_bound_satisfied": (None if bound is None else bool(err <= bound)),
                 "balance_factor": factor,
-                "max_leaf_norm": max(per_leaf),
-                "leaf_norm_power_sum": power_sum,
+                "max_leaf_norm": max(norms),
+                "leaf_norm_power_sum": _power_sum(norms, chosen_q if chosen_q else _Q_GRID[0]),
                 "leaf_count": tree.leaf_count(),
             }
         )

@@ -12,6 +12,10 @@ over the node's empirical projection intervals.  Note this is the norm
 of the *given* representation, not the infimum over all equivalent
 representations, so it upper-bounds the tightest possible value; it is
 also exactly the quantity that the split-quality lower bounds control.
+
+Model values and the norm's intervals project with dataset.projections,
+the kernel that split search and routing use, so a point's value depends
+neither on the rows evaluated with it nor on the BLAS build.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Direction, _check_keys, _named, validate_index_set
+from .dataset import Dataset, Direction, _check_keys, _named, projections, validate_index_set
 from .tree import node_rows
 
 COMPONENT_KINDS = ("linear", "relu", "sigmoid", "sine", "cubic")
@@ -186,24 +190,26 @@ class TVReport:
 
 
 def eval_ridge(model: RidgeModel, x) -> float:
-    """Model value at a single point."""
+    """Model value at a single point: eval_ridge_batch of one row."""
     vec = np.asarray(x, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != model.p:
         raise ValueError(f"expected a length-{model.p} vector")
-    total = model.intercept
-    for comp in model.components:
-        total += float(comp.profile(float(vec @ comp.direction.as_array())))
-    return total
+    return float(eval_ridge_batch(model, vec[None, :])[0])
 
 
 def eval_ridge_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
+    """Model values at the rows of X: one projections call, then each profile."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.p:
         raise ValueError(f"expected an (m, {model.p}) matrix")
     out = np.full(X.shape[0], model.intercept)
-    for comp in model.components:
-        out += comp.profile(X @ comp.direction.as_array())
+    for comp, z in zip(model.components, projections(X, _directions(model))):
+        out += comp.profile(z)
     return out
+
+
+def _directions(model: RidgeModel) -> np.ndarray:
+    return np.array([comp.direction.coefficients for comp in model.components])
 
 
 def total_variation(component: RidgeComponent, interval) -> float:
@@ -225,13 +231,6 @@ def total_variation(component: RidgeComponent, interval) -> float:
     return float(np.sum(np.abs(np.diff(values))))
 
 
-def projection_interval(dataset: Dataset, node, direction: Direction) -> tuple[float, float]:
-    """Empirical hull [min, max] of node-point projections on a direction."""
-    idx = validate_index_set(node, dataset.n)
-    values = dataset.features[idx] @ direction.as_array()
-    return float(values.min()), float(values.max())
-
-
 def l1_tv_norm(model: RidgeModel, dataset: Dataset, node) -> TVReport:
     """Capacity norm of the model over a node's empirical hull.
 
@@ -239,10 +238,14 @@ def l1_tv_norm(model: RidgeModel, dataset: Dataset, node) -> TVReport:
     by the node's projections onto that component's direction; the total
     is their sum.  A singleton node has zero-length intervals and norm 0.
     """
+    idx = validate_index_set(node, dataset.n)
+    if dataset.p != model.p:
+        raise ValueError(f"model has dimension {model.p}, dataset p={dataset.p}")
     rows = []
     total = 0.0
-    for comp in model.components:
-        interval = projection_interval(dataset, node, comp.direction)
+    block = projections(dataset.features, _directions(model), idx)
+    for comp, values in zip(model.components, block):
+        interval = (float(values.min()), float(values.max()))
         tv = total_variation(comp, interval)
         rows.append((comp, interval, tv))
         total += tv
@@ -281,10 +284,19 @@ def node_tv_profile(model: RidgeModel, tree, dataset: Dataset, q: float):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    per_leaf = _leaf_norms(model, tree, dataset)
+    return per_leaf, _power_sum(per_leaf, q)
+
+
+def _leaf_norms(model: RidgeModel, tree, dataset: Dataset) -> list[float]:
+    """The capacity norm of the model on each leaf, in leaf-id order."""
     rows = node_rows(tree, dataset)
-    per_leaf = [l1_tv_norm(model, dataset, rows[nid]).total for nid in tree.leaf_ids()]
-    power_sum = float(sum(v**q for v in per_leaf))
-    return per_leaf, power_sum
+    return [l1_tv_norm(model, dataset, rows[nid]).total for nid in tree.leaf_ids()]
+
+
+def _power_sum(per_leaf, q: float) -> float:
+    """Sum_t norm_t^q over the given leaf norms."""
+    return float(sum(v**q for v in per_leaf))
 
 
 def node_size_profile(tree) -> tuple[int, float]:

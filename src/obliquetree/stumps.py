@@ -221,19 +221,13 @@ def verify_expansion_reconstruction(
 ) -> float:
     """Max |expansion - tree prediction| over training and fresh points."""
     expansion = build_expansion(tree, dataset)
-    cols = np.stack(
-        [feature_column(f, dataset.n) for f in expansion.features], axis=1
-    )
-    fitted = cols @ np.asarray(expansion.coefficients)
-    preds = predict_batch(tree, dataset.features)
-    worst = float(np.max(np.abs(fitted - preds)))
+    points = [dataset.features]
     if fresh_points is not None:
-        fresh = np.asarray(fresh_points, dtype=np.float64)
-        gap = np.abs(
-            reconstruct_batch(tree, expansion, fresh) - predict_batch(tree, fresh)
-        )
-        worst = max(worst, float(np.max(gap)))
-    return worst
+        points.append(np.asarray(fresh_points, dtype=np.float64))
+    return max(
+        float(np.max(np.abs(reconstruct_batch(tree, expansion, X) - predict_batch(tree, X))))
+        for X in points
+    )
 
 
 def verify_training_recursion(

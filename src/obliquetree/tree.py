@@ -355,15 +355,27 @@ def from_dict(data: dict) -> Tree:
                 raise ValueError(f"node {child} has depth {nodes[child].depth}, not {node.depth + 1}")
             reached.append(child)
             seen.add(child)
+        counts = tuple(nodes[child].count for child in children)
+        if children and counts != (node.split.left_count, node.split.right_count):
+            raise ValueError(f"node {nid} split counts differ from its child counts {counts}")
+        if children and (min(counts) < 1 or sum(counts) != node.count):
+            raise ValueError(f"node {nid} child counts {counts} must be >= 1 and sum to {node.count}")
     if len(seen) != len(nodes):
         orphan = min(set(nodes) - seen)
         raise ValueError(f"node {orphan} is not reached from the root")
+    n = _named("n", int, data["n"])
+    if (nodes[root_id].depth, nodes[root_id].count) != (0, n):
+        raise ValueError(f"root node {root_id} must have depth 0 and count n={n}")
+    max_depth = _named("max_depth_reached", int, data["max_depth_reached"])
+    deepest = max((node.depth + 1 for node in nodes.values() if node.split), default=0)
+    if max_depth != deepest:
+        raise ValueError(f"max_depth_reached {max_depth} is not {deepest}, one below the deepest split")
     return Tree(
         nodes=nodes,
         root_id=root_id,
-        n=_named("n", int, data["n"]),
+        n=n,
         p=p,
-        max_depth_reached=_named("max_depth_reached", int, data["max_depth_reached"]),
+        max_depth_reached=max_depth,
         strategy=SearchStrategy.from_dict(data["strategy"]),
     )
 

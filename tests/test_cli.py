@@ -216,6 +216,12 @@ def set_root(key, **fields):
         pytest.param(lambda tree: tree["nodes"].append(dict(tree["nodes"][1], node_id=3)), "node 3", id="orphan_leaf"),
         pytest.param(lambda tree: tree.update(root_id=7), "root_id 7", id="missing_root"),
         pytest.param(lambda tree: tree["nodes"][2].update(depth=2), "node 2", id="child_depth"),
+        pytest.param(set_root("split", left_count=7), "node 0 split counts", id="split_count"),
+        # Unchecked, a root count below n gives stumps a Gram deviation of 1/3.
+        pytest.param(set_root(None, count=3), "node 0 child counts", id="root_count"),
+        pytest.param(lambda tree: tree.update(n=3), "root node 0", id="n"),
+        # Unchecked, prune --grid takes a stored depth of 40 as its holdout depth.
+        pytest.param(lambda tree: tree.update(max_depth_reached=40), "max_depth_reached 40", id="max_depth"),
     ],
 )
 def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt, message):

@@ -1,14 +1,19 @@
-"""Pinned output bytes of tree growth and of the command line.
+"""Pinned output bytes of tree growth, sampling, experiments and the
+command line.
 
 The inputs are built from integers with correctly rounded float
-operations only (no random generator, no libm), so they are the same on
-every platform.  The pinned outputs are too: split directions are
-canonicalized and projected, and node statistics summed, by elementwise
-numpy operations with no BLAS call, so neither the OpenBLAS kernel
-(OPENBLAS_CORETYPE) nor numpy's SIMD path moves a pinned bit.  Each
-output is pinned by the sha256 of its bytes: a change to split search,
-canonicalization, routing, pruning or the JSON writers that moves any
-bit of these outputs fails here, and the pin is updated only on purpose.
+operations only (no random generator, no libm), or drawn by numpy's
+seeded generator, whose bits are the same on every platform.  The
+pinned outputs are too: every projection of features onto a direction,
+whether a split's or a ridge model's, comes from dataset.projections,
+and split directions are canonicalized and node statistics summed, by
+elementwise numpy operations with no BLAS call, so neither the OpenBLAS
+kernel (OPENBLAS_CORETYPE) nor numpy's SIMD path moves a pinned bit.
+The pinned models use linear and relu components, whose values need no
+libm call.  Each output is pinned by the sha256 of its bytes: a change
+to split search, canonicalization, routing, pruning, sampling or the
+JSON writers that moves any bit of these outputs fails here, and the
+pin is updated only on purpose.
 """
 
 import hashlib
@@ -24,8 +29,10 @@ from obliquetree import (
     RidgeComponent,
     RidgeModel,
     SearchStrategy,
+    generate_dataset,
     grow,
     run_pruning_experiment,
+    run_rate_experiment,
     save_csv,
 )
 from obliquetree.tree import to_json
@@ -93,13 +100,14 @@ def test_tree_bytes_are_pinned(name):
 CLI_DIGESTS = {
     "train": "7a38171d5e88f3d7ff65f8501f36f5bbada46e917b81fb62a68b68fbf56ad067",
     "prune": "c2af0b4af97b9d47ad1d07e9e02508ccf7a6581ec0eb6e81111c8833019759bd",
-    "stumps": "f3966062d8a7be4e15177715d9b30d838f2f1dbd209f2ddc9bc517bd66a4bc33",
+    "stumps": "9e9a7a81d60b4b21b8f909bc581e17cfad536178020bb6b9b951a7308aee456f",
 }
 
-# stumps prints three identity deviations computed through BLAS matrix
-# products, whose last bits depend on the BLAS build and the CPU; they
+# The Gram deviation comes from the library's one BLAS product, whose last
+# bits depend on the BLAS build and the CPU; the impurity deviation is a
+# rounding-level gap, and its worst node the argmax of such gaps.  They
 # are checked by size and left out of the pinned bytes.
-_BLAS_FIELDS = ("gram_deviation", "impurity_deviation", "impurity_worst_node", "reconstruction_deviation")
+_UNPINNED_FIELDS = ("gram_deviation", "impurity_deviation", "impurity_worst_node")
 
 
 def test_cli_bytes_are_pinned(tmp_path):
@@ -113,7 +121,7 @@ def test_cli_bytes_are_pinned(tmp_path):
         payload = json.load(handle)
     assert payload["gram_deviation"] <= 1e-9 and payload["reconstruction_deviation"] <= 1e-9
     assert payload["impurity_deviation"] <= 1e-9
-    for field in _BLAS_FIELDS:
+    for field in _UNPINNED_FIELDS:
         del payload[field]
     got = {
         "train": sha(open(tree_json, "rb").read()),
@@ -139,9 +147,7 @@ PRUNING_EXPERIMENTS = {
 @pytest.mark.parametrize("name", sorted(PRUNING_EXPERIMENTS))
 def test_pruning_experiment_report_is_pinned(name):
     """Holdout errors, selected leaf counts and IMSEs along a grid whose
-    values share selected subtrees (and one repeated value).  The model's
-    directions are coordinate axes, so evaluating it through a BLAS
-    matrix product gives each coordinate exactly."""
+    values share selected subtrees (and one repeated value)."""
     strategy, min_node_size, digest = PRUNING_EXPERIMENTS[name]
     model = RidgeModel((
         RidgeComponent("relu", Direction((1.0, 0.0)), {"slope": 3.0, "kink": 0.25}),
@@ -156,3 +162,28 @@ def test_pruning_experiment_report_is_pinned(name):
     report = run_pruning_experiment(config).to_dict()
     del report["wall_time_s"]
     assert sha(json.dumps(report, sort_keys=True).encode()) == digest
+
+
+def test_ridge_sample_and_rate_report_are_pinned():
+    """A model whose directions have 3 and 2 nonzero coefficients, so each
+    model value sums several products: its sample and its rate report
+    (capacity norm, exhaustive oblique trees, IMSEs) are pinned."""
+    model = RidgeModel((
+        RidgeComponent("relu", Direction.canonical([1.0, 2.0, -1.0]), {"slope": 2.0, "kink": 0.1}),
+        RidgeComponent("linear", Direction.canonical([0.0, 1.0, 1.0]), {"slope": -1.5}),
+    ))
+    config = ExperimentConfig(
+        model=model, n=40, noise_std=0.0, seed=5,
+        strategy=SearchStrategy(kind="exhaustive_oblique", sparsity_d=3), depth_range=(0, 4),
+        domain_box=((-1.0, 1.0),) * 3, mc_size=500,
+    )
+    sample = generate_dataset(model, config.n, 0.0, config.domain_box, config.seed)
+    report = run_rate_experiment(config).to_dict()
+    del report["wall_time_s"]
+    assert (
+        sha(sample.features.tobytes() + sample.response.tobytes()),
+        sha(json.dumps(report, sort_keys=True).encode()),
+    ) == (
+        "2639e646e63202f271b5e104ec4a35ccdaba280ac544c844c612c1bf152f756c",
+        "5c120c89e5092fb1eecd6fc955de506cadd960bce7102da1c54d4464149d7a80",
+    )

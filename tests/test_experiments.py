@@ -204,6 +204,18 @@ def test_fast_rate_balance_factor_reported():
         assert factor * config.n / 2**tree.max_depth_reached == pytest.approx(max_size)
 
 
+def test_fast_rate_routes_each_prefix_once(monkeypatch):
+    # The leaf norms of a prefix do not depend on q: one node_rows call
+    # per depth serves the q search and the rows alike.
+    from obliquetree import ridge
+
+    calls = []
+    real = ridge.node_rows
+    monkeypatch.setattr(ridge, "node_rows", lambda tree, data: calls.append(tree) or real(tree, data))
+    report = run_fast_rate_experiment(linear_ridge_config(seed=5, depth=(1, 4)))
+    assert len(report.rows) == 4 and len(calls) == 4
+
+
 def test_leaf_size_diagnostic_worked_example():
     # Leaf sizes {5, 5, 495, 495} at depth 2 on n = 1000: factor 1.98 <= 2.
     n = 1000

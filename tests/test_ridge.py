@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
@@ -50,6 +52,45 @@ def test_eval_ridge_dimension_checks():
         eval_ridge(model, [1.0])
     with pytest.raises(ValueError):
         eval_ridge(model, [])
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
+_PARAMETERS = {
+    "linear": st.fixed_dictionaries({"slope": st.floats(-3.0, 3.0)}),
+    "relu": st.fixed_dictionaries({"slope": st.floats(-3.0, 3.0), "kink": st.floats(-1.0, 1.0)}),
+    "cubic": st.fixed_dictionaries({c: st.floats(-2.0, 2.0) for c in ("c3", "c2", "c1", "c0")}),
+}
+
+
+@st.composite
+def polynomial_models(draw):
+    """Linear, relu and cubic components on directions with up to p
+    nonzero coefficients; their profiles are elementwise arithmetic."""
+    p = draw(st.integers(1, 6))
+    components = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(_PARAMETERS)))
+        coefficients = draw(st.lists(_COEFFICIENT, min_size=p, max_size=p).filter(any))
+        components.append(
+            RidgeComponent(kind, Direction.canonical(coefficients), draw(_PARAMETERS[kind]))
+        )
+    return RidgeModel(tuple(components), intercept=draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=polynomial_models(), seed=st.integers(0, 2**32 - 1))
+def test_model_values_do_not_depend_on_the_batch(model, seed):
+    # One point's value has the same bits alone (eval_ridge), in any
+    # subset of the rows and in chunks, as in the full batch.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 60)), model.p))
+    full = eval_ridge_batch(model, X)
+    assert np.array([eval_ridge(model, x) for x in X]).tobytes() == full.tobytes()
+    for _ in range(3):
+        keep = np.flatnonzero(rng.random(X.shape[0]) < rng.random())
+        assert eval_ridge_batch(model, X[keep]).tobytes() == full[keep].tobytes()
+    for start in range(0, X.shape[0], 7):
+        assert eval_ridge_batch(model, X[start:start + 7]).tobytes() == full[start:start + 7].tobytes()
 
 
 def test_total_variation_hand_values():
@@ -114,6 +155,14 @@ def test_l1_tv_norm_singleton_node():
     data = Dataset(np.array([[0.3, 0.4], [1.0, 2.0]]), np.zeros(2))
     model = RidgeModel((RidgeComponent("sine", e(2, 0)),))
     assert l1_tv_norm(model, data, np.array([0])).total == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_l1_tv_norm_rejects_a_dataset_of_another_dimension(p):
+    data = Dataset(np.ones((2, p)), np.zeros(2))
+    model = RidgeModel((RidgeComponent("linear", e(2, 0)),))
+    with pytest.raises(ValueError, match="model has dimension 2, dataset p="):
+        l1_tv_norm(model, data, np.array([0, 1]))
 
 
 def test_l1_tv_norm_monotone_under_refinement():

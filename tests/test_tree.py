@@ -149,6 +149,51 @@ def test_from_json_names_the_first_node_with_a_non_canonical_direction():
         from_json(json.dumps(payload))
 
 
+def _set_child_counts(payload, left, right):
+    """Give the root's children, and its split, the counts left and right."""
+    nodes = {node["node_id"]: node for node in payload["nodes"]}
+    root = nodes[payload["root_id"]]
+    nodes[root["left_child"]]["count"], nodes[root["right_child"]]["count"] = left, right
+    root["split"].update(left_count=left, right_count=right)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(lambda t: t["nodes"][0]["split"].update(left_count=7), "^node 0 split counts", id="split_count"),
+        pytest.param(lambda t: _set_child_counts(t, 7, 81), "^node 0 child counts", id="child_sum"),
+        pytest.param(lambda t: _set_child_counts(t, 0, 200), "^node 0 child counts", id="empty_child"),
+        pytest.param(lambda t: t["nodes"][0].update(count=150), "^node 0 child counts", id="root_count"),
+        pytest.param(lambda t: t.update(n=150), "^root node 0 must have", id="n"),
+        pytest.param(
+            lambda t: [node.update(depth=node["depth"] + 1) for node in t["nodes"]],
+            "^root node 0 must have depth 0", id="root_depth",
+        ),
+        pytest.param(lambda t: t.update(max_depth_reached=40), "^max_depth_reached 40 is not 3", id="max_depth"),
+        pytest.param(lambda t: t.update(max_depth_reached=2), "^max_depth_reached 2 is not 3", id="shallow_max_depth"),
+    ],
+)
+def test_from_json_rejects_counts_and_depths_that_disagree(corrupt, message):
+    # Counts and depths are stored twice (a split's counts and its
+    # children's, a node's depth and the tree's deepest); copies that
+    # disagree, or counts that do not partition the rows, are not a
+    # tree that grow can have written.
+    payload = json.loads(to_json(grow(random_dataset(43, 200, 2), AXIS, max_depth=3)))
+    assert payload["max_depth_reached"] == 3 and payload["nodes"][0]["count"] == 200
+    from_json(json.dumps(payload))
+    corrupt(payload)
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(payload))
+
+
+def test_from_json_root_only_tree_has_max_depth_zero(d1):
+    payload = json.loads(to_json(grow(d1, AXIS, max_depth=0)))
+    assert from_json(json.dumps(payload)).max_depth_reached == 0
+    payload["max_depth_reached"] = 1
+    with pytest.raises(ValueError, match="^max_depth_reached 1 is not 0"):
+        from_json(json.dumps(payload))
+
+
 def test_node_rows_rejects_wrong_dataset():
     data = random_dataset(29, 40, 2, y_scale=2.0)
     other = random_dataset(31, 40, 2, y_scale=2.0)
