@@ -46,7 +46,7 @@ def _add_strategy_flags(parser):
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = ds._json_text(payload)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +40,11 @@ def _named(name: str, convert, value):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+def _json_text(payload) -> str:
+    """The library's one JSON text format: two-space indent, sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _check_keys(what: str, data: dict, allowed) -> None:
@@ -381,13 +387,10 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write a Dataset in the same dialect load_csv reads: features x1 ..
     xp, then the response y.
 
-    Floats are written with repr(), which round-trips exactly, so a
-    save/load cycle reproduces the matrices bit for bit.
+    The csv module writes floats with repr(), which round-trips exactly,
+    so a save/load cycle reproduces the matrices bit for bit.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"x{j + 1}" for j in range(dataset.p)] + ["y"])
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(repr(float(dataset.response[i])))
-            writer.writerow(row)
+        writer.writerows(np.column_stack((dataset.features, dataset.response)).tolist())

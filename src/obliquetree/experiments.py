@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import Dataset, _check_keys, _named, root_index_set
+from .dataset import Dataset, _check_keys, _json_text, _named, root_index_set
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
@@ -116,16 +116,10 @@ class RateReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "rows": self.rows,
-            "summary": self.summary,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**vars(self), "config": self.config.to_dict()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     def write(self, prefix: str) -> None:
         """Write <prefix>.json plus a JSON-lines and flat CSV row mirror."""

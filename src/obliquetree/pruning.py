@@ -14,18 +14,19 @@ O(nodes x depth), plus one vectorized minimum over the internal nodes
 per step.  PruneSequence.prefix gives, for any lambda, how many steps
 of that one sequence its subtree collapses, and PruneSequence.select
 materializes that subtree.  The holdout choice of lambda builds no
-subtree: it routes the holdout rows once through the full tree and
-scores every grid value from that routing with array operations.
+subtree: it routes the holdout rows once through the full tree, starts
+each row at its leaf's mean, and walks the sequence once, overwriting
+the rows of each collapsed node with that node's mean and scoring each
+grid value's prefix as the walk reaches it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, subset
+from .dataset import Dataset, _json_text, subset
 from .splitting import SearchStrategy
 from .tree import Tree, collapse, grow, route
 
@@ -75,22 +76,11 @@ class PruneSequence:
     initial_train_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "initial_leaf_count": self.initial_leaf_count,
-            "initial_train_error": self.initial_train_error,
-            "steps": [
-                {
-                    "critical_alpha": s.critical_alpha,
-                    "collapsed_node_id": s.collapsed_node_id,
-                    "leaf_count_after": s.leaf_count_after,
-                    "train_error_after": s.train_error_after,
-                }
-                for s in self.steps
-            ],
-        }
+        # vars, not dataclasses.asdict, which deep-copies every float.
+        return {**vars(self), "steps": [dict(vars(s)) for s in self.steps]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     def prefix(self, lam: float) -> int:
         """How many steps of the sequence the subtree for `lam` collapses.
@@ -222,44 +212,29 @@ def _holdout_errors(
 ) -> list[float]:
     """The holdout MSE of sequence.select(full, lam) for each lam in grid.
 
-    The holdout rows are routed once, through `full`.  The subtree of a
-    prefix of P steps turns into leaves the nodes those steps collapse,
-    so a row reaches in it the first node of its root-to-leaf path that
-    the sequence collapses within P steps, or its leaf if there is none.
-    Its prediction is that node's mean, with the bits predict_batch on
-    the subtree gives it, and grid values with one prefix share an error.
+    The holdout rows are routed once, through `full`, and each row
+    starts with its leaf's mean.  The grid's distinct prefixes are then
+    taken in ascending order: the rows of every node that the steps
+    since the last prefix collapse are overwritten with that node's
+    mean, and the prefix is scored.  A step collapses only a live node,
+    so every collapsed node below it came earlier and its rows are
+    overwritten again: a row ends with the mean of its highest collapsed
+    node, the bits predict_batch on the subtree gives it.
     """
     reached = route(full, X_hold)
-    # The step that collapses each node: 0 for a leaf, which every
-    # prefix keeps, and inf for a node the sequence never collapses.
-    size = max(full.nodes) + 1
-    step_of, mean = np.full(size, np.inf), np.zeros(size)
-    for nid, node in full.nodes.items():
-        mean[nid] = node.mean
-        if node.is_leaf:
-            step_of[nid] = 0
-    for k, step in enumerate(sequence.steps, start=1):
-        step_of[step.collapsed_node_id] = k
-    paths = {full.root_id: (full.root_id,)}
-    leaves = []
-    for nid in reached:  # parents before children
-        node = full.nodes[nid]
-        if node.is_leaf:
-            leaves.append(nid)
-        else:
-            paths[node.left_child] = paths[nid] + (node.left_child,)
-            paths[node.right_child] = paths[nid] + (node.right_child,)
-    width = max(len(paths[nid]) for nid in leaves)
-    # Each reached leaf's path from the root, padded with the leaf.
-    padded = np.array([paths[nid] + (nid,) * (width - len(paths[nid])) for nid in leaves])
-    leaf_of_row = np.empty(y_hold.size, dtype=np.intp)
-    for k, nid in enumerate(leaves):
-        leaf_of_row[reached[nid]] = k
+    pred = np.empty(y_hold.size)
+    for nid, rows in reached.items():
+        if full.nodes[nid].is_leaf:
+            pred[rows] = full.nodes[nid].mean
     prefixes = [sequence.prefix(lam) for lam in grid]
     errors = {}
-    for prefix in set(prefixes):
-        stop = np.argmax(step_of[padded] <= prefix, axis=1)
-        pred = mean[padded[np.arange(len(leaves)), stop]][leaf_of_row]
+    done = 0
+    for prefix in sorted(set(prefixes)):
+        for step in sequence.steps[done:prefix]:
+            nid = step.collapsed_node_id
+            if nid in reached:  # route omits the nodes no holdout row reaches
+                pred[reached[nid]] = full.nodes[nid].mean
+        done = prefix
         errors[prefix] = float(np.mean((y_hold - pred) ** 2))
     return [errors[prefix] for prefix in prefixes]
 

@@ -15,7 +15,12 @@ also exactly the quantity that the split-quality lower bounds control.
 
 Model values and the norm's intervals project with dataset.projections,
 the kernel that split search and routing use, so a point's value depends
-neither on the rows evaluated with it nor on the BLAS build.
+neither on the rows evaluated with it nor on the BLAS build.  Linear,
+relu and cubic profiles use only elementwise products and sums (the
+cubic one multiplies z out rather than calling numpy's power), so their
+values are also the same at every numpy SIMD level.  The sigmoid profile
+calls np.exp, whose last bits change with the SIMD level; the sine
+profile calls np.sin, which numpy does not promise to keep either.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Direction, _check_keys, _named, projections, validate_index_set
+from .dataset import (
+    Dataset, Direction, _check_keys, _json_text, _named, projections, validate_index_set
+)
 from .tree import node_rows
 
 COMPONENT_KINDS = ("linear", "relu", "sigmoid", "sine", "cubic")
@@ -86,7 +93,9 @@ class RidgeComponent:
             return q["amplitude"] / (1.0 + np.exp(-q["gain"] * (z - q["center"])))
         if self.kind == "sine":
             return q["amplitude"] * np.sin(q["frequency"] * z + q["phase"])
-        return q["c3"] * z**3 + q["c2"] * z**2 + q["c1"] * z + q["c0"]
+        # Products, not numpy's vectorized power, whose z**3 has other
+        # last bits at other SIMD levels.
+        return q["c3"] * (z * z * z) + q["c2"] * (z * z) + q["c1"] * z + q["c0"]
 
     def critical_points(self, lo: float, hi: float) -> list[float]:
         """Interior points where the shape's derivative can change sign."""
@@ -152,7 +161,7 @@ class RidgeModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "RidgeModel":

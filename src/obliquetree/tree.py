@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, _named, canonical_rows, projections, root_index_set
+from .dataset import Dataset, _json_text, _named, canonical_rows, projections, root_index_set
 
 # run_search is not called here; the benchmark's tracer and its tests
 # still look for it in this module's namespace.
@@ -223,30 +223,18 @@ def collapse(tree: Tree, collapsed: set[int]) -> Tree:
     """
     kept: dict[int, TreeNode] = {}
     deepest = 0
-    stack = [tree.root_id]
+    stack = [(tree.root_id, 0)]
     while stack:
-        nid = stack.pop()
-        node = tree.nodes[nid]
+        nid, depth = stack.pop()
         if nid in collapsed:
-            split = left = right = None
+            node = replace(tree.nodes[nid], split=None, left_child=None, right_child=None)
         else:
-            split, left, right = node.split, node.left_child, node.right_child
-        node = TreeNode(
-            node_id=node.node_id, depth=node.depth, mean=node.mean, sse=node.sse,
-            count=node.count, split=split, left_child=left, right_child=right,
-        )
+            node = replace(tree.nodes[nid])
         kept[nid] = node
         if not node.is_leaf:
-            deepest = max(deepest, node.depth + 1)
-            stack.extend((node.left_child, node.right_child))
-    return Tree(
-        nodes=kept,
-        root_id=tree.root_id,
-        n=tree.n,
-        p=tree.p,
-        max_depth_reached=deepest,
-        strategy=tree.strategy,
-    )
+            deepest = max(deepest, depth + 1)
+            stack.extend(((node.left_child, depth + 1), (node.right_child, depth + 1)))
+    return replace(tree, nodes=kept, max_depth_reached=deepest)
 
 
 def prune_to_depth(tree: Tree, depth: int) -> Tree:
@@ -262,29 +250,11 @@ def to_dict(tree: Tree) -> dict:
     """JSON-ready representation.  It holds every field of the tree, so
     from_dict(to_dict(tree)) == tree; the training rows of each node
     follow from the splits (node_rows)."""
-    nodes = []
-    for nid in sorted(tree.nodes):
-        node = tree.nodes[nid]
-        nodes.append(
-            {
-                "node_id": node.node_id,
-                "depth": node.depth,
-                "mean": node.mean,
-                "sse": node.sse,
-                "count": node.count,
-                "split": node.split.to_dict() if node.split else None,
-                "left_child": node.left_child,
-                "right_child": node.right_child,
-            }
-        )
-    return {
-        "root_id": tree.root_id,
-        "n": tree.n,
-        "p": tree.p,
-        "max_depth_reached": tree.max_depth_reached,
-        "strategy": tree.strategy.to_dict(),
-        "nodes": nodes,
-    }
+    nodes = [
+        {**vars(node), "split": node.split.to_dict() if node.split else None}
+        for _, node in sorted(tree.nodes.items())
+    ]
+    return {**vars(tree), "strategy": tree.strategy.to_dict(), "nodes": nodes}
 
 
 def _not_canonical(node_id: int, p: int) -> ValueError:
@@ -381,7 +351,7 @@ def from_dict(data: dict) -> Tree:
 
 
 def to_json(tree: Tree) -> str:
-    return json.dumps(to_dict(tree), indent=2, sort_keys=True)
+    return _json_text(to_dict(tree))
 
 
 def from_json(text: str) -> Tree:

@@ -89,6 +89,25 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_csv_writes_the_repr_of_every_cell(tmp_path):
+    """The bytes of a per-cell repr() writer: signed zeros, subnormals,
+    values near the float limits, integral floats and values that need
+    17 significant digits."""
+    rng = np.random.default_rng(9)
+    edge = [-0.0, 0.0, 1e-310, -5e-324, 1e300, -1.7976931348623157e308, 1.0, -3.0, 2.0**53,
+            0.1 + 0.2, 1 / 3, 2.0 / 7.0 * 1e-5]
+    values = np.where(rng.random((60, 4)) < 0.7, rng.choice(edge, (60, 4)),
+                      rng.standard_normal((60, 4)) * 10.0 ** rng.integers(-20, 20, (60, 4)))
+    data = Dataset(values[:, :3], values[:, 3])
+    path = tmp_path / "edge.csv"
+    save_csv(data, path)
+    lines = ["x1,x2,x3,y"] + [
+        ",".join([repr(float(v)) for v in data.features[i]] + [repr(float(data.response[i]))])
+        for i in range(data.n)
+    ]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
 def test_plain_csv_is_parsed_in_bulk(tmp_path, monkeypatch):
     """save_csv writes CRLF line ends; that file, its LF copy, a copy
     with a space after each comma and a copy with every cell quoted give

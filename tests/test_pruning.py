@@ -171,6 +171,19 @@ def test_sequence_matches_quadratic_reference(data, depth, min_node_size):
     assert fast == reference_weakest_link_sequence(tree, data).to_json()
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=axis_datasets(), depth=st.integers(0, 7), min_node_size=st.integers(1, 3))
+def test_no_step_collapses_a_node_under_an_earlier_one(data, depth, min_node_size):
+    # The holdout scores overwrite each collapsed node's rows in step
+    # order, which is exact only if a node's collapsed descendants come
+    # before it; a node collapsed twice would be under itself.
+    tree = grow(data, AXIS, depth, min_node_size)
+    collapsed = set()
+    for step in weakest_link_sequence(tree, data).steps:
+        assert not _under(tree, step.collapsed_node_id, collapsed)
+        collapsed.add(step.collapsed_node_id)
+
+
 PROJECTION = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=8, seed=3)
 
 

@@ -93,6 +93,22 @@ def test_model_values_do_not_depend_on_the_batch(model, seed):
         assert eval_ridge_batch(model, X[start:start + 7]).tobytes() == full[start:start + 7].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(params=_PARAMETERS["cubic"], intercept=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_cubic_values_equal_python_float_arithmetic(params, intercept, seed):
+    # Products and sums only, in Python's order of operations, so cubic
+    # values have the same bits at every numpy SIMD level (numpy's z**3
+    # does not).
+    model = RidgeModel((RidgeComponent("cubic", e(1, 0), params),), intercept=intercept)
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, 500)
+    q = model.components[0].parameters
+    expected = [
+        intercept + (q["c3"] * (z * z * z) + q["c2"] * (z * z) + q["c1"] * z + q["c0"])
+        for z in x.tolist()
+    ]
+    assert eval_ridge_batch(model, x[:, None]).tobytes() == np.array(expected).tobytes()
+
+
 def test_total_variation_hand_values():
     linear = RidgeComponent("linear", e(1, 0), {"slope": 2.0})
     assert total_variation(linear, (0.0, 1.0)) == pytest.approx(2.0, rel=1e-12)
