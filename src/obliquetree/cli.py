@@ -17,32 +17,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import dataset as ds
 from . import experiments, pruning, splitting, stumps, tree
 
 
+# Each strategy flag's argparse dest, and the SearchStrategy field it
+# sets; the flag's default is that field's.
+_STRATEGY_FLAGS = dict(
+    sparsity="sparsity_d", candidates="num_candidates", restarts="restarts",
+    iterations="max_iterations", node_cap="node_cap", seed="seed",
+)
+
+
 def _strategy_from_args(args) -> splitting.SearchStrategy:
     return splitting.SearchStrategy(
-        kind=args.strategy,
-        sparsity_d=args.sparsity,
-        num_candidates=args.candidates,
-        restarts=args.restarts,
-        max_iterations=args.iterations,
-        seed=args.seed,
-        node_cap=args.node_cap,
+        kind=args.strategy, **{name: getattr(args, dest) for dest, name in _STRATEGY_FLAGS.items()}
     )
 
 
 def _add_strategy_flags(parser):
     parser.add_argument("--strategy", default="axis_aligned", choices=splitting.STRATEGY_KINDS)
-    parser.add_argument("--sparsity", type=int, default=1)
-    parser.add_argument("--candidates", type=int, default=100)
-    parser.add_argument("--restarts", type=int, default=1)
-    parser.add_argument("--iterations", type=int, default=20)
-    parser.add_argument("--node-cap", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = {f.name: f.default for f in fields(splitting.SearchStrategy)}
+    for dest, name in _STRATEGY_FLAGS.items():
+        parser.add_argument(f"--{dest.replace('_', '-')}", type=int, default=defaults[name])
 
 
 def _write_json(payload: dict, out: str | None) -> None:

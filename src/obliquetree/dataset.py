@@ -1,4 +1,5 @@
-"""Observation storage, CSV ingestion, index sets, and projections.
+"""Observation storage, CSV ingestion, JSON reading and writing, index
+sets, and projections.
 
 A Dataset is an immutable row-major (n, p) matrix of n observations in
 p dimensions plus a response vector.  Split search and node statistics
@@ -14,7 +15,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,11 +50,86 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _check_keys(what: str, data: dict, allowed) -> None:
-    """Reject keys outside `allowed`, so a misspelt key is not ignored."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+class _FieldError(ValueError):
+    """A JSON field that could not be read, already named."""
+
+
+_NO_FIELDS = MappingProxyType({})
+
+
+def _record(what, data, readers, optional=_NO_FIELDS) -> dict:
+    """The library's one JSON reader: {key: reader(value)} for the keys of
+    one JSON object.  Each key of `readers` must be present, a key of
+    `optional` may be (the constructor then fills in its default), and
+    no other may, so a misspelt key is not ignored.  A failure is one
+    ValueError naming the record (`what`, or what(data) if callable) and
+    the key; an enclosing record adds only its own name.  An object with
+    just the keys of `readers` is read in one pass, and key by key only
+    if that fails, to name the fault."""
+    if type(data) is dict and data.keys() == readers.keys():
+        try:
+            return {key: read(data[key]) for key, read in readers.items()}
+        except (TypeError, ValueError):
+            pass
+    name = what(data) if callable(what) else what
+    if type(data) is not dict:
+        raise _FieldError(f"{name} must be a JSON object, got {data!r}")
+    record = {}
+    for key, value in data.items():
+        read = readers.get(key) or optional.get(key)
+        if read is None:
+            raise _FieldError(f"{name} has unknown key {key!r}")
+        try:
+            record[key] = read(value)
+        except _FieldError as exc:
+            raise _FieldError(f"{name} {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise _FieldError(f"{name} {key}: {exc}") from None
+    missing = [key for key in readers if key not in record]
+    if missing:
+        raise _FieldError(f"{name} has no {missing[0]!r}")
+    return record
+
+
+def _integer(value) -> int:
+    """A JSON integer: not a bool, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A finite real number, as a float: not a bool or a string.  JSON
+    gives an int or a float, Python also a numpy scalar."""
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the floats
+            pass
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _as_is(value):
+    """The reader of a field that its constructor checks."""
+    return value
+
+
+def _list(reader, size=None):
+    """The reader of a JSON list (from Python, also a tuple or an array)
+    whose items `reader` reads, giving a tuple; with `size`, of exactly
+    that many."""
+    def read(value) -> tuple:
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ValueError(f"expected a list, got {value!r}")
+        if size is not None and len(value) != size:
+            raise ValueError(f"expected {size} items, got {value!r}")
+        return tuple(map(reader, value))
+
+    return read
+
+
+_reals = _list(_real)
 
 
 @dataclass(frozen=True)

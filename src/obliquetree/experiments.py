@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, _check_keys, _json_text, _named, root_index_set
+from .dataset import (
+    Dataset, _integer, _json_text, _list, _real, _reals, _record, root_index_set,
+    validate_index_set,
+)
 from .pruning import _holdout_fit
 from .ridge import (
     RidgeModel,
@@ -70,39 +73,26 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
+            **vars(self),
             "model": self.model.to_dict(),
-            "n": self.n,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
             "strategy": self.strategy.to_dict(),
             "depth_range": list(self.depth_range),
             "domain_box": [list(side) for side in self.domain_box],
             "lambda_grid": list(self.lambda_grid),
-            "mc_size": self.mc_size,
-            "holdout_fraction": self.holdout_fraction,
-            "min_node_size": self.min_node_size,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"experiment config must be a JSON object, got {data!r}")
-        _check_keys("experiment config", data, (f.name for f in fields(ExperimentConfig)))
-        return ExperimentConfig(
-            model=_named("model", RidgeModel.from_dict, data["model"]),
-            n=_named("n", int, data["n"]),
-            noise_std=_named("noise_std", float, data["noise_std"]),
-            seed=_named("seed", int, data["seed"]),
-            strategy=SearchStrategy.from_dict(data["strategy"]),
-            depth_range=_named("depth_range", lambda v: tuple(int(d) for d in v), data["depth_range"]),
-            domain_box=parse_domain_box(data["domain_box"]),
-            lambda_grid=_named(
-                "lambda_grid", lambda v: tuple(float(x) for x in v), data.get("lambda_grid", [])
-            ),
-            mc_size=_named("mc_size", int, data.get("mc_size", 2000)),
-            holdout_fraction=_named("holdout_fraction", float, data.get("holdout_fraction", 0.3)),
-            min_node_size=_named("min_node_size", int, data.get("min_node_size", 1)),
-        )
+        return ExperimentConfig(**_record("experiment config", data, _CONFIG_FIELDS, _DEFAULTED))
+
+
+# The JSON readers of a config's fields: those without a default, and
+# those whose absence leaves ExperimentConfig's default.
+_CONFIG_FIELDS = dict(
+    model=RidgeModel.from_dict, n=_integer, noise_std=_real, seed=_integer,
+    strategy=SearchStrategy.from_dict, depth_range=_list(_integer, 2), domain_box=parse_domain_box,
+)
+_DEFAULTED = dict(lambda_grid=_reals, mc_size=_integer, holdout_fraction=_real, min_node_size=_integer)
 
 
 @dataclass
@@ -285,19 +275,20 @@ def verify_impurity_bound(
     model), the exact best decrease must be at least
     w(t) * R(t)^2 / norm(t)^2.  Returns one row per eligible node with
     the achieved margin lhs - rhs; nodes with R(t) <= 0 are skipped.
+    Every node must be an index set (dataset.validate_index_set), and
+    all are checked before any is read.
     The eligible nodes share one exhaustive search call at sparsity p.
     """
     if dataset.p > 3:
         raise ValueError("impurity bound check needs p <= 3 for the exact oracle")
     rows, eligible = [], []
-    for node in nodes:
-        idx = np.asarray(node, dtype=np.int64)
+    for idx in [validate_index_set(node, dataset.n) for node in nodes]:
         y = dataset.response[idx]
         g = eval_ridge_batch(model, dataset.features[idx])
         excess = float(np.mean((y - y.mean()) ** 2) - np.mean((y - g) ** 2))
         rows.append({"size": int(idx.size), "excess": excess, "skipped": excess <= 0.0})
         if not rows[-1]["skipped"]:
-            eligible.append((rows[-1], _Node.of(dataset, idx)))
+            eligible.append((rows[-1], _Node(y, idx)))
     oracle = SearchStrategy(kind="exhaustive_oblique", sparsity_d=dataset.p, node_cap=node_cap)
     samples = [sample for _, sample in eligible]
     splits = _search_level(dataset, samples, oracle, [oracle.seed] * len(samples))
@@ -335,7 +326,6 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.min_node_size,
     )
     rows = []
-    pruned_star = None
     for lam, hold_err in zip(config.lambda_grid, hold_errors):
         pruned = sequence.select(full, lam)
         imse, imse_se = estimate_imse(
@@ -350,8 +340,6 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
                 "imse_se": imse_se,
             }
         )
-        if lam == lam_star:
-            pruned_star = (imse, imse_se, pruned.leaf_count())
     fixed = []
     for depth in range(k_lo, k_hi + 1):
         tree = prune_to_depth(full, depth)
@@ -361,19 +349,20 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         fixed.append(
             {"depth": depth, "imse": imse, "imse_se": imse_se, "leaf_count": tree.leaf_count()}
         )
-    root_imse = fixed[0]["imse"] if fixed and fixed[0]["depth"] == 0 else None
+    # _holdout_fit picks lam_star from the grid, and 0 <= k_lo <= k_hi.
+    star = rows[config.lambda_grid.index(lam_star)]
     return RateReport(
         kind="pruning",
         config=config,
         rows=rows,
         summary={
             "lambda_star": lam_star,
-            "pruned_imse": pruned_star[0] if pruned_star else None,
-            "pruned_imse_se": pruned_star[1] if pruned_star else None,
-            "pruned_leaf_count": pruned_star[2] if pruned_star else None,
+            "pruned_imse": star["imse"],
+            "pruned_imse_se": star["imse_se"],
+            "pruned_leaf_count": star["leaf_count"],
             "fixed_depth": fixed,
-            "root_imse": root_imse,
-            "best_fixed_imse": min(r["imse"] for r in fixed) if fixed else None,
+            "root_imse": fixed[0]["imse"] if k_lo == 0 else None,
+            "best_fixed_imse": min(r["imse"] for r in fixed),
         },
         wall_time_s=time.perf_counter() - start,
     )

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
-    Dataset, Direction, _check_keys, _json_text, _named, projections, validate_index_set
+    _NO_FIELDS, Dataset, Direction, _as_is, _json_text, _list, _named, _real, _reals, _record,
+    projections, validate_index_set,
 )
 from .tree import node_rows
 
@@ -47,17 +48,11 @@ _DEFAULT_PARAMS = {
 }
 
 
-def _real_dict(value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"expected a JSON object, got {value!r}")
-    return {k: float(v) for k, v in value.items()}
-
-
 def parse_domain_box(domain_box) -> tuple[tuple[float, float], ...]:
-    """A domain box as (lo, hi) float pairs, one per coordinate."""
-    return _named(
-        "domain_box", lambda box: tuple((float(lo), float(hi)) for lo, hi in box), domain_box
-    )
+    """A domain box as (lo, hi) float pairs, one per coordinate: a JSON
+    list of [lo, hi] lists of finite numbers (from Python, tuples or
+    arrays too)."""
+    return _list(_list(_real, 2))(domain_box)
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,8 @@ class RidgeComponent:
     def __post_init__(self):
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
-        params = dict(_DEFAULT_PARAMS[self.kind])
-        unknown = set(self.parameters) - set(params)
-        if unknown:
-            raise ValueError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
-        params.update({k: float(v) for k, v in self.parameters.items()})
-        for name, value in params.items():
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {name} must be finite")
-        object.__setattr__(self, "parameters", params)
+        given = _record(f"{self.kind} parameters", self.parameters, _NO_FIELDS, _READERS[self.kind])
+        object.__setattr__(self, "parameters", {**_DEFAULT_PARAMS[self.kind], **given})
 
     def profile(self, z):
         """The univariate shape h(z), vectorized over z."""
@@ -130,11 +118,8 @@ class RidgeComponent:
         return []  # linear and sigmoid are monotone
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(sorted(self.parameters.items())),
-            "direction": list(self.direction.coefficients),
-        }
+        direction = list(self.direction.coefficients)
+        return {**vars(self), "parameters": dict(self.parameters), "direction": direction}
 
 
 @dataclass(frozen=True)
@@ -155,39 +140,30 @@ class RidgeModel:
         return len(self.components[0].direction.coefficients)
 
     def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "components": [c.to_dict() for c in self.components],
-        }
+        return {**vars(self), "components": [c.to_dict() for c in self.components]}
 
     def to_json(self) -> str:
         return _json_text(self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "RidgeModel":
-        if not isinstance(data, dict):
-            raise ValueError(f"ridge model must be a JSON object, got {data!r}")
-        _check_keys("ridge model", data, ("components", "intercept"))
-        components = data.get("components")
-        if not isinstance(components, list) or not all(isinstance(c, dict) for c in components):
-            raise ValueError("ridge model 'components' must be a list of JSON objects")
-        for c in components:
-            _check_keys("component", c, ("kind", "direction", "parameters"))
-        comps = tuple(
-            RidgeComponent(
-                kind=c.get("kind"),
-                direction=_named("direction", Direction.canonical, c.get("direction")),
-                parameters=_named("parameters", _real_dict, c.get("parameters", {})),
-            )
-            for c in components
-        )
-        return RidgeModel(
-            components=comps, intercept=_named("intercept", float, data.get("intercept", 0.0))
-        )
+        return RidgeModel(**_record("ridge model", data, _MODEL_FIELDS, _INTERCEPT))
 
     @staticmethod
     def from_json(text: str) -> "RidgeModel":
         return RidgeModel.from_dict(json.loads(text))
+
+
+# The readers of each kind's parameters, and of a model's and a
+# component's JSON fields; RidgeComponent checks the kind and reads the
+# parameters, from JSON or from Python.
+_READERS = {kind: dict.fromkeys(defaults, _real) for kind, defaults in _DEFAULT_PARAMS.items()}
+_COMPONENT_FIELDS = dict(kind=_as_is, direction=lambda value: Direction.canonical(_reals(value)))
+_PARAMETERS = dict(parameters=_as_is)
+_MODEL_FIELDS = dict(components=_list(
+    lambda entry: RidgeComponent(**_record("component", entry, _COMPONENT_FIELDS, _PARAMETERS))
+))
+_INTERCEPT = dict(intercept=_real)
 
 
 @dataclass(frozen=True)
@@ -269,12 +245,11 @@ def generate_dataset(
         raise ValueError("n must be >= 1")
     if not (math.isfinite(noise_std) and noise_std >= 0):  # NaN fails every comparison
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    box = parse_domain_box(domain_box)
+    box = _named("domain_box", parse_domain_box, domain_box)
     if len(box) != model.p:
         raise ValueError(f"domain box must have {model.p} sides")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise ValueError("invalid domain box")
+    if any(lo > hi for lo, hi in box):
+        raise ValueError("invalid domain box")
     rng = np.random.default_rng(seed)
     lows = np.asarray([b[0] for b in box])
     highs = np.asarray([b[1] for b in box])

@@ -111,9 +111,12 @@ import numpy as np
 from .dataset import (
     Dataset,
     Direction,
-    _check_keys,
+    _as_is,
+    _integer,
     _moments,
-    _named,
+    _real,
+    _reals,
+    _record,
     canonical_rows,
     project,
     projections,
@@ -179,25 +182,13 @@ class Split:
     left: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "direction": list(self.direction.coefficients),
-            "threshold": self.threshold,
-            "decrease": self.decrease,
-            "left_count": self.left_count,
-            "right_count": self.right_count,
-        }
+        record = {**vars(self), "direction": list(self.direction.coefficients)}
+        del record["left"]
+        return record
 
     @staticmethod
     def from_dict(data: dict) -> "Split":
-        return Split(
-            direction=_named(
-                "direction", lambda v: Direction(tuple(float(c) for c in v)), data["direction"]
-            ),
-            threshold=_named("threshold", float, data["threshold"]),
-            decrease=_named("decrease", float, data["decrease"]),
-            left_count=_named("left_count", int, data["left_count"]),
-            right_count=_named("right_count", int, data["right_count"]),
-        )
+        return Split(**_record("split", data, _SPLIT_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -247,12 +238,17 @@ class SearchStrategy:
 
     @staticmethod
     def from_dict(data: dict) -> "SearchStrategy":
-        if not isinstance(data, dict):
-            raise ValueError(f"strategy must be a JSON object, got {data!r}")
-        _check_keys("strategy", data, (f.name for f in fields(SearchStrategy)))
-        if "kind" not in data:
-            raise ValueError("strategy has no 'kind'")
-        return SearchStrategy(**data)
+        return SearchStrategy(**_record("strategy", data, _KIND, _STRATEGY_COUNTS))
+
+
+# The JSON readers of a split's and a strategy's fields; __post_init__
+# checks the strategy's kind and bounds.
+_SPLIT_FIELDS = dict(
+    direction=lambda value: Direction(_reals(value)), threshold=_real, decrease=_real,
+    left_count=_integer, right_count=_integer,
+)
+_KIND = dict(kind=_as_is)
+_STRATEGY_COUNTS = dict.fromkeys((f.name for f in fields(SearchStrategy)[1:]), _integer)
 
 
 @dataclass(frozen=True)
@@ -266,13 +262,7 @@ class SuboptimalityReport:
     per_trial_decreases: tuple[float, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "trials": self.trials,
-            "success_fraction": self.success_fraction,
-            "oracle_decrease": self.oracle_decrease,
-            "per_trial_decreases": list(self.per_trial_decreases),
-        }
+        return {**vars(self), "per_trial_decreases": list(self.per_trial_decreases)}
 
 
 def _sse(y: np.ndarray) -> float:

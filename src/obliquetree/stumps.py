@@ -54,18 +54,10 @@ class Expansion:
     coefficients: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "features": [
-                {
-                    "owner_node_id": f.owner_node_id,
-                    "left_value": f.left_value,
-                    "right_value": f.right_value,
-                    "weight": f.weight,
-                }
-                for f in self.features
-            ],
-            "coefficients": list(self.coefficients),
-        }
+        features = [dict(vars(f)) for f in self.features]
+        for feature in features:  # routing recovers the children's rows
+            del feature["left_ids"], feature["right_ids"]
+        return {"features": features, "coefficients": list(self.coefficients)}
 
 
 _CONSTANT = StumpFeature(

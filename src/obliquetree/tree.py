@@ -27,13 +27,15 @@ rows are routed with it.  A tree stores no rows: its splits fix them.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, _json_text, _named, canonical_rows, projections, root_index_set
+from .dataset import (
+    Dataset, _integer, _json_text, _list, _real, _record, canonical_rows, projections,
+    root_index_set,
+)
 
 # run_search is not called here; the benchmark's tracer and its tests
 # still look for it in this module's namespace.
@@ -257,55 +259,46 @@ def to_dict(tree: Tree) -> dict:
     return {**vars(tree), "strategy": tree.strategy.to_dict(), "nodes": nodes}
 
 
-def _not_canonical(node_id: int, p: int) -> ValueError:
-    return ValueError(f"node {node_id} split direction is not a canonical unit vector in R^{p}")
+def _node_name(entry) -> str:
+    """A node record's name in messages: its node_id as written."""
+    return f"node {entry['node_id']!r}" if type(entry) is dict and "node_id" in entry else "node"
 
 
-def _split_from_dict(node_id: int, data, p: int) -> Split:
-    """Split.from_dict, rejecting what grow cannot have written (from_dict
-    checks that the direction is canonical, for every node at once)."""
-    split = _named(f"node {node_id} split", Split.from_dict, data)
-    if not (math.isfinite(split.threshold) and math.isfinite(split.decrease)):
-        raise ValueError(f"node {node_id} has a non-finite split threshold or decrease")
-    coefficients = split.direction.coefficients
-    if not (len(coefficients) == p and all(map(math.isfinite, coefficients)) and any(coefficients)):
-        raise _not_canonical(node_id, p)
-    return split
+def _or_none(reader):
+    return lambda value: None if value is None else reader(value)
+
+
+# The JSON readers of a node's and a tree's fields.
+_NODE_FIELDS = dict(
+    node_id=_integer, depth=_integer, mean=_real, sse=_real, count=_integer,
+    split=_or_none(Split.from_dict), left_child=_or_none(_integer), right_child=_or_none(_integer),
+)
+_TREE_FIELDS = dict(
+    nodes=_list(lambda entry: TreeNode(**_record(_node_name, entry, _NODE_FIELDS))),
+    root_id=_integer, n=_integer, p=_integer, max_depth_reached=_integer,
+    strategy=SearchStrategy.from_dict,
+)
 
 
 def from_dict(data: dict) -> Tree:
-    if not isinstance(data, dict):
-        raise ValueError(f"tree must be a JSON object, got {data!r}")
-    p = _named("p", int, data["p"])
-    nodes = {}
-    for entry in _named("nodes", list, data["nodes"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"tree node must be a JSON object, got {entry!r}")
-        node_id = _named("node_id", int, entry["node_id"])
-
-        def field(key, convert):
-            return _named(f"node {node_id} {key}", convert, entry[key])
-
-        mean, sse = field("mean", float), field("sse", float)
-        if not (math.isfinite(mean) and math.isfinite(sse)):
-            raise ValueError(f"node {node_id} has a non-finite mean or sse")
-        nodes[node_id] = TreeNode(
-            node_id=node_id,
-            depth=field("depth", int),
-            mean=mean,
-            sse=sse,
-            count=field("count", int),
-            split=_split_from_dict(node_id, entry["split"], p) if entry["split"] else None,
-            left_child=entry["left_child"],
-            right_child=entry["right_child"],
-        )
+    """The tree that to_dict wrote.  Its records are read by
+    dataset._record; then every direction must be canonical in R^p and
+    every node reached once from the root, with consistent depths and
+    counts, so prune and stumps never meet a node they cannot reach."""
+    record = _record("tree", data, _TREE_FIELDS)
+    nodes = {node.node_id: node for node in record["nodes"]}
+    p, root_id, n = record["p"], record["root_id"], record["n"]
     split = [node for node in nodes.values() if node.split]
-    if split:
-        W = np.array([node.split.direction.coefficients for node in split])
-        for node, moved in zip(split, (canonical_rows(W) != W).any(axis=1).tolist()):
-            if moved:
-                raise _not_canonical(node.node_id, p)
-    root_id = _named("root_id", int, data["root_id"])
+    rows = [node.split.direction.coefficients for node in split]
+    moved = [len(row) != p or not any(row) for row in rows]
+    if rows and not any(moved):
+        W = np.array(rows)
+        moved = (canonical_rows(W) != W).any(axis=1).tolist()
+    for node, bad in zip(split, moved):
+        if bad:
+            raise ValueError(
+                f"node {node.node_id} split direction is not a canonical unit vector in R^{p}"
+            )
     if root_id not in nodes:
         raise ValueError(f"root_id {root_id} names no node")
     # Walk from the root: every node must be reached exactly once, one
@@ -315,8 +308,7 @@ def from_dict(data: dict) -> Tree:
     for nid in reached:
         node = nodes[nid]
         children = () if node.is_leaf else (node.left_child, node.right_child)
-        # type(c) is int: a JSON true is an int to isinstance and equals node 1.
-        if not all(type(c) is int and c in nodes for c in children):
+        if not all(c in nodes for c in children):
             raise ValueError(f"node {nid} has a child id missing from the tree")
         for child in children:
             if child in seen:
@@ -333,21 +325,13 @@ def from_dict(data: dict) -> Tree:
     if len(seen) != len(nodes):
         orphan = min(set(nodes) - seen)
         raise ValueError(f"node {orphan} is not reached from the root")
-    n = _named("n", int, data["n"])
     if (nodes[root_id].depth, nodes[root_id].count) != (0, n):
         raise ValueError(f"root node {root_id} must have depth 0 and count n={n}")
-    max_depth = _named("max_depth_reached", int, data["max_depth_reached"])
+    max_depth = record["max_depth_reached"]
     deepest = max((node.depth + 1 for node in nodes.values() if node.split), default=0)
     if max_depth != deepest:
         raise ValueError(f"max_depth_reached {max_depth} is not {deepest}, one below the deepest split")
-    return Tree(
-        nodes=nodes,
-        root_id=root_id,
-        n=n,
-        p=p,
-        max_depth_reached=max_depth,
-        strategy=SearchStrategy.from_dict(data["strategy"]),
-    )
+    return Tree(**{**record, "nodes": nodes})
 
 
 def to_json(tree: Tree) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obliquetree
-from obliquetree import Dataset, save_csv
-from obliquetree.cli import main
+from obliquetree import Dataset, SearchStrategy, save_csv
+from obliquetree.cli import _strategy_from_args, build_parser, main
 
 D1_CSV = "x,y\n1,0\n2,0\n3,1\n4,1\n"
 
@@ -222,6 +226,19 @@ def set_root(key, **fields):
         pytest.param(lambda tree: tree.update(n=3), "root node 0", id="n"),
         # Unchecked, prune --grid takes a stored depth of 40 as its holdout depth.
         pytest.param(lambda tree: tree.update(max_depth_reached=40), "max_depth_reached 40", id="max_depth"),
+        # Strings, floats and bools used to be coerced, unknown keys
+        # ignored, and 1e400 ended in an OverflowError traceback.
+        pytest.param(lambda tree: tree.update(p=1e400), "tree p: expected an integer, got inf", id="overflowing_p"),
+        pytest.param(lambda tree: tree.update(n=4.7), "tree n: expected an integer, got 4.7", id="float_n"),
+        pytest.param(lambda tree: tree.update(n="4"), "tree n: expected an integer, got '4'", id="string_n"),
+        pytest.param(lambda tree: tree["nodes"][1].update(depth=True), "tree node 1 depth: expected an integer, got True", id="true_depth"),
+        pytest.param(set_root(None, count=4.0), "tree node 0 count: expected an integer, got 4.0", id="float_count"),
+        pytest.param(set_root("split", left_count=2.5), "tree node 0 split left_count: expected an integer", id="float_left_count"),
+        pytest.param(set_root("split", threshold="2.5"), "tree node 0 split threshold: expected a finite number", id="string_threshold"),
+        pytest.param(lambda tree: tree.update(bogus=1), "tree has unknown key 'bogus'", id="unknown_tree_key"),
+        pytest.param(set_root(None, index_set=[0, 1, 2, 3]), "tree node 0 has unknown key 'index_set'", id="stored_index_set"),
+        pytest.param(set_root("split", bogus=1), "tree node 0 split has unknown key 'bogus'", id="unknown_split_key"),
+        pytest.param(lambda tree: tree["nodes"][1].pop("mean"), "tree node 1 has no 'mean'", id="missing_mean"),
     ],
 )
 def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt, message):
@@ -281,35 +298,142 @@ def experiment_config(**overrides):
     return config
 
 
+def experiment(**overrides):
+    return lambda tmp: ["experiment", write_json(tmp, experiment_config(**overrides)), "--kind", "rate"]
+
+
+def generate(model, box="[[0, 1], [0, 1]]"):
+    return lambda tmp: ["generate", write_json(tmp, model), "--n", "50", "--box", box, "--out", str(tmp / "g.csv")]
+
+
+def with_slope(slope):
+    component = dict(MODEL_SPEC["components"][0], parameters={"slope": slope})
+    return dict(MODEL_SPEC, components=[component])
+
+
 @pytest.mark.parametrize(
-    "command",
+    "command, message",
     [
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(domain_box=5)), "--kind", "rate"],
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(strategy=[1])), "--kind", "rate"],
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(model=None)), "--kind", "rate"],
-        lambda tmp: ["generate", write_json(tmp, MODEL_SPEC), "--n", "50", "--box", "5", "--out", str(tmp / "g.csv")],
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(mc_sise=50)), "--kind", "rate"],
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(lamda_grid=[0.1])), "--kind", "rate"],
-        lambda tmp: ["experiment", write_json(tmp, experiment_config(model=MISSPELT_MODEL)), "--kind", "rate"],
-        lambda tmp: ["generate", write_json(tmp, MISSPELT_MODEL), "--n", "50", "--box", "[[0, 1], [0, 1]]", "--out", str(tmp / "g.csv")],
-        lambda tmp: ["generate", write_json(tmp, dict(MODEL_SPEC, intercpt=1.0)), "--n", "50", "--box", "[[0, 1], [0, 1]]", "--out", str(tmp / "g.csv")],
-    ],
-    ids=[
-        "domain_box_int",
-        "strategy_list",
-        "model_null",
-        "generate_box_int",
-        "config_mc_sise",
-        "config_lamda_grid",
-        "experiment_component_paramters",
-        "generate_component_paramters",
-        "generate_model_intercpt",
+        pytest.param(experiment(domain_box=5), "experiment config domain_box", id="domain_box_int"),
+        pytest.param(experiment(strategy=[1]), "experiment config strategy must be", id="strategy_list"),
+        pytest.param(experiment(model=None), "experiment config ridge model must be", id="model_null"),
+        pytest.param(generate(MODEL_SPEC, box="5"), "domain_box", id="generate_box_int"),
+        pytest.param(experiment(mc_sise=50), "unknown key 'mc_sise'", id="config_mc_sise"),
+        pytest.param(experiment(lamda_grid=[0.1]), "unknown key 'lamda_grid'", id="config_lamda_grid"),
+        pytest.param(experiment(model=MISSPELT_MODEL), "component has unknown key 'paramters'", id="experiment_component_paramters"),
+        pytest.param(generate(MISSPELT_MODEL), "component has unknown key 'paramters'", id="generate_component_paramters"),
+        pytest.param(generate(dict(MODEL_SPEC, intercpt=1.0)), "ridge model has unknown key 'intercpt'", id="generate_model_intercpt"),
+        # Strings, floats and bools used to be coerced: "24" read as 24,
+        # 9.7 as 9, true as 1 or 1.0, and 1e400 ended in an OverflowError.
+        pytest.param(experiment(n="24"), "experiment config n: expected an integer, got '24'", id="config_string_n"),
+        pytest.param(experiment(seed=9.7), "experiment config seed: expected an integer", id="config_float_seed"),
+        pytest.param(experiment(min_node_size=True), "experiment config min_node_size: expected an integer", id="config_true_min_node_size"),
+        pytest.param(experiment(mc_size=1e400), "experiment config mc_size: expected an integer, got inf", id="config_overflowing_mc_size"),
+        pytest.param(experiment(depth_range=[0, 2.5]), "experiment config depth_range: expected an integer", id="config_float_depth"),
+        pytest.param(experiment(noise_std="0"), "experiment config noise_std: expected a finite number", id="config_string_noise"),
+        pytest.param(experiment(domain_box=[[0, "1"], [0, 1]]), "experiment config domain_box: expected a finite number", id="config_string_side"),
+        pytest.param(experiment(model=dict(MODEL_SPEC, intercept=True)), "ridge model intercept: expected a finite number, got True", id="config_true_intercept"),
+        pytest.param(experiment(model=with_slope("1.0")), "linear parameters slope: expected a finite number", id="config_string_slope"),
+        pytest.param(generate(dict(MODEL_SPEC, intercept=True)), "ridge model intercept", id="generate_true_intercept"),
+        pytest.param(generate(with_slope(1e400)), "linear parameters slope", id="generate_infinite_slope"),
+        pytest.param(generate(MODEL_SPEC, box='[[0, "1"], [0, 1]]'), "domain_box: expected a finite number", id="generate_string_side"),
     ],
 )
-def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command):
+def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command, message):
     assert main(command(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def _fields(document, path=()):
+    """(path, key) of every key of every JSON object in a document."""
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield path, key
+            yield from _fields(value, path + (key,))
+    elif isinstance(document, list):
+        for index, value in enumerate(document):
+            yield from _fields(value, path + (index,))
+
+
+def _defaulted(path, key) -> bool:
+    """Whether a default fills in this key when it is left out."""
+    return (
+        (path[-1:] == ("strategy",) and key != "kind")
+        or key in ("mc_size", "intercept", "parameters")
+        or path[-1:] == ("parameters",)
+    )
+
+
+def _object_at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A directory holding D2_CSV and a tree grown on it, with that
+    tree's JSON and a valid experiment config."""
+    tmp = tmp_path_factory.mktemp("valid_inputs")
+    (tmp / "d2.csv").write_text(D2_CSV)
+    out = tmp / "tree.json"
+    assert main(["train", str(tmp / "d2.csv"), "--depth", "2", "--out", str(out)]) == 0
+    return tmp, {"tree": json.loads(out.read_text()), "config": experiment_config()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_bad_field_exits_with_one_line(valid_inputs, data):
+    # One change to a valid tree or experiment config: a field replaced
+    # by a value of the wrong kind, a float in an integer field, a
+    # required key removed or an unknown key added.
+    tmp, documents = valid_inputs
+    name = data.draw(st.sampled_from(sorted(documents)))
+    document = json.loads(json.dumps(documents[name]))
+    fields = list(_fields(document))
+    change = data.draw(st.sampled_from(["replace", "float", "remove", "add"]))
+    if change == "add":
+        objects = [()] + [path + (key,) for path, key in fields if isinstance(_object_at(document, path)[key], dict)]
+        _object_at(document, data.draw(st.sampled_from(objects)))["bogus"] = 1
+    else:
+        if change == "float":
+            fields = [(path, key) for path, key in fields if type(_object_at(document, path)[key]) is int]
+        elif change == "remove":
+            fields = [(path, key) for path, key in fields if not _defaulted(path, key)]
+        path, key = data.draw(st.sampled_from(fields))
+        record = _object_at(document, path)
+        if change == "remove":
+            del record[key]
+        elif change == "float":
+            record[key] = float(record[key])
+        else:
+            old = record[key]
+            new = data.draw(st.sampled_from(["2", True, False, None, [], {}, 1e400, float("nan")]))
+            # A leaf's null split or child, and an empty parameter set,
+            # are valid.
+            if old is None and new is None or key == "parameters" and new == {}:
+                return
+            record[key] = new
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(document))
+    if name == "tree":
+        argv = ["prune", str(bad), str(tmp / "d2.csv"), "--lambda", "0.1"]
+    else:
+        argv = ["experiment", str(bad), "--kind", "rate"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 1
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["train", "d.csv"], ["subopt", "d.csv", "--kappa", "0.5"]])
+def test_strategy_flags_default_to_the_strategy_defaults(command):
+    # Only SearchStrategy writes the defaults; the flags read them.
+    args = build_parser().parse_args(command)
+    assert _strategy_from_args(args) == SearchStrategy(kind=args.strategy)
 
 
 def test_fast_rate_rejects_a_depth_range_without_a_depth_of_one(tmp_path, capsys):

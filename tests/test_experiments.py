@@ -275,6 +275,19 @@ def test_impurity_bound_random_nodes():
         assert row["margin"] >= -1e-9
 
 
+@pytest.mark.parametrize(
+    "node", [[-1], [7, 7], [25], [3, 1], []], ids=["negative", "repeated", "past_n", "unsorted", "empty"]
+)
+def test_impurity_bound_rejects_a_bad_node_before_reading_it(node):
+    # Each node is validated before its responses are read: [-1] and
+    # [7, 7] used to come back as skipped rows, and [25] to raise an
+    # IndexError, on this 20-row sample.
+    model = RidgeModel((RidgeComponent("linear", e(1, 0), {"slope": 1.0}),))
+    data = generate_dataset(model, 20, 0.0, [(0, 1)], seed=3)
+    with pytest.raises(ValueError):
+        verify_impurity_bound(data, model, [np.arange(20), node])
+
+
 def test_estimate_imse_hand_cases():
     model = RidgeModel((RidgeComponent("linear", e(1, 0), {"slope": 1.0}),))
     data = generate_dataset(model, 200, 0.0, [(0, 1)], seed=15)
