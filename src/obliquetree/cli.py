@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import dataset as ds
-from . import experiments, pruning, splitting, stumps, tree
+from . import experiments, pruning, ridge, splitting, stumps, tree
 
 
 # Each strategy flag's argparse dest, and the SearchStrategy field it
@@ -151,11 +151,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .ridge import RidgeModel, generate_dataset
-
-    model = RidgeModel.from_dict(_read_json(args.model))
+    model = ridge.RidgeModel.from_dict(_read_json(args.model))
     box = json.loads(args.box)
-    data = generate_dataset(model, args.n, args.noise, box, args.seed)
+    data = ridge.generate_dataset(model, args.n, args.noise, box, args.seed)
     ds.save_csv(data, args.out)
     return 0
 

@@ -1,5 +1,5 @@
 """Observation storage, CSV ingestion, JSON reading and writing, index
-sets, and projections.
+sets, evaluation points, and projections.
 
 A Dataset is an immutable row-major (n, p) matrix of n observations in
 p dimensions plus a response vector.  Split search and node statistics
@@ -130,6 +130,22 @@ def _list(reader, size=None):
 
 
 _reals = _list(_real)
+
+
+def _points(X, p: int, one: bool = False) -> np.ndarray:
+    """The one check of the points a tree, stump expansion or ridge model
+    is evaluated at: X as a float64 (m, p) matrix, or with `one`, a 1-D
+    length-p vector as a (1, p) matrix.  A wrong number of dimensions, a
+    wrong width and a non-finite coordinate each raise one ValueError."""
+    X = np.asarray(X, dtype=np.float64)
+    dims = 1 if one else 2
+    if X.ndim != dims:
+        raise ValueError(f"points must be a {dims}-D array, got {X.ndim}-D")
+    if X.shape[-1] != p:
+        raise ValueError(f"points must have {p} coordinates, got {X.shape[-1]}")
+    if not np.isfinite(X).all():
+        raise ValueError("points must have finite coordinates")
+    return X[None, :] if one else X
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataset import Dataset, _json_text, subset
 from .splitting import SearchStrategy
-from .tree import Tree, collapse, grow, route
+from .tree import Tree, collapse, grow, route, training_error
 
 _OBJECTIVE_TOL = 1e-12
 
@@ -62,8 +62,6 @@ class PenalizedObjective:
 
 
 def penalized_objective(tree: Tree, dataset: Dataset, lam: float) -> PenalizedObjective:
-    from .tree import training_error
-
     return PenalizedObjective(lam=lam, value=training_error(tree, dataset) + lam * tree.leaf_count())
 
 
@@ -257,6 +255,8 @@ def _holdout_fit(
         _check_lambda(lam)
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must lie in (0, 1)")
+    if dataset.n < 2:
+        raise ValueError(f"holdout needs at least 2 rows, got {dataset.n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
     n_hold = int(round(holdout_fraction * dataset.n))

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
-    _NO_FIELDS, Dataset, Direction, _as_is, _json_text, _list, _named, _real, _reals, _record,
-    projections, validate_index_set,
+    _NO_FIELDS, Dataset, Direction, _as_is, _json_text, _list, _named, _points, _real, _reals,
+    _record, projections, validate_index_set,
 )
 from .tree import node_rows
 
@@ -176,17 +176,12 @@ class TVReport:
 
 def eval_ridge(model: RidgeModel, x) -> float:
     """Model value at a single point: eval_ridge_batch of one row."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != model.p:
-        raise ValueError(f"expected a length-{model.p} vector")
-    return float(eval_ridge_batch(model, vec[None, :])[0])
+    return float(eval_ridge_batch(model, _points(x, model.p, one=True))[0])
 
 
 def eval_ridge_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
     """Model values at the rows of X: one projections call, then each profile."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.p:
-        raise ValueError(f"expected an (m, {model.p}) matrix")
+    X = _points(X, model.p)
     out = np.full(X.shape[0], model.intercept)
     for comp, z in zip(model.components, projections(X, _directions(model))):
         out += comp.profile(z)

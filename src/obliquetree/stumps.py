@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .tree import Tree, node_rows, predict_batch, route, training_error
+from .dataset import Dataset, _points
+from .tree import Tree, grow, node_rows, predict_batch, prune_to_depth, route, training_error
 
 # Owner id of the constant feature (the conventional "empty node").
 EMPTY_NODE_ID = -1
@@ -112,16 +112,9 @@ def feature_column(feature: StumpFeature, n: int) -> np.ndarray:
 
 
 def feature_at(tree: Tree, feature: StumpFeature, x) -> float:
-    """Evaluate a stump at an arbitrary point by routing through the tree."""
-    if feature.is_constant:
-        return 1.0
-    reached = route(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    owner = tree.nodes[feature.owner_node_id]
-    if owner.left_child in reached:
-        return feature.left_value
-    if owner.right_child in reached:
-        return feature.right_value
-    return 0.0
+    """A stump's value at an arbitrary point: reconstruct_at of the one-stump
+    expansion, 0.0 + 1.0 * v, which is v since a stump value is never -0.0."""
+    return reconstruct_at(tree, Expansion((feature,), (1.0,)), x)
 
 
 def build_expansion(tree: Tree, dataset: Dataset) -> Expansion:
@@ -179,23 +172,18 @@ def verify_impurity_identity(tree: Tree, dataset: Dataset) -> tuple[float, int |
 
 def reconstruct_at(tree: Tree, expansion: Expansion, x) -> float:
     """Evaluate the orthogonal expansion at an arbitrary point."""
-    return float(reconstruct_batch(tree, expansion, np.reshape(x, (1, -1)))[0])
+    return float(reconstruct_batch(tree, expansion, _points(x, tree.p, one=True))[0])
 
 
 def reconstruct_batch(tree: Tree, expansion: Expansion, X: np.ndarray) -> np.ndarray:
     """Vectorized expansion evaluation: one routing pass, then every
     stump's contribution is added to its children's rows, parents first."""
-    X = np.asarray(X, dtype=np.float64)
-    by_owner = {
-        f.owner_node_id: (f, c)
-        for f, c in zip(expansion.features, expansion.coefficients)
-        if not f.is_constant
-    }
-    constant = sum(
-        c for f, c in zip(expansion.features, expansion.coefficients) if f.is_constant
-    )
-    out = np.full(X.shape[0], constant)
+    terms = list(zip(expansion.features, expansion.coefficients))
+    by_owner = {f.owner_node_id: (f, c) for f, c in terms if not f.is_constant}
+    constant = sum(c for f, c in terms if f.is_constant)
     reached = route(tree, X)
+    # sum() over no constant feature is the int 0: out must still be float.
+    out = np.full(reached[tree.root_id].size, constant, dtype=np.float64)
     for nid in reached:
         if nid not in by_owner:
             continue
@@ -215,7 +203,7 @@ def verify_expansion_reconstruction(
     expansion = build_expansion(tree, dataset)
     points = [dataset.features]
     if fresh_points is not None:
-        points.append(np.asarray(fresh_points, dtype=np.float64))
+        points.append(fresh_points)
     return max(
         float(np.max(np.abs(reconstruct_batch(tree, expansion, X) - predict_batch(tree, X))))
         for X in points
@@ -232,8 +220,6 @@ def verify_training_recursion(
     stumps created at level K.  Requires a deterministic strategy (or a
     fixed seed) so depth prefixes are nested.
     """
-    from .tree import grow, prune_to_depth
-
     if grow_fn is None:
         grow_fn = grow
     full = grow_fn(dataset, strategy, max_depth)

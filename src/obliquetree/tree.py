@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import (
-    Dataset, _integer, _json_text, _list, _real, _record, canonical_rows, projections,
+    Dataset, _integer, _json_text, _list, _points, _real, _record, canonical_rows, projections,
     root_index_set,
 )
 
@@ -168,11 +168,12 @@ def _partition(X: np.ndarray, rows: np.ndarray, split: Split):
 
 
 def route(tree: Tree, X: np.ndarray) -> dict[int, np.ndarray]:
-    """Rows of X reaching each node, parents before children.
-
-    A node that no row reaches is absent, and routing does not descend
-    below it, so one point visits only the nodes on its path.
+    """Rows of X (read by dataset._points) reaching each node, parents
+    first.  The root is always present; any other node that no row
+    reaches is absent, and routing does not descend below it, so one
+    point visits only the nodes on its path.
     """
+    X = _points(X, tree.p)
     reached = [(tree.root_id, np.arange(X.shape[0]))]
     for nid, rows in reached:
         node = tree.nodes[nid]
@@ -188,23 +189,14 @@ def route(tree: Tree, X: np.ndarray) -> dict[int, np.ndarray]:
 
 def predict(tree: Tree, x) -> float:
     """Route a single point to its terminal node and return that mean."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != tree.p:
-        raise ValueError(f"expected a length-{tree.p} vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("point has non-finite coordinates")
-    return float(predict_batch(tree, vec[None, :])[0])
+    return float(predict_batch(tree, _points(x, tree.p, one=True))[0])
 
 
 def predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Vectorized prediction for a matrix of row points."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.p:
-        raise ValueError(f"expected an (m, {tree.p}) matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("matrix has non-finite coordinates")
-    out = np.empty(X.shape[0])
-    for nid, rows in route(tree, X).items():
+    reached = route(tree, X)
+    out = np.empty(reached[tree.root_id].size)
+    for nid, rows in reached.items():
         node = tree.nodes[nid]
         if node.is_leaf:
             out[rows] = node.mean
@@ -282,11 +274,16 @@ _TREE_FIELDS = dict(
 
 def from_dict(data: dict) -> Tree:
     """The tree that to_dict wrote.  Its records are read by
-    dataset._record; then every direction must be canonical in R^p and
-    every node reached once from the root, with consistent depths and
-    counts, so prune and stumps never meet a node they cannot reach."""
+    dataset._record; then every direction must be canonical in R^p, no
+    leaf may name a child, and every node must be listed once and
+    reached once from the root, with consistent depths and counts, so
+    prune and stumps never meet a node they cannot reach."""
     record = _record("tree", data, _TREE_FIELDS)
     nodes = {node.node_id: node for node in record["nodes"]}
+    if len(nodes) != len(record["nodes"]):
+        ids = sorted(node.node_id for node in record["nodes"])
+        twice = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"node {twice} is listed twice")
     p, root_id, n = record["p"], record["root_id"], record["n"]
     split = [node for node in nodes.values() if node.split]
     rows = [node.split.direction.coefficients for node in split]
@@ -308,6 +305,8 @@ def from_dict(data: dict) -> Tree:
     for nid in reached:
         node = nodes[nid]
         children = () if node.is_leaf else (node.left_child, node.right_child)
+        if node.is_leaf and (node.left_child, node.right_child) != (None, None):
+            raise ValueError(f"node {nid} is a leaf with a child id")
         if not all(c in nodes for c in children):
             raise ValueError(f"node {nid} has a child id missing from the tree")
         for child in children:

@@ -239,6 +239,10 @@ def set_root(key, **fields):
         pytest.param(set_root(None, index_set=[0, 1, 2, 3]), "tree node 0 has unknown key 'index_set'", id="stored_index_set"),
         pytest.param(set_root("split", bogus=1), "tree node 0 split has unknown key 'bogus'", id="unknown_split_key"),
         pytest.param(lambda tree: tree["nodes"][1].pop("mean"), "tree node 1 has no 'mean'", id="missing_mean"),
+        # Both used to load: the dict kept the last entry of node 1, and
+        # to_dict wrote the leaf's stray child id back.
+        pytest.param(lambda tree: tree["nodes"].append(dict(tree["nodes"][1])), "node 1 is listed twice", id="listed_twice"),
+        pytest.param(lambda tree: tree["nodes"][1].update(left_child=2), "node 1 is a leaf with a child id", id="leaf_child"),
     ],
 )
 def test_prune_rejects_bad_tree_json(tmp_path, capsys, corrupt, message):
@@ -273,6 +277,21 @@ def test_prune_rejects_non_finite_lambda(tmp_path, capsys, flags):
     assert main(["prune", str(tree_path), csv, *flags, "--holdout", "0.5", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_prune_rejects_a_one_row_csv(tmp_path, capsys):
+    # Its holdout used to be empty: every holdout error was NaN, numpy
+    # warned twice, and the output held bare NaN tokens, which are not JSON.
+    csv = tmp_path / "one.csv"
+    csv.write_text("x1,y\n1,2\n")
+    tree_path = tmp_path / "tree.json"
+    assert main(["train", str(csv), "--out", str(tree_path)]) == 0
+    out = tmp_path / "pruned.json"
+    capsys.readouterr()
+    assert main(["prune", str(tree_path), str(csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: holdout needs at least 2 rows, got 1\n"
     assert not out.exists()
 
 

@@ -5,19 +5,26 @@ The references below are the per-function tree walks that `tree.route`,
 computed as a per-point Python sum over the direction's support in
 ascending order (conftest.point_projection).  Each property checks that
 the shared kernel gives the same bytes as the walk it replaced, on grown
-trees and on trees reloaded from JSON.
+trees and on trees reloaded from JSON.  The last property checks that
+every evaluator of a tree, a stump expansion or a ridge model meets its
+points with the same check.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
+    Expansion,
+    RidgeComponent,
+    RidgeModel,
     SearchStrategy,
     build_expansion,
+    eval_ridge,
     grow,
     node_rows,
     predict,
@@ -25,6 +32,7 @@ from obliquetree import (
     prune_to_depth,
 )
 from obliquetree.dataset import Direction, _moments, root_index_set
+from obliquetree.ridge import COMPONENT_KINDS, eval_ridge_batch
 from obliquetree.splitting import Split
 from obliquetree.stumps import feature_at, reconstruct_at, reconstruct_batch
 from obliquetree.tree import Tree, TreeNode, from_json, to_json
@@ -259,3 +267,72 @@ def test_prune_to_depth_matches_reference(case):
     for t in (tree, _reloaded(tree)):
         for depth in range(t.max_depth_reached + 2):
             assert to_json(prune_to_depth(t, depth)) == to_json(reference_prune_to_depth(t, depth))
+
+
+@st.composite
+def evaluators(draw):
+    """(p, pairs): each pair is a one-point evaluator and its batch form,
+    for a small tree in R^p, its stump expansion, one of its stumps and
+    a ridge model: every function that evaluates one at new points."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(n, p)), rng.standard_normal(n))
+    strategy = SearchStrategy(
+        kind="random_projection", sparsity_d=p, num_candidates=8, seed=draw(st.integers(0, 1000))
+    )
+    tree = grow(data, strategy, draw(st.integers(0, 3)))
+    expansion = build_expansion(tree, data)
+    feature = draw(st.sampled_from(expansion.features))
+    one_stump = Expansion((feature,), (1.0,))
+    kind = draw(st.sampled_from(COMPONENT_KINDS))
+    model = RidgeModel((RidgeComponent(kind, Direction.canonical(rng.uniform(0.1, 1.0, p))),))
+    return p, [
+        (lambda x: predict(tree, x), lambda X: predict_batch(tree, X)),
+        (lambda x: reconstruct_at(tree, expansion, x), lambda X: reconstruct_batch(tree, expansion, X)),
+        (lambda x: feature_at(tree, feature, x), lambda X: reconstruct_batch(tree, one_stump, X)),
+        (lambda x: eval_ridge(model, x), lambda X: eval_ridge_batch(model, X)),
+    ]
+
+
+def _bad_points(x, fault, at):
+    """(one point, its message, a batch, its message) for a fault."""
+    p = x.size
+    if fault in ("nan", "inf", "-inf"):
+        bad = x.copy()
+        bad[at % p] = float(fault)
+        message = "points must have finite coordinates"
+        return bad, message, np.stack([x, bad]), message
+    if fault in ("wide", "narrow"):
+        bad = np.append(x, 0.0) if fault == "wide" else x[:-1]
+        message = f"points must have {p} coordinates, got {bad.size}"
+        return bad, message, bad[None, :], message
+    if fault == "row":  # a (1, p) matrix passed as one point
+        return (
+            x[None, :], "points must be a 1-D array, got 2-D",
+            x[None, None, :], "points must be a 2-D array, got 3-D",
+        )
+    return x[0], "points must be a 1-D array, got 0-D", x, "points must be a 2-D array, got 1-D"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=evaluators(),
+    coords=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    fault=st.sampled_from(["nan", "inf", "-inf", "wide", "narrow", "row", "scalar"]),
+    at=st.integers(0, 2),
+)
+def test_every_evaluator_checks_points_alike(case, coords, fault, at):
+    """Each evaluator rejects the same bad points with the same one-line
+    message, and on a good point gives the bits of its batch of one."""
+    p, pairs = case
+    x = np.array(coords[:p])
+    bad_point, point_message, bad_batch, batch_message = _bad_points(x, fault, at)
+    for single, batch in pairs:
+        assert single(list(x)).hex() == float(batch(x[None, :])[0]).hex()
+        with pytest.raises(ValueError) as point_error:
+            single(bad_point)
+        assert str(point_error.value) == point_message
+        with pytest.raises(ValueError) as batch_error:
+            batch(bad_batch)
+        assert str(batch_error.value) == batch_message

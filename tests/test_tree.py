@@ -186,6 +186,31 @@ def test_from_json_rejects_counts_and_depths_that_disagree(corrupt, message):
         from_json(json.dumps(payload))
 
 
+def _first_leaf(payload):
+    return next(node for node in payload["nodes"] if node["split"] is None)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(lambda t: t["nodes"].append(dict(_first_leaf(t))), "is listed twice", id="same_twice"),
+        pytest.param(
+            lambda t: t["nodes"].append(dict(_first_leaf(t), mean=9.0)), "is listed twice", id="other_twice"
+        ),
+        pytest.param(lambda t: _first_leaf(t).update(left_child=0), "is a leaf with a child id", id="left"),
+        pytest.param(lambda t: _first_leaf(t).update(right_child=99), "is a leaf with a child id", id="right"),
+    ],
+)
+def test_from_json_rejects_a_node_listed_twice_or_a_leaf_with_a_child(corrupt, message):
+    # The node dict used to keep the last of two entries with one id, and
+    # a leaf's child ids were never read, so to_dict wrote them back.
+    payload = json.loads(to_json(grow(random_dataset(43, 200, 2), AXIS, max_depth=3)))
+    leaf_id = _first_leaf(payload)["node_id"]
+    corrupt(payload)
+    with pytest.raises(ValueError, match=f"^node {leaf_id} {message}$"):
+        from_json(json.dumps(payload))
+
+
 def test_from_json_root_only_tree_has_max_depth_zero(d1):
     payload = json.loads(to_json(grow(d1, AXIS, max_depth=0)))
     assert from_json(json.dumps(payload)).max_depth_reached == 0
