@@ -103,8 +103,8 @@ def _cmd_stumps(args) -> int:
     grown = tree.from_dict(_read_json(args.tree))
     expansion = stumps.build_expansion(grown, data)
     gram_dev = stumps.verify_orthonormality(expansion, data)
-    impurity_dev, worst = stumps.verify_impurity_identity(grown, data)
-    recon_dev = stumps.verify_expansion_reconstruction(grown, data)
+    impurity_dev, worst = stumps._impurity_gap(grown, expansion)
+    recon_dev = stumps._reconstruction_gap(grown, expansion, data.features)
     payload = {
         "expansion": expansion.to_dict(),
         "gram_deviation": gram_dev,

@@ -1,5 +1,5 @@
 """Observation storage, CSV ingestion, JSON reading and writing, index
-sets, evaluation points, and projections.
+sets, evaluation points, seeded draws, and projections.
 
 A Dataset is an immutable row-major (n, p) matrix of n observations in
 p dimensions plus a response vector.  Split search and node statistics
@@ -146,6 +146,19 @@ def _points(X, p: int, one: bool = False) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("points must have finite coordinates")
     return X[None, :] if one else X
+
+
+def _seeded_words(seed: int, shape):
+    """The library's one source of randomness: the first words of
+    PCG64(seed)'s raw stream, a uint64 array of the given shape, and the
+    bit generator past them.  numpy promises that a fixed seed always
+    gives PCG64 the same raw stream; it makes no such promise for the
+    methods of Generator.  A negative seed raises one ValueError that
+    names it."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    bits = np.random.PCG64(seed)
+    return bits.random_raw(shape), bits
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _json_text, subset
+from .dataset import Dataset, _json_text, _seeded_words, subset
 from .splitting import SearchStrategy
 from .tree import Tree, collapse, grow, route, training_error
 
@@ -257,8 +257,7 @@ def _holdout_fit(
         raise ValueError("holdout_fraction must lie in (0, 1)")
     if dataset.n < 2:
         raise ValueError(f"holdout needs at least 2 rows, got {dataset.n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
+    perm = np.argsort(_seeded_words(seed, dataset.n)[0], kind="stable")
     n_hold = int(round(holdout_fraction * dataset.n))
     n_hold = min(max(n_hold, 1), dataset.n - 1)
     hold_rows = np.sort(perm[:n_hold])
@@ -269,12 +268,8 @@ def _holdout_fit(
     errors = _holdout_errors(
         full, sequence, grid, dataset.features[hold_rows], dataset.response[hold_rows]
     )
-    best_lam = None
-    best_err = None
-    for lam, err in zip(grid, errors):
-        if best_err is None:
-            best_lam, best_err = lam, err
-            continue
+    best_lam, best_err = grid[0], errors[0]
+    for lam, err in zip(grid[1:], errors[1:]):
         tol = _OBJECTIVE_TOL * max(1.0, abs(best_err))
         if err < best_err - tol or (abs(err - best_err) <= tol and lam > best_lam):
             best_lam = lam
@@ -299,6 +294,10 @@ def holdout_lambda(
     subtree is built).  Returns the lambda with the lowest holdout MSE
     (ties resolved toward the larger lambda) together with the
     per-lambda errors.
+
+    The held-out rows are the round(holdout_fraction * n) rows (at least
+    1, at most n - 1) whose words of the seed's raw stream
+    (dataset._seeded_words) come first in a stable sort.
     """
     lam, errors, _, _ = _holdout_fit(
         dataset, strategy, max_depth, lambda_grid, holdout_fraction, seed, min_node_size

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import (
     _NO_FIELDS, Dataset, Direction, _as_is, _json_text, _list, _named, _points, _real, _reals,
-    _record, projections, validate_index_set,
+    _record, _seeded_words, projections, validate_index_set,
 )
 from .tree import node_rows
 
@@ -243,15 +243,22 @@ def generate_dataset(
     box = _named("domain_box", parse_domain_box, domain_box)
     if len(box) != model.p:
         raise ValueError(f"domain box must have {model.p} sides")
-    if any(lo > hi for lo, hi in box):
-        raise ValueError("invalid domain box")
-    rng = np.random.default_rng(seed)
-    lows = np.asarray([b[0] for b in box])
-    highs = np.asarray([b[1] for b in box])
-    X = rng.uniform(lows, highs, size=(n, model.p))
+    lows, highs = np.array(box).T
+    with np.errstate(over="ignore"):
+        widths = highs - lows
+    if not (np.isfinite(widths) & (widths >= 0)).all():
+        raise ValueError("invalid domain box: each side needs lo <= hi and a finite hi - lo")
+    words, bits = _seeded_words(seed, (n, model.p))
+    # Generator.uniform's formula (samples keep their bits), block by block in
+    # the words' memory: a whole-sample temporary would double peak memory.
+    X = words.view(np.float64)
+    for s in range(0, n, 4096):
+        X[s : s + 4096] = lows + widths * ((words[s : s + 4096] >> np.uint64(11)) * 2.0**-53)
     y = eval_ridge_batch(model, X)
     if noise_std > 0:
-        y = y + rng.normal(0.0, noise_std, size=n)
+        # The one draw not from the raw stream: a normal needs exp and log,
+        # and the library has no kernels for them with fixed bits on every CPU.
+        y = y + np.random.Generator(bits).normal(0.0, noise_std, size=n)
     return Dataset(X, y)
 
 

@@ -117,6 +117,7 @@ from .dataset import (
     _real,
     _reals,
     _record,
+    _seeded_words,
     canonical_rows,
     project,
     projections,
@@ -156,9 +157,6 @@ _PACK_FILL = 0.5
 # when the binary exponent of their peak magnitude lies outside
 # [-_EXPONENT_BAND, _EXPONENT_BAND] (_rescaled).
 _EXPONENT_BAND = 200
-
-_SIGNS = np.array([-1.0, 1.0])
-
 
 class NoValidSplitError(ValueError):
     """No threshold separates the node into two non-empty children."""
@@ -204,9 +202,11 @@ class SearchStrategy:
     random_projection searches the axes plus num_candidates sparse
     random directions.  Each candidate has a uniformly chosen support of
     size min(sparsity_d, p) and coefficients drawn i.i.d. from {-1, +1},
-    scaled to unit norm (_random_sparse_directions from the seed).  The
-    winner rule picks between the axis split and the best candidate;
-    with zero candidates this reduces to the axis-aligned search.
+    scaled to unit norm: _random_sparse_directions reads them from the
+    raw stream of PCG64 at the node's seed (grow's node id plus seed),
+    which numpy keeps fixed across versions.  The winner rule picks
+    between the axis split and the best candidate; with zero candidates
+    this reduces to the axis-aligned search.
     """
 
     kind: str
@@ -673,56 +673,23 @@ def _oblique_candidates(points: np.ndarray, d: int) -> np.ndarray:
 
 
 def _random_sparse_directions(seed: int, p: int, sparsity_d: int, count: int) -> np.ndarray:
-    """count random sparse unit directions from np.random.default_rng(seed).
+    """count random sparse unit directions from the seed's raw stream.
 
-    Candidate by candidate, they are the directions of this loop, bit for
-    bit:
-
-        support = rng.choice(p, size=sparsity_d, replace=False)
-        out[i, support] = (-1.0, 1.0)[rng.integers(0, 2, size=sparsity_d)]
-
-    scaled by 1 / sqrt(sparsity_d).  The draws are made in bulk.  numpy's
-    choice without replacement runs Floyd's algorithm (for j = p - d, ...,
-    p - 1, a draw from [0, j], or j itself when the draw repeats an
-    earlier pick), then shuffles the d picks (for i = d - 1, ..., 1, a
-    draw from [0, i] is swapped with i); integers(0, 2) is a draw from
-    [0, 1].  A draw from [0, r] is Lemire's: the high 32 bits of u (r + 1)
-    for the generator's next 32-bit output u, the low then the high half
-    of a 64-bit output; it is redrawn while the low 32 bits fall below
-    (2^32 - 1 - r) mod (r + 1), and skipped when r = 0.  Without a redraw,
-    every candidate takes the same number of outputs.  A redraw has a
-    chance below 2^-28 per draw; if one occurs, the loop above runs
-    instead.  numpy does not promise this stream across versions, and a
-    test pins the bulk draw to the loop.
+    Candidate i reads words i p, ..., i p + p - 1 of
+    dataset._seeded_words(seed), one per coordinate.  Its support is the
+    d = min(sparsity_d, p) coordinates whose keys, the words' top 63
+    bits, come first in _stable_order; a coordinate's sign is its word's
+    low bit (1 for +), which the keys do not hold.  Each coefficient is
+    then +-1 / sqrt(d).  With count = 0 the seed is not read.
     """
-    d = sparsity_d
+    d = min(sparsity_d, p)
     out = np.zeros((count, p))
     if count == 0:
         return out
-    rng = np.random.default_rng(seed)
-    floyd = [j for j in range(p - d, p) if j > 0]
-    r = np.array(floyd + list(range(d - 1, 0, -1)) + [1] * d, dtype=np.uint64)
-    words = rng.bit_generator.random_raw((count * r.size + 1) // 2)
-    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1)
-    scaled = halves.reshape(-1)[: count * r.size].reshape(count, r.size) * (r + np.uint64(1))
-    redrawn = (scaled & np.uint64(0xFFFFFFFF)) < (np.uint64(0xFFFFFFFF) - r) % (r + np.uint64(1))
-    if redrawn.any():
-        rng = np.random.default_rng(seed)
-        for i in range(count):
-            support = rng.choice(p, size=d, replace=False)
-            out[i, support] = _SIGNS[rng.integers(0, 2, size=d)]
-        return out / np.sqrt(d)
-    draws = (scaled >> np.uint64(32)).astype(np.intp)
-    picks = np.zeros((count, d), dtype=np.intp)  # j = 0 takes 0 without a draw
-    for t, column in zip(range(d - len(floyd), d), draws.T):
-        j = p - d + t
-        picks[:, t] = np.where((picks[:, :t] == column[:, None]).any(axis=1), j, column)
-    rows = np.arange(count)
-    for i, column in zip(range(d - 1, 0, -1), draws[:, len(floyd) :].T):
-        held = picks[rows, column]
-        picks[rows, column] = picks[:, i]
-        picks[:, i] = held
-    out[rows[:, None], picks] = _SIGNS[draws[:, -d:]]
+    words, _ = _seeded_words(seed, (count, p))
+    order, _ = _stable_order(words >> np.uint64(1))
+    rows, support = np.arange(count)[:, None], order[:, :d]
+    out[rows, support] = np.where(words[rows, support] & np.uint64(1), 1.0, -1.0)
     return out / np.sqrt(d)
 
 
@@ -782,7 +749,7 @@ def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
     p = X.shape[1]
     d = min(strategy.sparsity_d, p)
     rows = _random_sparse_directions(seed, p, d, strategy.restarts - 1)
-    starts = [(node, row[None]) for row in canonical_rows(rows)] if len(rows) else []
+    starts = [(node, row[None]) for row in canonical_rows(rows)]
     local = node.features(X)
     ends = []  # each move gains over DECREASE_TOL: base is near-best only as its climb's end
     for near in [[base]] + _best_thresholds(X, starts, n_full):
@@ -893,15 +860,16 @@ def search_exhaustive_oblique(
 def search_hill_climb(dataset: Dataset, node, strategy: SearchStrategy) -> Split:
     """OC1 coordinate climb from the axis-aligned optimum.
 
-    Climbs from the best axis split and from restarts - 1 draws of
-    _random_sparse_directions.  A pass moves each coefficient in turn
-    (_coefficient_move), re-solves the threshold with _best_thresholds
-    and keeps a move that raises the decrease by more than DECREASE_TOL.
-    Once the support holds min(sparsity_d, p) coordinates, an outside
-    one enters only in place of the inside one of smallest magnitude.  A
-    climb stops after a pass without a move or max_iterations passes.
-    Returns the _winner of the axis split and every climb's end; with no
-    iteration budget, the axis split.
+    Climbs from the best axis split and from restarts - 1 directions of
+    _random_sparse_directions, drawn from the seed's raw stream as
+    random_projection's candidates are.  A pass moves each coefficient
+    in turn (_coefficient_move), re-solves the threshold with
+    _best_thresholds and keeps a move that raises the decrease by more
+    than DECREASE_TOL.  Once the support holds min(sparsity_d, p)
+    coordinates, an outside one enters only in place of the inside one
+    of smallest magnitude.  A climb stops after a pass without a move or
+    max_iterations passes.  Returns the _winner of the axis split and
+    every climb's end; with no iteration budget, the axis split.
     """
     return run_search(dataset, node, replace(strategy, kind="hill_climb"))
 

@@ -156,7 +156,11 @@ def verify_impurity_identity(tree: Tree, dataset: Dataset) -> tuple[float, int |
     relative deviation and the offending node id (None for a root-only
     tree, whose deviation is vacuously zero).
     """
-    expansion = build_expansion(tree, dataset)
+    return _impurity_gap(tree, build_expansion(tree, dataset))
+
+
+def _impurity_gap(tree: Tree, expansion: Expansion) -> tuple[float, int | None]:
+    """verify_impurity_identity on the tree's expansion."""
     worst = 0.0
     worst_node = None
     for feat, coef in zip(expansion.features, expansion.coefficients):
@@ -200,10 +204,12 @@ def verify_expansion_reconstruction(
     tree: Tree, dataset: Dataset, fresh_points: np.ndarray | None = None
 ) -> float:
     """Max |expansion - tree prediction| over training and fresh points."""
-    expansion = build_expansion(tree, dataset)
-    points = [dataset.features]
-    if fresh_points is not None:
-        points.append(fresh_points)
+    points = [dataset.features] if fresh_points is None else [dataset.features, fresh_points]
+    return _reconstruction_gap(tree, build_expansion(tree, dataset), *points)
+
+
+def _reconstruction_gap(tree: Tree, expansion: Expansion, *points: np.ndarray) -> float:
+    """Max |expansion - tree prediction| over the rows of every point matrix."""
     return max(
         float(np.max(np.abs(reconstruct_batch(tree, expansion, X) - predict_batch(tree, X))))
         for X in points

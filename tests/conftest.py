@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -29,6 +31,33 @@ def random_dataset(seed, n, p, y_scale=1.0):
     X = rng.uniform(-1.0, 1.0, size=(n, p))
     y = y_scale * rng.standard_normal(n)
     return Dataset(X, y)
+
+
+def raw_words(seed, count):
+    """The first count words of PCG64(seed)'s raw stream, as Python ints."""
+    return [int(word) for word in np.random.PCG64(seed).random_raw(count)]
+
+
+def reference_random_sparse_directions(seed, p, sparsity_d, count):
+    """The candidate draw as a loop over the raw words: candidate i reads
+    p words, takes the d = min(sparsity_d, p) coordinates whose keys
+    (word >> 1, ties to the lower index) are smallest, and gives each one
+    the sign of its word's low bit, scaled to +-1 / sqrt(d)."""
+    d = min(sparsity_d, p)
+    words = raw_words(seed, count * p)
+    out = np.zeros((count, p))
+    for i in range(count):
+        row = words[i * p : (i + 1) * p]
+        for j in sorted(range(p), key=lambda j: (row[j] >> 1, j))[:d]:
+            out[i, j] = (1.0 if row[j] & 1 else -1.0) / math.sqrt(d)
+    return out
+
+
+def reference_permutation(seed, n):
+    """The holdout order as a loop: the indices 0..n-1 sorted by the
+    seed's raw words, ties to the lower index."""
+    words = raw_words(seed, n)
+    return np.array(sorted(range(n), key=lambda i: (words[i], i)), dtype=np.intp)
 
 
 def point_projection(x, w):

@@ -122,6 +122,19 @@ def test_stumps_rejects_data_the_tree_was_not_grown_on(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: routed counts disagree with stored counts\n")
 
 
+def test_stumps_builds_its_expansion_once(tmp_path, monkeypatch):
+    # Building the expansion routes every training row; the Gram,
+    # impurity and reconstruction checks all read the command's one.
+    csv = write_d1(tmp_path)
+    tree_path = str(tmp_path / "tree.json")
+    assert main(["train", csv, "--depth", "2", "--out", tree_path]) == 0
+    calls = []
+    build = obliquetree.stumps.build_expansion
+    monkeypatch.setattr(obliquetree.stumps, "build_expansion", lambda *a: calls.append(a) or build(*a))
+    assert main(["stumps", tree_path, csv, "--out", str(tmp_path / "stumps.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_subopt_command(tmp_path):
     # D2 on disk.
     csv = tmp_path / "d2.csv"
@@ -293,6 +306,25 @@ def test_prune_rejects_a_one_row_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: holdout needs at least 2 rows, got 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "prune", "generate", "subopt"])
+def test_a_negative_seed_exits_with_one_line_naming_the_seed(tmp_path, capsys, command):
+    # numpy's own message, "expected non-negative integer", named no input.
+    csv = write_d1(tmp_path)
+    tree_path = str(tmp_path / "tree.json")
+    assert main(["train", csv, "--out", tree_path]) == 0
+    argv = {
+        "train": ["train", csv, "--strategy", "random_projection"],
+        "prune": ["prune", tree_path, csv],
+        "generate": ["generate", write_json(tmp_path, MODEL_SPEC), "--n", "5", "--box", "[[0, 1], [0, 1]]",
+                     "--out", str(tmp_path / "out.csv")],
+        "subopt": ["subopt", csv, "--strategy", "random_projection", "--kappa", "0.5"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be a non-negative integer, got -1\n")
 
 
 # A relu whose misspelt "parameters" key used to be ignored, leaving slope 1.

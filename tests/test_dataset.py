@@ -491,3 +491,21 @@ def test_row_indexed_projections_equal_the_gathered_block(case, data):
     assert projections(np.asfortranarray(X), W, rows).tobytes() == got.tobytes()
     for j, w in enumerate(W):
         assert got[j].tobytes() == reference_projections(X[rows], w).tobytes()
+
+
+def test_seeded_words_are_pcg64_raw_stream_pinned():
+    # numpy promises PCG64's raw stream for a fixed seed across versions;
+    # every seeded draw of the library reads it, so its first words are
+    # pinned, and the bit generator comes back past the words it gave.
+    words, bits = dataset_module._seeded_words(0, (2, 2))
+    assert words.dtype == np.uint64 and words.shape == (2, 2)
+    assert [hex(int(w)) for w in words.ravel()] + [hex(int(bits.random_raw()))] == [
+        "0xa30febcfd9c2825f", "0x4510bdf882d9d721", "0xa7d3da94ecde8b8",
+        "0x43b27b61342f01d", "0xd0327a782cde513b",
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_seeded_words_reject_a_negative_seed_by_name(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+        dataset_module._seeded_words(seed, 3)

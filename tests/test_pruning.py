@@ -19,7 +19,7 @@ from obliquetree import (
 )
 from obliquetree.pruning import _OBJECTIVE_TOL
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_permutation
 
 AXIS = SearchStrategy(kind="axis_aligned")
 
@@ -206,7 +206,7 @@ def test_holdout_errors_match_per_lambda_selection(
     grid = base + [base[2], 0.0] + [v * (1 + 1e-9) for v in base[:3]] + [v * base[-1] for v in scales]
     lam_star, errors = holdout_lambda(data, strategy, depth, grid, fraction, seed, min_node_size)
     # The same split as holdout_lambda, then one full selection per lambda.
-    perm = np.random.default_rng(seed).permutation(data.n)
+    perm = reference_permutation(seed, data.n)
     n_hold = min(max(int(round(fraction * data.n)), 1), data.n - 1)
     hold_rows = np.sort(perm[:n_hold])
     train = subset(data, np.sort(perm[n_hold:]))

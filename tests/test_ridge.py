@@ -262,6 +262,10 @@ def test_generate_dataset_validation():
         generate_dataset(model, 5, 0.0, [(0, 1)], seed=0)
     with pytest.raises(ValueError):
         generate_dataset(model, 5, 0.0, [(1, 0), (0, 1)], seed=0)
+    # Each side is finite, but hi - lo overflows: numpy's uniform raised
+    # an OverflowError, which the command line did not catch.
+    with pytest.raises(ValueError, match="invalid domain box"):
+        generate_dataset(model, 5, 0.0, [(-1e308, 1e308), (0, 1)], seed=0)
 
 
 def test_node_size_profile_hand_cases():
