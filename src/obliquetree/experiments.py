@@ -133,11 +133,21 @@ def estimate_imse(
 
     Returns (estimate, standard error) over mc_size uniform draws.
     """
+    return _imse(tree, _imse_sample(model, mc_size, domain_box, seed))
+
+
+def _imse_sample(model: RidgeModel, mc_size: int, domain_box, seed: int) -> Dataset:
+    """estimate_imse's Monte Carlo sample, drawn once per experiment and
+    shared by every tree it scores."""
     if mc_size < 1:
         raise ValueError("mc_size must be >= 1")
-    sample = generate_dataset(model, mc_size, 0.0, domain_box, seed)
+    return generate_dataset(model, mc_size, 0.0, domain_box, seed)
+
+
+def _imse(tree: Tree, sample: Dataset) -> tuple[float, float]:
+    """(estimate, standard error) of a tree's squared error on sample."""
     sq = (sample.response - predict_batch(tree, sample.features)) ** 2
-    stderr = float(sq.std(ddof=1) / np.sqrt(mc_size)) if mc_size > 1 else 0.0
+    stderr = float(sq.std(ddof=1) / np.sqrt(sample.n)) if sample.n > 1 else 0.0
     return float(sq.mean()), stderr
 
 
@@ -175,13 +185,12 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     after the full report is assembled.
     """
     start, _, norm, prefixes = _realization(config, "rate experiment", config.depth_range[0], True)
+    sample = _imse_sample(config.model, config.mc_size, config.domain_box, config.seed + 7001)
     rows = []
     violations = []
     for depth, tree, err in prefixes:
         bound = norm**2 / max(depth, 1)  # kappa = 1 under the preconditions
-        imse, imse_se = estimate_imse(
-            tree, config.model, config.mc_size, config.domain_box, config.seed + 7001
-        )
+        imse, imse_se = _imse(tree, sample)
         ok = err <= bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
         if depth >= 1 and not ok:
             violations.append(depth)
@@ -325,12 +334,11 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
         config.seed + 1,
         config.min_node_size,
     )
+    sample = _imse_sample(config.model, config.mc_size, config.domain_box, config.seed + 7002)
     rows = []
     for lam, hold_err in zip(config.lambda_grid, hold_errors):
         pruned = sequence.select(full, lam)
-        imse, imse_se = estimate_imse(
-            pruned, config.model, config.mc_size, config.domain_box, config.seed + 7002
-        )
+        imse, imse_se = _imse(pruned, sample)
         rows.append(
             {
                 "lambda": lam,
@@ -343,9 +351,7 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
     fixed = []
     for depth in range(k_lo, k_hi + 1):
         tree = prune_to_depth(full, depth)
-        imse, imse_se = estimate_imse(
-            tree, config.model, config.mc_size, config.domain_box, config.seed + 7002
-        )
+        imse, imse_se = _imse(tree, sample)
         fixed.append(
             {"depth": depth, "imse": imse, "imse_se": imse_se, "leaf_count": tree.leaf_count()}
         )

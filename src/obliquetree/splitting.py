@@ -60,6 +60,22 @@ only if top_j reaches its problem's floor in its own block.  The last
 floor is the screen's and no block's floor exceeds it, so every
 contender was kept; the kept directions below it get no exact decrease.
 
+A direction is sorted at the first node that sweeps it and inherited
+below, not sorted again at every node (the presorting of SLIQ and
+SPRINT).  A problem that sweeps in blocks of its own and has at most as
+many direction rows as its node has rows (k <= m, the split
+dataset.projections makes) is sorted and swept in arrays of its own;
+in grow's level search its node keeps them, and its two children
+inherit them (_Node.children).  Along a direction the parent kept, a
+child's stable order is the parent's filtered by the child's side, ties
+still in index order, and its values are the same bits, because
+dataset.projections computes each row on its own.  So such a problem of
+a child projects and sorts only the direction rows its parent did not
+keep, and reads the others off its parent's (_sources), which are freed
+once both children have theirs.  The exhaustive oracle (k far above m)
+and problems small enough to share a padded block sort every row, as
+keeping and filtering would cost them more than it saves.
+
 The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
 for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
 z = fl(y - c) the centred responses, A = sum |z| and R = max |z| (the
@@ -102,7 +118,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -344,15 +360,49 @@ def _stable_order(V: np.ndarray, m=None):
     return order, s
 
 
-def _gains(sum_left, n_left, total, m, n_full: int):
+class _Scratch:
+    """Flat arrays that one _best_thresholds call reuses from block to
+    block, so a block's elementwise passes write into memory that was
+    handed out once rather than into a fresh array each (whose pages the
+    system must map again).  get(name, shape, dtype) is a view of the
+    array called name, enlarged when a block needs more."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        flat, view = self._arrays.get(name, (None, None))
+        if view is not None and view.shape == shape:
+            return view
+        size = shape[0] * shape[1]
+        if flat is None or flat.size < size:
+            flat = np.empty(size, dtype=dtype)
+        view = flat[:size].reshape(shape)
+        self._arrays[name] = flat, view
+        return view
+
+
+def _gains(sum_left, n_left, total, m, n_full: int, out=None, right=None):
     """SSE decrease / n_full of left sets of n_left rows whose centred
-    responses sum to sum_left, on a node of m rows summing to total."""
-    return (
-        sum_left**2 / n_left + (total - sum_left) ** 2 / (m - n_left) - total**2 / m
-    ) / n_full
+    responses sum to sum_left, on a node of m rows summing to total:
+
+        (sum_left^2 / n_left + (total - sum_left)^2 / (m - n_left)
+         - total^2 / m) / n_full,
+
+    evaluated in that order, one elementwise pass at a time, into out
+    and the temporary right (new arrays if None)."""
+    gains = np.square(sum_left, out=out)
+    gains /= n_left
+    right = np.subtract(total, sum_left, out=right)
+    np.square(right, out=right)
+    right /= np.subtract(m, n_left)
+    gains += right
+    gains -= total**2 / m
+    gains /= n_full
+    return gains
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
+def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int, scratch=None):
     """Prefix-sum sweep over sorted projections, one direction per row.
 
     values is (k, M), each row sorted ascending, and y holds the centred
@@ -364,14 +414,24 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
     keeps its bits, and no boundary next to the padding is valid.
     Returns (gains, thresholds, valid) over the M-1 boundaries; a
     boundary is valid only when its midpoint lies strictly between two
-    distinct consecutive values.
+    distinct consecutive values.  Every pass writes into an array of
+    scratch (a _Scratch; a new one if None), so the results are views
+    that the next sweep with the same scratch overwrites.
     """
-    csum = np.cumsum(y, axis=1)
-    n_left = np.arange(1, values.shape[1], dtype=np.float64)
+    scratch = scratch or _Scratch()
+    k, M = values.shape
+    csum = np.cumsum(y, axis=1, out=scratch.get("csum", (k, M)))
+    n_left = np.arange(1, M, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries in the padding
-        gains = _gains(csum[:, :-1], n_left, csum[:, -1:], m, n_full)
-    thresholds = 0.5 * (values[:, :-1] + values[:, 1:])
-    valid = (values[:, :-1] < thresholds) & (thresholds < values[:, 1:])
+        gains = _gains(
+            csum[:, :-1], n_left, csum[:, -1:], m, n_full,
+            scratch.get("gains", (k, M - 1)), scratch.get("right", (k, M - 1)),
+        )
+    lower, upper = values[:, :-1], values[:, 1:]
+    thresholds = np.add(lower, upper, out=scratch.get("thresholds", (k, M - 1)))
+    thresholds *= 0.5
+    valid = np.less(lower, thresholds, out=scratch.get("valid", (k, M - 1), bool))
+    valid &= np.less(thresholds, upper, out=scratch.get("above", (k, M - 1), bool))
     return gains, thresholds, valid
 
 
@@ -398,15 +458,26 @@ class _Node:
     centred (y minus the mean) and sse are dataset._moments(y).  grow
     stores mean and sse as the tree node's statistics and hands the same
     record to the next level's search, so each node's are computed once.
+
+    sorted is None, or the orders that a keeping sweep (_best_thresholds)
+    left: (keys, arrays), where arrays holds an (order, values) pair per
+    problem the node kept, the stable orders (int32 node-local indices)
+    and the projections in that order, one direction per row, and keys
+    maps the bytes of a direction row to (pair, row).  children() hands
+    them to both children as inherit, (parent's sorted, left), after it
+    has replaced each parent index in the orders by that row's index in
+    its own child, bitwise inverted for the right child.  A child's next
+    sweep reads the rows it shares with its parent out of them (_sources)
+    and drops its inherit.
     """
 
-    __slots__ = ("rows", "y", "mean", "centred", "sse", "_margin", "_features")
+    __slots__ = ("rows", "y", "mean", "centred", "sse", "_margin", "_features", "sorted", "inherit")
 
     def __init__(self, y: np.ndarray, rows: np.ndarray):
         self.rows = rows
         self.y = y
         self.mean, self.centred, self.sse = _moments(y)
-        self._margin = self._features = None
+        self._margin = self._features = self.sorted = self.inherit = None
 
     @staticmethod
     def of(dataset: Dataset, node) -> "_Node":
@@ -424,6 +495,120 @@ class _Node:
             self._margin = _margin(self.y, self.centred, n_full)
         return self._margin
 
+    def children(self, left: np.ndarray) -> tuple:
+        """The nodes of the rows that left marks and of the others.  Each
+        inherits this node's kept orders, which this node then lets go."""
+        nodes = _Node(self.y[left], self.rows[left]), _Node(self.y[~left], self.rows[~left])
+        if self.sorted is not None:
+            code = np.empty(left.size, dtype=np.int32)
+            code[left] = np.arange(nodes[0].y.size, dtype=np.int32)
+            code[~left] = ~np.arange(nodes[1].y.size, dtype=np.int32)
+            for order, _ in self.sorted[1]:
+                # Each element of the result depends only on the index in
+                # its own place, so take may write over its indices.
+                np.take(code, order, out=order, mode="clip")
+            for node, is_left in zip(nodes, (True, False)):
+                node.inherit = (self.sorted, is_left)
+            self.sorted = None
+        return nodes
+
+
+def _filter(inherit, pair: int, src: np.ndarray, order: np.ndarray, values: np.ndarray):
+    """Write a child's stable orders and sorted projections along rows
+    src (ascending) of its parent's kept pair into order and values.
+
+    Along a direction, the parent's stable order filtered by the child's
+    side is the child's stable order: children() has already mapped each
+    parent index to its child index, which keeps their order, so ties
+    stay in index order.  The values are the parent's bits, because
+    dataset.projections computes each row on its own.  Rows go a few at
+    a time, so that no temporary exceeds _BLOCK_ELEMENTS elements.
+    """
+    (_, arrays), left = inherit
+    parent_order, parent_values = arrays[pair]
+    step = max(1, _BLOCK_ELEMENTS // parent_order.shape[1])
+    for lo in range(0, src.size, step):
+        rows = src[lo : lo + step]
+        if rows[-1] - rows[0] == rows.size - 1:  # consecutive rows: read in place
+            rows = slice(rows[0], rows[-1] + 1)
+        mapped = parent_order[rows]
+        flat = np.flatnonzero(mapped >= 0 if left else mapped < 0)
+        out = order[lo : lo + step].reshape(-1)
+        np.take(mapped, flat, out=out, mode="clip")
+        if not left:
+            np.invert(out, out=out)
+        np.take(parent_values[rows], flat, out=values[lo : lo + step].reshape(-1), mode="clip")
+
+
+class _Source(NamedTuple):
+    """The arrays of its own that a problem is sorted and swept in."""
+
+    W: np.ndarray  # the direction rows, the h inherited ones first
+    h: int
+    order: np.ndarray  # each row's stable order
+    values: np.ndarray  # the projections in that order
+    perm: Optional[np.ndarray]  # the problem's index of each row of W; None if the same
+
+
+def _sources(problems, keep: bool) -> list:
+    """The _Source of each problem, or None.
+
+    A problem that sweeps in blocks of its own (_packed) and has at most
+    as many direction rows as its node has rows (k <= m, the split
+    dataset.projections makes between few and many directions) is
+    sorted and swept in arrays of its own, order and values, one row per
+    direction.  The rows its node inherited come first, grouped by their
+    parent's rows, with their stable orders and sorted projections read
+    off the parent's (_filter); the sweep fills in the rest.  With keep,
+    those arrays become the node's sorted.  Every other problem sorts
+    all its rows in its blocks, as its arrays would cost more than they
+    save: a packed problem sorts in a block shared with other nodes, and
+    the exhaustive oracle's, with k far above m, would not fit.  A node
+    drops its inherit once its problems have their rows, so a parent's
+    orders are freed as soon as both children have read theirs.
+    """
+    sources = [None] * len(problems)
+    by_node = {}
+    for q, (node, _) in enumerate(problems):
+        by_node.setdefault(id(node), (node, []))[1].append(q)
+    for node, qs in by_node.values():
+        inherit, node.inherit = node.inherit, None
+        m = node.y.size
+        keys, arrays = {}, []
+        for q in qs:
+            W = problems[q][1]
+            k = W.shape[0]
+            if k > m or _packed(k, m):
+                continue
+            perm, h = None, 0
+            if inherit is not None:
+                (parent_keys, parent_arrays), _ = inherit
+                found = [parent_keys.get(row.tobytes(), (-1, -1)) for row in W]
+                pair, src = np.array(found, dtype=np.intp).reshape(k, 2).T
+                perm = np.lexsort((src, np.where(pair < 0, len(parent_arrays), pair)))
+                h = int(np.count_nonzero(pair >= 0))
+                W = W[perm]
+            order, values = np.empty((k, m), dtype=np.int32), np.empty((k, m))
+            start = 0
+            while start < h:
+                j = pair[perm[start]]
+                end = start + int(np.count_nonzero(pair == j))
+                _filter(inherit, j, src[perm[start:end]], order[start:end], values[start:end])
+                start = end
+            if keep:
+                keys.update((row.tobytes(), (len(arrays), i)) for i, row in enumerate(W))
+                arrays.append((order, values))
+            sources[q] = _Source(W, h, order, values, perm)
+        if arrays:
+            node.sorted = (keys, arrays)
+    return sources
+
+
+def _packed(k: int, m: int) -> bool:
+    """Whether a problem of k direction rows on a node of m rows shares
+    a padded block with others (_blocks)."""
+    return k * m <= _PACK_ELEMENTS and k <= _BLOCK_DIRECTIONS
+
 
 def _blocks(problems) -> list:
     """The sweep's blocks, as lists of (problem, first row, end row).
@@ -439,7 +624,7 @@ def _blocks(problems) -> list:
         m, k = node.y.size, W.shape[0]
         if m < 2 or k == 0:
             continue
-        if k * m <= _PACK_ELEMENTS and k <= _BLOCK_DIRECTIONS:
+        if _packed(k, m):
             small.append((m, k, q))
             continue
         step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
@@ -463,24 +648,69 @@ def _blocks(problems) -> list:
     return blocks
 
 
-def _best_thresholds(X: np.ndarray, problems, n_full: int) -> list:
+def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray, scratch: _Scratch):
+    """(order, sorted values, m, centred responses in that order) of a
+    block's direction rows, as (K, M) arrays, M the widest node's size.
+
+    A block of a problem with arrays of its own (_sources) is a view of
+    them: its inherited rows are there already, and the others are
+    projected (one dataset.projections call), sorted by value, then by
+    index (one _stable_order call), and written in.  Any other block is
+    projected and sorted whole, into new arrays.  A row of a narrower
+    node is padded after its own: +inf values, and indices from its size
+    on, whose responses are 0.0.
+    """
+    (q, lo, hi), *_ = block
+    node, own = problems[q][0], sources[q]
+    if own is not None:
+        first = min(max(lo, own.h), hi)
+        order, sorted_V = own.order[lo:hi], own.values[lo:hi]
+        if first < hi:
+            fresh = projections(node.features(X), own.W[first:hi])
+            order[first - lo :], sorted_V[first - lo :] = _stable_order(fresh)
+    elif len(block) == 1:
+        order, sorted_V = _stable_order(projections(node.features(X), problems[q][1][lo:hi]))
+    else:
+        nodes = [problems[q][0] for q, _, _ in block]
+        sizes = np.array([node.y.size for node in nodes])
+        index = np.zeros((len(nodes), sizes[0]), dtype=np.intp)
+        centred = np.zeros((len(nodes), sizes[0]))
+        for i, node in enumerate(nodes):
+            index[i, : sizes[i]] = node.rows
+            centred[i, : sizes[i]] = node.centred
+        m = sizes[which][:, None]
+        W = np.concatenate([problems[q][1][lo:hi] for q, lo, hi in block])
+        V = projections(X, W, index[which])
+        V[np.arange(sizes[0]) >= m] = np.inf
+        order, sorted_V = _stable_order(V, m)
+        return order, sorted_V, m, centred[which[:, None], order]
+    y = np.take(node.centred, order, out=scratch.get("y", order.shape), mode="clip")
+    return order, sorted_V, node.y.size, y
+
+
+def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -> list:
     """The exact near-best splits of each (node, W) problem.
 
     A problem pairs a _Node of X's rows with a matrix W of direction
     rows.  A row of W becomes its split's direction as it is, so callers
     pass canonical rows, as canonical_rows gives.
     The rows of every problem are swept in the blocks of _blocks: each
-    block is projected (one dataset.projections call), sorted by value,
-    then by index (one _stable_order call), swept (_sweep_gains, one
-    cumsum along the rows) and screened under each problem's rising
-    floor (module docstring).  A kept row's split sits at its first
-    boundary within DECREASE_TOL of its best gain, with its left set read
-    off the block's projections, and each problem's contenders get exact
-    decreases once per distinct left set.  Returns, for each problem, the
-    splits within DECREASE_TOL of its largest exact decrease, in row
-    order, as solving every row exactly would; empty when no row has a
-    valid split.  Each split carries its left set as a mask (Split.left).
+    block's rows are sorted (_sorted_block: a row the node inherited
+    from its parent is read from there, the others are projected and
+    stably sorted), swept (_sweep_gains, one cumsum along the rows) and
+    screened under each problem's rising floor (module docstring).  A
+    kept row's split sits at its first boundary b within DECREASE_TOL of
+    its best gain, and its left set is the first b + 1 rows of its order
+    (a valid boundary lies strictly between two distinct values); each
+    problem's contenders get exact decreases once per distinct left set.
+    With keep, nodes keep their orders for their children (_sources).
+    Returns, for each problem, the splits within DECREASE_TOL of its
+    largest exact decrease, in row order, as solving every row exactly
+    would; empty when no row has a valid split.  Each split carries its
+    left set as a mask (Split.left).
     """
+    sources = _sources(problems, keep)
+    scratch = _Scratch()
     floor = np.full(len(problems), -np.inf)
     kept = []
     for block in _blocks(problems):
@@ -488,26 +718,10 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int) -> list:
         nodes = [problems[q][0] for q in qs]
         counts = [hi - lo for _, lo, hi in block]
         which = np.repeat(np.arange(len(block)), counts)
-        W = np.concatenate([problems[q][1][lo:hi] for q, lo, hi in block])
-        if len(block) == 1:
-            m = nodes[0].y.size
-            V = projections(nodes[0].features(X), W)
-            order, sorted_V = _stable_order(V)
-            y = nodes[0].centred[order]
-        else:
-            sizes = np.array([node.y.size for node in nodes])
-            index = np.zeros((len(nodes), sizes[0]), dtype=np.intp)
-            centred = np.zeros((len(nodes), sizes[0]))
-            for i, node in enumerate(nodes):
-                index[i, : sizes[i]] = node.rows
-                centred[i, : sizes[i]] = node.centred
-            m = sizes[which][:, None]
-            V = projections(X, W, index[which])
-            V[np.arange(sizes[0]) >= m] = np.inf
-            order, sorted_V = _stable_order(V, m)
-            y = centred[which[:, None], order]
-        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full)
-        gains = np.where(valid, gains, -np.inf)
+        order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which, scratch)
+        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full, scratch)
+        invalid = np.logical_not(valid, out=scratch.get("above", valid.shape, bool))
+        np.copyto(gains, -np.inf, where=invalid)
         top = gains.max(axis=1)
         starts = np.cumsum([0] + counts[:-1])
         margins = np.array([node.margin(n_full) for node in nodes])
@@ -518,31 +732,40 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int) -> list:
         # First boundary within tolerance of the max = smallest threshold.
         boundaries = (gains[rows] >= top[:, None] - DECREASE_TOL).argmax(axis=1)
         cuts = thresholds[rows, boundaries]
+        # A row's left set: the rows at or before its boundary in its order.
+        width = order.shape[1]
+        lefts = np.zeros((rows.size, width), dtype=bool)
+        lefts[np.arange(rows.size)[:, None], order[rows]] = np.arange(width) <= boundaries[:, None]
         offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
-        kept.append(
-            (np.array(qs)[which[rows]], offsets[rows], top, boundaries, cuts, V[rows] <= cuts[:, None])
-        )
+        kept.append((np.array(qs)[which[rows]], offsets[rows], top, boundaries, cuts, lefts))
     decreases: dict[tuple, float] = {}
     splits = [[] for _ in problems]
     for owners, offsets, top, boundaries, cuts, lefts in kept:
+        offsets = offsets.tolist()
         for i in np.flatnonzero(top >= floor[owners]).tolist():
             q, b = int(owners[i]), int(boundaries[i])
             node, W = problems[q]
+            perm = None
+            if sources[q] is not None:
+                W, perm = sources[q].W, sources[q].perm
             m = node.y.size
             left = lefts[i, :m]
             key = (q, left.tobytes())
             if key not in decreases:
                 decreases[key] = _split_decrease(node.y, left, n_full, node.sse)
-            splits[q].append(
-                Split(
-                    direction=Direction(tuple(W[offsets[i]].tolist())),
-                    threshold=float(cuts[i]),
-                    decrease=decreases[key],
-                    left_count=b + 1,
-                    right_count=m - b - 1,
-                    left=left,
-                )
+            split = Split(
+                direction=Direction(tuple(W[offsets[i]].tolist())),
+                threshold=float(cuts[i]),
+                decrease=decreases[key],
+                left_count=b + 1,
+                right_count=m - b - 1,
+                left=left,
             )
+            splits[q].append(split if perm is None else (int(perm[offsets[i]]), split))
+    # Rows that a problem inherited were swept first: restore row order.
+    for q, found in enumerate(splits):
+        if sources[q] is not None and sources[q].perm is not None:
+            splits[q] = [split for _, split in sorted(found, key=lambda row: row[0])]
     return [_near_best(found) for found in splits]
 
 
@@ -776,7 +999,8 @@ def _climb(X: np.ndarray, node: _Node, base: Split, strategy: SearchStrategy,
     return _winner(ends)
 
 
-def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds: list) -> list:
+def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds: list,
+                  keep: bool = False) -> list:
     """The split strategy picks at each node, or None where it finds no
     valid split.
 
@@ -784,6 +1008,7 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
     candidates, if any, from seeds[i].  The direction rows of every node
     go to one _best_thresholds call, so that nodes too small to fill a
     block share one; only the hill climb's probes are swept node by node.
+    With keep, that call keeps each node's orders for its children.
     """
     X, n, p = dataset.features, dataset.n, dataset.p
     d = min(strategy.sparsity_d, p)
@@ -796,7 +1021,8 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
         if d > 3:
             raise ValueError("exhaustive search supports sparsity_d <= 3")
         problems = [(node, _oblique_candidates(node.features(X), d)) for node in nodes]
-        return [min(near, key=_tie_key, default=None) for near in _best_thresholds(X, problems, n)]
+        near = _best_thresholds(X, problems, n, keep)
+        return [min(found, key=_tie_key, default=None) for found in near]
     axes = np.eye(p)
     problems = [(node, axes) for node in nodes]
     if strategy.kind == "random_projection":
@@ -804,7 +1030,7 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
             (node, _canonical_rows(_random_sparse_directions(seed, p, d, strategy.num_candidates)))
             for node, seed in zip(nodes, seeds)
         ]
-    near = _best_thresholds(X, problems, n)
+    near = _best_thresholds(X, problems, n, keep)
     # search_axis_aligned's winner: the lowest-index near-best axis.
     axis = [found[0] if found else None for found in near[: len(nodes)]]
     if strategy.kind == "random_projection":

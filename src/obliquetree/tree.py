@@ -8,9 +8,13 @@ small nodes together in shared blocks; each node still gets the split
 that run_search finds on it alone.  A split carries its node's left
 set, which routes the node's rows to its children, and each child's
 mean and SSE are computed once, as the tree node's statistics and as
-the next level's centring.  Node ids are assigned in frontier order,
-which makes construction deterministic and gives the greedy-prefix
-property for deterministic strategies.
+the next level's centring.  Above the last level searched, the search
+also keeps a large node's sorted orders along its directions (the
+splitting module docstring says which), and routing hands them to the
+two children (splitting._Node.children), so a child sorts only the
+directions its parent did not keep.  Node ids are assigned in frontier
+order, which makes construction deterministic and gives the
+greedy-prefix property for deterministic strategies.
 
 Routing convention: a point goes to the left child when its projection
 onto the split direction is <= the threshold, and to the right child
@@ -126,6 +130,7 @@ def grow(
             [sample for _, sample in searched],
             strategy,
             [strategy.seed + nid for nid, _ in searched],
+            keep=depth + 1 < max_depth,
         )
         frontier = []
         for (nid, sample), split in zip(searched, splits):
@@ -135,8 +140,7 @@ def grow(
                 continue
             node = nodes[nid]
             node.split = split
-            for side in (split.left, ~split.left):
-                child = _Node(sample.y[side], sample.rows[side])
+            for child in sample.children(split.left):
                 nodes[next_id] = TreeNode(
                     node_id=next_id, depth=depth + 1, mean=child.mean, sse=child.sse,
                     count=child.y.size,

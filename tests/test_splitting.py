@@ -817,7 +817,7 @@ def test_axis_winner_is_the_lowest_index_near_best(monkeypatch):
     data = random_dataset(3, 10, 3)
     decreases = [0.0, 0.8e-12, 1.6e-12]
 
-    def fixed(X, problems, n_full):
+    def fixed(X, problems, n_full, keep=False):
         # _best_thresholds returns the near-best splits in row order.
         return [
             splitting._near_best(
@@ -979,9 +979,9 @@ def test_step_survives_a_large_response_offset(offset):
 # exactly (reference_split) before _near_best and _winner pick.
 
 
-def unscreened_best_thresholds(X, problems, n_full):
+def unscreened_best_thresholds(X, problems, n_full, keep=False):
     """_best_thresholds with no screen: every row of every problem solved
-    exactly."""
+    exactly.  It keeps no orders, whatever keep says."""
     return [
         splitting._near_best(
             [reference_split(node.features(X), node.y, Direction(tuple(w)), n_full) for w in W.tolist()]

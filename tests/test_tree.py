@@ -20,7 +20,7 @@ from obliquetree import (
 )
 from obliquetree import splitting
 from obliquetree.splitting import DECREASE_TOL, NoValidSplitError, run_search
-from obliquetree.dataset import validate_index_set
+from obliquetree.dataset import canonical_rows, projections, validate_index_set
 from obliquetree.tree import from_json, to_json
 
 from conftest import SNAP_BORDER_VECTOR, random_dataset
@@ -244,12 +244,13 @@ def test_deterministic_ids_with_random_strategy():
 
 @st.composite
 def growth_cases(draw, max_n):
-    """Integer-grid (tied) or continuous features, some rows repeated,
-    integer or continuous responses with an offset up to 1e9, and the
-    packing cut at its own value or far below it, so nodes fall on both
-    sides of it."""
+    """Integer-grid (tied) or continuous features in up to 6 dimensions,
+    some rows repeated, integer or continuous responses with an offset up
+    to 1e9, and the packing cut at its own value or far below it, so
+    nodes fall on both sides of it.  With p > 3, random projection's
+    children share only part of their parent's directions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, p = int(rng.integers(2, max_n + 1)), int(rng.integers(1, 4))
+    n, p = int(rng.integers(2, max_n + 1)), int(rng.integers(1, 7))
     if draw(st.booleans()):
         X = rng.integers(-3, 4, size=(n, p)).astype(float)
     else:
@@ -284,11 +285,17 @@ STRATEGIES = {
 @given(data=st.data(), sparsity=st.integers(1, 3), seed=st.integers(0, 1000),
        depth=st.integers(1, 5), min_node_size=st.integers(1, 4))
 def test_each_node_splits_as_it_would_alone(kind, data, sparsity, seed, depth, min_node_size):
+    # run_search on a node alone has no parent, so it sorts every row
+    # fresh; grow's children inherit their parent's orders.  Blocks of 64
+    # projections cut a node's inherited rows, and its parent's, into
+    # many blocks and chunks.
     max_n, make = STRATEGIES[kind]
     dataset, cut = data.draw(growth_cases(max_n))
+    block = data.draw(st.sampled_from([64, splitting._BLOCK_ELEMENTS]))
     strategy = make(sparsity, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splitting, "_PACK_ELEMENTS", cut)
+        patch.setattr(splitting, "_BLOCK_ELEMENTS", block)
         tree = grow(dataset, strategy, depth, min_node_size)
     rows = node_rows(tree, dataset)
     for nid, node in tree.nodes.items():
@@ -330,3 +337,106 @@ def test_json_round_trip_is_the_identity(kind, data, sparsity, seed, depth):
     assert back == tree
     assert to_json(back) == to_json(tree)
     assert np.array_equal(predict_batch(back, dataset.features), predict_batch(tree, dataset.features))
+
+
+# Children inherit their parent's stable orders along the directions the
+# parent swept, and sort only the others.
+
+
+@pytest.mark.parametrize("n, pack", [(200, 64), (3000, splitting._PACK_ELEMENTS)])
+def test_children_sort_only_the_rows_their_parent_did_not_keep(n, pack):
+    # A problem (axes, random draws) that sweeps in blocks of its own
+    # (more than pack projections), with no more direction rows than node
+    # rows, is kept when its node's children will be searched, and reads
+    # the rows its parent kept.  So the rows sorted are the draw keys, one
+    # row per candidate, and every direction row but those inherited.
+    data, depth, count = random_dataset(5, n, 6), 6, 40
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=count, seed=3)
+    sorted_rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        order = splitting._stable_order
+        patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
+        patch.setattr(splitting, "_PACK_ELEMENTS", pack)
+        tree = grow(data, strategy, depth)
+
+    def problems(nid):
+        drawn = splitting._random_sparse_directions(strategy.seed + nid, data.p, 2, count)
+        return [np.eye(data.p), splitting._canonical_rows(drawn)]
+
+    parents = {
+        child: nid for nid, node in tree.nodes.items() if not node.is_leaf
+        for child in (node.left_child, node.right_child)
+    }
+    searched = [nid for nid, node in tree.nodes.items() if node.depth < depth and node.count >= 2]
+    def own(W, nid):
+        k, m = W.shape[0], tree.nodes[nid].count
+        return k <= m and k * m > pack
+
+    fresh, partial, wide, packed = 0, 0, 0, 0
+    for nid in searched:
+        kept = set()
+        if nid in parents:
+            for W in problems(parents[nid]):
+                wide += W.shape[0] > tree.nodes[parents[nid]].count
+                packed += not own(W, parents[nid])
+                if own(W, parents[nid]):
+                    kept.update(row.tobytes() for row in W)
+        for W in problems(nid):
+            new = sum(not own(W, nid) or row.tobytes() not in kept for row in W)
+            fresh += new
+            partial += 0 < new < W.shape[0]
+    assert sum(sorted_rows) == fresh + count * len(searched)
+    # Children that inherit part of a problem, and parents that do not
+    # keep one: too many directions at pack 64, packed at the default.
+    assert partial and (wide if pack == 64 else packed)
+
+
+def test_an_exhaustive_grow_sorts_every_candidate_row():
+    # The oracle's nodes have far more candidate rows than rows, so none
+    # keeps its orders and every node sorts all of its candidates.
+    data, depth = random_dataset(8, 24, 3), 4
+    sorted_rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        order = splitting._stable_order
+        patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
+        tree = grow(data, SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), depth)
+    rows = node_rows(tree, data)
+    want = sum(
+        splitting._oblique_candidates(data.features[rows[nid]], 2).shape[0]
+        for nid, node in tree.nodes.items() if node.depth < depth and node.count >= 2
+    )
+    assert sum(sorted_rows) == want
+
+
+def test_inherited_orders_equal_fresh_stable_orders_on_ties():
+    # Integer features with -0.0 and +0.0 and duplicated rows give long
+    # runs of equal projections; a child's inherited order must break
+    # each run by its own row index, as a fresh _stable_order does, and
+    # its values must carry the same bits.
+    rng = np.random.default_rng(11)
+    X = rng.integers(-2, 3, size=(2000, 4)).astype(float)
+    X[X == 0.0] = np.where(rng.random(int(np.count_nonzero(X == 0.0))) < 0.5, -0.0, 0.0)
+    X[rng.integers(2000, size=600)] = X[rng.integers(2000, size=600)]
+    data = Dataset(X, rng.standard_normal(2000))
+    W = canonical_rows(
+        np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0], [1, -1, 0, 0], [1, 1, 1, 1], [0, 2, -1, 1]], float)
+    )
+    extra = canonical_rows(np.array([[1, 0, 1, 0]], float))
+    for trial in range(4):
+        parent = splitting._Node.of(data, np.arange(2000))
+        splitting._best_thresholds(data.features, [(parent, W)], data.n, keep=True)
+        left = rng.random(2000) < [0.5, 0.1, 0.9, 0.5][trial]
+        for child in parent.children(left):
+            assert child.inherit is not None
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(splitting, "_PACK_ELEMENTS", 0)  # no child problem shares a block
+                (source,) = splitting._sources([(child, np.concatenate([extra, W]))], False)
+            assert source.h == W.shape[0]
+            assert source.W[source.h :].tobytes() == extra.tobytes()
+            want_order, want_values = splitting._stable_order(
+                projections(child.features(data.features), source.W[: source.h])
+            )
+            assert np.array_equal(source.order[: source.h], want_order)
+            assert source.values[: source.h].tobytes() == want_values.tobytes()
+            assert child.inherit is None
+        assert parent.sorted is None
