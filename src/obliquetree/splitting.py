@@ -7,11 +7,12 @@ it buys, normalized by the full sample size n:
              = (n_L * n_R / n(node)) * (mean_L - mean_R)^2 / n
 
 Four search strategies are provided: axis-aligned scan, exhaustive
-oblique enumeration (exact on small nodes), OC1 hill climbing, and
-sparse random projections.  All are pure functions of (dataset, node,
-strategy) and deterministic given the strategy seed.  sparsity_d caps
-the support of every split they return, so at sparsity_d=1 each one
-searches only the axes and reaches the axis scan's decrease.
+oblique search over point-triple normals (exact on small nodes), OC1
+hill climbing, and sparse random projections.  All are pure functions
+of (dataset, node, strategy) and deterministic given the strategy seed.
+sparsity_d caps the support of every split they return, so at
+sparsity_d=1 each one searches only the axes and reaches the axis
+scan's decrease.
 
 Each search returns a function of its candidate set, not of the order
 in which candidates are generated, swept or deduplicated.  Among the
@@ -65,7 +66,8 @@ below, not sorted again at every node (the presorting of SLIQ and
 SPRINT).  A problem that sweeps in blocks of its own and has at most as
 many direction rows as its node has rows (k <= m, the split
 dataset.projections makes) is sorted and swept in arrays of its own;
-in grow's level search its node keeps them, and its two children
+in grow's level search its node keeps them, while its level keeps at
+most _KEEP_BLOCKS blocks of _BLOCK_ELEMENTS, and its two children
 inherit them (_Node.children).  Along a direction the parent kept, a
 child's stable order is the parent's filtered by the child's side, ties
 still in index order, and its values are the same bits, because
@@ -75,6 +77,50 @@ keep, and reads the others off its parent's (_sources), which are freed
 once both children have theirs.  The exhaustive oracle (k far above m)
 and problems small enough to share a padded block sort every row, as
 keeping and filtering would cost them more than it saves.
+
+The exhaustive oracle (_Vertices).  A dichotomy (L, R) of a node's
+points that a hyperplane on a support of s <= 3 coordinates strictly
+separates is realized by the closed cone of (w, t) with w . x <= t on L
+and w . x >= t on R.  Its extreme rays are hyperplanes through s
+affinely independent points (Cover, 1965), and the dichotomy is, at
+such a hyperplane H, the points below H plus a part Q of H's tie group
+T (the points on H), where Q and T - Q are strictly separable within
+H.  So the oracle's rows on a support are the normals of its C(m, 3)
+point triples (s = 3), the perpendiculars of its C(m, 2) point pairs
+(s = 2) or the axis (s = 1), each with its defining points as tie group
+(_support_rows).  The sweep sorts each row's projections with its group
+written equal, so no boundary falls inside the group, and scores as
+left sets of their own (_tie_splits) the rows below the group plus
+each part Q: every proper part of a group of exactly its defining
+points (three points on a plane are never collinear here), and for a
+larger group (coplanar or collinear points, duplicates, several
+triples of one plane) the parts that the same search one dimension
+down finds (_separations: in a plane, lines through two points of the
+group, and cuts along each line).  A point is in a row's group when its
+projection lies within _TIE_SLACK u ||N||_1 R of the defining points'
+(N bounds the normal's rounding, R is the points' peak magnitude); a
+point on the row's line or plane is always within it.  On data whose
+normals, projections and in-plane offsets are computed exactly, such as
+integer coordinates of magnitude below 2^10, a point off the plane lies
+far outside it, so every realizable dichotomy is scored and no other:
+the oracle returns the true maximizer.  Elsewhere a tie is decided
+within rounding.  A tie split's left sum is the prefix sum below the
+group (s - 1 additions by the cumsum, for s rows below it) plus Q's
+centred responses added one at a time, s - 1 + |Q| <= m - 2 additions
+of at most m terms: within gamma_m A' of the exact sum like every prefix
+sum of the sweep (step 2 below), so B covers its gain too.
+
+An oracle split stores a direction that realizes its left set
+(_Vertices.stored).  A plain boundary stores its row's normal; a tie
+split stores the normal moved into the cell of directions that realize
+it, n + eps g, where g . x - c separates Q from T - Q within the plane
+and eps is half of what would move a point off the plane across it
+(_tilt).  The direction is canonicalized, the node is projected onto
+it, and the split is kept only if one side lies wholly below the other
+with a valid midpoint threshold, which becomes the stored threshold.  A
+tie split stores nothing for a dichotomy that a plain contender of the
+same batch stored, so a moved direction stands in for a dichotomy only
+where no candidate normal realizes it (_vertex_splits).
 
 The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
 for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
@@ -127,6 +173,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     Direction,
+    _COEFF_SNAP,
     _as_is,
     _integer,
     _moments,
@@ -169,10 +216,23 @@ _BLOCK_DIRECTIONS = 4096
 _PACK_ELEMENTS = 2**13
 _PACK_FILL = 0.5
 
+# A level keeps the orders of its problems for their children only up to
+# _KEEP_BLOCKS * _BLOCK_ELEMENTS elements (_sources): about 3.1 M, or
+# 38 MB of int32 orders and float64 values.  A random-projection level of
+# 20,000 rows with 10 axes and 100 draws keeps at most 2.2 M; thousands
+# of candidates on thousands of rows would keep hundreds of MB.
+_KEEP_BLOCKS = 24
+
 # The exhaustive search rescales a support's points by a power of two
 # when the binary exponent of their peak magnitude lies outside
 # [-_EXPONENT_BAND, _EXPONENT_BAND] (_rescaled).
 _EXPONENT_BAND = 200
+
+# The exhaustive oracle puts a point in a row's tie group when its value
+# lies within _TIE_SLACK u ||N||_1 R of the group's (_support_rows): over
+# twice the rounding a point exactly on the row's line or plane can show.
+_TIE_SLACK = 32.0
+
 
 class NoValidSplitError(ValueError):
     """No threshold separates the node into two non-empty children."""
@@ -560,14 +620,18 @@ def _sources(problems, keep: bool) -> list:
     direction.  The rows its node inherited come first, grouped by their
     parent's rows, with their stable orders and sorted projections read
     off the parent's (_filter); the sweep fills in the rest.  With keep,
-    those arrays become the node's sorted.  Every other problem sorts
-    all its rows in its blocks, as its arrays would cost more than they
-    save: a packed problem sorts in a block shared with other nodes, and
-    the exhaustive oracle's, with k far above m, would not fit.  A node
-    drops its inherit once its problems have their rows, so a parent's
-    orders are freed as soon as both children have read theirs.
+    those arrays become the node's sorted, problem by problem in order
+    while the level's kept elements (k x m each) stay within
+    _KEEP_BLOCKS * _BLOCK_ELEMENTS.  A problem that is not kept and
+    inherited no row sorts in its blocks, as every other problem does,
+    since arrays of its own would cost more than they save: a packed
+    problem sorts in a block shared with other nodes, and the exhaustive
+    oracle's, with k far above m, would not fit.  A node drops its
+    inherit once its problems have their rows, so a parent's orders are
+    freed as soon as both children have read theirs.
     """
     sources = [None] * len(problems)
+    budget = _KEEP_BLOCKS * _BLOCK_ELEMENTS if keep else 0
     by_node = {}
     for q, (node, _) in enumerate(problems):
         by_node.setdefault(id(node), (node, []))[1].append(q)
@@ -577,8 +641,8 @@ def _sources(problems, keep: bool) -> list:
         keys, arrays = {}, []
         for q in qs:
             W = problems[q][1]
-            k = W.shape[0]
-            if k > m or _packed(k, m):
+            k = len(W)
+            if k > m or _packed(k, m) or isinstance(W, _Vertices):
                 continue
             perm, h = None, 0
             if inherit is not None:
@@ -588,6 +652,9 @@ def _sources(problems, keep: bool) -> list:
                 perm = np.lexsort((src, np.where(pair < 0, len(parent_arrays), pair)))
                 h = int(np.count_nonzero(pair >= 0))
                 W = W[perm]
+            kept = k * m <= budget
+            if not kept and h == 0:
+                continue
             order, values = np.empty((k, m), dtype=np.int32), np.empty((k, m))
             start = 0
             while start < h:
@@ -595,7 +662,8 @@ def _sources(problems, keep: bool) -> list:
                 end = start + int(np.count_nonzero(pair == j))
                 _filter(inherit, j, src[perm[start:end]], order[start:end], values[start:end])
                 start = end
-            if keep:
+            if kept:
+                budget -= k * m
                 keys.update((row.tobytes(), (len(arrays), i)) for i, row in enumerate(W))
                 arrays.append((order, values))
             sources[q] = _Source(W, h, order, values, perm)
@@ -621,26 +689,28 @@ def _blocks(problems) -> list:
     """
     blocks, small = [], []
     for q, (node, W) in enumerate(problems):
-        m, k = node.y.size, W.shape[0]
+        m, k = node.y.size, len(W)
         if m < 2 or k == 0:
             continue
         if _packed(k, m):
-            small.append((m, k, q))
+            small.append((isinstance(W, _Vertices), m, k, q))
             continue
         step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
         blocks.extend([(q, lo, min(lo + step, k))] for lo in range(0, k, step))
-    small.sort(key=lambda problem: -problem[0])
-    block, rows, width = [], 0, 0
-    for m, k, q in small:
+    # Oracle problems pack only with oracle problems.
+    small.sort(key=lambda problem: (problem[0], -problem[1]))
+    block, rows, width, kind = [], 0, 0, False
+    for vertices, m, k, q in small:
         if block and (
             (rows + k) * width > _BLOCK_ELEMENTS
             or rows + k > _BLOCK_DIRECTIONS
             or m < _PACK_FILL * width
+            or vertices != kind
         ):
             blocks.append(block)
             block = []
         if not block:
-            rows, width = 0, m
+            rows, width, kind = 0, m, vertices
         block.append((q, 0, k))
         rows += k
     if block:
@@ -688,21 +758,176 @@ def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray, sc
     return order, sorted_V, node.y.size, y
 
 
+def _vertex_block(problems, block, which):
+    """_sorted_block of a block of oracle rows (_Vertices): the rows'
+    levels in place of projections, padded after each node's own as
+    _sorted_block pads, and stably sorted; m is a (K, 1) array of node
+    sizes.  Also returns the rows' (below, tied, size) of
+    _Vertices.levels."""
+    nodes = [problems[q][0] for q, _, _ in block]
+    sizes = np.array([node.y.size for node in nodes])
+    K, width = sum(hi - lo for _, lo, hi in block), int(sizes.max())
+    V = np.full((K, width), np.inf)
+    below, tied, size = (np.empty(K, dtype=np.intp) for _ in range(3))
+    centred = np.zeros((len(nodes), width))
+    at = 0
+    for i, (q, lo, hi) in enumerate(block):
+        rows = slice(at, at + hi - lo)
+        V[rows, : sizes[i]], below[rows], tied[rows], size[rows] = problems[q][1].levels(lo, hi)
+        centred[i, : sizes[i]] = nodes[i].centred
+        at += hi - lo
+    m = sizes[which][:, None]
+    order, sorted_V = _stable_order(V, m)
+    return order, sorted_V, m, centred[which[:, None], order], (below, tied, size)
+
+
+# The proper nonempty parts of a tie group of exactly its defining
+# points, as masks over their places in the group's run of the sorted
+# order: two points on a line, or three on a plane that are never
+# collinear (_support_rows), so every part is a split.
+_GROUP_SPLITS = {
+    2: np.array([[1, 0], [0, 1]], dtype=bool),
+    3: np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=bool),
+}
+
+
+class _TieSplits(NamedTuple):
+    """A block's tie splits (_tie_splits)."""
+
+    rows: np.ndarray  # each split's block row
+    gains: np.ndarray  # its sweep gain
+    below: np.ndarray  # the count of the row's values below its tie group
+    part: np.ndarray  # the group's places it puts left, from the group's first
+
+
+def _tie_splits(problems, block, which, order, y, m, n_full, groups) -> Optional[_TieSplits]:
+    """The tie splits of a block of oracle rows (module docstring): for
+    each row with a tie group, each part Q of the group that a hyperplane
+    moved off the row's normal can separate from the rest, as the left
+    set of the rows below the group plus Q.  A group of exactly its
+    defining points takes every part (_GROUP_SPLITS), a larger one the
+    parts of _Vertices.parts.  Each gain is the sweep's formula on
+    the prefix sum below the group plus Q's centred responses, added in
+    order of place.  None when the block has no tie group."""
+    below, tied, size = groups
+    if not tied.any():
+        return None
+    # Each table of parts, with the block rows it serves: a group of
+    # exactly its defining points, or a larger group (the rows of one
+    # line or plane share _Vertices.parts' result).
+    tables = {k: (table, np.flatnonzero((size == k) & (tied == k))) for k, table in _GROUP_SPLITS.items()}
+    offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
+    for r in np.flatnonzero((size > 1) & (tied > size)).tolist():
+        start = int(below[r])
+        found = problems[block[which[r]][0]][1].parts(int(offsets[r]), order[r, start : start + int(tied[r])])
+        if found and id(found) not in tables:
+            tables[id(found)] = np.array([inside for inside, _ in found.values()]), []
+        if found:
+            tables[id(found)][1].append(r)
+    csum = np.cumsum(y, axis=1)
+    prefix = np.where(below > 0, csum[np.arange(below.size), np.maximum(below - 1, 0)], 0.0)
+    width = int(tied.max())
+    rows, sums, counts, parts = [], [], [], []
+    for table, r in tables.values():
+        r = np.asarray(r, dtype=np.intp)
+        if not r.size:
+            continue
+        k = table.shape[1]
+        members = y[r[:, None], below[r, None] + np.arange(k)]
+        total = np.repeat(prefix[r, None], len(table), axis=1)
+        for j in range(k):  # adding 0.0 leaves a sum as it is
+            total += np.where(table[:, j], members[:, j, None], 0.0)
+        mask = np.zeros((len(table), width), dtype=bool)
+        mask[:, :k] = table
+        rows.append(np.repeat(r, len(table)))
+        sums.append(total.ravel())
+        counts.append((below[r, None] + np.count_nonzero(table, axis=1)).ravel())
+        parts.append(np.tile(mask, (r.size, 1)))
+    if not rows:
+        return None
+    rows = np.concatenate(rows)
+    gains = _gains(
+        np.concatenate(sums), np.concatenate(counts).astype(np.float64), csum[rows, -1],
+        m[rows, 0], n_full,
+    )
+    return _TieSplits(rows, gains, below[rows], np.concatenate(parts))
+
+
+def _vertex_splits(problem, q: int, found: list, n_full: int, decreases: dict) -> list:
+    """The stored splits (_Vertices.stored) of an oracle problem's
+    contenders, found as (exact decrease, row, left set, tie split), in
+    row order.  A contender's decrease is its dichotomy's: that of its
+    left set or of the complement, whichever leaves the node's first row
+    right.
+
+    A stored split costs a projection of the node, so contenders are
+    stored in decreasing order of decrease, those within 2 DECREASE_TOL
+    of the first one left at a time, until the next one lies more than 2
+    DECREASE_TOL below the best stored split: none of those can be
+    near-best.  Within such a batch the plain contenders go first, and a
+    tie split is stored only for a dichotomy that no plain contender
+    stored: a moved direction stands in for a dichotomy only when no
+    candidate normal realizes it.  A stored split's left set may be the
+    complement of the contender's, and gets its own exact decrease.
+    """
+    node, W = problem
+    m = node.y.size
+    found = sorted(found, key=lambda contender: (-contender[0], contender[3]))
+    out, best, start = [], -np.inf, 0
+    while start < len(found) and found[start][0] >= best - 2.0 * DECREASE_TOL:
+        end = start
+        while end < len(found) and found[end][0] >= found[start][0] - 2.0 * DECREASE_TOL:
+            end += 1
+        realized = set()
+        for tied in (False, True):
+            batch = [
+                (row, left) for _, row, left, moved in found[start:end]
+                if moved == tied and _dichotomy(left) not in realized
+            ]
+            if not batch:
+                continue
+            stored = W.stored([row for row, _ in batch], np.array([left for _, left in batch]), tied)
+            for (row, _), result in zip(batch, stored):
+                if result is None:
+                    continue
+                coefficients, threshold, left = result
+                key = (q, left.tobytes())
+                if key not in decreases:
+                    decreases[key] = _split_decrease(node.y, left, n_full, node.sse)
+                count = int(np.count_nonzero(left))
+                split = Split(Direction(coefficients), threshold, decreases[key], count, m - count, left)
+                out.append((row, split))
+                best = max(best, split.decrease)
+                realized.add(_dichotomy(left))
+        start = end
+    return [split for _, split in sorted(out, key=lambda row: row[0])]
+
+
+def _dichotomy(left: np.ndarray) -> bytes:
+    """The dichotomy of a left set, the same for its complement: the
+    bytes of whichever of the two leaves the first row out."""
+    return (~left if left[0] else left).tobytes()
+
+
 def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -> list:
     """The exact near-best splits of each (node, W) problem.
 
     A problem pairs a _Node of X's rows with a matrix W of direction
-    rows.  A row of W becomes its split's direction as it is, so callers
-    pass canonical rows, as canonical_rows gives.
+    rows, or with the exhaustive oracle's rows (_Vertices).  A row of a
+    matrix becomes its split's direction as it is, so callers pass
+    canonical rows, as canonical_rows gives.
     The rows of every problem are swept in the blocks of _blocks: each
     block's rows are sorted (_sorted_block: a row the node inherited
     from its parent is read from there, the others are projected and
-    stably sorted), swept (_sweep_gains, one cumsum along the rows) and
-    screened under each problem's rising floor (module docstring).  A
-    kept row's split sits at its first boundary b within DECREASE_TOL of
-    its best gain, and its left set is the first b + 1 rows of its order
-    (a valid boundary lies strictly between two distinct values); each
-    problem's contenders get exact decreases once per distinct left set.
+    stably sorted; _vertex_block for oracle rows), swept (_sweep_gains,
+    one cumsum along the rows) and screened under each problem's rising
+    floor (module docstring).  A kept row's split sits at its first
+    boundary b within DECREASE_TOL of its best gain, and its left set is
+    the first b + 1 rows of its order (a valid boundary lies strictly
+    between two distinct values); an oracle row's tie splits
+    (_tie_splits) are screened as rows of their own.  Each problem's
+    contenders get exact decreases once per distinct left set, and an
+    oracle problem's its stored splits (_vertex_splits).
     With keep, nodes keep their orders for their children (_sources).
     Returns, for each problem, the splits within DECREASE_TOL of its
     largest exact decrease, in row order, as solving every row exactly
@@ -718,14 +943,23 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
         nodes = [problems[q][0] for q in qs]
         counts = [hi - lo for _, lo, hi in block]
         which = np.repeat(np.arange(len(block)), counts)
-        order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which, scratch)
+        ties = None
+        if isinstance(problems[qs[0]][1], _Vertices):
+            order, sorted_V, m, y, groups = _vertex_block(problems, block, which)
+            ties = _tie_splits(problems, block, which, order, y, m, n_full, groups)
+        else:
+            order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which, scratch)
         gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full, scratch)
         invalid = np.logical_not(valid, out=scratch.get("above", valid.shape, bool))
         np.copyto(gains, -np.inf, where=invalid)
         top = gains.max(axis=1)
+        best = top
+        if ties is not None:
+            best = top.copy()
+            np.maximum.at(best, ties.rows, ties.gains)
         starts = np.cumsum([0] + counts[:-1])
         margins = np.array([node.margin(n_full) for node in nodes])
-        floor[qs] = np.maximum(floor[qs], np.maximum.reduceat(top, starts) - margins)
+        floor[qs] = np.maximum(floor[qs], np.maximum.reduceat(best, starts) - margins)
         row_floor = floor[qs][which]
         rows = np.flatnonzero((top >= row_floor) & (row_floor > -np.inf))
         top = top[rows]
@@ -736,32 +970,55 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
         width = order.shape[1]
         lefts = np.zeros((rows.size, width), dtype=bool)
         lefts[np.arange(rows.size)[:, None], order[rows]] = np.arange(width) <= boundaries[:, None]
+        owners = np.array(qs)[which]
         offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
-        kept.append((np.array(qs)[which[rows]], offsets[rows], top, boundaries, cuts, lefts))
+        kept.append((owners[rows], offsets[rows], top, boundaries + 1, cuts, lefts))
+        if ties is not None:
+            floors = row_floor[ties.rows]
+            pick = np.flatnonzero((ties.gains >= floors) & (floors > -np.inf))
+            rows = ties.rows[pick]
+            # A tie split's left set: the rows below its group, then its part.
+            places = np.arange(width) < ties.below[pick, None]
+            hit, at = np.nonzero(ties.part[pick])
+            places[hit, ties.below[pick][hit] + at] = True
+            lefts = np.zeros((pick.size, width), dtype=bool)
+            lefts[np.arange(pick.size)[:, None], order[rows]] = places
+            kept.append((owners[rows], offsets[rows], ties.gains[pick], None, None, lefts))
     decreases: dict[tuple, float] = {}
     splits = [[] for _ in problems]
-    for owners, offsets, top, boundaries, cuts, lefts in kept:
+    contenders = {}
+    for owners, offsets, top, counts, cuts, lefts in kept:
         offsets = offsets.tolist()
         for i in np.flatnonzero(top >= floor[owners]).tolist():
-            q, b = int(owners[i]), int(boundaries[i])
+            q = int(owners[i])
             node, W = problems[q]
-            perm = None
-            if sources[q] is not None:
-                W, perm = sources[q].W, sources[q].perm
             m = node.y.size
             left = lefts[i, :m]
+            if isinstance(W, _Vertices):
+                # A dichotomy's decrease, whichever side a contender puts left.
+                key = (q, _dichotomy(left))
+                if key not in decreases:
+                    decreases[key] = _split_decrease(node.y, ~left if left[0] else left, n_full, node.sse)
+                contenders.setdefault(q, []).append((decreases[key], offsets[i], left, counts is None))
+                continue
             key = (q, left.tobytes())
             if key not in decreases:
                 decreases[key] = _split_decrease(node.y, left, n_full, node.sse)
+            perm = None
+            if sources[q] is not None:
+                W, perm = sources[q].W, sources[q].perm
+            b = int(counts[i])
             split = Split(
                 direction=Direction(tuple(W[offsets[i]].tolist())),
                 threshold=float(cuts[i]),
                 decrease=decreases[key],
-                left_count=b + 1,
-                right_count=m - b - 1,
+                left_count=b,
+                right_count=m - b,
                 left=left,
             )
             splits[q].append(split if perm is None else (int(perm[offsets[i]]), split))
+    for q, found in contenders.items():
+        splits[q] = _vertex_splits(problems[q], q, found, n_full, decreases)
     # Rows that a problem inherited were swept first: restore row order.
     for q, found in enumerate(splits):
         if sources[q] is not None and sources[q].perm is not None:
@@ -833,66 +1090,338 @@ def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
     return arr[fresh]
 
 
-def _candidate_directions(points: np.ndarray, support, p: int, size: int) -> np.ndarray:
-    """Directions (embedded in R^p) spanned by node points on one support.
+def _cross(a: np.ndarray, b: np.ndarray, op=np.subtract) -> np.ndarray:
+    """The cross products of the rows of a and b, one elementwise product
+    and difference per coordinate; with op=np.add, the sums of the same
+    products, which bound the cross products' rounding."""
+    return np.stack(
+        [op(a[:, 1] * b[:, 2], a[:, 2] * b[:, 1]),
+         op(a[:, 2] * b[:, 0], a[:, 0] * b[:, 2]),
+         op(a[:, 0] * b[:, 1], a[:, 1] * b[:, 0])],
+        axis=1,
+    )
 
-    size 1: the axis itself.  size 2: perpendiculars of all point-pair
-    differences in the 2-D restriction.  size 3: normals of all 3-point
-    subsets plus cross products of disjoint pair differences; the latter
-    cover optimal hyperplanes whose margin touches two points on each
-    side without passing through three points.
+
+def _triples(m: int, i: np.ndarray, j: np.ndarray):
+    """The index triples i < j < k below m, in lexicographic order, from
+    the index pairs i < j in lexicographic order."""
+    counts = m - 1 - j
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.repeat(j, counts) + 1 + np.arange(int(counts.sum())) - first
+    return np.repeat(i, counts), np.repeat(j, counts), k
+
+
+def _support_rows(points: np.ndarray, size: int, index: tuple):
+    """The oracle's rows on the supports of one size, whose points are
+    points (supports x m x size): (owner, normals, defining points, tie
+    tolerances), one row each, owner the row's support.  index holds the
+    index pairs i < j (size 2) or triples i < j < k (size 3) below m, as
+    index arrays.
+
+    size 1: the axis, with no defining point.  size 2: the perpendicular
+    (-a_2, a_1) of each nonzero pair difference a = x_j - x_i.  size 3:
+    the normal n = a x b, a = x_j - x_i and b = x_k - x_i, of each triple
+    that rounding cannot have made collinear: some |n_c| exceeds 8 u N_c,
+    where N = |a| x |b| with every product added bounds n's rounding (a
+    collinear triple of exactly computed differences gives n = 0).  Rows
+    come support by support, each support's in index order.  Each normal
+    is oriented as canonical_rows orients it, its first coefficient
+    above _COEFF_SNAP of its peak positive, so that the sweep's order is
+    its stored direction's.  The tolerance is _TIE_SLACK u ||N||_1 R (N =
+    |n| for a pair), R the support's peak magnitude (module docstring).
     """
+    count = points.shape[0]
     if size == 1:
-        local = np.ones((1, 1))
-    elif size == 2:
-        diffs = points[:, None, :] - points[None, :, :]
-        iu = np.triu_indices(points.shape[0], k=1)
-        d = diffs[iu]
-        d = d[np.any(d != 0.0, axis=1)]
-        local = np.stack([-d[:, 1], d[:, 0]], axis=1) if d.shape[0] else np.zeros((0, 2))
-    elif size == 3:
-        iu = np.triu_indices(points.shape[0], k=1)
-        diffs = points[iu[0]] - points[iu[1]]
-        diffs = diffs[np.any(diffs != 0.0, axis=1)]
-        if diffs.shape[0] >= 2:
-            a, b = np.triu_indices(diffs.shape[0], k=1)
-            # Crosses of overlapping pairs are the 3-point-subset normals;
-            # crosses of disjoint pairs cover two-points-per-side margins.
-            local = np.cross(diffs[a], diffs[b])
-        else:
-            local = np.zeros((0, 3))
+        return np.arange(count), np.ones((count, 1)), np.full((count, 1), -1), np.zeros(count)
+    a = points[:, index[1]] - points[:, index[0]]
+    if size == 2:
+        owner, at = np.nonzero(np.any(a != 0.0, axis=2))
+        a = a[owner, at]
+        normals = np.stack([-a[:, 1], a[:, 0]], axis=1)
+        bound = np.abs(normals)
     else:
-        raise ValueError("exhaustive search supports sparsity up to 3")
-    out = np.zeros((local.shape[0], p))
-    out[:, list(support)] = local
-    return out
+        b = (points[:, index[2]] - points[:, index[0]]).reshape(-1, 3)
+        a = a.reshape(-1, 3)
+        normals, bound = _cross(a, b), _cross(np.abs(a), np.abs(b), np.add)
+        live = np.any(np.abs(normals) > 8.0 * _UNIT_ROUNDOFF * bound, axis=1)
+        owner, at = np.divmod(np.flatnonzero(live), index[0].size)
+        normals, bound = normals[live], bound[live]
+    defining = np.stack([ends[at] for ends in index], axis=1)
+    size_of = np.abs(normals)
+    significant = size_of > _COEFF_SNAP * size_of.max(axis=1, keepdims=True, initial=0.0)
+    first = normals[np.arange(normals.shape[0]), np.argmax(significant, axis=1)]
+    normals = np.where(first[:, None] < 0.0, -normals, normals)
+    reach = np.max(np.abs(points), axis=(1, 2))[owner]
+    tolerance = _TIE_SLACK * _UNIT_ROUNDOFF * np.add.reduce(bound, axis=1) * reach
+    return owner, normals, defining, tolerance
+
+
+def _along(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """normals[r] . points[l] for k normals over m x size points, a (k, m)
+    array, the products added in coordinate order from the first one:
+    the oracle's levels and its in-plane positions."""
+    total = normals[:, 0, None] * points[:, 0]
+    for c in range(1, normals.shape[1]):
+        total += normals[:, c, None] * points[:, c]
+    return total
+
+
+def _dots(points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """points . w for one vector w (_along)."""
+    return _along(points, w[None])[0]
+
+
+def _cuts(points: np.ndarray, v: np.ndarray, ends: bool):
+    """The splits of points along v, each as (inside, g, c) with g . x - c
+    < 0 at the points inside marks and > 0 at the others: one at each
+    midpoint c between distinct consecutive positions points . v, with
+    either side inside.  With ends, also the two constant functionals
+    +1 and -1 (g = 0), which put no point and every point inside."""
+    positions = _dots(points, v)
+    if ends:
+        yield np.zeros(positions.size, dtype=bool), np.zeros_like(v), -1.0
+        yield np.ones(positions.size, dtype=bool), np.zeros_like(v), 1.0
+    levels = np.sort(positions).tolist()
+    for low, high in zip(levels[:-1], levels[1:]):
+        if low == high:
+            continue
+        cut = (low + high) * 0.5
+        below = positions < cut
+        yield below, v, cut
+        yield ~below, -v, -cut
+
+
+def _tilt(base: np.ndarray, offset: float, levels: np.ndarray, points: np.ndarray,
+          g: np.ndarray, c: float, default: float):
+    """The functional base . x - offset tilted by g . x - c: (base + eps
+    g, offset + eps c), eps half the smallest |levels| (its values at
+    points, none zero) over the largest |g . x - c| there, so that no
+    point changes sign; eps = default when that largest is 0 or there is
+    no point."""
+    spread = np.abs(_dots(points, g) - c) if points.shape[0] else np.zeros(0)
+    eps = default
+    if spread.size and spread.max() > 0.0:
+        eps = 0.5 * float(np.abs(levels).min()) / float(spread.max())
+    return base + eps * g, offset + eps * c
+
+
+def _separations(points: np.ndarray, normal: np.ndarray):
+    """Every split of a tie group, whose points lie on the line or plane
+    with this normal, by a line or plane within it, as (inside, witness):
+    witness() gives (g, c) with g . x - c < 0 at the points inside marks
+    and > 0 at the others.
+
+    On a line (2 coordinates) a split is a cut along it (_cuts).  On a
+    plane, it is the search one dimension down: each line through two
+    distinct points a and b, with in-plane normal u = normal x (x_b -
+    x_a), puts the points with u . (x - x_a) below -tol on one side and
+    those above tol on the other (tol bounds the rounding as in
+    _support_rows), and cuts the points on the line along it, or leaves
+    them on one side.  The witness is sigma u . (x - x_a) tilted by the
+    cut's functional (_tilt).  Every split of points in a plane by a
+    line can be turned about the points until it passes through two of
+    them, so the search meets every split.  Pairs on a line already
+    searched give the same splits and are skipped.
+    """
+    if normal.size == 2:
+        for inside, g, c in _cuts(points, np.array([normal[1], -normal[0]]), ends=False):
+            yield inside, lambda g=g, c=c: (g, c)
+        return
+    searched = []  # the lines searched, as bit masks of their points
+    for a, b in itertools.combinations(range(points.shape[0]), 2):
+        d = points[b] - points[a]
+        if not d.any() or any(line >> a & line >> b & 1 for line in searched):
+            continue
+        u = _cross(normal[None], d[None])[0]
+        offsets = points - points[a]
+        across = _dots(offsets, u)
+        bound = _cross(np.abs(normal)[None], np.abs(d)[None], np.add)[0]
+        tol = _TIE_SLACK * _UNIT_ROUNDOFF * float(np.add.reduce(bound)) * float(np.max(np.abs(offsets)))
+        line = np.abs(across) <= tol
+        searched.append(sum(1 << i for i in np.flatnonzero(line).tolist()))
+        off = np.flatnonzero(~line)
+        at, levels, far = float(_dots(points[a][None], u)[0]), across[off], points[off]
+        for sigma in (1.0, -1.0):
+            for inside_line, g, c in _cuts(points[line], d, ends=True):
+                inside = np.empty(points.shape[0], dtype=bool)
+                inside[line] = inside_line
+                inside[off] = sigma * levels < 0.0
+                yield inside, lambda base=sigma * u, offset=sigma * at, levels=levels, far=far, g=g, c=c: (
+                    _tilt(base, offset, levels, far, g, c, 1.0)
+                )
+
+
+class _Vertices:
+    """The exhaustive oracle's candidate rows on one node (module
+    docstring), with the values its sweep sorts and the splits it stores.
+
+    features is the node's m x p rows.  Each support of at most d
+    coordinates contributes the rows of _support_rows on its points
+    (rescaled by _rescaled), in support order: the axes, then the pair
+    perpendiculars of each 2-coordinate support, then the triple normals
+    of each 3-coordinate support.  A row's tie group is its defining
+    points and every point whose value lies within its tolerance of
+    theirs: the points on its line or plane.
+    """
+
+    def __init__(self, features: np.ndarray, d: int):
+        if d > 3:
+            raise ValueError("exhaustive search supports sparsity up to 3")
+        self.features = features
+        m, p = features.shape
+        pairs = np.triu_indices(m, k=1)
+        index = {1: (), 2: pairs, 3: _triples(m, *pairs) if d == 3 else ()}
+        # Per support size: (supports, their points, first row, owner,
+        # normals, defining points, tolerances).
+        self.sizes, start = [], 0
+        for size in range(1, min(d, p) + 1):
+            supports = list(itertools.combinations(range(p), size))
+            points = _rescaled(np.moveaxis(features[:, np.array(supports)], 1, 0))
+            rows = _support_rows(points, size, index[size])
+            self.sizes.append((supports, points, start) + rows)
+            start += rows[0].size
+        self.count = start
+        self._parts = {}
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _row(self, r: int):
+        """(support, its points, normal, defining points, tolerance) of row r."""
+        for supports, points, start, owner, normals, defining, tolerance in self.sizes:
+            if r < start + owner.size:
+                i, t = r - start, owner[r - start]
+                return supports[t], points[t], normals[i], defining[i], float(tolerance[i])
+        raise IndexError(r)
+
+    def levels(self, lo: int, hi: int):
+        """The sweep's values of rows lo..hi - 1 at the node's points, as
+        (values, below, tied, size): each row's levels (_along), with its
+        tie group written equal to its first defining point's value; the
+        count of values below that one; the group's size (0 for an axis);
+        and the support's size."""
+        m = self.features.shape[0]
+        values = np.empty((hi - lo, m))
+        below, tied, size = (np.zeros(hi - lo, dtype=np.intp) for _ in range(3))
+        for _, points, start, owner, normals, defining, tolerance in self.sizes:
+            a, b = max(lo, start), min(hi, start + owner.size)
+            if a >= b:
+                continue
+            rows = slice(a - start, b - start)
+            # Rows come support by support: one product per support.
+            V = np.empty((b - a, m))
+            cuts = np.flatnonzero(np.diff(owner[rows])) + 1
+            for i, j in zip([0, *cuts.tolist()], [*cuts.tolist(), b - a]):
+                V[i:j] = _along(points[owner[a - start + i]], normals[a - start + i : a - start + j])
+            size[a - lo : b - lo] = normals.shape[1]
+            if normals.shape[1] > 1:
+                held = defining[rows]
+                at = np.arange(b - a)[:, None]
+                pivot = V[at, held[:, :1]]
+                on = np.abs(V - pivot) <= tolerance[rows, None]
+                on[at, held] = True
+                V = np.where(on, pivot, V)
+                below[a - lo : b - lo] = np.count_nonzero(V < pivot, axis=1)
+                tied[a - lo : b - lo] = np.count_nonzero(on, axis=1)
+            values[a - lo : b - lo] = V
+        return values, below, tied, size
+
+    def parts(self, r: int, members: np.ndarray) -> dict:
+        """The proper nonempty parts of row r's tie group (members,
+        ascending node indices) that a hyperplane moved off the row's
+        normal can put below the rest of the group (_separations), as
+        {mask bytes: (mask over members, witness)} with the first witness
+        found.  Rows of one support with the same group lie on one line
+        or plane, with parallel normals, and share the first one's
+        result."""
+        support, points, normal, _, _ = self._row(r)
+        key = (support, members.tobytes())
+        if key not in self._parts:
+            found = self._parts[key] = {}
+            for inside, witness in _separations(points[members], normal):
+                if inside.any() and not inside.all():
+                    found.setdefault(inside.tobytes(), (inside, witness))
+        return self._parts[key]
+
+    def _moved(self, r: int, left: np.ndarray):
+        """Row r's normal n moved into the cell of directions that realize
+        left, which holds part of its tie group: n tilted (_tilt) by the
+        first witness g . x - c of _separations that separates the group's
+        part from the rest within the line or plane, against the levels
+        n . (x - x_i) of the points off it, so no other point changes side
+        and the part lies below the rest.  None if no witness separates
+        the part."""
+        support, points, w, defining, tolerance = self._row(r)
+        levels = _dots(points, w)
+        levels -= levels[defining[0]]
+        on = np.abs(levels) <= tolerance
+        on[defining] = True
+        members, inside = np.flatnonzero(on), left[on]
+        cached = self._parts.get((support, members.tobytes()))
+        if cached is not None:
+            found = cached.get(inside.tobytes())
+        else:
+            found = next(
+                (part for part in _separations(points[members], w) if np.array_equal(part[0], inside)),
+                None,
+            )
+        if found is None:
+            return None
+        g, c = found[1]()
+        out = np.flatnonzero(~on)
+        moved, _ = _tilt(w, 0.0, levels[out], points[out], g, c, float(np.abs(w).max() / np.abs(g).max()))
+        return moved
+
+    def stored(self, rows: list, lefts: np.ndarray, tied: bool) -> list:
+        """The stored split of each contender, found on row rows[i] with
+        left set lefts[i] (tie splits if tied), as (coefficients,
+        threshold, left), or None.
+
+        A plain contender's direction is its row's normal, a tie split's
+        the normal moved into its cell (_moved).  Each direction is
+        canonicalized and the node's rows are projected onto it; the
+        split is kept only if one side, the left set or its complement,
+        lies wholly below the other with a valid midpoint threshold (a
+        value strictly between the two sides' extremes).  That side is the
+        stored left.
+        """
+        k, p = len(rows), self.features.shape[1]
+        raw = np.zeros((k, p))
+        for i, r in enumerate(rows):
+            support, _, w, _, _ = self._row(r)
+            if tied:
+                w = self._moved(r, lefts[i])
+            if w is not None:
+                raw[i, list(support)] = w
+        live = np.flatnonzero(raw.any(axis=1))
+        out = [None] * k
+        if not live.size:
+            return out
+        directions = canonical_rows(raw[live])
+        values = projections(self.features, directions)
+        for side in (lefts[live], ~lefts[live]):
+            low = np.where(side, values, -np.inf).max(axis=1)
+            high = np.where(side, np.inf, values).min(axis=1)
+            threshold = (low + high) * 0.5
+            for j in np.flatnonzero((low < threshold) & (threshold < high)).tolist():
+                if out[live[j]] is None:
+                    out[live[j]] = tuple(directions[j].tolist()), float(threshold[j]), side[j]
+        return out
 
 
 def _rescaled(points: np.ndarray) -> np.ndarray:
-    """points times 2^-e, e the binary exponent of their peak magnitude,
-    or points itself when |e| <= _EXPONENT_BAND.
+    """Each support's points (points[t], m x size) times 2^-e, e the
+    binary exponent of their peak magnitude, when |e| > _EXPONENT_BAND.
 
     A power of two scales exactly, and canonical directions do not see a
     common scale, so this changes no candidate direction of points whose
     scale stays within the band; beyond it, the cross products of
-    _candidate_directions would overflow or underflow.
+    _support_rows would overflow or underflow.
     """
-    _, exponent = np.frexp(np.max(np.abs(points)))
-    if abs(int(exponent)) <= _EXPONENT_BAND:
+    _, exponent = np.frexp(np.max(np.abs(points), axis=(1, 2)))
+    if np.all(np.abs(exponent) <= _EXPONENT_BAND):
         return points
-    return np.ldexp(points, -int(exponent))
-
-
-def _oblique_candidates(points: np.ndarray, d: int) -> np.ndarray:
-    """The exhaustive search's canonical candidate rows on a node's
-    points (its m x p features), for every support of size <= d."""
-    p = points.shape[1]
-    blocks = []
-    for size in range(1, d + 1):
-        for support in itertools.combinations(range(p), size):
-            pts = _rescaled(points[:, list(support)])
-            blocks.append(_candidate_directions(pts, support, p, size))
-    return _canonical_rows(np.concatenate(blocks, axis=0))
+    return np.ldexp(points, np.where(np.abs(exponent) > _EXPONENT_BAND, -exponent, 0)[:, None, None])
 
 
 def _random_sparse_directions(seed: int, p: int, sparsity_d: int, count: int) -> np.ndarray:
@@ -1020,7 +1549,7 @@ def _search_level(dataset: Dataset, nodes: list, strategy: SearchStrategy, seeds
                 )
         if d > 3:
             raise ValueError("exhaustive search supports sparsity_d <= 3")
-        problems = [(node, _oblique_candidates(node.features(X), d)) for node in nodes]
+        problems = [(node, _Vertices(node.features(X), d)) for node in nodes]
         near = _best_thresholds(X, problems, n, keep)
         return [min(found, key=_tie_key, default=None) for found in near]
     axes = np.eye(p)
@@ -1072,12 +1601,18 @@ def search_exhaustive_oblique(
 ) -> Split:
     """Exact maximizer of the SSE decrease over sparsity-d hyperplanes.
 
-    Enumerates, for every support of size <= sparsity_d, the directions
-    spanned by node-point subsets (see _candidate_directions) and sweeps
-    every midpoint threshold along each.  This realizes every dichotomy
-    of the node achievable by a hyperplane with at most sparsity_d
-    nonzero coefficients, so the returned split is a true maximizer over
-    the restricted space.  Restricted to small instances by node_cap.
+    Sweeps, for every support of size <= sparsity_d, the normals of its
+    point triples, the perpendiculars of its point pairs and its axes
+    (_Vertices), each with its tie group kept whole, and scores the parts
+    of each group that a hyperplane moved off it can separate as left
+    sets of their own.  Every dichotomy of the node that a hyperplane
+    with at most sparsity_d nonzero coefficients strictly separates is
+    met at a vertex of its cone of hyperplanes, and no other is scored,
+    so on data whose normals and projections are computed exactly (for
+    example integer coordinates of magnitude below 2^10) the returned
+    split is a true maximizer over the restricted space; elsewhere ties
+    are decided within rounding (module docstring).  Restricted to small
+    instances by node_cap.
     """
     strategy = SearchStrategy(kind="exhaustive_oblique", sparsity_d=sparsity_d, node_cap=node_cap)
     return run_search(dataset, node, strategy)

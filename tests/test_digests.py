@@ -83,7 +83,7 @@ TREES = {
     ),
     "exhaustive": (
         (30, 2), SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), 3, 1,
-        "961680cc1c2c444f679e61d9f3a94950b8f4973f00d824981ba590e7234d544a",
+        "5e42d848d670f4ff507ccf3b0ba8a6594ada1f1cafba76d94588ab87ab9194d4",
     ),
     "random_projection": (
         (600, 4), SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=30, seed=3), 5, 1,
@@ -187,5 +187,5 @@ def test_ridge_sample_and_rate_report_are_pinned():
         sha(json.dumps(report, sort_keys=True).encode()),
     ) == (
         "2639e646e63202f271b5e104ec4a35ccdaba280ac544c844c612c1bf152f756c",
-        "5c120c89e5092fb1eecd6fc955de506cadd960bce7102da1c54d4464149d7a80",
+        "4954938257ee19bd1f8232b99fad05b82546c52c7eebc7b1bde12d8d56322aea",
     )

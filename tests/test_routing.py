@@ -146,7 +146,7 @@ def grown_trees(draw):
     kind = draw(st.sampled_from(
         ["axis_aligned", "random_projection", "hill_climb", "exhaustive_oblique"]
     ))
-    # The exhaustive search enumerates about m**4 / 2 directions at d = 3.
+    # The exhaustive search sweeps about m**3 / 6 triple normals at d = 3.
     n = draw(st.integers(2, 24 if kind == "exhaustive_oblique" else 60))
     p = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

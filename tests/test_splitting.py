@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from obliquetree.splitting import (
     Split,
     _Node,
     _best_thresholds,
-    _candidate_directions,
     _coefficient_move,
     _canonical_rows,
     _random_sparse_directions,
@@ -487,14 +488,43 @@ def reference_search_axis_aligned(dataset, node):
     return next(s for s in splits if s.decrease >= top - DECREASE_TOL)
 
 
+def reference_candidate_directions(points, support, p, size):
+    """The exhaustive search's former candidates on one support, embedded
+    in R^p: the axis; perpendiculars of all point-pair differences; or
+    every cross product of two pair differences, which gives about m^4/8
+    rows on m points.  Such crosses lie at the vertices of each
+    dichotomy's cell of directions, where two pairs tie, and the sweep
+    splits each tie by rounding."""
+    if size == 1:
+        local = np.ones((1, 1))
+    elif size == 2:
+        iu = np.triu_indices(points.shape[0], k=1)
+        d = (points[:, None, :] - points[None, :, :])[iu]
+        d = d[np.any(d != 0.0, axis=1)]
+        local = np.stack([-d[:, 1], d[:, 0]], axis=1) if d.shape[0] else np.zeros((0, 2))
+    else:
+        iu = np.triu_indices(points.shape[0], k=1)
+        diffs = points[iu[0]] - points[iu[1]]
+        diffs = diffs[np.any(diffs != 0.0, axis=1)]
+        if diffs.shape[0] >= 2:
+            a, b = np.triu_indices(diffs.shape[0], k=1)
+            local = np.cross(diffs[a], diffs[b])
+        else:
+            local = np.zeros((0, 3))
+    out = np.zeros((local.shape[0], p))
+    out[:, list(support)] = local
+    return out
+
+
 def reference_search_exhaustive_oblique(dataset, node, sparsity_d):
+    """The best split over the former candidates (reference_candidate_directions)."""
     X = dataset.features[np.asarray(node)]
     d = min(sparsity_d, dataset.p)
     blocks = []
     for size in range(1, d + 1):
         for support in itertools.combinations(range(dataset.p), size):
             pts = X[:, list(support)]
-            blocks.append(_candidate_directions(pts, support, dataset.p, size))
+            blocks.append(reference_candidate_directions(pts, support, dataset.p, size))
     directions = reference_canonical_rows(np.concatenate(blocks, axis=0))
     best = reference_best_over_directions(dataset, node, directions)
     if best is None:
@@ -569,23 +599,188 @@ def grid_nodes(draw, max_m=16, max_p=3):
 
 
 def candidate_rows(data, node, max_support):
-    """The deduplicated exhaustive candidates on supports up to max_support."""
+    """The deduplicated former exhaustive candidates on supports up to
+    max_support (reference_candidate_directions)."""
     X = data.features[node]
     blocks = [
-        _candidate_directions(X[:, list(s)], s, data.p, len(s))
+        reference_candidate_directions(X[:, list(s)], s, data.p, len(s))
         for size in range(1, min(data.p, max_support) + 1)
         for s in itertools.combinations(range(data.p), size)
     ]
     return _canonical_rows(np.concatenate(blocks, axis=0))
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=grid_nodes(), sparsity=st.integers(1, 3))
-def test_exhaustive_matches_per_candidate_reference(case, sparsity):
+def simplex_feasible(A, b):
+    """Whether A z = b has a solution z >= 0 (every b_i >= 0): phase 1 of
+    the simplex method with Bland's rule, in exact rational arithmetic."""
+    rows, cols = len(A), len(A[0])
+    T = [list(A[i]) + [Fraction(int(i == j)) for j in range(rows)] + [b[i]] for i in range(rows)]
+    basis = [cols + i for i in range(rows)]
+    cost = [-sum(T[i][j] for i in range(rows)) for j in range(cols)] + [Fraction(0)] * rows
+    cost.append(-sum(b))
+    while True:
+        enter = next((j for j in range(cols + rows) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        leave = None
+        for i in range(rows):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if leave is None or (ratio, basis[i]) < (leave[0], basis[leave[1]]):
+                    leave = (ratio, i)
+        i = leave[1]
+        T[i] = [v / T[i][enter] for v in T[i]]
+        for r in range(rows):
+            if r != i and T[r][enter] != 0:
+                T[r] = [a - T[r][enter] * c for a, c in zip(T[r], T[i])]
+        cost = [a - cost[enter] * c for a, c in zip(cost, T[i])]
+        basis[i] = enter
+
+
+def strictly_separable(left, right):
+    """Whether a hyperplane strictly separates two finite sets of exact
+    points: whether no convex combination of one equals one of the other
+    (an exact linear feasibility problem)."""
+    if set(left) & set(right):
+        return False
+    s = len(left[0])
+    A = [[x[c] for x in left] + [-x[c] for x in right] for c in range(s)]
+    A.append([Fraction(1)] * len(left) + [Fraction(0)] * len(right))
+    A.append([Fraction(0)] * len(left) + [Fraction(1)] * len(right))
+    return not simplex_feasible(A, [Fraction(0)] * s + [Fraction(1), Fraction(1)])
+
+
+def exact_best_decrease(X, y, n_full, sparsity):
+    """The largest exact SSE decrease / n_full over the dichotomies of the
+    rows of X that a hyperplane with at most `sparsity` nonzero
+    coefficients strictly separates, as a Fraction, or None.  Dichotomies
+    are visited by decreasing decrease, and the first separable one on
+    some support of min(sparsity, p) coordinates is the answer."""
+    m, p = X.shape
+    points = [[Fraction(float(v)) for v in row] for row in X]
+    ys = [Fraction(float(v)) for v in y]
+
+    def sse(values):
+        return sum(v * v for v in values) - sum(values) ** 2 / len(values) if values else 0
+
+    dichotomies = []
+    for mask in range(1, 2 ** (m - 1)):  # row 0 always right: each dichotomy once
+        left = [i for i in range(1, m) if mask >> (i - 1) & 1]
+        right = [i for i in range(m) if i not in left]
+        decrease = (sse(ys) - sse([ys[i] for i in left]) - sse([ys[i] for i in right])) / n_full
+        dichotomies.append((decrease, left, right))
+    dichotomies.sort(key=lambda item: -item[0])
+    supports = list(itertools.combinations(range(p), min(sparsity, p)))
+    for decrease, left, right in dichotomies:
+        for support in supports:
+            if strictly_separable(
+                [tuple(points[i][c] for c in support) for i in left],
+                [tuple(points[i][c] for c in support) for i in right],
+            ):
+                return decrease
+    return None
+
+
+def test_exact_reference_on_hand_cases():
+    # Four corners of a square: the diagonals cross, so neither pair is
+    # separable from the other, while one corner is.  Collinear points
+    # separate only as prefixes.
+    corners = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    assert not strictly_separable(corners[:2], corners[2:])
+    assert strictly_separable(corners[:1], corners[1:])
+    line = [(Fraction(i),) for i in range(4)]
+    assert strictly_separable(line[:2], line[2:])
+    assert not strictly_separable([line[0], line[2]], [line[1], line[3]])
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    # y = 1 on one diagonal: splitting the diagonals would explain it all.
+    assert exact_best_decrease(X, np.array([1.0, 1.0, 0.0, 0.0]), 4, 2) == Fraction(1, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_nodes(max_m=10), sparsity=st.integers(1, 3))
+def test_exhaustive_matches_exact_reference(case, sparsity):
+    # Integer grids with duplicate points, constant columns and many
+    # coplanar and collinear points: the oracle's decrease is the best
+    # strictly separable dichotomy's, so it neither misses one nor
+    # reports one that no hyperplane realizes.
     data, node = case
-    assert outcome(search_exhaustive_oblique, data, node, sparsity) == outcome(
-        reference_search_exhaustive_oblique, data, node, sparsity
-    )
+    want = exact_best_decrease(data.features[node], data.response[node], data.n, sparsity)
+    try:
+        got = search_exhaustive_oblique(data, node, sparsity).decrease
+    except NoValidSplitError:
+        got = None
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - float(want)) <= DECREASE_TOL
+
+
+def test_exhaustive_returns_a_realizable_dichotomy_on_coplanar_crossing_rows():
+    # Rows 1, 2, 4 and 5 lie on the plane (6, -9, -1) . x = 0, and the
+    # segments 2-4 and 1-5 cross there.  Along that normal the former
+    # enumerator split them by rounding, 2 and 4 left, and reported a
+    # decrease no hyperplane achieves; the best realizable one is 50/81.
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 7, size=(9, 3)).astype(float)
+    y = rng.integers(0, 4, size=9).astype(float)
+    data, root = Dataset(X, y), np.arange(9)
+    assert exact_best_decrease(X, y, 9, 3) == Fraction(50, 81)
+    assert search_exhaustive_oblique(data, root, 3).decrease == pytest.approx(50 / 81, abs=1e-12)
+    assert reference_search_exhaustive_oblique(data, root, 3).decrease == pytest.approx(0.9030, abs=1e-4)
+
+
+def exact_sides(X, split):
+    """Whether each row of X lies at or below the split's threshold, in
+    exact rational arithmetic on the stored direction and threshold."""
+    w = [Fraction(c) for c in split.direction.coefficients]
+    t = Fraction(split.threshold)
+    return np.array([sum(a * Fraction(float(v)) for a, v in zip(w, row)) <= t for row in X])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_nodes(max_m=16), sparsity=st.integers(1, 3), depth=st.integers(1, 3))
+def test_oracle_splits_route_as_exact_arithmetic_does(case, sparsity, depth):
+    # Every split of an oracle tree on an integer grid sends each of its
+    # node's rows to the side its left set says, in exact arithmetic on
+    # the stored (direction, threshold), not only in floating point.
+    data, node = case
+    sample = Dataset(data.features[node], data.response[node])
+    grown = grow(sample, SearchStrategy(kind="exhaustive_oblique", sparsity_d=sparsity), depth)
+    rows = node_rows(grown, sample)
+    for nid, tree_node in grown.nodes.items():
+        if not tree_node.is_leaf:
+            sides = exact_sides(sample.features[rows[nid]], tree_node.split)
+            assert np.array_equal(rows[nid][sides], rows[tree_node.left_child])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20), p=st.integers(1, 4), sparsity=st.integers(1, 3))
+def test_exhaustive_matches_pair_difference_enumerator_on_continuous_inputs(seed, m, p, sparsity):
+    # In general position both candidate sets realize every separable
+    # dichotomy, so the decreases agree.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, p))
+    y = rng.standard_normal(m) if seed % 2 else np.sin(3.0 * X @ rng.standard_normal(p))
+    data, root = Dataset(X, y), np.arange(m)
+    got = search_exhaustive_oblique(data, root, sparsity).decrease
+    want = reference_search_exhaustive_oblique(data, root, sparsity).decrease
+    assert abs(got - want) <= DECREASE_TOL
+
+
+def test_oracle_rows_are_triple_normals_pair_perpendiculars_and_axes():
+    # In general position every triple of a 3-coordinate support, and
+    # every pair of a 2-coordinate support, gives one row: C(m, 3) and
+    # C(m, 2) rows, not the ~m^4/8 crosses of pair differences.
+    rng = np.random.default_rng(4)
+    for m, p, d in ((12, 3, 3), (20, 4, 3), (9, 5, 2), (7, 2, 3)):
+        vertices = splitting._Vertices(rng.uniform(-1.0, 1.0, size=(m, p)), d)
+        k = min(d, p)
+        want = p + (k >= 2) * math.comb(p, 2) * math.comb(m, 2) + (k >= 3) * math.comb(p, 3) * math.comb(m, 3)
+        assert len(vertices) == want
+        former = sum(
+            reference_candidate_directions(rng.uniform(-1.0, 1.0, (m, size)), s, p, size).shape[0]
+            for size in range(1, k + 1) for s in itertools.combinations(range(p), size)
+        )
+        assert k < 3 or former > 4 * want
 
 
 @settings(max_examples=60, deadline=None)
@@ -979,12 +1174,51 @@ def test_step_survives_a_large_response_offset(offset):
 # exactly (reference_split) before _near_best and _winner pick.
 
 
+def unscreened_vertex_splits(node, W, n_full):
+    """The stored splits of an oracle problem (a _Vertices) with no
+    screen: on every row, the first valid boundary within DECREASE_TOL of
+    its best exact decrease, and every tie split of its group, each
+    solved exactly, go to the stored-split rule (_vertex_splits)."""
+    m, found = node.y.size, []
+
+    def dichotomy_decrease(left):
+        return splitting._split_decrease(node.y, ~left if left[0] else left, n_full, node.sse)
+
+    for r in range(len(W)):
+        (values,), (below,), (tied,), (size,) = W.levels(r, r + 1)
+        order = np.argsort(values, kind="stable")
+        v = values[order]
+        plain = []
+        for b in range(m - 1):
+            if v[b] < (v[b] + v[b + 1]) * 0.5 < v[b + 1]:
+                left = np.zeros(m, dtype=bool)
+                left[order[: b + 1]] = True
+                plain.append((splitting._split_decrease(node.y, left, n_full, node.sse), left))
+        if plain:
+            top = max(decrease for decrease, _ in plain)
+            left = next(left for decrease, left in plain if decrease >= top - DECREASE_TOL)
+            found.append((dichotomy_decrease(left), r, left, False))
+        if tied >= 2:
+            members = order[below : below + tied]
+            parts = (
+                splitting._GROUP_SPLITS[tied] if tied == size
+                else [inside for inside, _ in W.parts(r, members).values()]
+            )
+            for part in parts:
+                left = np.zeros(m, dtype=bool)
+                left[order[:below]] = True
+                left[members[part]] = True
+                found.append((dichotomy_decrease(left), r, left, True))
+    return splitting._vertex_splits((node, W), 0, found, n_full, {})
+
+
 def unscreened_best_thresholds(X, problems, n_full, keep=False):
     """_best_thresholds with no screen: every row of every problem solved
     exactly.  It keeps no orders, whatever keep says."""
     return [
         splitting._near_best(
-            [reference_split(node.features(X), node.y, Direction(tuple(w)), n_full) for w in W.tolist()]
+            unscreened_vertex_splits(node, W, n_full) if isinstance(W, splitting._Vertices)
+            else [reference_split(node.features(X), node.y, Direction(tuple(w)), n_full) for w in W.tolist()]
         )
         for node, W in problems
     ]
@@ -1136,7 +1370,6 @@ def test_every_candidate_row_is_projected_and_sorted_once():
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=40, seed=2)
     raw = _random_sparse_directions(2, 3, 2, 40)
     cases = [
-        (lambda: search_exhaustive_oblique(data, root, 3), candidate_rows(data, root, 3).shape[0], 0),
         (lambda: run_search(data, root, strategy), 3 + _canonical_rows(raw).shape[0], 40),
     ]
     for search, candidates, keys in cases:
@@ -1147,6 +1380,16 @@ def test_every_candidate_row_is_projected_and_sorted_once():
             patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
             search()
         assert sum(projected) == sum(sorted_rows) - keys == candidates
+    # The oracle's rows are levelled (projected onto their normals) and
+    # sorted once each; its few contenders are projected again only to
+    # store their splits.
+    levelled, sorted_rows = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        level, order = splitting._Vertices.levels, splitting._stable_order
+        patch.setattr(splitting._Vertices, "levels", lambda self, lo, hi: levelled.append(hi - lo) or level(self, lo, hi))
+        patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
+        search_exhaustive_oblique(data, root, 3)
+    assert sum(levelled) == sum(sorted_rows) == len(splitting._Vertices(data.features, 3))
 
 
 # The OC1 hill climb: the exact coefficient move against a scan of its

@@ -402,10 +402,42 @@ def test_an_exhaustive_grow_sorts_every_candidate_row():
         tree = grow(data, SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), depth)
     rows = node_rows(tree, data)
     want = sum(
-        splitting._oblique_candidates(data.features[rows[nid]], 2).shape[0]
+        len(splitting._Vertices(data.features[rows[nid]], 2))
         for nid, node in tree.nodes.items() if node.depth < depth and node.count >= 2
     )
     assert sum(sorted_rows) == want
+
+
+def test_a_level_keeps_at_most_the_kept_element_cap():
+    # Thousands of random candidates on thousands of rows: the root's draw
+    # alone would keep about 4 M elements (direction rows x node rows)
+    # for its children.  Each level keeps at most _KEEP_BLOCKS blocks of
+    # _BLOCK_ELEMENTS, and the tree's bytes do not depend on what is kept.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, size=(3000, 40))
+    data = Dataset(X, np.sin(X[:, 0] + X[:, 1]) + 0.1 * rng.standard_normal(3000))
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=3000, seed=1)
+    cap = splitting._KEEP_BLOCKS * splitting._BLOCK_ELEMENTS
+
+    def grown(blocks):
+        kept, sources = [], splitting._sources
+
+        def counted(problems, keep):
+            out = sources(problems, keep)
+            nodes = {id(node): node for node, _ in problems}.values()
+            kept.append(sum(order.size for node in nodes if node.sorted for order, _ in node.sorted[1]))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(splitting, "_sources", counted)
+            patch.setattr(splitting, "_KEEP_BLOCKS", blocks)
+            return to_json(grow(data, strategy, 3)), max(kept)
+
+    text, most = grown(splitting._KEEP_BLOCKS)
+    assert 0 < most <= cap
+    unbounded, wide = grown(10**6)
+    assert wide > cap
+    assert text == unbounded
 
 
 def test_inherited_orders_equal_fresh_stable_orders_on_ties():
