@@ -275,7 +275,7 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
 
 
 def verify_impurity_bound(
-    dataset: Dataset, model: RidgeModel, nodes, node_cap: int = 64
+    dataset: Dataset, model: RidgeModel, nodes, node_cap: int = SearchStrategy.node_cap
 ) -> list[dict]:
     """Margins of the split-quality lower bound on the given nodes.
 

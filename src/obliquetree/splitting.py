@@ -88,11 +88,14 @@ T (the points on H), where Q and T - Q are strictly separable within
 H.  So the oracle's rows on a support are the normals of its C(m, 3)
 point triples (s = 3), the perpendiculars of its C(m, 2) point pairs
 (s = 2) or the axis (s = 1), each with its defining points as tie group
-(_support_rows).  The sweep sorts each row's projections with its group
-written equal, so no boundary falls inside the group, and scores as
-left sets of their own (_tie_splits) the rows below the group plus
-each part Q: every proper part of a group of exactly its defining
-points (three points on a plane are never collinear here), and for a
+(_support_rows).  A row's projections, and the in-plane positions of
+its group's points (_separations), come from dataset.projections like
+every other direction's; an axis row's are its coordinate as it is.
+The sweep sorts each row's projections with its group written equal,
+so no boundary falls inside the group, and scores as left sets of
+their own (_tie_splits) the rows below the group plus each part Q:
+every proper part of a group of exactly its defining points (three
+points on a plane are never collinear here), and for a
 larger group (coplanar or collinear points, duplicates, several
 triples of one plane) the parts that the same search one dimension
 down finds (_separations: in a plane, lines through two points of the
@@ -420,53 +423,31 @@ def _stable_order(V: np.ndarray, m=None):
     return order, s
 
 
-class _Scratch:
-    """Flat arrays that one _best_thresholds call reuses from block to
-    block, so a block's elementwise passes write into memory that was
-    handed out once rather than into a fresh array each (whose pages the
-    system must map again).  get(name, shape, dtype) is a view of the
-    array called name, enlarged when a block needs more."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        flat, view = self._arrays.get(name, (None, None))
-        if view is not None and view.shape == shape:
-            return view
-        size = shape[0] * shape[1]
-        if flat is None or flat.size < size:
-            flat = np.empty(size, dtype=dtype)
-        view = flat[:size].reshape(shape)
-        self._arrays[name] = flat, view
-        return view
-
-
-def _gains(sum_left, n_left, total, m, n_full: int, out=None, right=None):
+def _gains(sum_left, n_left, total, m, n_full: int):
     """SSE decrease / n_full of left sets of n_left rows whose centred
     responses sum to sum_left, on a node of m rows summing to total:
 
         (sum_left^2 / n_left + (total - sum_left)^2 / (m - n_left)
          - total^2 / m) / n_full,
 
-    evaluated in that order, one elementwise pass at a time, into out
-    and the temporary right (new arrays if None)."""
-    gains = np.square(sum_left, out=out)
+    evaluated in that order, one elementwise pass at a time."""
+    gains = np.square(sum_left)
     gains /= n_left
-    right = np.subtract(total, sum_left, out=right)
-    np.square(right, out=right)
-    right /= np.subtract(m, n_left)
+    right = np.square(total - sum_left)
+    right /= m - n_left
     gains += right
     gains -= total**2 / m
     gains /= n_full
     return gains
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int, scratch=None):
+def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
     """Prefix-sum sweep over sorted projections, one direction per row.
 
-    values is (k, M), each row sorted ascending, and y holds the centred
-    responses of the row's node in the same order.  m is the node size:
+    values is (k, M), each row a direction's projections by
+    dataset.projections (an oracle row's levels, _Vertices.levels)
+    sorted ascending, and y holds the centred responses of the row's
+    node in the same order.  m is the node size:
     an int, or a (k, 1) array for rows of nodes of several sizes.  A row
     longer than its node is padded after the node's rows, with +inf
     values and 0.0 responses: the prefix sums over the node's rows are
@@ -474,24 +455,17 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int, scratch=None
     keeps its bits, and no boundary next to the padding is valid.
     Returns (gains, thresholds, valid) over the M-1 boundaries; a
     boundary is valid only when its midpoint lies strictly between two
-    distinct consecutive values.  Every pass writes into an array of
-    scratch (a _Scratch; a new one if None), so the results are views
-    that the next sweep with the same scratch overwrites.
+    distinct consecutive values.
     """
-    scratch = scratch or _Scratch()
-    k, M = values.shape
-    csum = np.cumsum(y, axis=1, out=scratch.get("csum", (k, M)))
-    n_left = np.arange(1, M, dtype=np.float64)
+    csum = np.cumsum(y, axis=1)
+    n_left = np.arange(1, values.shape[1], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries in the padding
-        gains = _gains(
-            csum[:, :-1], n_left, csum[:, -1:], m, n_full,
-            scratch.get("gains", (k, M - 1)), scratch.get("right", (k, M - 1)),
-        )
+        gains = _gains(csum[:, :-1], n_left, csum[:, -1:], m, n_full)
     lower, upper = values[:, :-1], values[:, 1:]
-    thresholds = np.add(lower, upper, out=scratch.get("thresholds", (k, M - 1)))
+    thresholds = lower + upper
     thresholds *= 0.5
-    valid = np.less(lower, thresholds, out=scratch.get("valid", (k, M - 1), bool))
-    valid &= np.less(thresholds, upper, out=scratch.get("above", (k, M - 1), bool))
+    valid = lower < thresholds
+    valid &= thresholds < upper
     return gains, thresholds, valid
 
 
@@ -718,7 +692,7 @@ def _blocks(problems) -> list:
     return blocks
 
 
-def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray, scratch: _Scratch):
+def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray):
     """(order, sorted values, m, centred responses in that order) of a
     block's direction rows, as (K, M) arrays, M the widest node's size.
 
@@ -726,9 +700,8 @@ def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray, sc
     them: its inherited rows are there already, and the others are
     projected (one dataset.projections call), sorted by value, then by
     index (one _stable_order call), and written in.  Any other block is
-    projected and sorted whole, into new arrays.  A row of a narrower
-    node is padded after its own: +inf values, and indices from its size
-    on, whose responses are 0.0.
+    projected and sorted whole, into new arrays, a block of several
+    nodes padded as _padded pads.
     """
     (q, lo, hi), *_ = block
     node, own = problems[q][0], sources[q]
@@ -742,43 +715,44 @@ def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray, sc
         order, sorted_V = _stable_order(projections(node.features(X), problems[q][1][lo:hi]))
     else:
         nodes = [problems[q][0] for q, _, _ in block]
-        sizes = np.array([node.y.size for node in nodes])
-        index = np.zeros((len(nodes), sizes[0]), dtype=np.intp)
-        centred = np.zeros((len(nodes), sizes[0]))
+        index = np.zeros((len(nodes), max(node.y.size for node in nodes)), dtype=np.intp)
         for i, node in enumerate(nodes):
-            index[i, : sizes[i]] = node.rows
-            centred[i, : sizes[i]] = node.centred
-        m = sizes[which][:, None]
+            index[i, : node.y.size] = node.rows
         W = np.concatenate([problems[q][1][lo:hi] for q, lo, hi in block])
-        V = projections(X, W, index[which])
-        V[np.arange(sizes[0]) >= m] = np.inf
-        order, sorted_V = _stable_order(V, m)
-        return order, sorted_V, m, centred[which[:, None], order]
-    y = np.take(node.centred, order, out=scratch.get("y", order.shape), mode="clip")
-    return order, sorted_V, node.y.size, y
+        return _padded(nodes, which, projections(X, W, index[which]))
+    # np.take gathers by int32 orders faster than indexing does.
+    return order, sorted_V, node.y.size, np.take(node.centred, order, mode="clip")
 
 
 def _vertex_block(problems, block, which):
     """_sorted_block of a block of oracle rows (_Vertices): the rows'
-    levels in place of projections, padded after each node's own as
-    _sorted_block pads, and stably sorted; m is a (K, 1) array of node
-    sizes.  Also returns the rows' (below, tied, size) of
-    _Vertices.levels."""
+    levels in place of projections, padded (_padded) and stably sorted.
+    Also returns the rows' (below, tied, size) of _Vertices.levels."""
     nodes = [problems[q][0] for q, _, _ in block]
-    sizes = np.array([node.y.size for node in nodes])
-    K, width = sum(hi - lo for _, lo, hi in block), int(sizes.max())
-    V = np.full((K, width), np.inf)
-    below, tied, size = (np.empty(K, dtype=np.intp) for _ in range(3))
-    centred = np.zeros((len(nodes), width))
+    V = np.empty((sum(hi - lo for _, lo, hi in block), max(node.y.size for node in nodes)))
+    below, tied, size = (np.empty(len(V), dtype=np.intp) for _ in range(3))
     at = 0
-    for i, (q, lo, hi) in enumerate(block):
+    for node, (q, lo, hi) in zip(nodes, block):
         rows = slice(at, at + hi - lo)
-        V[rows, : sizes[i]], below[rows], tied[rows], size[rows] = problems[q][1].levels(lo, hi)
-        centred[i, : sizes[i]] = nodes[i].centred
+        V[rows, : node.y.size], below[rows], tied[rows], size[rows] = problems[q][1].levels(lo, hi)
         at += hi - lo
+    return _padded(nodes, which, V) + ((below, tied, size),)
+
+
+def _padded(nodes, which, V):
+    """_sorted_block of a block V of values whose row j holds, first,
+    the values at the rows of node nodes[which[j]]: each row is padded
+    after its node's own, with +inf values whose centred responses are
+    0.0, and stably sorted with its padding last (_stable_order); m is a
+    (K, 1) array of node sizes.  V is overwritten."""
+    sizes = np.array([node.y.size for node in nodes])
     m = sizes[which][:, None]
+    V[np.arange(V.shape[1]) >= m] = np.inf
+    centred = np.zeros((len(nodes), V.shape[1]))
+    for i, node in enumerate(nodes):
+        centred[i, : sizes[i]] = node.centred
     order, sorted_V = _stable_order(V, m)
-    return order, sorted_V, m, centred[which[:, None], order], (below, tied, size)
+    return order, sorted_V, m, centred[which[:, None], order]
 
 
 # The proper nonempty parts of a tie group of exactly its defining
@@ -800,7 +774,7 @@ class _TieSplits(NamedTuple):
     part: np.ndarray  # the group's places it puts left, from the group's first
 
 
-def _tie_splits(problems, block, which, order, y, m, n_full, groups) -> Optional[_TieSplits]:
+def _tie_splits(problems, block, which, offsets, order, y, m, n_full, groups) -> Optional[_TieSplits]:
     """The tie splits of a block of oracle rows (module docstring): for
     each row with a tie group, each part Q of the group that a hyperplane
     moved off the row's normal can separate from the rest, as the left
@@ -808,7 +782,8 @@ def _tie_splits(problems, block, which, order, y, m, n_full, groups) -> Optional
     defining points takes every part (_GROUP_SPLITS), a larger one the
     parts of _Vertices.parts.  Each gain is the sweep's formula on
     the prefix sum below the group plus Q's centred responses, added in
-    order of place.  None when the block has no tie group."""
+    order of place.  offsets holds each block row's index among its
+    problem's rows.  None when the block has no tie group."""
     below, tied, size = groups
     if not tied.any():
         return None
@@ -816,7 +791,6 @@ def _tie_splits(problems, block, which, order, y, m, n_full, groups) -> Optional
     # exactly its defining points, or a larger group (the rows of one
     # line or plane share _Vertices.parts' result).
     tables = {k: (table, np.flatnonzero((size == k) & (tied == k))) for k, table in _GROUP_SPLITS.items()}
-    offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
     for r in np.flatnonzero((size > 1) & (tied > size)).tolist():
         start = int(below[r])
         found = problems[block[which[r]][0]][1].parts(int(offsets[r]), order[r, start : start + int(tied[r])])
@@ -935,7 +909,6 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
     left set as a mask (Split.left).
     """
     sources = _sources(problems, keep)
-    scratch = _Scratch()
     floor = np.full(len(problems), -np.inf)
     kept = []
     for block in _blocks(problems):
@@ -943,15 +916,15 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
         nodes = [problems[q][0] for q in qs]
         counts = [hi - lo for _, lo, hi in block]
         which = np.repeat(np.arange(len(block)), counts)
+        offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
         ties = None
         if isinstance(problems[qs[0]][1], _Vertices):
             order, sorted_V, m, y, groups = _vertex_block(problems, block, which)
-            ties = _tie_splits(problems, block, which, order, y, m, n_full, groups)
+            ties = _tie_splits(problems, block, which, offsets, order, y, m, n_full, groups)
         else:
-            order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which, scratch)
-        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full, scratch)
-        invalid = np.logical_not(valid, out=scratch.get("above", valid.shape, bool))
-        np.copyto(gains, -np.inf, where=invalid)
+            order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which)
+        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full)
+        np.copyto(gains, -np.inf, where=~valid)
         top = gains.max(axis=1)
         best = top
         if ties is not None:
@@ -971,7 +944,6 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
         lefts = np.zeros((rows.size, width), dtype=bool)
         lefts[np.arange(rows.size)[:, None], order[rows]] = np.arange(width) <= boundaries[:, None]
         owners = np.array(qs)[which]
-        offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
         kept.append((owners[rows], offsets[rows], top, boundaries + 1, cuts, lefts))
         if ties is not None:
             floors = row_floor[ties.rows]
@@ -1156,28 +1128,13 @@ def _support_rows(points: np.ndarray, size: int, index: tuple):
     return owner, normals, defining, tolerance
 
 
-def _along(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """normals[r] . points[l] for k normals over m x size points, a (k, m)
-    array, the products added in coordinate order from the first one:
-    the oracle's levels and its in-plane positions."""
-    total = normals[:, 0, None] * points[:, 0]
-    for c in range(1, normals.shape[1]):
-        total += normals[:, c, None] * points[:, c]
-    return total
-
-
-def _dots(points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """points . w for one vector w (_along)."""
-    return _along(points, w[None])[0]
-
-
 def _cuts(points: np.ndarray, v: np.ndarray, ends: bool):
     """The splits of points along v, each as (inside, g, c) with g . x - c
     < 0 at the points inside marks and > 0 at the others: one at each
     midpoint c between distinct consecutive positions points . v, with
     either side inside.  With ends, also the two constant functionals
     +1 and -1 (g = 0), which put no point and every point inside."""
-    positions = _dots(points, v)
+    (positions,) = projections(points, v[None])
     if ends:
         yield np.zeros(positions.size, dtype=bool), np.zeros_like(v), -1.0
         yield np.ones(positions.size, dtype=bool), np.zeros_like(v), 1.0
@@ -1198,7 +1155,7 @@ def _tilt(base: np.ndarray, offset: float, levels: np.ndarray, points: np.ndarra
     points, none zero) over the largest |g . x - c| there, so that no
     point changes sign; eps = default when that largest is 0 or there is
     no point."""
-    spread = np.abs(_dots(points, g) - c) if points.shape[0] else np.zeros(0)
+    spread = np.abs(projections(points, g[None])[0] - c)
     eps = default
     if spread.size and spread.max() > 0.0:
         eps = 0.5 * float(np.abs(levels).min()) / float(spread.max())
@@ -1234,13 +1191,13 @@ def _separations(points: np.ndarray, normal: np.ndarray):
             continue
         u = _cross(normal[None], d[None])[0]
         offsets = points - points[a]
-        across = _dots(offsets, u)
+        (across,) = projections(offsets, u[None])
         bound = _cross(np.abs(normal)[None], np.abs(d)[None], np.add)[0]
         tol = _TIE_SLACK * _UNIT_ROUNDOFF * float(np.add.reduce(bound)) * float(np.max(np.abs(offsets)))
         line = np.abs(across) <= tol
         searched.append(sum(1 << i for i in np.flatnonzero(line).tolist()))
         off = np.flatnonzero(~line)
-        at, levels, far = float(_dots(points[a][None], u)[0]), across[off], points[off]
+        at, levels, far = float(projections(points[a][None], u[None])[0, 0]), across[off], points[off]
         for sigma in (1.0, -1.0):
             for inside_line, g, c in _cuts(points[line], d, ends=True):
                 inside = np.empty(points.shape[0], dtype=bool)
@@ -1255,18 +1212,17 @@ class _Vertices:
     """The exhaustive oracle's candidate rows on one node (module
     docstring), with the values its sweep sorts and the splits it stores.
 
-    features is the node's m x p rows.  Each support of at most d
-    coordinates contributes the rows of _support_rows on its points
-    (rescaled by _rescaled), in support order: the axes, then the pair
-    perpendiculars of each 2-coordinate support, then the triple normals
-    of each 3-coordinate support.  A row's tie group is its defining
-    points and every point whose value lies within its tolerance of
-    theirs: the points on its line or plane.
+    features is the node's m x p rows, and d <= 3 (_search_level checks
+    it).  Each support of at most d coordinates contributes the rows of
+    _support_rows on its points (rescaled by _rescaled), in support
+    order: the axes, then the pair perpendiculars of each 2-coordinate
+    support, then the triple normals of each 3-coordinate support.  A
+    row's tie group is its defining points and every point whose value
+    lies within its tolerance of theirs: the points on its line or
+    plane.
     """
 
     def __init__(self, features: np.ndarray, d: int):
-        if d > 3:
-            raise ValueError("exhaustive search supports sparsity up to 3")
         self.features = features
         m, p = features.shape
         pairs = np.triu_indices(m, k=1)
@@ -1287,19 +1243,21 @@ class _Vertices:
         return self.count
 
     def _row(self, r: int):
-        """(support, its points, normal, defining points, tolerance) of row r."""
-        for supports, points, start, owner, normals, defining, tolerance in self.sizes:
+        """(support, its points, normal, defining points) of row r."""
+        for supports, points, start, owner, normals, defining, _ in self.sizes:
             if r < start + owner.size:
                 i, t = r - start, owner[r - start]
-                return supports[t], points[t], normals[i], defining[i], float(tolerance[i])
+                return supports[t], points[t], normals[i], defining[i]
         raise IndexError(r)
 
     def levels(self, lo: int, hi: int):
         """The sweep's values of rows lo..hi - 1 at the node's points, as
-        (values, below, tied, size): each row's levels (_along), with its
-        tie group written equal to its first defining point's value; the
-        count of values below that one; the group's size (0 for an axis);
-        and the support's size."""
+        (values, below, tied, size): each row's levels, the projections
+        of its support's points onto its normal (dataset.projections),
+        with its tie group written equal to its first defining point's
+        value; the count of values below that one; the group's size (0
+        for an axis); and the support's size.  An axis row's levels are
+        its support's points as they are, 1.0 x = x."""
         m = self.features.shape[0]
         values = np.empty((hi - lo, m))
         below, tied, size = (np.zeros(hi - lo, dtype=np.intp) for _ in range(3))
@@ -1308,21 +1266,23 @@ class _Vertices:
             if a >= b:
                 continue
             rows = slice(a - start, b - start)
-            # Rows come support by support: one product per support.
-            V = np.empty((b - a, m))
-            cuts = np.flatnonzero(np.diff(owner[rows])) + 1
-            for i, j in zip([0, *cuts.tolist()], [*cuts.tolist(), b - a]):
-                V[i:j] = _along(points[owner[a - start + i]], normals[a - start + i : a - start + j])
             size[a - lo : b - lo] = normals.shape[1]
-            if normals.shape[1] > 1:
-                held = defining[rows]
-                at = np.arange(b - a)[:, None]
-                pivot = V[at, held[:, :1]]
-                on = np.abs(V - pivot) <= tolerance[rows, None]
-                on[at, held] = True
-                V = np.where(on, pivot, V)
-                below[a - lo : b - lo] = np.count_nonzero(V < pivot, axis=1)
-                tied[a - lo : b - lo] = np.count_nonzero(on, axis=1)
+            if normals.shape[1] == 1:
+                values[a - lo : b - lo] = points[owner[rows], :, 0]
+                continue
+            # Rows come support by support: one projection per support.
+            V = np.empty((b - a, m))
+            cuts = (np.flatnonzero(np.diff(owner[rows])) + 1).tolist()
+            for i, j in zip([0, *cuts], [*cuts, b - a]):
+                V[i:j] = projections(points[owner[a - start + i]], normals[a - start + i : a - start + j])
+            held = defining[rows]
+            at = np.arange(b - a)[:, None]
+            pivot = V[at, held[:, :1]]
+            on = np.abs(V - pivot) <= tolerance[rows, None]
+            on[at, held] = True
+            V = np.where(on, pivot, V)
+            below[a - lo : b - lo] = np.count_nonzero(V < pivot, axis=1)
+            tied[a - lo : b - lo] = np.count_nonzero(on, axis=1)
             values[a - lo : b - lo] = V
         return values, below, tied, size
 
@@ -1334,7 +1294,7 @@ class _Vertices:
         found.  Rows of one support with the same group lie on one line
         or plane, with parallel normals, and share the first one's
         result."""
-        support, points, normal, _, _ = self._row(r)
+        support, points, normal, _ = self._row(r)
         key = (support, members.tobytes())
         if key not in self._parts:
             found = self._parts[key] = {}
@@ -1346,30 +1306,22 @@ class _Vertices:
     def _moved(self, r: int, left: np.ndarray):
         """Row r's normal n moved into the cell of directions that realize
         left, which holds part of its tie group: n tilted (_tilt) by the
-        first witness g . x - c of _separations that separates the group's
-        part from the rest within the line or plane, against the levels
-        n . (x - x_i) of the points off it, so no other point changes side
-        and the part lies below the rest.  None if no witness separates
-        the part."""
-        support, points, w, defining, tolerance = self._row(r)
-        levels = _dots(points, w)
-        levels -= levels[defining[0]]
-        on = np.abs(levels) <= tolerance
-        on[defining] = True
-        members, inside = np.flatnonzero(on), left[on]
-        cached = self._parts.get((support, members.tobytes()))
-        if cached is not None:
-            found = cached.get(inside.tobytes())
-        else:
-            found = next(
-                (part for part in _separations(points[members], w) if np.array_equal(part[0], inside)),
-                None,
-            )
+        first witness g . x - c of parts that separates the group's part
+        from the rest within the line or plane, against the levels n . (x
+        - x_i) of the points off it, so no other point changes side and
+        the part lies below the rest.  The group is the points whose level
+        (levels) is the first defining point's.  None if no witness
+        separates the part."""
+        _, points, w, defining = self._row(r)
+        (levels,), _, _, _ = self.levels(r, r + 1)
+        pivot = levels[defining[0]]
+        on = levels == pivot
+        found = self.parts(r, np.flatnonzero(on)).get(left[on].tobytes())
         if found is None:
             return None
         g, c = found[1]()
         out = np.flatnonzero(~on)
-        moved, _ = _tilt(w, 0.0, levels[out], points[out], g, c, float(np.abs(w).max() / np.abs(g).max()))
+        moved, _ = _tilt(w, 0.0, levels[out] - pivot, points[out], g, c, float(np.abs(w).max() / np.abs(g).max()))
         return moved
 
     def stored(self, rows: list, lefts: np.ndarray, tied: bool) -> list:
@@ -1388,7 +1340,7 @@ class _Vertices:
         k, p = len(rows), self.features.shape[1]
         raw = np.zeros((k, p))
         for i, r in enumerate(rows):
-            support, _, w, _, _ = self._row(r)
+            support, _, w, _ = self._row(r)
             if tied:
                 w = self._moved(r, lefts[i])
             if w is not None:
@@ -1597,7 +1549,7 @@ def search_axis_aligned(dataset: Dataset, node) -> Split:
 
 
 def search_exhaustive_oblique(
-    dataset: Dataset, node, sparsity_d: int, node_cap: int = 64
+    dataset: Dataset, node, sparsity_d: int, node_cap: int = SearchStrategy.node_cap
 ) -> Split:
     """Exact maximizer of the SSE decrease over sparsity-d hyperplanes.
 

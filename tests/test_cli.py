@@ -308,6 +308,22 @@ def test_prune_rejects_a_one_row_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_an_oracle_above_sparsity_3_in_one_line(tmp_path, capsys):
+    # Four features and a response: the capped sparsity is 4, which the
+    # exact oracle does not search.
+    rng = np.random.default_rng(0)
+    csv = tmp_path / "five.csv"
+    rows = "\n".join(",".join(repr(v) for v in row) for row in rng.uniform(-1.0, 1.0, (12, 5)).tolist())
+    csv.write_text("x1,x2,x3,x4,y\n" + rows + "\n")
+    out = tmp_path / "tree.json"
+    capsys.readouterr()
+    argv = ["train", str(csv), "--strategy", "exhaustive_oblique", "--sparsity", "4", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: exhaustive search supports sparsity_d <= 3\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "prune", "generate", "subopt"])
 def test_a_negative_seed_exits_with_one_line_naming_the_seed(tmp_path, capsys, command):
     # numpy's own message, "expected non-negative integer", named no input.

@@ -29,7 +29,7 @@ from obliquetree import (
     training_error,
 )
 from obliquetree import splitting
-from obliquetree.dataset import canonical_rows
+from obliquetree.dataset import canonical_rows, projections
 from obliquetree.splitting import (
     DECREASE_TOL,
     STRATEGY_KINDS,
@@ -260,10 +260,14 @@ def test_exhaustive_cap_and_sparsity_validation(d2):
         search_exhaustive_oblique(d2, root, 2, node_cap=2)
     # sparsity_d is a cap: above p it means p ...
     assert search_exhaustive_oblique(d2, root, 4) == search_exhaustive_oblique(d2, root, 2)
-    # ... and the enumeration stops at supports of size 3.
-    wide = random_dataset(7, 8, 4)
-    with pytest.raises(ValueError, match="sparsity"):
-        search_exhaustive_oblique(wide, root_index_set(wide), 4)
+    # ... and the enumeration stops at supports of size 3, with the one
+    # message users see, through either entry point.
+    oracle = SearchStrategy(kind="exhaustive_oblique", sparsity_d=4)
+    for wide in (random_dataset(7, 8, 4), random_dataset(7, 8, 5)):
+        root = root_index_set(wide)
+        for search in (lambda: search_exhaustive_oblique(wide, root, 4), lambda: run_search(wide, root, oracle)):
+            with pytest.raises(ValueError, match=r"^exhaustive search supports sparsity_d <= 3$"):
+                search()
 
 
 def test_hill_climb_bounds_and_determinism(d2):
@@ -781,6 +785,49 @@ def test_oracle_rows_are_triple_normals_pair_perpendiculars_and_axes():
             for size in range(1, k + 1) for s in itertools.combinations(range(p), size)
         )
         assert k < 3 or former > 4 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 12),
+    p=st.integers(1, 4),
+    sparsity=st.integers(1, 3),
+    exponent=st.sampled_from([0, 300, -300]),
+)
+def test_oracle_levels_are_the_projection_kernels_values(seed, m, p, sparsity, exponent):
+    # The oracle has no projection kernel of its own: a row's levels are
+    # dataset.projections of its support's points (rescaled into the
+    # exponent band first) onto its normal, compared with ==, except that
+    # its tie group, on points in general position exactly its defining
+    # points, holds the first one's value.  An axis row's levels are its
+    # support's points as they are.  A range of rows gets the same values
+    # as the whole.  The first point is the origin written -0.0, whose
+    # sign an axis row keeps.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, p)) * 2.0**exponent
+    X[0] = -0.0
+    vertices = splitting._Vertices(X, sparsity)
+    values, below, tied, size = vertices.levels(0, len(vertices))
+    for r in range(len(vertices)):
+        _, points, normal, defining = vertices._row(r)
+        assert 2.0**-200 <= np.max(np.abs(points)) <= 2.0**200
+        (want,) = projections(points, normal[None])
+        if size[r] == 1:
+            assert (below[r], tied[r]) == (0, 0)
+            assert values[r].tobytes() == points[:, 0].tobytes()
+            assert np.array_equal(values[r], want)
+            continue
+        group = np.zeros(m, dtype=bool)
+        group[defining] = True
+        pivot = want[defining[0]]
+        assert tied[r] == size[r] == defining.size
+        assert below[r] == np.count_nonzero(want[~group] < pivot)
+        assert np.array_equal(values[r], np.where(group, pivot, want))
+    lo = int(rng.integers(0, len(vertices)))
+    hi = int(rng.integers(lo + 1, len(vertices) + 1))
+    for part, whole in zip(vertices.levels(lo, hi), (values, below, tied, size)):
+        assert np.array_equal(part, whole[lo:hi])
 
 
 @settings(max_examples=60, deadline=None)
