@@ -353,8 +353,10 @@ def _split_decrease(y: np.ndarray, left: np.ndarray, n_full: int, sse_node: floa
     """(SSE(node) - SSE(left) - SSE(right)) / n_full for a boolean left mask over y.
 
     sse_node is _sse(y), passed in so a node's many left sets share it.
+    Each side is gathered by index, as tree._partition gathers rows.
     """
-    return (sse_node - _sse(y[left]) - _sse(y[~left])) / n_full
+    y_left, y_right = y.take(left.nonzero()[0]), y.take((~left).nonzero()[0])
+    return (sse_node - _sse(y_left) - _sse(y_right)) / n_full
 
 
 def sse_decrease(dataset: Dataset, node, direction: Direction, threshold: float) -> float:
@@ -531,12 +533,17 @@ class _Node:
 
     def children(self, left: np.ndarray) -> tuple:
         """The nodes of the rows that left marks and of the others.  Each
-        inherits this node's kept orders, which this node then lets go."""
-        nodes = _Node(self.y[left], self.rows[left]), _Node(self.y[~left], self.rows[~left])
+        inherits this node's kept orders, which this node then lets go.
+
+        Both sides are gathered by index, as tree._partition gathers
+        them, which is several times faster than a boolean mask on large
+        near-even splits and gives the same arrays."""
+        sides = left.nonzero()[0], (~left).nonzero()[0]
+        nodes = tuple(_Node(self.y.take(side), self.rows.take(side)) for side in sides)
         if self.sorted is not None:
             code = np.empty(left.size, dtype=np.int32)
-            code[left] = np.arange(nodes[0].y.size, dtype=np.int32)
-            code[~left] = ~np.arange(nodes[1].y.size, dtype=np.int32)
+            code.put(sides[0], np.arange(sides[0].size, dtype=np.int32))
+            code.put(sides[1], ~np.arange(sides[1].size, dtype=np.int32))
             for order, _ in self.sorted[1]:
                 # Each element of the result depends only on the index in
                 # its own place, so take may write over its indices.

@@ -35,7 +35,7 @@ from obliquetree.dataset import Direction, _moments, root_index_set
 from obliquetree.ridge import COMPONENT_KINDS, eval_ridge_batch
 from obliquetree.splitting import Split
 from obliquetree.stumps import feature_at, reconstruct_at, reconstruct_batch
-from obliquetree.tree import Tree, TreeNode, from_json, to_json
+from obliquetree.tree import Tree, TreeNode, from_json, route, to_json
 
 from conftest import point_projection, reference_projections
 
@@ -182,19 +182,41 @@ def _reloaded(tree):
     return from_json(to_json(tree))
 
 
+def _query_batches(case):
+    """The query batches of a grown_trees case: its generic and threshold
+    points first, then no points at all, then the training rows of each
+    child of the root, which all go one way at the root (the training
+    rows once more when the root is a leaf)."""
+    data, tree, generic, on_threshold = case
+    root = tree.nodes[tree.root_id]
+    children = [tree.root_id] if root.is_leaf else [root.left_child, root.right_child]
+    rows = node_rows(tree, data)
+    return [
+        np.concatenate([generic, on_threshold]),
+        np.empty((0, tree.p)),
+        *(data.features[rows[child]] for child in children),
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=grown_trees())
 def test_predict_matches_reference_and_single_points(case):
-    """predict_batch is byte-equal to the reference, and predict on one
-    row equals that row's batch prediction, on every query of every
-    tree: a projection does not depend on the rows routed with it."""
-    _, tree, generic, on_threshold = case
-    queries = np.concatenate([generic, on_threshold])
+    """predict_batch is byte-equal to the reference on every batch, and
+    predict on one row equals that row's batch prediction, on every
+    query of every tree: a projection does not depend on the rows routed
+    with it.  An empty batch reaches the root alone, with no rows."""
+    tree = case[1]
+    batches = _query_batches(case)
+    queries = batches[0]
     for t in (tree, _reloaded(tree)):
+        for X in batches:
+            assert predict_batch(t, X).tobytes() == reference_predict_batch(t, X).tobytes()
         batch = predict_batch(t, queries)
-        assert batch.tobytes() == reference_predict_batch(t, queries).tobytes()
         for i, x in enumerate(queries):
             assert predict(t, x) == batch[i]
+        reached = route(t, np.empty((0, t.p)))
+        assert list(reached) == [t.root_id]
+        assert reached[t.root_id].dtype == np.intp and reached[t.root_id].size == 0
 
 
 def test_point_near_oblique_threshold_routes_alone_as_in_a_batch():
@@ -244,12 +266,14 @@ def test_node_rows_match_reference_and_stored_stats(case):
 @settings(max_examples=60, deadline=None)
 @given(case=grown_trees())
 def test_reconstruction_matches_reference(case):
-    data, tree, generic, on_threshold = case
-    queries = np.concatenate([generic, on_threshold])
+    data, tree = case[:2]
+    batches = _query_batches(case)
+    queries = batches[0]
     for t in (tree, _reloaded(tree)):
         expansion = build_expansion(t, data)
-        fast = reconstruct_batch(t, expansion, queries)
-        assert fast.tobytes() == reference_reconstruct_batch(t, expansion, queries).tobytes()
+        for X in batches:
+            fast = reconstruct_batch(t, expansion, X)
+            assert fast.tobytes() == reference_reconstruct_batch(t, expansion, X).tobytes()
         for x in queries[:8]:
             for feat in expansion.features:
                 assert feature_at(t, feat, x) == reference_feature_at(t, feat, x)
