@@ -7,9 +7,10 @@ it buys, normalized by the full sample size n:
              = (n_L * n_R / n(node)) * (mean_L - mean_R)^2 / n
 
 Four search strategies are provided: axis-aligned scan, exhaustive
-oblique search over point-triple normals (exact on small nodes), OC1
-hill climbing, and sparse random projections.  All are pure functions
-of (dataset, node, strategy) and deterministic given the strategy seed.
+oblique search over the vertex dichotomies of the node's points (exact
+on small nodes), OC1 hill climbing, and sparse random projections.  All
+are pure functions of (dataset, node, strategy) and deterministic given
+the strategy seed.
 sparsity_d caps the support of every split they return, so at
 sparsity_d=1 each one searches only the axes and reaches the axis
 scan's decrease.
@@ -85,45 +86,91 @@ and w . x >= t on R.  Its extreme rays are hyperplanes through s
 affinely independent points (Cover, 1965), and the dichotomy is, at
 such a hyperplane H, the points below H plus a part Q of H's tie group
 T (the points on H), where Q and T - Q are strictly separable within
-H.  So the oracle's rows on a support are the normals of its C(m, 3)
-point triples (s = 3), the perpendiculars of its C(m, 2) point pairs
-(s = 2) or the axis (s = 1), each with its defining points as tie group
-(_support_rows).  A row's projections, and the in-plane positions of
-its group's points (_separations), come from dataset.projections like
-every other direction's; an axis row's are its coordinate as it is.
-The sweep sorts each row's projections with its group written equal,
-so no boundary falls inside the group, and scores as left sets of
-their own (_tie_splits) the rows below the group plus each part Q:
-every proper part of a group of exactly its defining points (three
-points on a plane are never collinear here), and for a
-larger group (coplanar or collinear points, duplicates, several
-triples of one plane) the parts that the same search one dimension
-down finds (_separations: in a plane, lines through two points of the
-group, and cuts along each line).  A point is in a row's group when its
-projection lies within _TIE_SLACK u ||N||_1 R of the defining points'
-(N bounds the normal's rounding, R is the points' peak magnitude); a
-point on the row's line or plane is always within it.  On data whose
-normals, projections and in-plane offsets are computed exactly, such as
-integer coordinates of magnitude below 2^10, a point off the plane lies
-far outside it, so every realizable dichotomy is scored and no other:
-the oracle returns the true maximizer.  Elsewhere a tie is decided
-within rounding.  A tie split's left sum is the prefix sum below the
+H: a vertex dichotomy.  The oracle meets them in two ways.
+
+Sweep rows.  A support of one coordinate gives its axis, one of two
+coordinates the perpendiculars of its C(m, 2) point pairs, and, on a
+node of fewer than _PENCIL_ROWS rows, one of three coordinates the
+normals of its C(m, 3) point triples, each row with its defining points
+as tie group (_support_rows).  A row's values are its support's points
+projected onto it by dataset.projections (an axis row's are its
+coordinate as it is); the sweep sorts them with the group written
+equal, so no boundary falls inside the group, and scores as left sets
+of their own (_tie_splits) the rows below the group plus each part Q of
+it that a hyperplane moved off the row's normal separates: every proper
+part of a group of exactly its defining points (three points on a plane
+are never collinear here), and for a larger group (coplanar or
+collinear points, duplicates) the parts that the same search one
+dimension down finds (_separations).  A point is in a row's group when
+its value lies within _TIE_SLACK u ||N||_1 R of the defining points' (N
+bounds the normal's rounding, R is the points' peak magnitude); a point
+on the row's line or plane is always within it.
+
+Pencils (s = 3, nodes of _PENCIL_ROWS rows or more).  Each pair i < j
+of distinct points of a support is a pencil: a plane turning about the
+line through x_i and x_j (_cells).  Each point k off the line crosses
+it once per half-turn, at the plane through i, j and k, whose normal
+is n_k = (x_j - x_i) x (x_k - x_i).  The crossings are ordered by the
+angle of n_k about the line; a point
+is in the crossing group of its neighbour in that order when the
+orientation test n_k . (x_l - x_i) lies within _TIE_SLACK u ||N_k||_1 R
+of zero, and a point whose n_k lies within 8 u N_k of zero is on the
+line.  Between two crossings the side set is fixed, so one prefix sum
+of each side's points in angle order gives the left sum of every cell,
+and each cell is scored with every cut of the line's points (i, j,
+duplicates and collinear points, taken in order along the line, none
+and all included) put on its left.  A cell's dichotomy is a vertex
+dichotomy of the plane through i, j and the crossing group on either
+side of it: the points below that plane plus the part Q of its group
+that the line ij, moved within the plane by the cut, separates.
+Conversely every dichotomy that a plane strictly separates is a cell's:
+move the plane until it passes through two points a and b with no
+other point on it off their line, and pencil ab holds it.  So the
+cells of the C(m, 2) pencils, of at most m - 2 crossings each, score
+the dichotomies of the support's C(m, 3) triple rows, and no search
+within a plane is needed.  Small nodes keep the triple rows, which
+share the sweep rows' blocks, as the pencils' fixed cost per level
+outweighs what they save there (_PENCIL_ROWS).
+
+On data whose normals, projections and orientation tests are computed
+exactly, such as integer coordinates of magnitude below 2^10, a point
+off a row's line or plane or a pencil's plane lies far outside the
+tolerance, and the angles of two distinct planes of a pencil differ by
+over 2^-47, far more than their rounding, so a crossing group is a run
+of neighbours; each half-turn starts after its largest gap in angle, so
+no group spans the start.  Every realizable dichotomy is then scored
+and no other: the
+oracle returns the true maximizer.  Elsewhere a tie is decided within
+rounding.  A tie split's left sum is the sweep's prefix sum below the
 group (s - 1 additions by the cumsum, for s rows below it) plus Q's
-centred responses added one at a time, s - 1 + |Q| <= m - 2 additions
-of at most m terms: within gamma_m A' of the exact sum like every prefix
-sum of the sweep (step 2 below), so B covers its gain too.
+centred responses added one at a time, s - 1 + |Q| <= m - 2 additions;
+a cell's is a prefix sum of its side's points before the cell plus a
+suffix sum of those after it, plus a prefix or suffix of the line's
+points: at most m terms added in a tree of height below m.  Either is
+within gamma_m A' of the exact sum like every prefix sum of the sweep
+(step 2 below), so B covers its gain too.
 
 An oracle split stores a direction that realizes its left set
-(_Vertices.stored).  A plain boundary stores its row's normal; a tie
+(_Vertices.stored).  A contender names the row it was found on: a sweep
+row, or the triple i < j < k of the plane next to its cell, taking the
+plane where the cell's part is empty or the whole group when there is
+one.  A plain contender (a sweep row's boundary, or a cell whose part
+is empty or whole) stores its row's normal, for a triple the cross
+product (x_j - x_i) x (x_k - x_i), as a triple row stores it; a tie
 split stores the normal moved into the cell of directions that realize
-it, n + eps g, where g . x - c separates Q from T - Q within the plane
-and eps is half of what would move a point off the plane across it
+it, n + eps g, where g . x - c separates Q from T - Q within the line
+or plane and eps is half of what would move a point off it across it
 (_tilt).  The direction is canonicalized, the node is projected onto
 it, and the split is kept only if one side lies wholly below the other
 with a valid midpoint threshold, which becomes the stored threshold.  A
 tie split stores nothing for a dichotomy that a plain contender of the
 same batch stored, so a moved direction stands in for a dichotomy only
-where no candidate normal realizes it (_vertex_splits).
+where no candidate normal realizes it (_vertex_splits).  When no
+contender of a node stores a split (canonical_rows' snap can break the
+directions of columns of very different scales), the node is screened
+again without them, so that the next-best candidates, the axes among
+them, become contenders (_rescreen): the oracle never returns less than
+the axis scan, nor less at sparsity d than at d - 1.
 
 The bound B.  Let u = 2^-53, gamma_k = k u / (1 - k u) (Higham), and,
 for a node of m rows with m u < 0.01, M = max |y|, c the computed mean,
@@ -136,7 +183,10 @@ exactly; A' = sum |w| and R' = max |w| exceed A and R by at most 2 %.
    side and the node.  The sweep evaluates this on z.
 2. Sweep.  np.cumsum adds in sequence, so each prefix sum of z, the
    total included, is within eta = gamma_m A' of the exact sum of w
-   (centring costs u |w_i| per row); the right sum, total minus left,
+   (centring costs u |w_i| per row).  So is any sum of at most m terms
+   of z added in a tree of height below m, as a pencil's cell sums and
+   its node total (np.add.reduce) are: each term takes part in fewer
+   than m additions (Higham, ch. 4).  The right sum, total minus left,
    is within 3 eta.  A side's |S_k| <= n_k R', so its term S_k^2 / n_k
    moves by at most 2 R' Delta + Delta^2: 10 R' eta + 11 eta^2 for the
    three terms.  By Cauchy-Schwarz each term is <= sum_k w^2 <= R' A'
@@ -226,14 +276,36 @@ _PACK_FILL = 0.5
 # of candidates on thousands of rows would keep hundreds of MB.
 _KEEP_BLOCKS = 24
 
+# A node of at least _PENCIL_ROWS rows sweeps each 3-coordinate support
+# as the pencils of its point pairs (_cells); a smaller one as the
+# normals of its point triples, among its sweep rows.  One oracle search
+# (sparsity 3) took 1.55 ms with triple rows and 1.90 ms with pencils at
+# 12 rows, 3.0 ms and 2.3 ms at 16 rows, and 24 ms and 11 ms at 32 (best
+# of 200 runs, 2-CPU container): the pencils save work per triple but
+# add fixed cost per level, which small nodes do not repay.
+_PENCIL_ROWS = 16
+
+# A block of pencils (_cells) holds at most _PENCIL_ELEMENTS places
+# (pencils x node rows), and scores its cells in arrays of at most
+# _CELL_ELEMENTS (places x cuts of the line's points): every cut at once
+# when each line holds its two points (4 cuts), fewer at a time on lines
+# through many points.  Blocks of 2^15 places swept the 8,128 pencils of
+# 128 points in 284 ms against 372 ms for 2^17 (2-CPU container).
+_PENCIL_ELEMENTS = 2**15
+_CELL_ELEMENTS = 2**17
+
+# _rescreen's first quota of candidates, which grows fourfold per pass.
+_RESCREEN_QUOTA = 64
+
 # The exhaustive search rescales a support's points by a power of two
 # when the binary exponent of their peak magnitude lies outside
 # [-_EXPONENT_BAND, _EXPONENT_BAND] (_rescaled).
 _EXPONENT_BAND = 200
 
 # The exhaustive oracle puts a point in a row's tie group when its value
-# lies within _TIE_SLACK u ||N||_1 R of the group's (_support_rows): over
-# twice the rounding a point exactly on the row's line or plane can show.
+# lies within _TIE_SLACK u ||N||_1 R of the group's (_support_rows), and
+# in a pencil's crossing group when its orientation test does (_cells):
+# over twice the rounding a point exactly on the line or plane can show.
 _TIE_SLACK = 32.0
 
 
@@ -443,7 +515,7 @@ def _gains(sum_left, n_left, total, m, n_full: int):
     return gains
 
 
-def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
+def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int, csum=None):
     """Prefix-sum sweep over sorted projections, one direction per row.
 
     values is (k, M), each row a direction's projections by
@@ -455,11 +527,13 @@ def _sweep_gains(values: np.ndarray, y: np.ndarray, m, n_full: int):
     values and 0.0 responses: the prefix sums over the node's rows are
     untouched, the total only gains zeros, so every gain of the node
     keeps its bits, and no boundary next to the padding is valid.
-    Returns (gains, thresholds, valid) over the M-1 boundaries; a
-    boundary is valid only when its midpoint lies strictly between two
-    distinct consecutive values.
+    csum, if given, is np.cumsum(y, axis=1), which the caller shares
+    with _tie_splits.  Returns (gains, thresholds, valid) over the M-1
+    boundaries; a boundary is valid only when its midpoint lies strictly
+    between two distinct consecutive values.
     """
-    csum = np.cumsum(y, axis=1)
+    if csum is None:
+        csum = np.cumsum(y, axis=1)
     n_left = np.arange(1, values.shape[1], dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries in the padding
         gains = _gains(csum[:, :-1], n_left, csum[:, -1:], m, n_full)
@@ -659,12 +733,12 @@ def _packed(k: int, m: int) -> bool:
     return k * m <= _PACK_ELEMENTS and k <= _BLOCK_DIRECTIONS
 
 
-def _blocks(problems) -> list:
+def _blocks(problems, elements: int = _BLOCK_ELEMENTS) -> list:
     """The sweep's blocks, as lists of (problem, first row, end row).
 
     A problem of at most _PACK_ELEMENTS projections (direction rows x
     node rows) goes whole into a block shared with others, widest node
-    first, while the block stays within _BLOCK_ELEMENTS projections and
+    first, while the block stays within `elements` projections and
     _BLOCK_DIRECTIONS rows and the node fills at least _PACK_FILL of the
     block's width.  A larger one is cut into blocks of its own.
     """
@@ -676,14 +750,14 @@ def _blocks(problems) -> list:
         if _packed(k, m):
             small.append((isinstance(W, _Vertices), m, k, q))
             continue
-        step = max(1, min(_BLOCK_DIRECTIONS, _BLOCK_ELEMENTS // m))
+        step = max(1, min(_BLOCK_DIRECTIONS, elements // m))
         blocks.extend([(q, lo, min(lo + step, k))] for lo in range(0, k, step))
     # Oracle problems pack only with oracle problems.
     small.sort(key=lambda problem: (problem[0], -problem[1]))
     block, rows, width, kind = [], 0, 0, False
     for vertices, m, k, q in small:
         if block and (
-            (rows + k) * width > _BLOCK_ELEMENTS
+            (rows + k) * width > elements
             or rows + k > _BLOCK_DIRECTIONS
             or m < _PACK_FILL * width
             or vertices != kind
@@ -732,9 +806,10 @@ def _sorted_block(X: np.ndarray, problems, sources, block, which: np.ndarray):
 
 
 def _vertex_block(problems, block, which):
-    """_sorted_block of a block of oracle rows (_Vertices): the rows'
-    levels in place of projections, padded (_padded) and stably sorted.
-    Also returns the rows' (below, tied, size) of _Vertices.levels."""
+    """_sorted_block of a block of oracle sweep rows (_Vertices): the
+    rows' levels in place of projections, padded (_padded) and stably
+    sorted.  Also returns the rows' (below, tied, size) of
+    _Vertices.levels."""
     nodes = [problems[q][0] for q, _, _ in block]
     V = np.empty((sum(hi - lo for _, lo, hi in block), max(node.y.size for node in nodes)))
     below, tied, size = (np.empty(len(V), dtype=np.intp) for _ in range(3))
@@ -781,16 +856,17 @@ class _TieSplits(NamedTuple):
     part: np.ndarray  # the group's places it puts left, from the group's first
 
 
-def _tie_splits(problems, block, which, offsets, order, y, m, n_full, groups) -> Optional[_TieSplits]:
-    """The tie splits of a block of oracle rows (module docstring): for
-    each row with a tie group, each part Q of the group that a hyperplane
-    moved off the row's normal can separate from the rest, as the left
-    set of the rows below the group plus Q.  A group of exactly its
-    defining points takes every part (_GROUP_SPLITS), a larger one the
-    parts of _Vertices.parts.  Each gain is the sweep's formula on
-    the prefix sum below the group plus Q's centred responses, added in
-    order of place.  offsets holds each block row's index among its
-    problem's rows.  None when the block has no tie group."""
+def _tie_splits(problems, block, which, offsets, order, y, csum, m, n_full, groups) -> Optional[_TieSplits]:
+    """The tie splits of a block of oracle sweep rows (module docstring):
+    for each row with a tie group, each part Q of the group that a
+    hyperplane moved off the row's normal can separate from the rest, as
+    the left set of the rows below the group plus Q.  A group of exactly
+    its defining points takes every part (_GROUP_SPLITS), a larger one
+    the parts of _Vertices.parts.  Each gain is the sweep's formula on
+    the sweep's prefix sum below the group (csum, np.cumsum(y, axis=1))
+    plus Q's centred responses, added in order of place.  offsets holds
+    each block row's index among its problem's rows.  None when the
+    block has no tie group."""
     below, tied, size = groups
     if not tied.any():
         return None
@@ -805,7 +881,6 @@ def _tie_splits(problems, block, which, offsets, order, y, m, n_full, groups) ->
             tables[id(found)] = np.array([inside for inside, _ in found.values()]), []
         if found:
             tables[id(found)][1].append(r)
-    csum = np.cumsum(y, axis=1)
     prefix = np.where(below > 0, csum[np.arange(below.size), np.maximum(below - 1, 0)], 0.0)
     width = int(tied.max())
     rows, sums, counts, parts = [], [], [], []
@@ -890,25 +965,233 @@ def _dichotomy(left: np.ndarray) -> bytes:
     return (~left if left[0] else left).tobytes()
 
 
+class _Cells(NamedTuple):
+    """The cells of a block of pencils (_cells), one row per pencil, its
+    places running over the node's rows (and the block's padding)."""
+
+    pencil: np.ndarray  # (support, i, j) of each pencil
+    size: np.ndarray  # its node's row count
+    total: np.ndarray  # the sum of its node's centred responses
+    order: np.ndarray  # its crossing points by angle from its start, then the others
+    crossings: np.ndarray  # the count of its crossing points
+    minus: np.ndarray  # at each place of order, a crossing point on the left of every cell after it
+    plus: np.ndarray  # ... and one on the left of every cell before it
+    sums: np.ndarray  # the centred responses left of the cell after each place
+    counts: np.ndarray  # and their count (as floats)
+    cell: np.ndarray  # whether a crossing group ends at the place
+    line: np.ndarray  # the points on the pencil's line, along it (ell of L places)
+    ell: np.ndarray  # their count
+    cut_sums: np.ndarray  # each cut of the line's points: the sum of the part it puts left
+    cut_counts: np.ndarray  # its count
+    cut_valid: np.ndarray  # whether it is a cut
+
+
+def _cells(problems, block, which) -> _Cells:
+    """Rotate a plane about the line through points i and j of each
+    pencil (support, i, j) of a block (module docstring): its crossing
+    points, their groups, and the left sums of its cells and of the cuts
+    of its line's points.
+
+    A point k off the line crosses the plane at the angle of n_k =
+    (x_j - x_i) x (x_k - x_i), the normal of the plane through i, j and
+    k.  n_k is perpendicular to d = x_j - x_i, so its two coordinates
+    other than d's largest, (u, v), fix it, and the plane's angle is
+    that of (u, v) or (-u, -v), whichever lies in the upper half-plane;
+    a point whose pair was negated (upper False) lies on the other side
+    of the line within the plane.  The points are ordered by angle, from
+    the largest gap between consecutive angles on, so that no crossing
+    group spans the start, and a point moved past the end changes side
+    (upper flips).
+    Consecutive points of that order are in one crossing group when the
+    orientation test n_k . (x_l - x_i) lies within _TIE_SLACK u ||N_k||_1
+    R of zero (N_k bounds n_k's rounding, as in _support_rows).  The
+    cell after a place t holds, on its left, the minus points at or
+    before t and the plus points after it: two prefix sums, one of each
+    kind, added.  A point whose normal lies within 8 u N_k of zero is
+    on the line, as are i and j; its cuts are the prefixes and suffixes
+    of the line's points along d, taken at distinct positions, with the
+    empty and the whole set among them.
+    """
+    nodes = [problems[q][0] for q, _, _ in block]
+    size = np.array([node.y.size for node in nodes])[which]
+    K, M = which.size, int(size.max())
+    points, z = np.empty((3, K, M)), np.zeros((K, M))  # coordinate first: each a contiguous slab
+    reach, total = np.empty(K), np.empty(K)
+    pencil = np.empty((K, 3), dtype=np.intp)
+    at = 0
+    for node, (q, lo, hi) in zip(nodes, block):
+        W, m, rows = problems[q][1], node.y.size, slice(at, at + hi - lo)
+        _, solid, solid_reach = W.solids
+        pencil[rows] = W.pencils[lo:hi]
+        t, i = pencil[rows, 0], pencil[rows, 1]
+        points[:, rows, :m] = np.moveaxis(solid[t], 2, 0)
+        points[:, rows, m:] = solid[t, i].T[:, :, None]  # padding: copies of x_i, on the line
+        z[rows, :m] = node.centred
+        reach[rows], total[rows] = solid_reach[t], np.add.reduce(node.centred)
+        at += hi - lo
+    rows, pos = np.arange(K), np.arange(M)
+    base = points[:, rows, pencil[:, 1]]
+    d = points[:, rows, pencil[:, 2]] - base
+    a = points - base[:, :, None]
+    n = _cross(d[:, :, None], a)
+    bound = _cross(np.abs(d)[:, :, None], np.abs(a), np.add)
+    largest = np.argmax(np.abs(d), axis=0)[:, None]
+    u = np.where(largest == 0, n[1], np.where(largest == 1, n[2], n[0]))
+    v = np.where(largest == 0, n[2], np.where(largest == 1, n[0], n[1]))
+    pad = pos >= size[:, None]
+    live = (np.abs(n[0]) > 8.0 * _UNIT_ROUNDOFF * bound[0]) | (np.abs(n[1]) > 8.0 * _UNIT_ROUNDOFF * bound[1])
+    live |= np.abs(n[2]) > 8.0 * _UNIT_ROUNDOFF * bound[2]
+    line = ~(live & ((u != 0.0) | (v != 0.0))) & ~pad
+    event = ~line & ~pad
+    upper = (v > 0.0) | ((v == 0.0) & (u > 0.0))
+    angle = np.arctan2(np.where(upper, v, -v), np.where(upper, u, -u))
+    g = np.count_nonzero(event, axis=1)
+    order, angle = _stable_order(np.where(event, angle, np.inf), g[:, None])
+    # Start after the largest gap between consecutive angles, the gap
+    # across pi included.
+    with np.errstate(invalid="ignore"):
+        gaps = np.where(pos[:-1] < (g - 1)[:, None], np.diff(angle, axis=1), -np.inf)
+        across = angle[:, 0] + np.pi - angle[rows, np.maximum(g - 1, 0)]
+    first = np.where(across >= gaps.max(axis=1, initial=-np.inf), 0, np.argmax(gaps, axis=1) + 1)
+    src = np.where(pos < g[:, None], (pos + first[:, None]) % np.maximum(g, 1)[:, None], pos)
+    order = np.take_along_axis(order, src, axis=1)
+    # Flat indices of the places' points, to gather per-point arrays.
+    flat = (order + (rows * M)[:, None]).ravel()
+
+    def placed(values):
+        return values.ravel().take(flat).reshape(K, M)
+
+    up = placed(upper) ^ (src < first[:, None])
+    crossing = pos < g[:, None]
+    minus, plus = crossing & ~up, crossing & up
+    # Crossing groups: runs of consecutive points on one plane.
+    det = sum(placed(n[c])[:, :-1] * placed(a[c])[:, 1:] for c in range(3))
+    slack = placed(bound[0] + bound[1] + bound[2])[:, :-1]
+    joined = np.abs(det) <= _TIE_SLACK * _UNIT_ROUNDOFF * slack * reach[:, None]
+    cell = np.ones((K, M), dtype=bool)
+    cell[:, :-1] = ~joined
+    cell[rows, np.maximum(g - 1, 0)] = True
+    cell &= crossing
+    z_at = placed(z)
+    # The cell after place t: minus points at or before t, plus points after.
+    sums = np.cumsum(np.where(minus, z_at, 0.0), axis=1)
+    after = np.cumsum(np.where(plus, z_at, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    sums[:, :-1] += after[:, 1:]
+    counts = np.cumsum(minus, axis=1) - np.cumsum(plus, axis=1) + np.count_nonzero(plus, axis=1)[:, None]
+    counts = counts.astype(np.float64)
+    # The line's points along d, and their cuts: prefixes of 0 to L
+    # points, then suffixes from 1 to L - 1.  The line's points are
+    # gathered to the front of each row before they are sorted.
+    along = a[0] * d[0][:, None] + a[1] * d[1][:, None] + a[2] * d[2][:, None]
+    ell = np.count_nonzero(line, axis=1)
+    L = int(ell.max())
+    hit, col = np.nonzero(line)
+    place = np.arange(hit.size) - np.repeat(np.cumsum(ell) - ell, ell)
+    front = np.full((K, L), np.inf)
+    front[hit, place] = along[hit, col]
+    line_order = np.zeros((K, L), dtype=np.intp)
+    line_order[hit, place] = col
+    order_on_line, along = _stable_order(front, ell[:, None])
+    line_order = np.take_along_axis(line_order, order_on_line, axis=1)
+    on = np.arange(L) < ell[:, None]
+    zl = np.where(on, z.ravel().take((line_order + (rows * M)[:, None]).ravel()).reshape(K, L), 0.0)
+    apart = (along[:, :-1] < along[:, 1:]) & on[:, 1:]
+    cut_sums = np.concatenate([np.zeros((K, 1)), np.cumsum(zl, axis=1), np.cumsum(zl[:, ::-1], axis=1)[:, ::-1][:, 1:]], axis=1)
+    cut_counts = np.concatenate([np.broadcast_to(np.arange(L + 1.0), (K, L + 1)), ell[:, None] - np.arange(1.0, L)], axis=1)
+    prefix = np.arange(L + 1)
+    cut_valid = np.concatenate([(prefix == 0) | (prefix == ell[:, None]), apart], axis=1)
+    cut_valid[:, 1:L] |= apart
+    return _Cells(pencil, size, total, order, g, minus, plus, sums, counts, cell,
+                  line_order, ell, cut_sums, cut_counts, cut_valid)
+
+
+def _cell_gains(cells: _Cells, lo: int, hi: int, n_full: int) -> np.ndarray:
+    """The sweep gains of the cells of a block of pencils (_cells) with
+    cuts lo..hi - 1 of their line's points put left, as a (pencils,
+    places, cuts) array; -inf where no crossing group ends at the place,
+    the cut is none, or a side is empty."""
+    left = cells.sums[:, :, None] + cells.cut_sums[:, None, lo:hi]
+    n_left = cells.counts[:, :, None] + cells.cut_counts[:, None, lo:hi]
+    m = cells.size[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = _gains(left, n_left, cells.total[:, None, None], m, n_full)
+    ok = cells.cell[:, :, None] & cells.cut_valid[:, None, lo:hi] & (n_left >= 1.0) & (n_left <= m - 1)
+    np.copyto(gains, -np.inf, where=~ok)
+    return gains
+
+
+def _cell_candidates(problems, block, which, cells: _Cells, k, t, c, gains) -> _Kept:
+    """The _Kept of the cells (pencil k, after place t, cut c) of a block
+    of pencils: each left set, and the triple (_Vertices._row) of a
+    crossing next to the cell, the group that ends at t or the next one,
+    whose vertex dichotomy the cell's is.  The cell's left set is the
+    points left of that plane plus a part Q of its group and line; a
+    plain one when Q is empty or the whole group, a tie split otherwise.
+    The plain crossing is taken when there is one, the earlier one
+    first; the triple's third point is its group's lowest row."""
+    M = cells.order.shape[1]
+    pos, at = np.arange(M), np.arange(k.size)[:, None]
+    lefts = np.zeros((k.size, M), dtype=bool)
+    lefts[at, cells.order[k]] = np.where(pos <= t[:, None], cells.minus[k], cells.plus[k])
+    L = cells.line.shape[1]
+    place = np.arange(L)
+    part = np.where(c[:, None] <= L, place < c[:, None], place >= (c - L)[:, None])
+    hit, on = np.nonzero(part & (place < cells.ell[k, None]))
+    lefts[hit, cells.line[k[hit], on]] = True
+    # The groups around the cell: the one ending at t, and the next one
+    # (the first past the last place, with the sides swapped).
+    wrap = t + 1 >= cells.crossings[k]
+    ends = cells.cell[k]
+    here = np.where(ends & (pos < t[:, None]), pos + 1, 0).max(axis=1), t + 1
+    after = np.where(wrap, 0, t + 1)
+    nxt = after, np.argmax(ends & (pos >= after[:, None]), axis=1) + 1
+
+    def holds(kind, span):
+        run = (pos >= span[0][:, None]) & (pos < span[1][:, None])
+        return np.any(kind[k] & run, axis=1)
+
+    empty, full = c == 0, c == cells.ell[k]
+    plain_here = (~holds(cells.minus, here) & empty) | (~holds(cells.plus, here) & full)
+    next_minus, next_plus = holds(cells.minus, nxt), holds(cells.plus, nxt)
+    plain_next = np.where(
+        wrap, (~next_minus & empty) | (~next_plus & full), (~next_plus & empty) | (~next_minus & full)
+    )
+    use_next = ~plain_here & plain_next
+    lo, hi = np.where(use_next, nxt[0], here[0]), np.where(use_next, nxt[1], here[1])
+    third = np.where((pos >= lo[:, None]) & (pos < hi[:, None]), cells.order[k], M).min(axis=1)
+    support, i, j = cells.pencil[k].T
+    triple = np.sort(np.stack([i, j, third], axis=1), axis=1)
+    m = cells.size[k].astype(np.int64)
+    count = np.array([problems[q][1].count for q, _, _ in block])[which][k]
+    ids = count + ((support * m + triple[:, 0]) * m + triple[:, 1]) * m + triple[:, 2]
+    owners = np.array([q for q, _, _ in block])[which][k]
+    return _Kept(owners, ids, gains, lefts, None, None, ~(plain_here | plain_next))
+
+
+class _Kept(NamedTuple):
+    """The candidates a block kept under its problems' floors (_screen)."""
+
+    owners: np.ndarray  # each candidate's problem
+    rows: np.ndarray  # its row of W, or its oracle row (_Vertices._row)
+    gains: np.ndarray  # its sweep gain
+    lefts: np.ndarray  # its left set, a mask over its node's rows and the block's padding
+    counts: Optional[np.ndarray]  # a matrix row's left count, at its boundary
+    cuts: Optional[np.ndarray]  # a matrix row's threshold there
+    moved: Optional[np.ndarray]  # whether an oracle candidate is a tie split
+
+
 def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -> list:
     """The exact near-best splits of each (node, W) problem.
 
     A problem pairs a _Node of X's rows with a matrix W of direction
-    rows, or with the exhaustive oracle's rows (_Vertices).  A row of a
-    matrix becomes its split's direction as it is, so callers pass
-    canonical rows, as canonical_rows gives.
-    The rows of every problem are swept in the blocks of _blocks: each
-    block's rows are sorted (_sorted_block: a row the node inherited
-    from its parent is read from there, the others are projected and
-    stably sorted; _vertex_block for oracle rows), swept (_sweep_gains,
-    one cumsum along the rows) and screened under each problem's rising
-    floor (module docstring).  A kept row's split sits at its first
-    boundary b within DECREASE_TOL of its best gain, and its left set is
-    the first b + 1 rows of its order (a valid boundary lies strictly
-    between two distinct values); an oracle row's tie splits
-    (_tie_splits) are screened as rows of their own.  Each problem's
-    contenders get exact decreases once per distinct left set, and an
-    oracle problem's its stored splits (_vertex_splits).
+    rows, or with the exhaustive oracle's candidates (_Vertices).  A row
+    of a matrix becomes its split's direction as it is, so callers pass
+    canonical rows, as canonical_rows gives.  Every candidate is swept
+    and screened once under its problem's rising floor (_screen); the
+    contenders, those at or above the last floor, get exact decreases
+    once per distinct left set, and an oracle problem's contenders their
+    stored splits (_vertex_splits).  An oracle problem none of whose
+    contenders stored a split is screened again below them (_rescreen).
     With keep, nodes keep their orders for their children (_sources).
     Returns, for each problem, the splits within DECREASE_TOL of its
     largest exact decrease, in row order, as solving every row exactly
@@ -916,32 +1199,104 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
     left set as a mask (Split.left).
     """
     sources = _sources(problems, keep)
+    kept, floor = _screen(X, problems, sources, n_full)
+    splits, failed = _resolve(problems, sources, kept, floor, n_full)
+    for q in failed:
+        splits[q] = _rescreen(X, problems[q], float(floor[q]), n_full)
+    return [_near_best(found) for found in splits]
+
+
+def _screen(X: np.ndarray, problems, sources, n_full: int, ceiling=None, quota=None):
+    """Sweep every problem's candidates once, in blocks, under rising
+    floors: returns (kept, floor), the _Kept of each block and each
+    problem's last floor.
+
+    The pencils of oracle problems go first (_blocks of them, _cells),
+    as they hold the largest gains.  Then the rows of every problem are
+    swept in the blocks of _blocks: each block's rows are sorted
+    (_sorted_block: a row the node inherited from its parent is read
+    from there, the others are projected and stably sorted; _vertex_block
+    for oracle sweep rows), swept (_sweep_gains, one cumsum along the
+    rows, which an oracle row's tie splits (_tie_splits) share).  A row's
+    candidate is its first boundary b within DECREASE_TOL of its best
+    gain, and its left set is the first b + 1 rows of its order (a valid
+    boundary lies strictly between two distinct values); an oracle
+    row's tie splits and a pencil's cells are candidates of their own.
+    A problem's floor is its best gain so far minus its node's margin
+    (module docstring), and a block keeps the candidates at or above it.
+
+    ceiling, an array over the problems, drops every candidate whose
+    gain reaches its problem's; quota, for a single problem, sets the
+    floor by the quota-th largest gain so far in place of the largest.
+    """
     floor = np.full(len(problems), -np.inf)
+    pool = np.empty(0)  # the quota largest gains so far
     kept = []
-    for block in _blocks(problems):
+
+    def row_floor(qs, which, counts, best, gains):
+        """Raise the floors of the block's problems qs by its rows' best
+        gains (problem qs[i] owns the counts[i] rows where which == i;
+        gains holds all of the block's candidate gains), and return each
+        row's floor."""
+        nonlocal pool
+        margins = np.array([problems[q][0].margin(n_full) for q in qs])
+        if quota is None:
+            starts = np.cumsum([0] + counts[:-1])
+            floor[qs] = np.maximum(floor[qs], np.maximum.reduceat(best, starts) - margins)
+        else:
+            pool = np.concatenate([pool, gains[gains > -np.inf]])
+            pool = -np.partition(-pool, quota - 1)[:quota] if pool.size >= quota else pool
+            if pool.size >= quota:
+                floor[qs] = np.maximum(floor[qs], pool.min() - margins)
+        return floor[qs][which]
+
+    def capped(gains, which_rows):
+        if ceiling is not None:
+            np.copyto(gains, -np.inf, where=gains >= ceiling[which_rows])
+        return gains
+
+    def layout(block):
         qs = [q for q, _, _ in block]
-        nodes = [problems[q][0] for q in qs]
         counts = [hi - lo for _, lo, hi in block]
         which = np.repeat(np.arange(len(block)), counts)
         offsets = np.concatenate([np.arange(lo, hi) for _, lo, hi in block])
+        return qs, counts, which, offsets, np.array(qs)[which]
+
+    pencils = [(node, W.pencils if isinstance(W, _Vertices) else ()) for node, W in problems]
+    for block in _blocks(pencils, _PENCIL_ELEMENTS):
+        qs, counts, which, _, owners = layout(block)
+        cells = _cells(problems, block, which)
+        K, M = cells.order.shape
+        C = cells.cut_sums.shape[1]
+        step = max(1, _CELL_ELEMENTS // (K * M))
+        for lo in range(0, C, step):
+            gains = capped(_cell_gains(cells, lo, min(lo + step, C), n_full), owners[:, None, None])
+            floors = row_floor(qs, which, counts, gains.reshape(K, -1).max(axis=1), gains.ravel())
+            k, t, c = np.nonzero((gains >= floors[:, None, None]) & (gains > -np.inf))
+            if k.size:
+                kept.append(_cell_candidates(problems, block, which, cells, k, t, c + lo, gains[k, t, c]))
+
+    for block in _blocks(problems):
+        qs, counts, which, offsets, owners = layout(block)
         ties = None
         if isinstance(problems[qs[0]][1], _Vertices):
             order, sorted_V, m, y, groups = _vertex_block(problems, block, which)
-            ties = _tie_splits(problems, block, which, offsets, order, y, m, n_full, groups)
+            csum = np.cumsum(y, axis=1)
+            ties = _tie_splits(problems, block, which, offsets, order, y, csum, m, n_full, groups)
+            gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full, csum)
         else:
             order, sorted_V, m, y = _sorted_block(X, problems, sources, block, which)
-        gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full)
+            gains, thresholds, valid = _sweep_gains(sorted_V, y, m, n_full)
         np.copyto(gains, -np.inf, where=~valid)
-        top = gains.max(axis=1)
-        best = top
+        top = capped(gains.max(axis=1), owners)
+        best, every = top, top
         if ties is not None:
+            capped(ties.gains, owners[ties.rows])
             best = top.copy()
             np.maximum.at(best, ties.rows, ties.gains)
-        starts = np.cumsum([0] + counts[:-1])
-        margins = np.array([node.margin(n_full) for node in nodes])
-        floor[qs] = np.maximum(floor[qs], np.maximum.reduceat(best, starts) - margins)
-        row_floor = floor[qs][which]
-        rows = np.flatnonzero((top >= row_floor) & (row_floor > -np.inf))
+            every = np.concatenate([top, ties.gains])
+        floors = row_floor(qs, which, counts, best, every)
+        rows = np.flatnonzero((top >= floors) & (top > -np.inf))
         top = top[rows]
         # First boundary within tolerance of the max = smallest threshold.
         boundaries = (gains[rows] >= top[:, None] - DECREASE_TOL).argmax(axis=1)
@@ -950,11 +1305,11 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
         width = order.shape[1]
         lefts = np.zeros((rows.size, width), dtype=bool)
         lefts[np.arange(rows.size)[:, None], order[rows]] = np.arange(width) <= boundaries[:, None]
-        owners = np.array(qs)[which]
-        kept.append((owners[rows], offsets[rows], top, boundaries + 1, cuts, lefts))
+        moved = np.zeros(rows.size, dtype=bool)
+        kept.append(_Kept(owners[rows], offsets[rows], top, lefts, boundaries + 1, cuts, moved))
         if ties is not None:
-            floors = row_floor[ties.rows]
-            pick = np.flatnonzero((ties.gains >= floors) & (floors > -np.inf))
+            floors = floors[ties.rows]
+            pick = np.flatnonzero((ties.gains >= floors) & (ties.gains > -np.inf))
             rows = ties.rows[pick]
             # A tie split's left set: the rows below its group, then its part.
             places = np.arange(width) < ties.below[pick, None]
@@ -962,11 +1317,20 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
             places[hit, ties.below[pick][hit] + at] = True
             lefts = np.zeros((pick.size, width), dtype=bool)
             lefts[np.arange(pick.size)[:, None], order[rows]] = places
-            kept.append((owners[rows], offsets[rows], ties.gains[pick], None, None, lefts))
+            moved = np.ones(pick.size, dtype=bool)
+            kept.append(_Kept(owners[rows], offsets[rows], ties.gains[pick], lefts, None, None, moved))
+    return kept, floor
+
+
+def _resolve(problems, sources, kept, floor, n_full: int):
+    """The exact splits of the contenders among kept (_screen), those at
+    or above their problem's floor: (splits, failed), the splits of each
+    problem in row order, and the oracle problems that had contenders but
+    none of whose contenders stored a split."""
     decreases: dict[tuple, float] = {}
     splits = [[] for _ in problems]
-    contenders = {}
-    for owners, offsets, top, counts, cuts, lefts in kept:
+    contenders, named = {}, set()
+    for owners, offsets, top, lefts, counts, cuts, moved in kept:
         offsets = offsets.tolist()
         for i in np.flatnonzero(top >= floor[owners]).tolist():
             q = int(owners[i])
@@ -978,7 +1342,11 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
                 key = (q, _dichotomy(left))
                 if key not in decreases:
                     decreases[key] = _split_decrease(node.y, ~left if left[0] else left, n_full, node.sse)
-                contenders.setdefault(q, []).append((decreases[key], offsets[i], left, counts is None))
+                # Cells of several pencils name one triple and dichotomy,
+                # which stores one split.
+                if (key, offsets[i]) not in named:
+                    named.add((key, offsets[i]))
+                    contenders.setdefault(q, []).append((decreases[key], offsets[i], left, bool(moved[i])))
                 continue
             key = (q, left.tobytes())
             if key not in decreases:
@@ -1002,7 +1370,37 @@ def _best_thresholds(X: np.ndarray, problems, n_full: int, keep: bool = False) -
     for q, found in enumerate(splits):
         if sources[q] is not None and sources[q].perm is not None:
             splits[q] = [split for _, split in sorted(found, key=lambda row: row[0])]
-    return [_near_best(found) for found in splits]
+    return splits, [q for q in contenders if not splits[q]]
+
+
+def _rescreen(X: np.ndarray, problem, ceiling: float, n_full: int) -> list:
+    """The stored splits of an oracle problem none of whose contenders
+    stored one, at gains up to ceiling (its floor): screen the problem
+    again without them, so that the next-best candidates, the axes among
+    them, become contenders, until some store a split.
+
+    Each pass drops every candidate tried so far, those whose gain
+    reaches the ceiling, and admits the largest quota of the rest, down
+    to the quota-th largest gain less the node's margin, with the quota
+    growing fourfold from pass to pass.  Once a pass stores a split whose
+    decrease E lies within the margin of its floor, one more pass below
+    that floor admits the near-best candidates that it left out.  The
+    axes always store their splits, so this ends with a split whenever
+    the node has a valid one.
+    """
+    found, quota = [], _RESCREEN_QUOTA
+    while True:
+        kept, floor = _screen(X, [problem], [None], n_full, np.array([ceiling]), None if found else quota)
+        if not kept:
+            return found
+        (splits,), _ = _resolve([problem], [None], kept, floor, n_full)
+        if found:
+            return found + splits
+        found = splits
+        margin = problem[0].margin(n_full)
+        if found and max(split.decrease for split in found) - margin >= floor[0]:
+            return found
+        ceiling, quota = float(floor[0]), 4 * quota
 
 
 def best_threshold(dataset: Dataset, node, direction: Direction) -> Split:
@@ -1069,16 +1467,30 @@ def _canonical_rows(matrix: np.ndarray) -> np.ndarray:
     return arr[fresh]
 
 
-def _cross(a: np.ndarray, b: np.ndarray, op=np.subtract) -> np.ndarray:
-    """The cross products of the rows of a and b, one elementwise product
-    and difference per coordinate; with op=np.add, the sums of the same
-    products, which bound the cross products' rounding."""
-    return np.stack(
-        [op(a[:, 1] * b[:, 2], a[:, 2] * b[:, 1]),
-         op(a[:, 2] * b[:, 0], a[:, 0] * b[:, 2]),
-         op(a[:, 0] * b[:, 1], a[:, 1] * b[:, 0])],
-        axis=1,
+def _cross(a: np.ndarray, b: np.ndarray, op=np.subtract):
+    """The three coordinates of the cross products of a and b, whose
+    first axis holds the three coordinates (broadcast over the others),
+    one elementwise product and difference per coordinate; with
+    op=np.add, the sums of the same products, which bound the cross
+    products' rounding.  np.stack makes them one array."""
+    return (
+        op(a[1] * b[2], a[2] * b[1]),
+        op(a[2] * b[0], a[0] * b[2]),
+        op(a[0] * b[1], a[1] * b[0]),
     )
+
+
+def _oriented(normals: np.ndarray, bound: np.ndarray, reach):
+    """Rows normals oriented as canonical_rows orients them, the first
+    coefficient above _COEFF_SNAP of the peak positive, so that a sweep's
+    order is its stored direction's; and their tie tolerances _TIE_SLACK
+    u ||N||_1 R, N = bound the rows' rounding bounds and R = reach the
+    peak magnitude of their points (module docstring)."""
+    size_of = np.abs(normals)
+    significant = size_of > _COEFF_SNAP * size_of.max(axis=1, keepdims=True, initial=0.0)
+    first = normals[np.arange(normals.shape[0]), np.argmax(significant, axis=1)]
+    normals = np.where(first[:, None] < 0.0, -normals, normals)
+    return normals, _TIE_SLACK * _UNIT_ROUNDOFF * np.add.reduce(bound, axis=1) * reach
 
 
 def _triples(m: int, i: np.ndarray, j: np.ndarray):
@@ -1091,23 +1503,21 @@ def _triples(m: int, i: np.ndarray, j: np.ndarray):
 
 
 def _support_rows(points: np.ndarray, size: int, index: tuple):
-    """The oracle's rows on the supports of one size, whose points are
-    points (supports x m x size): (owner, normals, defining points, tie
-    tolerances), one row each, owner the row's support.  index holds the
-    index pairs i < j (size 2) or triples i < j < k (size 3) below m, as
-    index arrays.
+    """The oracle's sweep rows on the supports of one size, whose points
+    are points (supports x m x size): (owner, normals, defining points,
+    tie tolerances), one row each, owner the row's support.  index holds
+    the index pairs i < j (size 2) or triples i < j < k (size 3) below
+    m, as index arrays.
 
     size 1: the axis, with no defining point.  size 2: the perpendicular
     (-a_2, a_1) of each nonzero pair difference a = x_j - x_i.  size 3:
     the normal n = a x b, a = x_j - x_i and b = x_k - x_i, of each triple
     that rounding cannot have made collinear: some |n_c| exceeds 8 u N_c,
     where N = |a| x |b| with every product added bounds n's rounding (a
-    collinear triple of exactly computed differences gives n = 0).  Rows
-    come support by support, each support's in index order.  Each normal
-    is oriented as canonical_rows orients it, its first coefficient
-    above _COEFF_SNAP of its peak positive, so that the sweep's order is
-    its stored direction's.  The tolerance is _TIE_SLACK u ||N||_1 R (N =
-    |n| for a pair), R the support's peak magnitude (module docstring).
+    collinear triple of exactly computed differences gives n = 0).
+    Normals are oriented, with their tolerances (N = |n| for a pair), by
+    _oriented.  Rows come support by support, each support's in index
+    order.
     """
     count = points.shape[0]
     if size == 1:
@@ -1119,20 +1529,28 @@ def _support_rows(points: np.ndarray, size: int, index: tuple):
         normals = np.stack([-a[:, 1], a[:, 0]], axis=1)
         bound = np.abs(normals)
     else:
-        b = (points[:, index[2]] - points[:, index[0]]).reshape(-1, 3)
-        a = a.reshape(-1, 3)
-        normals, bound = _cross(a, b), _cross(np.abs(a), np.abs(b), np.add)
+        b = (points[:, index[2]] - points[:, index[0]]).reshape(-1, 3).T
+        a = a.reshape(-1, 3).T
+        normals, bound = np.stack(_cross(a, b), axis=1), np.stack(_cross(np.abs(a), np.abs(b), np.add), axis=1)
         live = np.any(np.abs(normals) > 8.0 * _UNIT_ROUNDOFF * bound, axis=1)
         owner, at = np.divmod(np.flatnonzero(live), index[0].size)
         normals, bound = normals[live], bound[live]
     defining = np.stack([ends[at] for ends in index], axis=1)
-    size_of = np.abs(normals)
-    significant = size_of > _COEFF_SNAP * size_of.max(axis=1, keepdims=True, initial=0.0)
-    first = normals[np.arange(normals.shape[0]), np.argmax(significant, axis=1)]
-    normals = np.where(first[:, None] < 0.0, -normals, normals)
-    reach = np.max(np.abs(points), axis=(1, 2))[owner]
-    tolerance = _TIE_SLACK * _UNIT_ROUNDOFF * np.add.reduce(bound, axis=1) * reach
+    normals, tolerance = _oriented(normals, bound, np.max(np.abs(points), axis=(1, 2))[owner])
     return owner, normals, defining, tolerance
+
+
+def _tied(V: np.ndarray, defining: np.ndarray, tolerance: np.ndarray):
+    """Rows V of a row's values with its tie group, its defining points
+    and every point within its tolerance of the first one's value,
+    written equal to that value: (values, below, tied, on), the count of
+    values below the group's, the group's size and its mask."""
+    at = np.arange(V.shape[0])[:, None]
+    pivot = V[at, defining[:, :1]]
+    on = np.abs(V - pivot) <= tolerance[:, None]
+    on[at, defining] = True
+    V = np.where(on, pivot, V)
+    return V, np.count_nonzero(V < pivot, axis=1), np.count_nonzero(on, axis=1), on
 
 
 def _cuts(points: np.ndarray, v: np.ndarray, ends: bool):
@@ -1196,10 +1614,10 @@ def _separations(points: np.ndarray, normal: np.ndarray):
         d = points[b] - points[a]
         if not d.any() or any(line >> a & line >> b & 1 for line in searched):
             continue
-        u = _cross(normal[None], d[None])[0]
+        u = np.stack(_cross(normal, d))
         offsets = points - points[a]
         (across,) = projections(offsets, u[None])
-        bound = _cross(np.abs(normal)[None], np.abs(d)[None], np.add)[0]
+        bound = np.stack(_cross(np.abs(normal), np.abs(d), np.add))
         tol = _TIE_SLACK * _UNIT_ROUNDOFF * float(np.add.reduce(bound)) * float(np.max(np.abs(offsets)))
         line = np.abs(across) <= tol
         searched.append(sum(1 << i for i in np.flatnonzero(line).tolist()))
@@ -1216,55 +1634,91 @@ def _separations(points: np.ndarray, normal: np.ndarray):
 
 
 class _Vertices:
-    """The exhaustive oracle's candidate rows on one node (module
-    docstring), with the values its sweep sorts and the splits it stores.
+    """The exhaustive oracle's candidates on one node (module docstring):
+    its sweep rows with the values its sweep sorts, its pencils, and the
+    splits it stores.
 
     features is the node's m x p rows, and d <= 3 (_search_level checks
-    it).  Each support of at most d coordinates contributes the rows of
-    _support_rows on its points (rescaled by _rescaled), in support
-    order: the axes, then the pair perpendiculars of each 2-coordinate
-    support, then the triple normals of each 3-coordinate support.  A
-    row's tie group is its defining points and every point whose value
-    lies within its tolerance of theirs: the points on its line or
-    plane.
+    it).  The sweep rows are, in support order, the axes, the pair
+    perpendiculars of each 2-coordinate support and, on fewer than
+    _PENCIL_ROWS rows, the triple normals of each 3-coordinate support
+    (_support_rows on the support's points, rescaled by _rescaled).  A
+    sweep row's tie group is its defining points and every point whose
+    value lies within its tolerance of theirs: the points on its line or
+    plane.  With d = 3 on _PENCIL_ROWS rows or more, solids holds the
+    3-coordinate supports, their rescaled points and the points' peak
+    magnitudes, and pencils one row (support, i, j) for each pair i < j
+    of distinct points of each (_cells sweeps them).  A pencil's
+    candidate names the triple i < j < k of its crossing, row count +
+    ((t m + i) m + j) m + k of support t: its normal and tie group are
+    those of the plane through the three points, as a triple row's are.
     """
 
     def __init__(self, features: np.ndarray, d: int):
         self.features = features
         m, p = features.shape
         pairs = np.triu_indices(m, k=1)
-        index = {1: (), 2: pairs, 3: _triples(m, *pairs) if d == 3 else ()}
         # Per support size: (supports, their points, first row, owner,
         # normals, defining points, tolerances).
+        pencils = min(d, p) == 3 and m >= _PENCIL_ROWS
+        index = {1: (), 2: pairs, 3: () if pencils or min(d, p) < 3 else _triples(m, *pairs)}
         self.sizes, start = [], 0
-        for size in range(1, min(d, p) + 1):
-            supports = list(itertools.combinations(range(p), size))
-            points = _rescaled(np.moveaxis(features[:, np.array(supports)], 1, 0))
+        for size in range(1, min(d, p, 2 if pencils else 3) + 1):
+            supports, points = _supports(features, size)
             rows = _support_rows(points, size, index[size])
             self.sizes.append((supports, points, start) + rows)
             start += rows[0].size
         self.count = start
-        self._parts = {}
+        self.solids, self.pencils = None, np.zeros((0, 3), dtype=np.intp)
+        if pencils:
+            supports, points = _supports(features, 3)
+            owner, at = np.nonzero(np.any(points[:, pairs[1]] != points[:, pairs[0]], axis=2))
+            self.solids = supports, points, np.max(np.abs(points), axis=(1, 2))
+            self.pencils = np.stack([owner, pairs[0][at], pairs[1][at]], axis=1)
+        self._parts, self._triples = {}, {}
 
     def __len__(self) -> int:
         return self.count
 
     def _row(self, r: int):
-        """(support, its points, normal, defining points) of row r."""
-        for supports, points, start, owner, normals, defining, _ in self.sizes:
+        """(support, its points, normal, defining points, tolerance) of
+        row r: a sweep row, or a pencil's triple (_name)."""
+        if r >= self.count:
+            self._name([r])
+            return self._triples[r]
+        for supports, points, start, owner, normals, defining, tolerance in self.sizes:
             if r < start + owner.size:
                 i, t = r - start, owner[r - start]
-                return supports[t], points[t], normals[i], defining[i]
+                return supports[t], points[t], normals[i], defining[i], tolerance[i]
         raise IndexError(r)
 
+    def _name(self, rows) -> None:
+        """Compute, together, the _row of each triple among rows not yet
+        known: the cross product (x_j - x_i) x (x_k - x_i) of its rescaled
+        points, oriented, with its tolerance (_oriented)."""
+        new = sorted({r for r in rows if r >= self.count and r not in self._triples})
+        if not new:
+            return
+        m = self.features.shape[0]
+        t, rest = np.divmod(np.array(new) - self.count, m**3)
+        defining = np.stack([rest // (m * m), rest // m % m, rest % m], axis=1)
+        supports, points, reach = self.solids
+        x = points[t[:, None], defining]
+        a, b = (x[:, 1] - x[:, 0]).T, (x[:, 2] - x[:, 0]).T
+        normals, bound = np.stack(_cross(a, b), axis=1), np.stack(_cross(np.abs(a), np.abs(b), np.add), axis=1)
+        normals, tolerance = _oriented(normals, bound, reach[t])
+        for r, s, row, normal, slack in zip(new, t.tolist(), defining, normals, tolerance):
+            self._triples[r] = supports[s], points[s], normal, row, slack
+
     def levels(self, lo: int, hi: int):
-        """The sweep's values of rows lo..hi - 1 at the node's points, as
-        (values, below, tied, size): each row's levels, the projections
-        of its support's points onto its normal (dataset.projections),
-        with its tie group written equal to its first defining point's
-        value; the count of values below that one; the group's size (0
-        for an axis); and the support's size.  An axis row's levels are
-        its support's points as they are, 1.0 x = x."""
+        """The sweep's values of sweep rows lo..hi - 1 at the node's
+        points, as (values, below, tied, size): each row's levels, the
+        projections of its support's points onto its normal
+        (dataset.projections), with its tie group written equal to its
+        first defining point's value (_tied); the count of values below
+        that one; the group's size (0 for an axis); and the support's
+        size.  An axis row's levels are its support's points as they
+        are, 1.0 x = x."""
         m = self.features.shape[0]
         values = np.empty((hi - lo, m))
         below, tied, size = (np.zeros(hi - lo, dtype=np.intp) for _ in range(3))
@@ -1272,25 +1726,17 @@ class _Vertices:
             a, b = max(lo, start), min(hi, start + owner.size)
             if a >= b:
                 continue
-            rows = slice(a - start, b - start)
-            size[a - lo : b - lo] = normals.shape[1]
+            rows, out = slice(a - start, b - start), slice(a - lo, b - lo)
+            size[out] = normals.shape[1]
             if normals.shape[1] == 1:
-                values[a - lo : b - lo] = points[owner[rows], :, 0]
+                values[out] = points[owner[rows], :, 0]
                 continue
             # Rows come support by support: one projection per support.
             V = np.empty((b - a, m))
             cuts = (np.flatnonzero(np.diff(owner[rows])) + 1).tolist()
             for i, j in zip([0, *cuts], [*cuts, b - a]):
                 V[i:j] = projections(points[owner[a - start + i]], normals[a - start + i : a - start + j])
-            held = defining[rows]
-            at = np.arange(b - a)[:, None]
-            pivot = V[at, held[:, :1]]
-            on = np.abs(V - pivot) <= tolerance[rows, None]
-            on[at, held] = True
-            V = np.where(on, pivot, V)
-            below[a - lo : b - lo] = np.count_nonzero(V < pivot, axis=1)
-            tied[a - lo : b - lo] = np.count_nonzero(on, axis=1)
-            values[a - lo : b - lo] = V
+            values[out], below[out], tied[out], _ = _tied(V, defining[rows], tolerance[rows])
         return values, below, tied, size
 
     def parts(self, r: int, members: np.ndarray) -> dict:
@@ -1301,13 +1747,16 @@ class _Vertices:
         found.  Rows of one support with the same group lie on one line
         or plane, with parallel normals, and share the first one's
         result."""
-        support, points, normal, _ = self._row(r)
+        support, points, normal, _, _ = self._row(r)
         key = (support, members.tobytes())
         if key not in self._parts:
             found = self._parts[key] = {}
+            every = 2**members.size - 2  # the search stops once it has found every proper part
             for inside, witness in _separations(points[members], normal):
                 if inside.any() and not inside.all():
                     found.setdefault(inside.tobytes(), (inside, witness))
+                    if len(found) == every:
+                        break
         return self._parts[key]
 
     def _moved(self, r: int, left: np.ndarray):
@@ -1316,13 +1765,15 @@ class _Vertices:
         first witness g . x - c of parts that separates the group's part
         from the rest within the line or plane, against the levels n . (x
         - x_i) of the points off it, so no other point changes side and
-        the part lies below the rest.  The group is the points whose level
-        (levels) is the first defining point's.  None if no witness
-        separates the part."""
-        _, points, w, defining = self._row(r)
-        (levels,), _, _, _ = self.levels(r, r + 1)
+        the part lies below the rest.  The group is the one _tied finds
+        on the row's levels.  When left holds the points above the
+        group, as a pencil's cell may, the part of its complement is
+        moved below.  None if no witness separates the part."""
+        _, points, w, defining, tolerance = self._row(r)
+        (levels,), _, _, (on,) = _tied(projections(points, w[None]), defining[None], tolerance[None])
         pivot = levels[defining[0]]
-        on = levels == pivot
+        if np.any(left & (levels > pivot)):
+            left = ~left
         found = self.parts(r, np.flatnonzero(on)).get(left[on].tobytes())
         if found is None:
             return None
@@ -1346,8 +1797,9 @@ class _Vertices:
         """
         k, p = len(rows), self.features.shape[1]
         raw = np.zeros((k, p))
+        self._name(rows)
         for i, r in enumerate(rows):
-            support, _, w, _ = self._row(r)
+            support, _, w, _, _ = self._row(r)
             if tied:
                 w = self._moved(r, lefts[i])
             if w is not None:
@@ -1366,6 +1818,13 @@ class _Vertices:
                 if out[live[j]] is None:
                     out[live[j]] = tuple(directions[j].tolist()), float(threshold[j]), side[j]
         return out
+
+
+def _supports(features: np.ndarray, size: int):
+    """The supports of `size` coordinates, in combinations order, and
+    their points (supports x m x size), rescaled (_rescaled)."""
+    supports = list(itertools.combinations(range(features.shape[1]), size))
+    return supports, _rescaled(np.moveaxis(features[:, np.array(supports)], 1, 0))
 
 
 def _rescaled(points: np.ndarray) -> np.ndarray:
@@ -1560,18 +2019,19 @@ def search_exhaustive_oblique(
 ) -> Split:
     """Exact maximizer of the SSE decrease over sparsity-d hyperplanes.
 
-    Sweeps, for every support of size <= sparsity_d, the normals of its
-    point triples, the perpendiculars of its point pairs and its axes
-    (_Vertices), each with its tie group kept whole, and scores the parts
-    of each group that a hyperplane moved off it can separate as left
-    sets of their own.  Every dichotomy of the node that a hyperplane
-    with at most sparsity_d nonzero coefficients strictly separates is
-    met at a vertex of its cone of hyperplanes, and no other is scored,
-    so on data whose normals and projections are computed exactly (for
-    example integer coordinates of magnitude below 2^10) the returned
-    split is a true maximizer over the restricted space; elsewhere ties
-    are decided within rounding (module docstring).  Restricted to small
-    instances by node_cap.
+    Sweeps, for every support of size <= sparsity_d, its axes and the
+    perpendiculars of its point pairs, each with its tie group kept
+    whole and the parts of the group that a line moved off it separates
+    scored as left sets of their own, and rotates a plane about the line
+    through each pair of its points, scoring every cell between two
+    crossings (_Vertices).  Every dichotomy of the node that a
+    hyperplane with at most sparsity_d nonzero coefficients strictly
+    separates is met at a vertex of its cone of hyperplanes, and no
+    other is scored, so on data whose normals and projections are
+    computed exactly (for example integer coordinates of magnitude below
+    2^10) the returned split is a true maximizer over the restricted
+    space; elsewhere ties are decided within rounding (module
+    docstring).  Restricted to small instances by node_cap.
     """
     strategy = SearchStrategy(kind="exhaustive_oblique", sparsity_d=sparsity_d, node_cap=node_cap)
     return run_search(dataset, node, strategy)

@@ -148,6 +148,23 @@ def test_subopt_command(tmp_path):
     assert payload["success_fraction"] == 1.0
 
 
+
+def test_subopt_at_sparsity_3_splits_anisotropic_columns(tmp_path):
+    # ROADMAP item 14's input: column 1 scaled by 2^45.  Every first
+    # contender of the oracle fails to store its split; screened again,
+    # the node still splits, so subopt exits 0 at the oracle's decrease.
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-1.0, 1.0, size=(40, 3))
+    y = np.sin(X @ np.array([1.0, 1.5, -0.5])) + 0.1 * rng.standard_normal(40)
+    X[:, 1] *= 2.0**45
+    csv, out = tmp_path / "aniso.csv", tmp_path / "subopt.json"
+    save_csv(Dataset(X, y), str(csv))
+    argv = ["subopt", str(csv), "--strategy", "exhaustive_oblique", "--sparsity", "3", "--kappa", "1.0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["success_fraction"] == 1.0
+    assert payload["oracle_decrease"] > 0.3093
+
 def test_generate_then_train(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(MODEL_SPEC))

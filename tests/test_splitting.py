@@ -770,47 +770,59 @@ def test_exhaustive_matches_pair_difference_enumerator_on_continuous_inputs(seed
     assert abs(got - want) <= DECREASE_TOL
 
 
-def test_oracle_rows_are_triple_normals_pair_perpendiculars_and_axes():
-    # In general position every triple of a 3-coordinate support, and
-    # every pair of a 2-coordinate support, gives one row: C(m, 3) and
-    # C(m, 2) rows, not the ~m^4/8 crosses of pair differences.
+def test_oracle_sweeps_pair_perpendiculars_and_axes_and_rotates_about_point_pairs():
+    # In general position every pair of a 2-coordinate support gives one
+    # sweep row.  A node of _PENCIL_ROWS rows or more turns a plane about
+    # every pair of a 3-coordinate support, C(m, 2) pencils of m - 2
+    # crossings, in place of the C(m, 3) triple normals of m levels each
+    # that a smaller node sweeps (and the ~m^4/8 crosses of pair
+    # differences before them).  A pair of equal points gives neither.
     rng = np.random.default_rng(4)
-    for m, p, d in ((12, 3, 3), (20, 4, 3), (9, 5, 2), (7, 2, 3)):
-        vertices = splitting._Vertices(rng.uniform(-1.0, 1.0, size=(m, p)), d)
-        k = min(d, p)
-        want = p + (k >= 2) * math.comb(p, 2) * math.comb(m, 2) + (k >= 3) * math.comb(p, 3) * math.comb(m, 3)
-        assert len(vertices) == want
-        former = sum(
-            reference_candidate_directions(rng.uniform(-1.0, 1.0, (m, size)), s, p, size).shape[0]
-            for size in range(1, k + 1) for s in itertools.combinations(range(p), size)
-        )
-        assert k < 3 or former > 4 * want
+    assert splitting._PENCIL_ROWS == 16
+    for m, p, d in ((12, 3, 3), (20, 4, 3), (9, 5, 2), (7, 2, 3), (16, 3, 3), (15, 4, 3)):
+        X = rng.uniform(-1.0, 1.0, size=(m, p))
+        k, pencils = min(d, p), min(d, p) == 3 and m >= 16
+        for equal in (0, 1):
+            X[1] = X[0] if equal else X[1]
+            vertices = splitting._Vertices(X, d)
+            pairs = math.comb(m, 2) - equal
+            triples = 0 if pencils else math.comb(m, 3) - equal * (m - 2)
+            assert len(vertices) == p + (k >= 2) * math.comb(p, 2) * pairs + (k >= 3) * math.comb(p, 3) * triples
+            assert len(vertices.pencils) == pencils * math.comb(p, 3) * pairs
+            former = sum(
+                reference_candidate_directions(X[:, list(s)], s, p, size).shape[0]
+                for size in range(1, k + 1) for s in itertools.combinations(range(p), size)
+            )
+            assert k < 3 or former > 4 * len(vertices)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(2, 12),
+    m=st.integers(2, 18),
     p=st.integers(1, 4),
     sparsity=st.integers(1, 3),
     exponent=st.sampled_from([0, 300, -300]),
 )
 def test_oracle_levels_are_the_projection_kernels_values(seed, m, p, sparsity, exponent):
-    # The oracle has no projection kernel of its own: a row's levels are
-    # dataset.projections of its support's points (rescaled into the
+    # The oracle has no projection kernel of its own: a sweep row's levels
+    # are dataset.projections of its support's points (rescaled into the
     # exponent band first) onto its normal, compared with ==, except that
     # its tie group, on points in general position exactly its defining
     # points, holds the first one's value.  An axis row's levels are its
     # support's points as they are.  A range of rows gets the same values
     # as the whole.  The first point is the origin written -0.0, whose
-    # sign an axis row keeps.
+    # sign an axis row keeps.  A pencil's triple i < j < k is the row of
+    # the cross product (x_j - x_i) x (x_k - x_i) of its rescaled points,
+    # oriented as canonical_rows orients it, as a small node's triple row
+    # is.
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(m, p)) * 2.0**exponent
     X[0] = -0.0
     vertices = splitting._Vertices(X, sparsity)
     values, below, tied, size = vertices.levels(0, len(vertices))
     for r in range(len(vertices)):
-        _, points, normal, defining = vertices._row(r)
+        _, points, normal, defining, _ = vertices._row(r)
         assert 2.0**-200 <= np.max(np.abs(points)) <= 2.0**200
         (want,) = projections(points, normal[None])
         if size[r] == 1:
@@ -828,6 +840,250 @@ def test_oracle_levels_are_the_projection_kernels_values(seed, m, p, sparsity, e
     hi = int(rng.integers(lo + 1, len(vertices) + 1))
     for part, whole in zip(vertices.levels(lo, hi), (values, below, tied, size)):
         assert np.array_equal(part, whole[lo:hi])
+    for t, i, j in vertices.pencils[:: max(1, len(vertices.pencils) // 5)].tolist():
+        for k in range(m):
+            if k in (i, j):
+                continue
+            triple = sorted((i, j, k))
+            row = len(vertices) + ((t * m + triple[0]) * m + triple[1]) * m + triple[2]
+            support, points, normal, defining, _ = vertices._row(row)
+            assert support == list(itertools.combinations(range(p), 3))[t]
+            assert defining.tolist() == triple
+            x = points[triple]
+            cross = np.stack(splitting._cross(x[1] - x[0], x[2] - x[0]))
+            assert np.array_equal(np.abs(normal), np.abs(cross))
+            assert canonical_rows(normal[None]).tobytes() == canonical_rows(cross[None]).tobytes()
+
+
+def triple_normal_dichotomies(X, sparsity):
+    """The dichotomies the former oracle scored on the rows of X, before
+    it rotated planes about point pairs: along each axis, each pair
+    perpendicular of a 2-coordinate support and each point-triple normal
+    (x_j - x_i) x (x_k - x_i) of a 3-coordinate support that rounding
+    cannot have made collinear, every boundary between distinct levels
+    with the row's tie group (its defining points and every point within
+    _TIE_SLACK u ||N||_1 R of their level) kept whole, plus the points
+    below the group with each proper part of the group that a line or
+    plane moved off the group separates (every part of a group of exactly
+    its defining points).  As a set of _dichotomy bytes."""
+    m, p = X.shape
+    u = splitting._UNIT_ROUNDOFF
+    found = set()
+    for size in range(1, min(sparsity, p) + 1):
+        for support in itertools.combinations(range(p), size):
+            points = splitting._rescaled(X[:, list(support)][None])[0]
+            reach = np.max(np.abs(points))
+            rows = [(np.ones(1), np.zeros(0, dtype=int), 0.0)] if size == 1 else []
+            for defining in itertools.combinations(range(m), size) if size > 1 else ():
+                a = points[defining[1]] - points[defining[0]]
+                if size == 2:
+                    normal, bound = np.array([-a[1], a[0]]), np.abs([-a[1], a[0]])
+                    if not a.any():
+                        continue
+                else:
+                    b = points[defining[2]] - points[defining[0]]
+                    normal = np.stack(splitting._cross(a, b))
+                    bound = np.stack(splitting._cross(np.abs(a), np.abs(b), np.add))
+                    if not np.any(np.abs(normal) > 8.0 * u * bound):
+                        continue
+                tolerance = splitting._TIE_SLACK * u * float(np.sum(bound)) * reach
+                rows.append((normal, np.array(defining), tolerance))
+            for normal, defining, tolerance in rows:
+                (values,) = projections(points, normal[None])
+                group = np.zeros(m, dtype=bool)
+                if defining.size:
+                    pivot = values[defining[0]]
+                    group = np.abs(values - pivot) <= tolerance
+                    group[defining] = True
+                    values = np.where(group, pivot, values)
+                levels = np.unique(values)
+                for low in levels[:-1]:
+                    found.add(splitting._dichotomy(values <= low))
+                if not defining.size:
+                    continue
+                members = np.flatnonzero(group)
+                if members.size == size:
+                    parts = [np.array(mask, dtype=bool) for mask in itertools.product((0, 1), repeat=size)][1:-1]
+                else:
+                    parts = [inside for inside, _ in splitting._separations(points[members], normal)]
+                for part in parts:
+                    if part.any() and not part.all():
+                        left = values < pivot
+                        left[members[part]] = True
+                        found.add(splitting._dichotomy(left))
+    return found
+
+
+def pencil_dichotomies(X):
+    """The left sets of every cell of every pencil of X's 3-coordinate
+    supports (_cells), with every cut of their lines' points, as a set of
+    _dichotomy bytes; at any node size."""
+    m = X.shape[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_PENCIL_ROWS", 2)
+        vertices, node = splitting._Vertices(X, 3), _Node(np.zeros(m), np.arange(m))
+    if not len(vertices.pencils):
+        return set()
+    block, which = [(0, 0, len(vertices.pencils))], np.zeros(len(vertices.pencils), dtype=np.intp)
+    cells = splitting._cells([(node, vertices)], block, which)
+    gains = splitting._cell_gains(cells, 0, cells.cut_sums.shape[1], m)
+    k, t, c = np.nonzero(gains > -np.inf)
+    every = splitting._cell_candidates([(node, vertices)], block, which, cells, k, t, c, gains[k, t, c])
+    return {splitting._dichotomy(left) for left in every.lefts[:, :m]}
+
+
+def near_best_dichotomies(X, y, dichotomies):
+    """The largest exact decrease over a set of dichotomies of X's rows,
+    and the dichotomies within DECREASE_TOL of it."""
+    sse = splitting._sse(y)
+    decreases = {
+        key: splitting._split_decrease(y, np.frombuffer(key, dtype=bool), y.size, sse) for key in dichotomies
+    }
+    top = max(decreases.values(), default=None)
+    return top, {key for key, value in decreases.items() if value >= top - DECREASE_TOL}
+
+
+def assert_oracle_matches_triple_normal_enumerator(X, y, sparsity):
+    # The former rows and the sweep rows with the pencils score the same
+    # near-best dichotomies, and the search returns the best decrease and
+    # only near-best dichotomies.  Sweep rows take their first near-best
+    # boundary only, so the search need not return every one.
+    top, want = near_best_dichotomies(X, y, triple_normal_dichotomies(X, sparsity))
+    scored = triple_normal_dichotomies(X, min(sparsity, 2))
+    if min(sparsity, X.shape[1]) == 3:
+        scored |= pencil_dichotomies(X)
+    assert near_best_dichotomies(X, y, scored) == (top, want)
+    for cut in (splitting._PENCIL_ROWS, 2):  # pencils from the default node size, and at every size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(splitting, "_PENCIL_ROWS", cut)
+            (near,) = _best_thresholds(X, [(_Node(y, np.arange(y.size)), splitting._Vertices(X, sparsity))], y.size)
+        if top is None:
+            assert near == []
+            continue
+        assert abs(max(split.decrease for split in near) - top) <= DECREASE_TOL
+        assert {splitting._dichotomy(split.left) for split in near} <= want
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 24), p=st.integers(1, 3), sparsity=st.integers(1, 3))
+def test_oracle_matches_the_triple_normal_enumerator_on_continuous_inputs(seed, m, p, sparsity):
+    # The pencils score every dichotomy the former triple-normal rows
+    # scored, and no other: the same best decrease and the same near-best
+    # dichotomies, stored by fewer candidates.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, p))
+    y = rng.standard_normal(m) if seed % 2 else np.sin(3.0 * X @ rng.standard_normal(p))
+    assert_oracle_matches_triple_normal_enumerator(X, y, sparsity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_nodes(max_m=10), sparsity=st.integers(1, 3))
+def test_oracle_matches_the_triple_normal_enumerator_on_integer_grids(case, sparsity):
+    # Coplanar and collinear points, duplicates and tied responses: the
+    # crossing groups of the pencils are the former tie groups.
+    data, node = case
+    assert_oracle_matches_triple_normal_enumerator(data.features[node], data.response[node], sparsity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_nodes(max_m=10), depth=st.integers(1, 3))
+def test_pencils_reach_the_exact_reference_and_route_exactly(case, depth):
+    # The exact-reference and routing properties with pencils at every
+    # node size, not only from _PENCIL_ROWS rows: on integer grids the
+    # decrease is the best strictly separable dichotomy's, and every
+    # stored split routes its rows in exact arithmetic.
+    data, node = case
+    want = exact_best_decrease(data.features[node], data.response[node], data.n, 3)
+    sample = Dataset(data.features[node], data.response[node])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitting, "_PENCIL_ROWS", 2)
+        try:
+            got = search_exhaustive_oblique(data, node, 3).decrease
+        except NoValidSplitError:
+            got = None
+        grown = grow(sample, SearchStrategy(kind="exhaustive_oblique", sparsity_d=3), depth)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - float(want)) <= DECREASE_TOL
+    rows = node_rows(grown, sample)
+    for nid, tree_node in grown.nodes.items():
+        if not tree_node.is_leaf:
+            sides = exact_sides(sample.features[rows[nid]], tree_node.split)
+            assert np.array_equal(rows[nid][sides], rows[tree_node.left_child])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 7), coplanar=st.booleans())
+def test_pencil_cells_are_the_strictly_separable_dichotomies(seed, m, coplanar):
+    # On small integer points that do not all lie on one line, the cells
+    # of all pencils (_cells) with their cuts of the line's points are
+    # exactly the dichotomies that a plane strictly separates, decided in
+    # exact arithmetic: duplicates, collinear and coplanar points included.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(m, 3)).astype(float)
+    if coplanar:
+        X[:, 2] = X[:, 0] - X[:, 1]
+    if rng.random() < 0.3:
+        X[rng.integers(m)] = X[0]
+    if np.linalg.matrix_rank(X[1:] - X[0]) < 2:
+        return
+    got = pencil_dichotomies(X)
+    points = [tuple(Fraction(v) for v in row) for row in X.tolist()]
+    want = set()
+    for mask in range(1, 2 ** (m - 1)):
+        left = np.array([i > 0 and mask >> (i - 1) & 1 for i in range(m)], dtype=bool)
+        if strictly_separable([points[i] for i in np.flatnonzero(left)], [points[i] for i in np.flatnonzero(~left)]):
+            want.add(splitting._dichotomy(left))
+    assert got == want
+
+
+def anisotropic_sample(exponent):
+    """ROADMAP item 14's input: 40 points whose column 1 is scaled by
+    2^exponent, where stored oblique directions lose that column to
+    canonical_rows' snap and no longer realize their left sets."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-1.0, 1.0, size=(40, 3))
+    y = np.sin(X @ np.array([1.0, 1.5, -0.5])) + 0.1 * rng.standard_normal(40)
+    X[:, 1] *= 2.0**exponent
+    return Dataset(X, y)
+
+
+def test_a_failed_storage_does_not_empty_the_node():
+    # Every first contender stores nothing here; screened again without
+    # them, the next-best candidates, the axes among them, split the node,
+    # never below the axis scan and never below a smaller sparsity.
+    data = anisotropic_sample(45)
+    root = root_index_set(data)
+    axis = search_axis_aligned(data, root)
+    decreases = [search_exhaustive_oblique(data, root, d).decrease for d in (1, 2, 3)]
+    assert decreases[0] == axis.decrease
+    assert decreases[0] <= decreases[1] + DECREASE_TOL and decreases[1] <= decreases[2] + DECREASE_TOL
+    tree = grow(data, SearchStrategy(kind="exhaustive_oblique", sparsity_d=3), 3)
+    assert len(tree.nodes) > 1
+    assert tree.nodes[0].split.decrease >= axis.decrease - DECREASE_TOL
+    climb = search_hill_climb(data, root, SearchStrategy(kind="hill_climb", sparsity_d=3, restarts=2, seed=1))
+    assert climb.direction.support_size <= 3
+    assert climb.decrease >= axis.decrease - DECREASE_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(4, 12),
+    exponents=st.lists(st.integers(-600, 600), min_size=3, max_size=3),
+)
+def test_oracle_decrease_grows_with_sparsity_under_column_scales(seed, m, exponents):
+    # Per-column scales 2^k: the oracle at sparsity d never does worse
+    # than at d - 1, nor than the axis scan.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, 3)) * 2.0 ** np.array(exponents, dtype=float)
+    data = Dataset(X, np.sin(rng.uniform(-1.0, 1.0, size=m) + rng.standard_normal(m)))
+    root = root_index_set(data)
+    want = search_axis_aligned(data, root).decrease
+    for d in (1, 2, 3):
+        got = search_exhaustive_oblique(data, root, d).decrease
+        assert got >= want - DECREASE_TOL
+        want = got
 
 
 @settings(max_examples=60, deadline=None)
@@ -1223,9 +1479,10 @@ def test_step_survives_a_large_response_offset(offset):
 
 def unscreened_vertex_splits(node, W, n_full):
     """The stored splits of an oracle problem (a _Vertices) with no
-    screen: on every row, the first valid boundary within DECREASE_TOL of
-    its best exact decrease, and every tie split of its group, each
-    solved exactly, go to the stored-split rule (_vertex_splits)."""
+    screen: on every sweep row, the first valid boundary within
+    DECREASE_TOL of its best exact decrease, and every tie split of its
+    group, and every cell of every pencil (_cells), each solved exactly,
+    go to the stored-split rule (_vertex_splits)."""
     m, found = node.y.size, []
 
     def dichotomy_decrease(left):
@@ -1256,6 +1513,14 @@ def unscreened_vertex_splits(node, W, n_full):
                 left[order[:below]] = True
                 left[members[part]] = True
                 found.append((dichotomy_decrease(left), r, left, True))
+    if len(W.pencils):
+        block, which = [(0, 0, len(W.pencils))], np.zeros(len(W.pencils), dtype=np.intp)
+        cells = splitting._cells([(node, W)], block, which)
+        gains = splitting._cell_gains(cells, 0, cells.cut_sums.shape[1], n_full)
+        k, t, c = np.nonzero(gains > -np.inf)
+        every = splitting._cell_candidates([(node, W)], block, which, cells, k, t, c, gains[k, t, c])
+        for row, left, moved in zip(every.rows.tolist(), every.lefts[:, :m], every.moved.tolist()):
+            found.append((dichotomy_decrease(left), row, left, moved))
     return splitting._vertex_splits((node, W), 0, found, n_full, {})
 
 
@@ -1340,11 +1605,14 @@ def test_searches_equal_their_unscreened_reference(case, sparsity, count, restar
         ),
     ]
     if node.size <= 12:
-        searches.append((search_exhaustive_oblique, min(sparsity, 2)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(splitting, "_best_thresholds", unscreened_best_thresholds)
-        want = [outcome(search, data, node, *args) for search, *args in searches]
-    assert [outcome(search, data, node, *args) for search, *args in searches] == want
+        searches.append((search_exhaustive_oblique, sparsity))
+    for cut in (splitting._PENCIL_ROWS, 2):  # pencils from the default node size, and at every size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(splitting, "_PENCIL_ROWS", cut)
+            got = [outcome(search, data, node, *args) for search, *args in searches]
+            patch.setattr(splitting, "_best_thresholds", unscreened_best_thresholds)
+            want = [outcome(search, data, node, *args) for search, *args in searches]
+        assert got == want
 
 
 def test_screen_keeps_a_tie_whose_sweep_gains_differ_in_the_last_bit():
@@ -1427,16 +1695,19 @@ def test_every_candidate_row_is_projected_and_sorted_once():
             patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
             search()
         assert sum(projected) == sum(sorted_rows) - keys == candidates
-    # The oracle's rows are levelled (projected onto their normals) and
-    # sorted once each; its few contenders are projected again only to
-    # store their splits.
+    # The oracle's sweep rows are levelled (projected onto their normals)
+    # and sorted once each, and each pencil sorts its crossing angles and
+    # its line's points once; its few contenders are projected again only
+    # to store their splits.
     levelled, sorted_rows = [], []
     with pytest.MonkeyPatch.context() as patch:
         level, order = splitting._Vertices.levels, splitting._stable_order
         patch.setattr(splitting._Vertices, "levels", lambda self, lo, hi: levelled.append(hi - lo) or level(self, lo, hi))
         patch.setattr(splitting, "_stable_order", lambda V, *a: sorted_rows.append(len(V)) or order(V, *a))
         search_exhaustive_oblique(data, root, 3)
-    assert sum(levelled) == sum(sorted_rows) == len(splitting._Vertices(data.features, 3))
+    vertices = splitting._Vertices(data.features, 3)
+    assert sum(levelled) == len(vertices)
+    assert sum(sorted_rows) == len(vertices) + 2 * len(vertices.pencils)
 
 
 # The OC1 hill climb: the exact coefficient move against a scan of its
@@ -1645,7 +1916,7 @@ def test_splitting_sorts_only_through_stable_order():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "argsort", unstable_only)
         search_axis_aligned(data, root)
-        search_exhaustive_oblique(data, root[:20], 2)
+        search_exhaustive_oblique(data, root[:20], 3)
         search_hill_climb(data, root, SearchStrategy(kind="hill_climb", max_iterations=1))
         search_hill_climb(
             data, root, SearchStrategy(kind="hill_climb", sparsity_d=2, restarts=2, max_iterations=2)
