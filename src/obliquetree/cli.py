@@ -104,7 +104,7 @@ def _cmd_stumps(args) -> int:
     expansion = stumps.build_expansion(grown, data)
     gram_dev = stumps.verify_orthonormality(expansion, data)
     impurity_dev, worst = stumps._impurity_gap(grown, expansion)
-    recon_dev = stumps._reconstruction_gap(grown, expansion, data.features)
+    recon_dev = stumps._reconstruction_gap(grown, expansion, stumps._expansion_rows(grown, expansion))
     payload = {
         "expansion": expansion.to_dict(),
         "gram_deviation": gram_dev,
@@ -130,14 +130,8 @@ def _cmd_experiment(args) -> int:
     config = experiments.ExperimentConfig.from_dict(_read_json(args.config))
     if args.mc is not None:
         config = replace(config, mc_size=args.mc)
-    kind = args.kind
     try:
-        if kind == "rate":
-            report = experiments.run_rate_experiment(config)
-        elif kind == "fast_rate":
-            report = experiments.run_fast_rate_experiment(config)
-        else:
-            report = experiments.run_pruning_experiment(config)
+        report = getattr(experiments, f"run_{args.kind}_experiment")(config)
     except experiments.BoundViolationError as exc:
         if args.out:
             exc.report.write(args.out)

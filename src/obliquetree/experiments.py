@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dataset import (
     Dataset, _integer, _json_text, _list, _real, _reals, _record, root_index_set,
     validate_index_set,
 )
-from .pruning import _holdout_fit
+from .pruning import _grid_scores, _holdout_fit
 from .ridge import (
     RidgeModel,
     _leaf_norms,
@@ -36,7 +37,7 @@ from .ridge import (
     parse_domain_box,
 )
 from .splitting import NoValidSplitError, SearchStrategy, _Node, _search_level
-from .tree import Tree, grow, predict_batch, prune_to_depth, training_error
+from .tree import Tree, _depth_scores, _mse, grow, node_rows, predict_batch, prune_to_depth, route
 
 _BOUND_SLACK = 1e-9
 _Q_GRID = (2.1, 2.5, 3.0, 4.0)
@@ -133,7 +134,8 @@ def estimate_imse(
 
     Returns (estimate, standard error) over mc_size uniform draws.
     """
-    return _imse(tree, _imse_sample(model, mc_size, domain_box, seed))
+    sample = _imse_sample(model, mc_size, domain_box, seed)
+    return _imse(sample, predict_batch(tree, sample.features))
 
 
 def _imse_sample(model: RidgeModel, mc_size: int, domain_box, seed: int) -> Dataset:
@@ -144,9 +146,10 @@ def _imse_sample(model: RidgeModel, mc_size: int, domain_box, seed: int) -> Data
     return generate_dataset(model, mc_size, 0.0, domain_box, seed)
 
 
-def _imse(tree: Tree, sample: Dataset) -> tuple[float, float]:
-    """(estimate, standard error) of a tree's squared error on sample."""
-    sq = (sample.response - predict_batch(tree, sample.features)) ** 2
+def _imse(sample: Dataset, pred: np.ndarray) -> tuple[float, float]:
+    """(estimate, standard error) of the squared error of predictions
+    at the sample's points."""
+    sq = (sample.response - pred) ** 2
     stderr = float(sq.std(ddof=1) / np.sqrt(sample.n)) if sample.n > 1 else 0.0
     return float(sq.mean()), stderr
 
@@ -154,9 +157,10 @@ def _imse(tree: Tree, sample: Dataset) -> tuple[float, float]:
 def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: bool = False):
     """The preconditions, then the one realization of a noiseless rate
     experiment: the sample, its capacity norm, one grow at the deepest
-    depth, and (depth, tree, training error) of each prefix from depth
-    lowest on.  The sample is noiseless, so a prefix's training error is
-    also its excess error.  exact_bound adds the norm^2/K bound's needs."""
+    depth, its node_rows, and (depth, tree, training error) of each
+    prefix from depth lowest on, every error read off that one routing.
+    The sample is noiseless, so a prefix's training error is also its
+    excess error.  exact_bound adds the norm^2/K bound's needs."""
     if config.strategy.kind != "exhaustive_oblique":
         raise ValueError(f"{what} requires the exhaustive_oblique strategy")
     if exact_bound and (config.model.p > 3 or config.strategy.sparsity_d < config.model.p):
@@ -169,11 +173,11 @@ def _realization(config: ExperimentConfig, what: str, lowest: int, exact_bound: 
     dataset = generate_dataset(config.model, config.n, 0.0, config.domain_box, config.seed)
     norm = l1_tv_norm(config.model, dataset, root_index_set(dataset)).total
     full = grow(dataset, config.strategy, config.depth_range[1], config.min_node_size)
-    prefixes = []
-    for depth in range(lowest, config.depth_range[1] + 1):
-        tree = prune_to_depth(full, depth)
-        prefixes.append((depth, tree, training_error(tree, dataset)))
-    return start, dataset, norm, prefixes
+    rows = node_rows(full, dataset)
+    depths = range(lowest, config.depth_range[1] + 1)
+    errors = _depth_scores(full, rows, depths, partial(_mse, dataset.response))
+    prefixes = [(depth, prune_to_depth(full, depth), err) for depth, err in zip(depths, errors)]
+    return start, dataset, norm, full, rows, prefixes
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
@@ -184,28 +188,25 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     the excess error and the bound; a violation raises BoundViolationError
     after the full report is assembled.
     """
-    start, _, norm, prefixes = _realization(config, "rate experiment", config.depth_range[0], True)
+    start, _, norm, full, _, prefixes = _realization(
+        config, "rate experiment", config.depth_range[0], True
+    )
     sample = _imse_sample(config.model, config.mc_size, config.domain_box, config.seed + 7001)
+    imses = _depth_scores(
+        full, route(full, sample.features), [depth for depth, _, _ in prefixes], partial(_imse, sample)
+    )
     rows = []
     violations = []
-    for depth, tree, err in prefixes:
+    for (depth, tree, err), (imse, imse_se) in zip(prefixes, imses):
         bound = norm**2 / max(depth, 1)  # kappa = 1 under the preconditions
-        imse, imse_se = _imse(tree, sample)
         ok = err <= bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
         if depth >= 1 and not ok:
             violations.append(depth)
-        rows.append(
-            {
-                "depth": depth,
-                "train_error": err,
-                "excess_error": err,
-                "bound": bound,
-                "bound_satisfied": bool(depth < 1 or ok),
-                "leaf_count": tree.leaf_count(),
-                "imse": imse,
-                "imse_se": imse_se,
-            }
-        )
+        rows.append({
+            "depth": depth, "train_error": err, "excess_error": err, "bound": bound,
+            "bound_satisfied": bool(depth < 1 or ok), "leaf_count": tree.leaf_count(),
+            "imse": imse, "imse_se": imse_se,
+        })
     report = RateReport(
         kind="rate",
         config=config,
@@ -231,11 +232,11 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
     """
     if config.depth_range[1] < 1:
         raise ValueError("fast rate experiment needs a depth range with a depth >= 1")
-    start, dataset, norm, prefixes = _realization(
+    start, dataset, norm, _, training_rows, prefixes = _realization(
         config, "fast rate experiment", max(config.depth_range[0], 1)
     )
     q_grid = sorted(set(_Q_GRID) | ({float(config.model.p)} if config.model.p > 2 else set()))
-    leaf_norms = [_leaf_norms(config.model, tree, dataset) for _, tree, _ in prefixes]
+    leaf_norms = [_leaf_norms(config.model, tree, dataset, training_rows) for _, tree, _ in prefixes]
     chosen_q = next(
         (q for q in q_grid if all(_power_sum(v, q) <= norm**q * (1 + 1e-12) for v in leaf_norms)),
         None,
@@ -244,22 +245,14 @@ def run_fast_rate_experiment(config: ExperimentConfig) -> RateReport:
     balance = max(balances)
     rows = []
     for (depth, tree, err), norms, factor in zip(prefixes, leaf_norms, balances):
-        bound = (
-            balance * norm**2 / 4.0 ** ((depth - 1) / chosen_q) if chosen_q else None
-        )
-        rows.append(
-            {
-                "depth": depth,
-                "train_error": err,
-                "excess_error": err,
-                "fast_bound": bound,
-                "fast_bound_satisfied": (None if bound is None else bool(err <= bound)),
-                "balance_factor": factor,
-                "max_leaf_norm": max(norms),
-                "leaf_norm_power_sum": _power_sum(norms, chosen_q if chosen_q else _Q_GRID[0]),
-                "leaf_count": tree.leaf_count(),
-            }
-        )
+        bound = balance * norm**2 / 4.0 ** ((depth - 1) / chosen_q) if chosen_q else None
+        rows.append({
+            "depth": depth, "train_error": err, "excess_error": err, "fast_bound": bound,
+            "fast_bound_satisfied": (None if bound is None else bool(err <= bound)),
+            "balance_factor": factor, "max_leaf_norm": max(norms),
+            "leaf_norm_power_sum": _power_sum(norms, chosen_q if chosen_q else _Q_GRID[0]),
+            "leaf_count": tree.leaf_count(),
+        })
     return RateReport(
         kind="fast_rate",
         config=config,
@@ -326,35 +319,23 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
     )
     k_lo, k_hi = config.depth_range
     lam_star, hold_errors, full, sequence = _holdout_fit(
-        dataset,
-        config.strategy,
-        k_hi,
-        config.lambda_grid,
-        config.holdout_fraction,
-        config.seed + 1,
-        config.min_node_size,
+        dataset, config.strategy, k_hi, config.lambda_grid, config.holdout_fraction,
+        config.seed + 1, config.min_node_size,
     )
     sample = _imse_sample(config.model, config.mc_size, config.domain_box, config.seed + 7002)
-    rows = []
-    for lam, hold_err in zip(config.lambda_grid, hold_errors):
-        pruned = sequence.select(full, lam)
-        imse, imse_se = _imse(pruned, sample)
-        rows.append(
-            {
-                "lambda": lam,
-                "leaf_count": pruned.leaf_count(),
-                "holdout_error": hold_err,
-                "imse": imse,
-                "imse_se": imse_se,
-            }
-        )
-    fixed = []
-    for depth in range(k_lo, k_hi + 1):
-        tree = prune_to_depth(full, depth)
-        imse, imse_se = _imse(tree, sample)
-        fixed.append(
-            {"depth": depth, "imse": imse, "imse_se": imse_se, "leaf_count": tree.leaf_count()}
-        )
+    reached, imse_of = route(full, sample.features), partial(_imse, sample)
+    grid_imses = _grid_scores(full, sequence, config.lambda_grid, reached, imse_of)
+    rows = [
+        {"lambda": lam, "leaf_count": sequence.select(full, lam).leaf_count(),
+         "holdout_error": hold_err, "imse": imse, "imse_se": imse_se}
+        for lam, hold_err, (imse, imse_se) in zip(config.lambda_grid, hold_errors, grid_imses)
+    ]
+    depths = range(k_lo, k_hi + 1)
+    fixed = [
+        {"depth": depth, "imse": imse, "imse_se": imse_se,
+         "leaf_count": prune_to_depth(full, depth).leaf_count()}
+        for depth, (imse, imse_se) in zip(depths, _depth_scores(full, reached, depths, imse_of))
+    ]
     # _holdout_fit picks lam_star from the grid, and 0 <= k_lo <= k_hi.
     star = rows[config.lambda_grid.index(lam_star)]
     return RateReport(

@@ -13,22 +13,23 @@ collapsed node's ancestors are updated, so the interpreted work is
 O(nodes x depth), plus one vectorized minimum over the internal nodes
 per step.  PruneSequence.prefix gives, for any lambda, how many steps
 of that one sequence its subtree collapses, and PruneSequence.select
-materializes that subtree.  The holdout choice of lambda builds no
-subtree: it routes the holdout rows once through the full tree, starts
-each row at its leaf's mean, and walks the sequence once, overwriting
-the rows of each collapsed node with that node's mean and scoring each
-grid value's prefix as the walk reaches it.
+materializes that subtree.  Scoring the subtrees of a lambda grid
+builds none of them: the points are routed once through the full tree,
+and tree._prefix_scores walks the sequence once, scoring each grid
+value's prefix as the walk reaches it (_grid_scores).  The holdout
+choice of lambda scores the holdout rows so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dataset import Dataset, _json_text, _seeded_words, subset
 from .splitting import SearchStrategy
-from .tree import Tree, collapse, grow, route, training_error
+from .tree import Tree, _mse, _prefix_scores, collapse, grow, route, training_error
 
 _OBJECTIVE_TOL = 1e-12
 
@@ -205,36 +206,11 @@ def default_lambda_grid(dataset: Dataset, size: int = 20) -> list[float]:
     return [float(v) for v in energy * np.geomspace(1e-6, 1.0, size)]
 
 
-def _holdout_errors(
-    full: Tree, sequence: PruneSequence, grid: list[float], X_hold: np.ndarray, y_hold: np.ndarray
-) -> list[float]:
-    """The holdout MSE of sequence.select(full, lam) for each lam in grid.
-
-    The holdout rows are routed once, through `full`, and each row
-    starts with its leaf's mean.  The grid's distinct prefixes are then
-    taken in ascending order: the rows of every node that the steps
-    since the last prefix collapse are overwritten with that node's
-    mean, and the prefix is scored.  A step collapses only a live node,
-    so every collapsed node below it came earlier and its rows are
-    overwritten again: a row ends with the mean of its highest collapsed
-    node, the bits predict_batch on the subtree gives it.
-    """
-    reached = route(full, X_hold)
-    pred = np.empty(y_hold.size)
-    for nid, rows in reached.items():
-        if full.nodes[nid].is_leaf:
-            pred[rows] = full.nodes[nid].mean
-    prefixes = [sequence.prefix(lam) for lam in grid]
-    errors = {}
-    done = 0
-    for prefix in sorted(set(prefixes)):
-        for step in sequence.steps[done:prefix]:
-            nid = step.collapsed_node_id
-            if nid in reached:  # route omits the nodes no holdout row reaches
-                pred[reached[nid]] = full.nodes[nid].mean
-        done = prefix
-        errors[prefix] = float(np.mean((y_hold - pred) ** 2))
-    return [errors[prefix] for prefix in prefixes]
+def _grid_scores(full: Tree, sequence: PruneSequence, grid, reached: dict, score) -> list:
+    """score of the predictions of sequence.select(full, lam) for each lam
+    in grid, from one routing reached = route(full, X) (tree._prefix_scores)."""
+    collapsed = [step.collapsed_node_id for step in sequence.steps]
+    return _prefix_scores(full, reached, collapsed, [sequence.prefix(lam) for lam in grid], score)
 
 
 def _holdout_fit(
@@ -265,9 +241,8 @@ def _holdout_fit(
     train_ds = subset(dataset, train_rows)
     full = grow(train_ds, strategy, max_depth, min_node_size)
     sequence = weakest_link_sequence(full, train_ds)
-    errors = _holdout_errors(
-        full, sequence, grid, dataset.features[hold_rows], dataset.response[hold_rows]
-    )
+    reached = route(full, dataset.features[hold_rows])
+    errors = _grid_scores(full, sequence, grid, reached, partial(_mse, dataset.response[hold_rows]))
     best_lam, best_err = grid[0], errors[0]
     for lam, err in zip(grid[1:], errors[1:]):
         tol = _OBJECTIVE_TOL * max(1.0, abs(best_err))

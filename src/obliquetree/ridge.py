@@ -270,13 +270,13 @@ def node_tv_profile(model: RidgeModel, tree, dataset: Dataset, q: float):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    per_leaf = _leaf_norms(model, tree, dataset)
+    per_leaf = _leaf_norms(model, tree, dataset, node_rows(tree, dataset))
     return per_leaf, _power_sum(per_leaf, q)
 
 
-def _leaf_norms(model: RidgeModel, tree, dataset: Dataset) -> list[float]:
-    """The capacity norm of the model on each leaf, in leaf-id order."""
-    rows = node_rows(tree, dataset)
+def _leaf_norms(model: RidgeModel, tree, dataset: Dataset, rows: dict) -> list[float]:
+    """The capacity norm of the model on each leaf, in leaf-id order;
+    rows is node_rows of tree, or of a tree that tree is a subtree of."""
     return [l1_tv_norm(model, dataset, rows[nid]).total for nid in tree.leaf_ids()]
 
 

@@ -2059,7 +2059,7 @@ def estimate_suboptimality(
 ) -> SuboptimalityReport:
     """Fraction of trials reaching a kappa fraction of the exact optimum.
 
-    The oracle decrease is computed once with the exhaustive search at
+    The oracle decrease is computed once, in a _search_level call at
     full sparsity (hence p <= 3 is required so the restricted space is
     the whole of R^p); the strategy is re-run with seeds seed .. seed +
     trials - 1, every trial a copy of the node in one _search_level
@@ -2076,7 +2076,11 @@ def estimate_suboptimality(
         raise ValueError("trials must be >= 1")
     if dataset.p > 3:
         raise ValueError("sub-optimality estimation needs p <= 3 for the exact oracle")
-    oracle = search_exhaustive_oblique(dataset, node, dataset.p, strategy.node_cap)
+    sample = _Node.of(dataset, node)
+    exact = SearchStrategy(kind="exhaustive_oblique", sparsity_d=dataset.p, node_cap=strategy.node_cap)
+    (oracle,) = _search_level(dataset, [sample], exact, [exact.seed])
+    if oracle is None:
+        raise NoValidSplitError("no valid split on this node")
     seeded = (strategy.kind == "hill_climb" and strategy.restarts > 1) or (
         strategy.kind == "random_projection" and strategy.num_candidates > 0
     )
@@ -2084,9 +2088,9 @@ def estimate_suboptimality(
         splits = [oracle] * trials
     elif seeded:
         seeds = [strategy.seed + trial for trial in range(trials)]
-        splits = _search_level(dataset, [_Node.of(dataset, node)] * trials, strategy, seeds)
+        splits = _search_level(dataset, [sample] * trials, strategy, seeds)
     else:
-        splits = _search_level(dataset, [_Node.of(dataset, node)], strategy, [strategy.seed]) * trials
+        splits = _search_level(dataset, [sample], strategy, [strategy.seed]) * trials
     decreases = tuple(0.0 if split is None else split.decrease for split in splits)
     successes = sum(achieved >= kappa * oracle.decrease - DECREASE_TOL for achieved in decreases)
     return SuboptimalityReport(

@@ -15,11 +15,12 @@ counts as a failure is left to the test layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dataset import Dataset, _points
-from .tree import Tree, _leaf_means, grow, node_rows, prune_to_depth, route, training_error
+from .tree import Tree, _depth_scores, _leaf_means, _mse, grow, node_rows, route, training_error
 
 # Owner id of the constant feature (the conventional "empty node").
 EMPTY_NODE_ID = -1
@@ -139,6 +140,18 @@ def build_expansion(tree: Tree, dataset: Dataset) -> Expansion:
     return Expansion(features=tuple(features), coefficients=tuple(coefficients))
 
 
+def _expansion_rows(tree: Tree, expansion: Expansion) -> dict[int, np.ndarray]:
+    """node_rows(tree, dataset) for the expansion build_expansion made of them,
+    rebuilt in route's order from its stumps' rows (node_rows' own arrays)."""
+    children = {f.owner_node_id: (f.left_ids, f.right_ids) for f in expansion.features[1:]}
+    reached = [(tree.root_id, np.arange(tree.n))]
+    for nid, _ in reached:
+        if nid in children:
+            node = tree.nodes[nid]
+            reached.extend(zip((node.left_child, node.right_child), children[nid]))
+    return dict(reached)
+
+
 def verify_orthonormality(expansion: Expansion, dataset: Dataset) -> float:
     """Largest absolute deviation of the feature Gram matrix from identity."""
     cols = np.stack(
@@ -208,19 +221,18 @@ def verify_expansion_reconstruction(
     tree: Tree, dataset: Dataset, fresh_points: np.ndarray | None = None
 ) -> float:
     """Max |expansion - tree prediction| over training and fresh points."""
-    points = [dataset.features] if fresh_points is None else [dataset.features, fresh_points]
-    return _reconstruction_gap(tree, build_expansion(tree, dataset), *points)
+    expansion = build_expansion(tree, dataset)
+    fresh = () if fresh_points is None else (route(tree, fresh_points),)
+    return _reconstruction_gap(tree, expansion, _expansion_rows(tree, expansion), *fresh)
 
 
-def _reconstruction_gap(tree: Tree, expansion: Expansion, *points: np.ndarray) -> float:
-    """Max |expansion - tree prediction| over the rows of every point
-    matrix, each routed once for both."""
-    gaps = []
-    for X in points:
-        reached = route(tree, X)
-        gap = _expansion_values(tree, expansion, reached) - _leaf_means(tree, reached)
-        gaps.append(float(np.max(np.abs(gap))))
-    return max(gaps)
+def _reconstruction_gap(tree: Tree, expansion: Expansion, *routings: dict[int, np.ndarray]) -> float:
+    """Max |expansion - tree prediction| over the points of every routing
+    (route or node_rows), each read once for both."""
+    return max(
+        float(np.max(np.abs(_expansion_values(tree, expansion, reached) - _leaf_means(tree, reached))))
+        for reached in routings
+    )
 
 
 def verify_training_recursion(
@@ -231,7 +243,8 @@ def verify_training_recursion(
     For each K in 1..max_depth, the training error must drop from its
     depth K-1 value by exactly the summed squared coefficients of the
     stumps created at level K.  Requires a deterministic strategy (or a
-    fixed seed) so depth prefixes are nested.
+    fixed seed) so depth prefixes are nested.  Every prefix's training
+    error is read off the expansion's one routing (tree._depth_scores).
     """
     if grow_fn is None:
         grow_fn = grow
@@ -243,13 +256,13 @@ def verify_training_recursion(
             continue
         owner_depth = full.nodes[feat.owner_node_id].depth
         level_drop[owner_depth + 1] = level_drop.get(owner_depth + 1, 0.0) + coef**2
-    residuals = []
-    prev_error = training_error(prune_to_depth(full, 0), dataset)
-    for depth in range(1, max_depth + 1):
-        error = training_error(prune_to_depth(full, depth), dataset)
-        residuals.append(abs(error - prev_error + level_drop.get(depth, 0.0)))
-        prev_error = error
-    return residuals
+    errors = _depth_scores(
+        full, _expansion_rows(full, expansion), range(max_depth + 1), partial(_mse, dataset.response)
+    )
+    return [
+        abs(error - prev_error + level_drop.get(depth, 0.0))
+        for depth, prev_error, error in zip(range(1, max_depth + 1), errors, errors[1:])
+    ]
 
 
 def parseval_gap(tree: Tree, dataset: Dataset) -> float:

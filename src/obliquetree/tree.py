@@ -19,9 +19,10 @@ greedy-prefix property for deterministic strategies.
 Routing convention: a point goes to the left child when its projection
 onto the split direction is <= the threshold, and to the right child
 otherwise.  `_partition` is the only place that test is written for a
-stored tree; prediction, the holdout scores of pruning, the training
-rows of each node (`node_rows`) and the stump features all route
-through it, and `collapse` is the only way a subtree is materialized.
+stored tree; prediction, the training rows of each node (`node_rows`)
+and the stump features all route through it.  `collapse` is the only way
+a subtree is materialized, and one overwrite walk (`_prefix_scores`) the
+only way nested subtrees are scored: from one routing of the full tree.
 (Growth reads the same test off the search's own projections, which
 dataset.projections computed with the same bits.)  Projections come
 from `dataset.projections`, so a point reaches the same leaf whichever
@@ -216,10 +217,42 @@ def _leaf_means(tree: Tree, reached: dict[int, np.ndarray]) -> np.ndarray:
     return out
 
 
+def _prefix_scores(tree: Tree, reached: dict, collapsed: list[int], prefixes, score) -> list:
+    """score(predict_batch(collapse(tree, set(collapsed[:k])), X)) for each
+    k in prefixes, from one routing reached = route(tree, X) (or node_rows).
+
+    Each row starts at its leaf's mean; one walk of collapsed overwrites
+    the rows of each node with its mean and scores each prefix on the way.
+    A node comes after every collapsed node below it, so a row ends with
+    the mean of its highest collapsed node, the bits predict_batch gives
+    it on that subtree.  score must not keep the array it is given."""
+    pred = _leaf_means(tree, reached)
+    scores, done = {}, 0
+    for k in sorted(set(prefixes)):
+        for nid in collapsed[done:k]:
+            if nid in reached:  # route omits the nodes no row reaches
+                pred[reached[nid]] = tree.nodes[nid].mean
+        done = k
+        scores[k] = score(pred)
+    return [scores[k] for k in prefixes]
+
+
+def _depth_scores(tree: Tree, reached: dict, depths, score) -> list:
+    """_prefix_scores of prune_to_depth(tree, depth) for each depth in
+    depths: the subtree collapsing every internal node that deep or deeper."""
+    internal = sorted(tree.internal_ids(), key=lambda nid: -tree.nodes[nid].depth)
+    prefixes = [sum(tree.nodes[nid].depth >= depth for nid in internal) for depth in depths]
+    return _prefix_scores(tree, reached, internal, prefixes, score)
+
+
+def _mse(y: np.ndarray, pred: np.ndarray) -> float:
+    """Mean squared residual (1/n) * Sum (y_i - pred_i)^2."""
+    return float(np.mean((y - pred) ** 2))
+
+
 def training_error(tree: Tree, dataset: Dataset) -> float:
     """Mean squared training residual (1/n) * Sum (y_i - prediction)^2."""
-    preds = predict_batch(tree, dataset.features)
-    return float(np.mean((dataset.response - preds) ** 2))
+    return _mse(dataset.response, predict_batch(tree, dataset.features))
 
 
 def collapse(tree: Tree, collapsed: set[int]) -> Tree:

@@ -395,6 +395,23 @@ def with_slope(slope):
     return dict(MODEL_SPEC, components=[component])
 
 
+def train(*flags):
+    return lambda tmp: ["train", write_d1(tmp), *flags]
+
+
+def subopt_on_four_features(tmp):
+    path = tmp / "d4.csv"
+    path.write_text("a,b,c,d,y\n0,0,0,0,0\n1,0,1,0,1\n0,1,1,1,1\n1,1,0,1,2\n")
+    return ["subopt", str(path), "--kappa", "0.5"]
+
+
+def pruning_without_a_grid(tmp):
+    return ["experiment", write_json(tmp, experiment_config()), "--kind", "pruning"]
+
+
+THREE_D = {"kind": "linear", "parameters": {"slope": 1.0}, "direction": [1.0, 1.0, 1.0]}
+
+
 @pytest.mark.parametrize(
     "command, message",
     [
@@ -421,6 +438,30 @@ def with_slope(slope):
         pytest.param(generate(dict(MODEL_SPEC, intercept=True)), "ridge model intercept", id="generate_true_intercept"),
         pytest.param(generate(with_slope(1e400)), "linear parameters slope", id="generate_infinite_slope"),
         pytest.param(generate(MODEL_SPEC, box='[[0, "1"], [0, 1]]'), "domain_box: expected a finite number", id="generate_string_side"),
+        # Values out of range, in flags, a CSV or a config.
+        pytest.param(train("--candidates", "-1"), "num_candidates must be >= 0", id="train_candidates"),
+        pytest.param(train("--restarts", "0"), "restarts must be >= 1", id="train_restarts"),
+        pytest.param(train("--iterations", "-1"), "max_iterations must be >= 0", id="train_iterations"),
+        pytest.param(train("--depth", "-1"), "max_depth must be >= 0", id="train_depth"),
+        pytest.param(train("--min-node-size", "0"), "min_node_size must be >= 1", id="train_min_node_size"),
+        pytest.param(subopt_on_four_features, "needs p <= 3 for the exact oracle", id="subopt_p4"),
+        pytest.param(experiment(depth_range=[3, 1]), "depth range must satisfy 0 <= lo <= hi", id="rate_depth_range"),
+        pytest.param(experiment(n=0), "counts must be >= 1", id="rate_n"),
+        pytest.param(experiment(mc_size=0), "counts must be >= 1", id="rate_mc_size"),
+        pytest.param(experiment(noise_std=0.1), "rate experiment requires noiseless data", id="rate_noise"),
+        pytest.param(
+            experiment(strategy={"kind": "exhaustive_oblique", "sparsity_d": 1}),
+            "rate experiment requires full sparsity with p <= 3", id="rate_sparsity",
+        ),
+        pytest.param(
+            experiment(model=dict(MODEL_SPEC, components=[])),
+            "model needs at least one component", id="rate_no_components",
+        ),
+        pytest.param(
+            experiment(model=dict(MODEL_SPEC, components=MODEL_SPEC["components"] + [THREE_D])),
+            "components disagree on dimension", id="rate_mixed_dimensions",
+        ),
+        pytest.param(pruning_without_a_grid, "pruning experiment needs a lambda grid", id="pruning_no_grid"),
     ],
 )
 def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command, message):

@@ -33,9 +33,11 @@ from obliquetree import (
     SearchStrategy,
     generate_dataset,
     grow,
+    run_fast_rate_experiment,
     run_pruning_experiment,
     run_rate_experiment,
     save_csv,
+    verify_training_recursion,
 )
 from obliquetree.tree import to_json
 from obliquetree.cli import main
@@ -166,20 +168,25 @@ def test_pruning_experiment_report_is_pinned(name):
     assert sha(json.dumps(report, sort_keys=True).encode()) == digest
 
 
-def test_ridge_sample_and_rate_report_are_pinned():
+def pinned_rate_config():
     """A model whose directions have 3 and 2 nonzero coefficients, so each
-    model value sums several products: its sample and its rate report
-    (capacity norm, exhaustive oblique trees, IMSEs) are pinned."""
+    model value sums several products, under the exact oracle."""
     model = RidgeModel((
         RidgeComponent("relu", Direction.canonical([1.0, 2.0, -1.0]), {"slope": 2.0, "kink": 0.1}),
         RidgeComponent("linear", Direction.canonical([0.0, 1.0, 1.0]), {"slope": -1.5}),
     ))
-    config = ExperimentConfig(
+    return ExperimentConfig(
         model=model, n=40, noise_std=0.0, seed=5,
         strategy=SearchStrategy(kind="exhaustive_oblique", sparsity_d=3), depth_range=(0, 4),
         domain_box=((-1.0, 1.0),) * 3, mc_size=500,
     )
-    sample = generate_dataset(model, config.n, 0.0, config.domain_box, config.seed)
+
+
+def test_ridge_sample_and_rate_report_are_pinned():
+    """The pinned config's sample and its rate report (capacity norm,
+    exhaustive oblique trees, IMSEs)."""
+    config = pinned_rate_config()
+    sample = generate_dataset(config.model, config.n, 0.0, config.domain_box, config.seed)
     report = run_rate_experiment(config).to_dict()
     del report["wall_time_s"]
     assert (
@@ -188,4 +195,27 @@ def test_ridge_sample_and_rate_report_are_pinned():
     ) == (
         "2639e646e63202f271b5e104ec4a35ccdaba280ac544c844c612c1bf152f756c",
         "4954938257ee19bd1f8232b99fad05b82546c52c7eebc7b1bde12d8d56322aea",
+    )
+
+
+def test_fast_rate_report_is_pinned():
+    """Training errors, leaf norms and balance factors of every depth
+    prefix of the pinned config's tree."""
+    report = run_fast_rate_experiment(pinned_rate_config()).to_dict()
+    del report["wall_time_s"]
+    assert (
+        sha(json.dumps(report, sort_keys=True).encode())
+        == "8e218dc4b9b61cc2b19e2df84f77623c7e4318289c942ea634df1e86844806df"
+    )
+
+
+def test_training_recursion_residuals_are_pinned():
+    """The recursion's residuals are rounding-level differences of prefix
+    training errors, so they pin every bit of those errors."""
+    config = pinned_rate_config()
+    sample = generate_dataset(config.model, config.n, 0.0, config.domain_box, config.seed)
+    residuals = verify_training_recursion(sample, config.strategy, 4)
+    assert (
+        sha(np.array(residuals).tobytes())
+        == "a472af2b128d1dd6977e68fd50799f55692c449811b71673e9f23c5150c3968a"
     )

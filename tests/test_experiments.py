@@ -61,6 +61,28 @@ def test_rate_experiment_linear_ridge_bound_holds():
             assert row["excess_error"] <= row["bound"] * (1 + 1e-9) + 1e-9
 
 
+def test_a_bound_violation_raises_with_the_full_report(monkeypatch):
+    # The bound cannot fail honestly under the enforced preconditions, so
+    # shrink the capacity norm that run_rate_experiment reads: every depth
+    # K >= 1 whose error exceeds the tiny norm^2/K is then a violation.
+    from dataclasses import replace
+
+    from obliquetree import experiments
+
+    real = experiments.l1_tv_norm
+    monkeypatch.setattr(experiments, "l1_tv_norm", lambda *args: replace(real(*args), total=1e-6))
+    config = linear_ridge_config(seed=4, depth=(0, 3))
+    with pytest.raises(experiments.BoundViolationError) as raised:
+        run_rate_experiment(config)
+    report = raised.value.report
+    violations = report.summary["violations"]
+    assert [row["depth"] for row in report.rows] == [0, 1, 2, 3]
+    assert violations and 0 not in violations
+    assert [row["depth"] for row in report.rows if not row["bound_satisfied"]] == violations
+    assert report.rows[0]["excess_error"] > report.rows[0]["bound"]
+    assert str(violations) in str(raised.value)
+
+
 def test_rate_experiment_constant_model():
     model = RidgeModel((RidgeComponent("linear", e(2, 0), {"slope": 0.0}),), intercept=2.0)
     config = ExperimentConfig(
@@ -202,18 +224,6 @@ def test_fast_rate_balance_factor_reported():
         max_size, factor = node_size_profile(tree)
         assert row["balance_factor"] == pytest.approx(factor)
         assert factor * config.n / 2**tree.max_depth_reached == pytest.approx(max_size)
-
-
-def test_fast_rate_routes_each_prefix_once(monkeypatch):
-    # The leaf norms of a prefix do not depend on q: one node_rows call
-    # per depth serves the q search and the rows alike.
-    from obliquetree import ridge
-
-    calls = []
-    real = ridge.node_rows
-    monkeypatch.setattr(ridge, "node_rows", lambda tree, data: calls.append(tree) or real(tree, data))
-    report = run_fast_rate_experiment(linear_ridge_config(seed=5, depth=(1, 4)))
-    assert len(report.rows) == 4 and len(calls) == 4
 
 
 def test_leaf_size_diagnostic_worked_example():

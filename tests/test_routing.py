@@ -5,11 +5,14 @@ The references below are the per-function tree walks that `tree.route`,
 computed as a per-point Python sum over the direction's support in
 ascending order (conftest.point_projection).  Each property checks that
 the shared kernel gives the same bytes as the walk it replaced, on grown
-trees and on trees reloaded from JSON.  The last property checks that
-every evaluator of a tree, a stump expansion or a ridge model meets its
-points with the same check.
+trees and on trees reloaded from JSON.  The overwrite walk that scores
+nested subtrees from one routing is checked against routing each
+subtree, and each job's routings are counted.  The last property checks
+that every evaluator of a tree, a stump expansion or a ridge model meets
+its points with the same check.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,23 +22,35 @@ from hypothesis import strategies as st
 
 from obliquetree import (
     Dataset,
+    Direction,
+    ExperimentConfig,
     Expansion,
     RidgeComponent,
     RidgeModel,
     SearchStrategy,
     build_expansion,
     eval_ridge,
+    generate_dataset,
     grow,
     node_rows,
     predict,
     predict_batch,
     prune_to_depth,
+    run_fast_rate_experiment,
+    run_pruning_experiment,
+    run_rate_experiment,
+    save_csv,
+    verify_training_recursion,
+    weakest_link_sequence,
 )
-from obliquetree.dataset import Direction, _moments, root_index_set
+from obliquetree import tree as tree_module
+from obliquetree.cli import main
+from obliquetree.dataset import _moments, root_index_set
+from obliquetree.pruning import _grid_scores, default_lambda_grid, holdout_lambda
 from obliquetree.ridge import COMPONENT_KINDS, eval_ridge_batch
 from obliquetree.splitting import Split
-from obliquetree.stumps import feature_at, reconstruct_at, reconstruct_batch
-from obliquetree.tree import Tree, TreeNode, from_json, route, to_json
+from obliquetree.stumps import _expansion_rows, feature_at, reconstruct_at, reconstruct_batch
+from obliquetree.tree import Tree, TreeNode, _depth_scores, from_json, route, to_json
 
 from conftest import point_projection, reference_projections
 
@@ -291,6 +306,105 @@ def test_prune_to_depth_matches_reference(case):
     for t in (tree, _reloaded(tree)):
         for depth in range(t.max_depth_reached + 2):
             assert to_json(prune_to_depth(t, depth)) == to_json(reference_prune_to_depth(t, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grown_trees(), picks=st.lists(st.integers(0, 7), max_size=6))
+def test_one_walk_scores_every_subtree_as_routing_it_does(case, picks):
+    """Scored from one routing of the full tree, every depth prefix and
+    every weakest-link subtree gets the bytes predict_batch gives it,
+    for depths and penalties in any order, repeated or beyond the tree;
+    the expansion's rows rebuild node_rows, order included."""
+    data, tree = case[:2]
+    for t in (tree, _reloaded(tree)):
+        rows = node_rows(t, data)
+        rebuilt = _expansion_rows(t, build_expansion(t, data))
+        assert list(rebuilt) == list(rows)
+        assert all(rebuilt[nid].tobytes() == rows[nid].tobytes() for nid in rows)
+        sequence = weakest_link_sequence(t, data)
+        grid = [default_lambda_grid(data, size=8)[k] for k in picks] + [0.0]
+        depths = picks + list(range(t.max_depth_reached + 2))
+        for X in _query_batches(case):
+            reached = route(t, X)
+            assert _depth_scores(t, reached, depths, np.ndarray.tobytes) == [
+                predict_batch(prune_to_depth(t, depth), X).tobytes() for depth in depths
+            ]
+            assert _grid_scores(t, sequence, grid, reached, np.ndarray.tobytes) == [
+                predict_batch(sequence.select(t, lam), X).tobytes() for lam in grid
+            ]
+
+
+def _routing_config(**fields):
+    model = RidgeModel((
+        RidgeComponent("relu", Direction.canonical([1.0, 2.0]), {"slope": 2.0, "kink": 0.5}),
+    ))
+    base = dict(
+        model=model, n=24, noise_std=0.0, seed=3,
+        strategy=SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), depth_range=(0, 4),
+        domain_box=((0.0, 1.0), (0.0, 1.0)), mc_size=100,
+    )
+    return ExperimentConfig(**{**base, **fields})
+
+
+_NOISY = dict(n=120, noise_std=0.1, strategy=SearchStrategy(kind="axis_aligned"), depth_range=(0, 5))
+_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
+
+
+def _stumps_command(tmp_path):
+    """obliquetree stumps on a trained tree; returns the command."""
+    config = _routing_config(**_NOISY)
+    csv, tree_json = str(tmp_path / "data.csv"), str(tmp_path / "tree.json")
+    save_csv(generate_dataset(config.model, config.n, 0.1, config.domain_box, 1), csv)
+    assert main(["train", csv, "--depth", "5", "--out", tree_json]) == 0
+    return lambda: main(["stumps", tree_json, csv, "--out", str(tmp_path / "stumps.json")]) == 0
+
+
+# job: (routings of its one call, a maker of that call)
+ROUTED_JOBS = {
+    "rate": (2, lambda tmp: lambda: run_rate_experiment(_routing_config())),
+    "fast_rate": (1, lambda tmp: lambda: run_fast_rate_experiment(_routing_config(depth_range=(1, 4)))),
+    "pruning": (2, lambda tmp: lambda: run_pruning_experiment(_routing_config(**_NOISY, lambda_grid=_GRID))),
+    "training_recursion": (1, lambda tmp: lambda: verify_training_recursion(
+        generate_dataset(_routing_config().model, 24, 0.0, ((0.0, 1.0), (0.0, 1.0)), 3),
+        SearchStrategy(kind="exhaustive_oblique", sparsity_d=2), 5,
+    )),
+    "holdout_lambda": (1, lambda tmp: lambda: holdout_lambda(
+        generate_dataset(_routing_config().model, 120, 0.1, ((0.0, 1.0), (0.0, 1.0)), 3),
+        SearchStrategy(kind="axis_aligned"), 5, _GRID, 0.3, 0,
+    )),
+    "stumps_command": (1, _stumps_command),
+}
+
+
+@pytest.mark.parametrize("job", sorted(ROUTED_JOBS))
+def test_each_point_set_is_routed_once_per_tree(job, tmp_path, monkeypatch):
+    """Each job routes each of its point sets once, through the full
+    tree, and scores every subtree it reads from that routing: no route
+    call, through any module's binding of it, gets a tree that collapse
+    built (prune_to_depth and PruneSequence.select build theirs so)."""
+    expected, make = ROUTED_JOBS[job]
+    call = make(tmp_path)
+    real_route, real_collapse = tree_module.route, tree_module.collapse
+    routed, built = [], []
+
+    def route_counted(tree, X):
+        routed.append(tree)
+        return real_route(tree, X)
+
+    def collapse_kept(tree, collapsed):
+        built.append(real_collapse(tree, collapsed))
+        return built[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "obliquetree" or name.startswith("obliquetree."):
+            for attr, real, fake in (
+                ("route", real_route, route_counted), ("collapse", real_collapse, collapse_kept)
+            ):
+                if getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, fake)
+    call()
+    assert len(routed) == expected
+    assert not any(tree is subtree for tree in routed for subtree in built)
 
 
 @st.composite
