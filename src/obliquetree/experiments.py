@@ -325,15 +325,21 @@ def run_pruning_experiment(config: ExperimentConfig) -> RateReport:
     sample = _imse_sample(config.model, config.mc_size, config.domain_box, config.seed + 7002)
     reached, imse_of = route(full, sample.features), partial(_imse, sample)
     grid_imses = _grid_scores(full, sequence, config.lambda_grid, reached, imse_of)
+    # Leaf counts are read off the sequence and the node depths, with no
+    # subtree built: the subtree for lam collapses the first prefix(lam)
+    # steps, and prune_to_depth(full, depth) keeps as leaves the nodes at
+    # that depth and the leaves above it.
+    leaves = [sequence.initial_leaf_count] + [step.leaf_count_after for step in sequence.steps]
     rows = [
-        {"lambda": lam, "leaf_count": sequence.select(full, lam).leaf_count(),
+        {"lambda": lam, "leaf_count": leaves[sequence.prefix(lam)],
          "holdout_error": hold_err, "imse": imse, "imse_se": imse_se}
         for lam, hold_err, (imse, imse_se) in zip(config.lambda_grid, hold_errors, grid_imses)
     ]
     depths = range(k_lo, k_hi + 1)
     fixed = [
         {"depth": depth, "imse": imse, "imse_se": imse_se,
-         "leaf_count": prune_to_depth(full, depth).leaf_count()}
+         "leaf_count": sum(nd.depth == depth or (nd.is_leaf and nd.depth < depth)
+                           for nd in full.nodes.values())}
         for depth, (imse, imse_se) in zip(depths, _depth_scores(full, reached, depths, imse_of))
     ]
     # _holdout_fit picks lam_star from the grid, and 0 <= k_lo <= k_hi.

@@ -35,7 +35,7 @@ from .dataset import (
     _NO_FIELDS, Dataset, Direction, _as_is, _json_text, _list, _named, _points, _real, _reals,
     _record, _seeded_words, projections, validate_index_set,
 )
-from .tree import node_rows
+from .tree import _column_major, node_rows
 
 COMPONENT_KINDS = ("linear", "relu", "sigmoid", "sine", "cubic")
 
@@ -180,10 +180,12 @@ def eval_ridge(model: RidgeModel, x) -> float:
 
 
 def eval_ridge_batch(model: RidgeModel, X: np.ndarray) -> np.ndarray:
-    """Model values at the rows of X: one projections call, then each profile."""
-    X = _points(X, model.p)
+    """Model values at the rows of X: one projections call, on a column-major
+    copy of a large batch (tree._column_major), then each profile."""
+    W = _directions(model)
+    X = _column_major(_points(X, model.p), W)
     out = np.full(X.shape[0], model.intercept)
-    for comp, z in zip(model.components, projections(X, _directions(model))):
+    for comp, z in zip(model.components, projections(X, W)):
         out += comp.profile(z)
     return out
 

@@ -7,9 +7,10 @@ ascending order (conftest.point_projection).  Each property checks that
 the shared kernel gives the same bytes as the walk it replaced, on grown
 trees and on trees reloaded from JSON.  The overwrite walk that scores
 nested subtrees from one routing is checked against routing each
-subtree, and each job's routings are counted.  The last property checks
-that every evaluator of a tree, a stump expansion or a ridge model meets
-its points with the same check.
+subtree, and each job's routings are counted.  Batches on either side of
+the size above which route reads a column-major copy route alike.  The
+last property checks that every evaluator of a tree, a stump expansion
+or a ridge model meets its points with the same check.
 """
 
 import sys
@@ -332,6 +333,83 @@ def test_one_walk_scores_every_subtree_as_routing_it_does(case, picks):
             assert _grid_scores(t, sequence, grid, reached, np.ndarray.tobytes) == [
                 predict_batch(sequence.select(t, lam), X).tobytes() for lam in grid
             ]
+
+
+# The batch layouts route must treat alike: the columns a large batch is
+# copied in are written from the points, whatever their storage.
+_LAYOUTS = {
+    "C-ordered": np.ascontiguousarray,
+    "F-ordered": np.asfortranarray,
+    "strided view": lambda X: np.pad(X, ((0, 0), (0, 1)))[:, :-1],
+    "float32": lambda X: X.astype(np.float32),
+    "int": lambda X: X.astype(np.int64),
+}
+_WIDE_P, _SPLIT_COLUMNS = 16, [2, 5, 11]
+
+
+def _widened(tree, columns, p):
+    """A tree grown on len(columns) coordinates, as a tree over p
+    coordinates whose splits use only `columns`: it routes every point
+    as the grown tree routes the point's `columns`."""
+    def widen(split):
+        w = np.zeros(p)
+        w[columns] = split.direction.coefficients
+        return replace(split, direction=Direction(tuple(w.tolist())))
+
+    nodes = {nid: replace(nd, split=nd.split and widen(nd.split)) for nid, nd in tree.nodes.items()}
+    return replace(tree, nodes=nodes, p=p)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_both_batch_layouts_route_as_the_reference(offset, monkeypatch):
+    """route gives the same rows, and predict_batch, reconstruct_batch and
+    node_rows the same bytes as the reference walks, on either side of
+    _COLUMN_MAJOR_BYTES, for C- and F-ordered, strided, float32 and int
+    batches of one copy chunk and one row more or less, and one row.
+    The tree splits on 3 of 16 columns, and every np.empty array starts
+    as NaN, so a read of a column the copy did not write would show.
+    Above the bound every node reads a column-major matrix; the root
+    reads its columns in place."""
+    chunk = tree_module._BLOCK_ELEMENTS // _WIDE_P
+    rng = np.random.default_rng(chunk + offset)
+    X = rng.integers(-4, 5, size=(chunk + offset, _WIDE_P)).astype(float)
+    y = X[:, 2] - X[:, 5] * X[:, 11] + rng.standard_normal(X.shape[0])
+    data = Dataset(X, y)
+    strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=6, seed=5)
+    grown = grow(Dataset(X[:, _SPLIT_COLUMNS], y), strategy, 3)
+    trees = [_widened(t, _SPLIT_COLUMNS, _WIDE_P) for t in (grown, prune_to_depth(grown, 0))]
+    assert len(trees[0].nodes) > 7
+    real_empty, real_projections = np.empty, tree_module.projections
+    monkeypatch.setattr(
+        np, "empty", lambda *a, **k: (lambda out: (out.fill(np.nan), out)[1])(real_empty(*a, **k))
+    )
+    seen = []
+
+    def projections_seen(M, W, rows=None):
+        seen.append((M.flags.f_contiguous, rows is None))
+        return real_projections(M, W, rows)
+
+    monkeypatch.setattr(tree_module, "projections", projections_seen)
+    for t in trees:
+        want_rows = reference_node_rows(t, data)
+        want = {"one row": reference_predict_batch(t, X[:1]), "batch": reference_predict_batch(t, X)}
+        for bound in (0, 2**62):
+            monkeypatch.setattr(tree_module, "_COLUMN_MAJOR_BYTES", bound)
+            rows = node_rows(t, data)
+            assert rows.keys() == want_rows.keys()
+            assert all(rows[nid].tobytes() == want_rows[nid].tobytes() for nid in rows)
+            expansion = build_expansion(t, data)
+            want_sum = reference_reconstruct_batch(t, expansion, X).tobytes()
+            for name, layout in _LAYOUTS.items():
+                batch = layout(X)
+                seen.clear()
+                reached = route(t, batch)
+                assert all(reached[nid].tobytes() == rows[nid].tobytes() for nid in rows), name
+                assert all(f_order == (bound == 0 or name == "F-ordered") for f_order, _ in seen)
+                assert not seen or seen[0][1]  # the root reads its columns in place
+                assert predict_batch(t, batch).tobytes() == want["batch"].tobytes(), name
+                assert predict_batch(t, batch[:1]).tobytes() == want["one row"].tobytes(), name
+                assert reconstruct_batch(t, expansion, batch).tobytes() == want_sum, name
 
 
 def _routing_config(**fields):
