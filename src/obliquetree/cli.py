@@ -55,7 +55,7 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        return ds._named(path, json.loads, handle.read())
 
 
 def _cmd_train(args) -> int:
@@ -146,7 +146,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_generate(args) -> int:
     model = ridge.RidgeModel.from_dict(_read_json(args.model))
-    box = json.loads(args.box)
+    box = ds._named("--box", json.loads, args.box)
     data = ridge.generate_dataset(model, args.n, args.noise, box, args.seed)
     ds.save_csv(data, args.out)
     return 0

@@ -38,10 +38,11 @@ class CsvFormatError(ValueError):
 
 def _named(name: str, convert, value):
     """convert(value), with a TypeError or ValueError from a malformed
-    value re-raised as a ValueError that names the field."""
+    value, or a RecursionError from one nested too deeply (as json
+    raises), re-raised as a ValueError that names the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
@@ -312,8 +313,7 @@ def projections(X: np.ndarray, W: np.ndarray, rows=None) -> np.ndarray:
     on its own point and direction: not on the other rows or directions,
     the batch size or the BLAS build.  This is the only place where the
     library multiplies features by a direction, a split's or a ridge
-    model's; the stump Gram matrix (stumps.verify_orthonormality) is the
-    library's one BLAS product.
+    model's.
 
     With an index array `rows`, the m = len(rows) points X[rows] are
     projected, but only the support columns X[rows, c] are gathered, not

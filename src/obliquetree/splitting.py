@@ -64,20 +64,19 @@ contender was kept; the kept directions below it get no exact decrease.
 
 A direction is sorted at the first node that sweeps it and inherited
 below, not sorted again at every node (the presorting of SLIQ and
-SPRINT).  A problem that sweeps in blocks of its own and has at most as
-many direction rows as its node has rows (k <= m, the split
-dataset.projections makes) is sorted and swept in arrays of its own;
-in grow's level search its node keeps them, while its level keeps at
-most _KEEP_BLOCKS blocks of _BLOCK_ELEMENTS, and its two children
-inherit them (_Node.children).  Along a direction the parent kept, a
-child's stable order is the parent's filtered by the child's side, ties
-still in index order, and its values are the same bits, because
+SPRINT).  A problem that sweeps in blocks of its own, other than the
+exhaustive oracle's, is sorted and swept in arrays of its own; in grow's
+level search its node keeps them, while its level keeps at most
+_KEEP_BLOCKS blocks of _BLOCK_ELEMENTS, and its two children inherit
+them (_Node.children).  Along a direction the parent kept, a child's
+stable order is the parent's filtered by the child's side, ties still in
+index order, and its values are the same bits, because
 dataset.projections computes each row on its own.  So such a problem of
 a child projects and sorts only the direction rows its parent did not
 keep, and reads the others off its parent's (_sources), which are freed
-once both children have theirs.  The exhaustive oracle (k far above m)
-and problems small enough to share a padded block sort every row, as
-keeping and filtering would cost them more than it saves.
+once both children have theirs.  The exhaustive oracle and problems
+small enough to share a padded block sort every row, as keeping and
+filtering would cost them more than it saves.
 
 The exhaustive oracle (_Vertices).  A dichotomy (L, R) of a node's
 points that a hyperplane on a support of s <= 3 coordinates strictly
@@ -668,22 +667,19 @@ class _Source(NamedTuple):
 def _sources(problems, keep: bool) -> list:
     """The _Source of each problem, or None.
 
-    A problem that sweeps in blocks of its own (_packed) and has at most
-    as many direction rows as its node has rows (k <= m, the split
-    dataset.projections makes between few and many directions) is
-    sorted and swept in arrays of its own, order and values, one row per
-    direction.  The rows its node inherited come first, grouped by their
-    parent's rows, with their stable orders and sorted projections read
-    off the parent's (_filter); the sweep fills in the rest.  With keep,
-    those arrays become the node's sorted, problem by problem in order
-    while the level's kept elements (k x m each) stay within
-    _KEEP_BLOCKS * _BLOCK_ELEMENTS.  A problem that is not kept and
-    inherited no row sorts in its blocks, as every other problem does,
-    since arrays of its own would cost more than they save: a packed
-    problem sorts in a block shared with other nodes, and the exhaustive
-    oracle's, with k far above m, would not fit.  A node drops its
-    inherit once its problems have their rows, so a parent's orders are
-    freed as soon as both children have read theirs.
+    A problem that sweeps in blocks of its own (_packed), other than the
+    exhaustive oracle's, is sorted and swept in arrays of its own, order
+    and values, one row per direction.  The rows its node inherited come
+    first, grouped by their parent's rows, with their stable orders and
+    sorted projections read off the parent's (_filter); the sweep fills
+    in the rest.  With keep, those arrays become the node's sorted,
+    problem by problem in order while the level's kept elements (k x m
+    each) stay within _KEEP_BLOCKS * _BLOCK_ELEMENTS.  A problem that is
+    not kept and inherited no row sorts in its blocks, as packed and
+    oracle problems do, since arrays of its own would cost more than
+    they save.  A node drops its inherit once its problems have their
+    rows, so a parent's orders are freed as soon as both children have
+    read theirs.
     """
     sources = [None] * len(problems)
     budget = _KEEP_BLOCKS * _BLOCK_ELEMENTS if keep else 0
@@ -697,7 +693,7 @@ def _sources(problems, keep: bool) -> list:
         for q in qs:
             W = problems[q][1]
             k = len(W)
-            if k > m or _packed(k, m) or isinstance(W, _Vertices):
+            if _packed(k, m) or isinstance(W, _Vertices):
                 continue
             perm, h = None, 0
             if inherit is not None:

@@ -102,16 +102,6 @@ def _stump(tree: Tree, internal_node_id: int, rows: dict[int, np.ndarray]) -> St
     )
 
 
-def feature_column(feature: StumpFeature, n: int) -> np.ndarray:
-    """The feature evaluated at all training points, as a length-n vector."""
-    if feature.is_constant:
-        return np.ones(n)
-    col = np.zeros(n)
-    col[feature.left_ids] = feature.left_value
-    col[feature.right_ids] = feature.right_value
-    return col
-
-
 def feature_at(tree: Tree, feature: StumpFeature, x) -> float:
     """A stump's value at an arbitrary point: reconstruct_at of the one-stump
     expansion, 0.0 + 1.0 * v, which is v since a stump value is never -0.0."""
@@ -125,18 +115,12 @@ def build_expansion(tree: Tree, dataset: Dataset) -> Expansion:
     id.  Coefficients are the empirical inner products (1/n) Sum y_i *
     feature(x_i); the constant's coefficient is the grand mean.
     """
-    rows = node_rows(tree, dataset)
-    features = [_CONSTANT]
-    coefficients = [float(dataset.response.mean())]
-    for nid in tree.internal_ids():
-        feat = _stump(tree, nid, rows)
-        y = dataset.response
-        coef = (
-            feat.left_value * float(y[feat.left_ids].sum())
-            + feat.right_value * float(y[feat.right_ids].sum())
-        ) / dataset.n
-        features.append(feat)
-        coefficients.append(float(coef))
+    rows, y = node_rows(tree, dataset), dataset.response
+    features = [_CONSTANT] + [_stump(tree, nid, rows) for nid in tree.internal_ids()]
+    coefficients = [float(y.mean())] + [
+        float((f.left_value * float(y[f.left_ids].sum()) + f.right_value * float(y[f.right_ids].sum())) / dataset.n)
+        for f in features[1:]
+    ]
     return Expansion(features=tuple(features), coefficients=tuple(coefficients))
 
 
@@ -153,12 +137,35 @@ def _expansion_rows(tree: Tree, expansion: Expansion) -> dict[int, np.ndarray]:
 
 
 def verify_orthonormality(expansion: Expansion, dataset: Dataset) -> float:
-    """Largest absolute deviation of the feature Gram matrix from identity."""
-    cols = np.stack(
-        [feature_column(f, dataset.n) for f in expansion.features], axis=1
-    )
-    gram = cols.T @ cols / dataset.n
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    """Largest absolute deviation of the feature Gram matrix from identity.
+
+    A point's nonzero features are the constant and the stumps on its
+    path, so only a feature's products with itself and the features above
+    it can be nonzero.  Features go parents first by row count, which
+    strictly falls down a path, each at the depth its points reached:
+    owner[d] and value[d] hold every point's feature at depth d (k below
+    its leaf) and its value there, and each pair of depths is one bincount.
+    """
+    n, k = dataset.n, len(expansion.features)
+    sides = [
+        [(np.arange(n), 1.0)] if f.is_constant else [(f.left_ids, f.left_value), (f.right_ids, f.right_value)]
+        for f in expansion.features
+    ]
+    depth, owner, value = np.zeros(n, dtype=np.intp), [], []
+    for a in sorted(range(k), key=lambda a: -sum(ids.size for ids, _ in sides[a])):
+        d = depth[sides[a][0][0][0]]
+        if d == len(owner):
+            owner.append(np.full(n, k))
+            value.append(np.zeros(n))
+        for ids, v in sides[a]:
+            owner[d][ids], value[d][ids] = a, v
+            depth[ids] += 1
+    diagonal, worst = np.zeros(k + 1), 0.0
+    for d, (ids, v) in enumerate(zip(owner, value)):
+        diagonal += np.bincount(ids, weights=v * v, minlength=k + 1) / n
+        for above in value[:d]:
+            worst = max(worst, float(np.max(np.abs(np.bincount(ids, weights=v * above, minlength=k + 1)))) / n)
+    return max(worst, float(np.max(np.abs(diagonal[:k] - 1.0))))
 
 
 def verify_impurity_identity(tree: Tree, dataset: Dataset) -> tuple[float, int | None]:
@@ -174,16 +181,14 @@ def verify_impurity_identity(tree: Tree, dataset: Dataset) -> tuple[float, int |
 
 def _impurity_gap(tree: Tree, expansion: Expansion) -> tuple[float, int | None]:
     """verify_impurity_identity on the tree's expansion."""
-    worst = 0.0
-    worst_node = None
+    worst, worst_node = 0.0, None
     for feat, coef in zip(expansion.features, expansion.coefficients):
         if feat.is_constant:
             continue
         decrease = tree.nodes[feat.owner_node_id].split.decrease
         gap = abs(coef**2 - decrease) / max(abs(decrease), abs(coef**2), 1e-300)
         if gap >= worst:
-            worst = gap
-            worst_node = feat.owner_node_id
+            worst, worst_node = gap, feat.owner_node_id
     return worst, worst_node
 
 
@@ -246,9 +251,7 @@ def verify_training_recursion(
     fixed seed) so depth prefixes are nested.  Every prefix's training
     error is read off the expansion's one routing (tree._depth_scores).
     """
-    if grow_fn is None:
-        grow_fn = grow
-    full = grow_fn(dataset, strategy, max_depth)
+    full = (grow_fn or grow)(dataset, strategy, max_depth)
     expansion = build_expansion(full, dataset)
     level_drop = {}
     for feat, coef in zip(expansion.features, expansion.coefficients):

@@ -409,6 +409,21 @@ def pruning_without_a_grid(tmp):
     return ["experiment", write_json(tmp, experiment_config()), "--kind", "pruning"]
 
 
+def deeply_nested(command):
+    """command with a file of 100,000 nested '[' as its JSON input, which
+    json answers with a RecursionError."""
+    def argv(tmp):
+        path = tmp / "deep.json"
+        path.write_text("[" * 100_000)
+        return {
+            "prune": ["prune", str(path), write_d1(tmp)],
+            "stumps": ["stumps", str(path), write_d1(tmp)],
+            "experiment": ["experiment", str(path)],
+            "generate": ["generate", str(path), "--n", "5", "--box", "[[0, 1]]", "--out", str(tmp / "g.csv")],
+        }[command]
+    return argv
+
+
 THREE_D = {"kind": "linear", "parameters": {"slope": 1.0}, "direction": [1.0, 1.0, 1.0]}
 
 
@@ -462,6 +477,13 @@ THREE_D = {"kind": "linear", "parameters": {"slope": 1.0}, "direction": [1.0, 1.
             "components disagree on dimension", id="rate_mixed_dimensions",
         ),
         pytest.param(pruning_without_a_grid, "pruning experiment needs a lambda grid", id="pruning_no_grid"),
+        # Nesting past the recursion limit used to end in a RecursionError
+        # traceback.
+        *(
+            pytest.param(deeply_nested(command), "deep.json: maximum recursion depth exceeded", id=f"{command}_deeply_nested")
+            for command in ("prune", "stumps", "experiment", "generate")
+        ),
+        pytest.param(generate(MODEL_SPEC, box="[" * 50_000), "--box: maximum recursion depth exceeded", id="generate_box_deeply_nested"),
     ],
 )
 def test_wrong_shaped_json_exits_with_one_line(tmp_path, capsys, command, message):

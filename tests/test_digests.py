@@ -107,10 +107,10 @@ CLI_DIGESTS = {
     "stumps": "9e9a7a81d60b4b21b8f909bc581e17cfad536178020bb6b9b951a7308aee456f",
 }
 
-# The Gram deviation comes from the library's one BLAS product, whose last
-# bits depend on the BLAS build and the CPU; the impurity deviation is a
-# rounding-level gap, and its worst node the argmax of such gaps.  They
-# are checked by size and left out of the pinned bytes.
+# The Gram and impurity deviations are rounding-level gaps, and the worst
+# node the argmax of such gaps: a change to the order of a sum moves their
+# last bits, not what they check.  They are checked by size and left out
+# of the pinned bytes.
 _UNPINNED_FIELDS = ("gram_deviation", "impurity_deviation", "impurity_worst_node")
 
 

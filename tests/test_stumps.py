@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliquetree import (
     EMPTY_NODE_ID,
@@ -15,15 +19,23 @@ from obliquetree import (
     verify_training_recursion,
 )
 from obliquetree.stumps import (
+    Expansion,
     feature_at,
-    feature_column,
     parseval_gap,
+    reconstruct_batch,
     verify_expansion_reconstruction,
 )
+from obliquetree.tree import from_dict, from_json, to_dict, to_json
 
 from conftest import random_dataset
+from test_routing import grown_trees
 
 AXIS = SearchStrategy(kind="axis_aligned")
+
+
+def training_values(tree, feature, data):
+    """A feature's values at the training points: the one-stump expansion."""
+    return reconstruct_batch(tree, Expansion((feature,), (1.0,)), data.features)
 
 
 def test_stump_d1_root_values(d1):
@@ -32,7 +44,7 @@ def test_stump_d1_root_values(d1):
     # n_L = n_R = 2, weight 1: values are +1 on the left, -1 on the right.
     assert feat.left_value == pytest.approx(1.0, rel=1e-12)
     assert feat.right_value == pytest.approx(-1.0, rel=1e-12)
-    col = feature_column(feat, d1.n)
+    col = training_values(tree, feat, d1)
     assert np.mean(col**2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -43,7 +55,7 @@ def test_stump_unbalanced_hand_values():
     feat = stump(tree, data, 0)
     assert feat.left_value == pytest.approx(np.sqrt(3.0), rel=1e-12)
     assert feat.right_value == pytest.approx(-1.0 / np.sqrt(3.0), rel=1e-12)
-    col = feature_column(feat, data.n)
+    col = training_values(tree, feat, data)
     assert np.mean(col**2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -51,7 +63,7 @@ def test_empty_node_feature_is_constant_one(d1):
     tree = grow(d1, AXIS, max_depth=1)
     feat = stump(tree, d1, EMPTY_NODE_ID)
     assert feat.is_constant
-    assert np.array_equal(feature_column(feat, d1.n), np.ones(4))
+    assert np.array_equal(training_values(tree, feat, d1), np.ones(4))
     assert feature_at(tree, feat, [123.0]) == 1.0
 
 
@@ -90,6 +102,61 @@ def test_orthonormality_random_trees():
         tree = grow(data, strategy, max_depth=4)
         expansion = build_expansion(tree, data)
         assert verify_orthonormality(expansion, data) <= 1e-9
+
+
+def dense_gram_deviation(expansion, n):
+    """verify_orthonormality's reference: the n x k matrix C of every
+    feature's training values, and the largest entry of |C.T C / n - I|."""
+    C = np.zeros((n, len(expansion.features)))
+    for j, feat in enumerate(expansion.features):
+        if feat.is_constant:
+            C[:, j] = 1.0
+        else:
+            C[feat.left_ids, j], C[feat.right_ids, j] = feat.left_value, feat.right_value
+    return float(np.max(np.abs(C.T @ C / n - np.eye(C.shape[1]))))
+
+
+def children_numbered_first(tree):
+    """The tree reloaded from JSON that numbers every node below its
+    parent, so its expansion lists children before parents."""
+    payload, top = to_dict(tree), max(tree.nodes)
+    flip = lambda nid: None if nid is None else top - nid
+    for node in payload["nodes"]:
+        node.update({key: flip(node[key]) for key in ("node_id", "left_child", "right_child")})
+    return from_dict(dict(payload, root_id=flip(tree.root_id)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grown_trees(), which=st.integers(0, 2**16), scale=st.sampled_from([1.0, 1.5, -1.0]))
+def test_orthonormality_equals_the_dense_gram_deviation(case, which, scale):
+    """On grown and reloaded trees, the path-sparse check equals the
+    dense Gram matrix's deviation; so it does once one stump's left
+    value is scaled, which makes its products with the features above
+    it nonzero.  Negating it keeps its norm, so only those products
+    deviate."""
+    data, tree = case[:2]
+    for t in (tree, from_json(to_json(tree)), children_numbered_first(tree)):
+        expansion = build_expansion(t, data)
+        features = list(expansion.features)
+        corrupt = scale != 1.0 and len(features) > 1
+        if corrupt:
+            j = 1 + which % (len(features) - 1)
+            features[j] = replace(features[j], left_value=scale * features[j].left_value)
+        expansion = Expansion(tuple(features), expansion.coefficients)
+        deviation = verify_orthonormality(expansion, data)
+        assert abs(deviation - dense_gram_deviation(expansion, data.n)) <= 1e-12
+        assert deviation > 1e-9 if corrupt else deviation <= 1e-9
+
+
+def test_a_corrupted_stump_value_fails_the_orthonormality_gate():
+    data = random_dataset(310, 200, 3, y_scale=2.0)
+    tree = grow(data, SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=25, seed=4), max_depth=5)
+    expansion = build_expansion(tree, data)
+    assert verify_orthonormality(expansion, data) <= 1e-9
+    for j in range(1, len(expansion.features)):
+        features = list(expansion.features)
+        features[j] = replace(features[j], left_value=features[j].left_value * (1.0 + 1e-6))
+        assert verify_orthonormality(Expansion(tuple(features), expansion.coefficients), data) > 1e-9
 
 
 def test_impurity_identity_d1_and_random(d1):

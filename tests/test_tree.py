@@ -346,9 +346,8 @@ def test_json_round_trip_is_the_identity(kind, data, sparsity, seed, depth):
 @pytest.mark.parametrize("n, pack", [(200, 64), (3000, splitting._PACK_ELEMENTS)])
 def test_children_sort_only_the_rows_their_parent_did_not_keep(n, pack):
     # A problem (axes, random draws) that sweeps in blocks of its own
-    # (more than pack projections), with no more direction rows than node
-    # rows, is kept when its node's children will be searched, and reads
-    # the rows its parent kept.  So the rows sorted are the draw keys, one
+    # (more than pack projections) is kept when its node's children will
+    # be searched, and reads the rows its parent kept.  So the rows sorted are the draw keys, one
     # row per candidate, and every direction row but those inherited.
     data, depth, count = random_dataset(5, n, 6), 6, 40
     strategy = SearchStrategy(kind="random_projection", sparsity_d=2, num_candidates=count, seed=3)
@@ -370,14 +369,13 @@ def test_children_sort_only_the_rows_their_parent_did_not_keep(n, pack):
     searched = [nid for nid, node in tree.nodes.items() if node.depth < depth and node.count >= 2]
     def own(W, nid):
         k, m = W.shape[0], tree.nodes[nid].count
-        return k <= m and k * m > pack
+        return k * m > pack
 
-    fresh, partial, wide, packed = 0, 0, 0, 0
+    fresh, partial, packed = 0, 0, 0
     for nid in searched:
         kept = set()
         if nid in parents:
             for W in problems(parents[nid]):
-                wide += W.shape[0] > tree.nodes[parents[nid]].count
                 packed += not own(W, parents[nid])
                 if own(W, parents[nid]):
                     kept.update(row.tobytes() for row in W)
@@ -387,13 +385,13 @@ def test_children_sort_only_the_rows_their_parent_did_not_keep(n, pack):
             partial += 0 < new < W.shape[0]
     assert sum(sorted_rows) == fresh + count * len(searched)
     # Children that inherit part of a problem, and parents that do not
-    # keep one: too many directions at pack 64, packed at the default.
-    assert partial and (wide if pack == 64 else packed)
+    # keep one, since it is packed.
+    assert partial and packed
 
 
 def test_an_exhaustive_grow_sorts_every_candidate_row():
-    # The oracle's nodes have far more candidate rows than rows, so none
-    # keeps its orders and every node sorts all of its candidates.
+    # The oracle's problems keep no orders, so every node sorts all of
+    # its candidates.
     data, depth = random_dataset(8, 24, 3), 4
     sorted_rows = []
     with pytest.MonkeyPatch.context() as patch:
